@@ -16,7 +16,7 @@ from .wire import (
     encode_message,
     truncate_to_prefix,
 )
-from .zone import GeoZone, LocationPrefixMap, load_zone
+from .zone import GeoZone, LocationPrefixMap
 from .resolver import (
     Authoritative,
     DeviceConfig,

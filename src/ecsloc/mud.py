@@ -17,13 +17,13 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import Error
+from .zone import is_region_code
 
 PROTOCOLS = ("tcp", "udp", "icmp", "any")
 DIRECTIONS = ("from-device", "to-device")
 ACTIONS = ("accept", "drop")
 
 _MAC_RE = re.compile(r"^([0-9a-f]{2}:){5}[0-9a-f]{2}$")
-_REGION_RE = re.compile(r"^[A-Za-z]{2}$")
 
 # Labels that name a region but are not two-letter codes themselves.
 DEFAULT_REGION_ALIASES = {"eu": "EU"}
@@ -59,7 +59,7 @@ def _endpoint_kind(endpoint: str) -> str:
         return "domain"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Ace:
     """One allowlist rule; a port of None means any port."""
 
@@ -402,7 +402,7 @@ def load_groups(data: bytes | str) -> list[RegionDomainGroup]:
         if not isinstance(variants, dict):
             raise SchemaError(f"groups[{i}].variants: expected an object")
         for region in variants:
-            if not _REGION_RE.match(region):
+            if not is_region_code(region):
                 raise SchemaError(f"groups[{i}].variants: bad region code {region!r}")
         try:
             groups.append(

@@ -20,10 +20,10 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import Error
+from .zone import is_region_code
 
 DEFAULT_POOL_THRESHOLD = 3
 
-_REGION_RE = re.compile(r"^[A-Za-z]{2}$")
 _POOL_LABEL_RE = re.compile(r"^(.*?)(\d+)$")
 _PATTERN_LABEL_RE = re.compile(r"^(.*?)\[(\d+)-(\d+)\]$")
 _LINE_KEYS = ("ts", "dev", "ipl", "udl", "q", "a")
@@ -78,7 +78,7 @@ class CaptureLog:
 
 
 def _parse_region(token: str, where: str) -> str:
-    if not _REGION_RE.match(token):
+    if not is_region_code(token):
         raise LogParseError(f"{where}: {token!r} is not a two-letter region code")
     return token.upper()
 
@@ -169,10 +169,6 @@ class DomainSet:
             for pattern in patterns:
                 if member != pattern and _pattern_covers(pattern, member):
                     raise ValueError(f"{member!r} is subsumed by pattern {pattern!r}")
-
-    @classmethod
-    def from_names(cls, names, pool_threshold: int = DEFAULT_POOL_THRESHOLD) -> "DomainSet":
-        return collapse_pools(names, pool_threshold)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -281,6 +277,17 @@ def stabilization_time(
     return max(first_seen.values())
 
 
+def _location_sets(log: CaptureLog, device: str, selections, pool_threshold: int) -> list[DomainSet]:
+    """Pool-collapsed domain set of each (ipl, udl) selection; none may be empty."""
+    sets = []
+    for ipl, udl in selections:
+        picked = _select(log, device, ipl, udl)
+        if not picked:
+            raise EmptySelection(f"no records for ({ipl}, {udl})")
+        sets.append(collapse_pools((r.qname for r in picked), pool_threshold))
+    return sets
+
+
 def uds(
     log: CaptureLog,
     device: str,
@@ -290,14 +297,8 @@ def uds(
     pool_threshold: int = DEFAULT_POOL_THRESHOLD,
 ) -> Fraction:
     """Similarity across two user-defined locations at a fixed IP-based location."""
-    pairs = [(ip_location, user_a), (ip_location, user_b)]
-    sets = []
-    for ipl, udl in pairs:
-        picked = _select(log, device, ipl, udl)
-        if not picked:
-            raise EmptySelection(f"no records for ({ipl}, {udl})")
-        sets.append(collapse_pools((r.qname for r in picked), pool_threshold))
-    return jaccard(sets[0], sets[1])
+    a, b = _location_sets(log, device, [(ip_location, user_a), (ip_location, user_b)], pool_threshold)
+    return jaccard(a, b)
 
 
 def ipbs(
@@ -309,14 +310,8 @@ def ipbs(
     pool_threshold: int = DEFAULT_POOL_THRESHOLD,
 ) -> Fraction:
     """Similarity across two IP-based locations at a fixed user-defined location."""
-    pairs = [(ip_a, user_location), (ip_b, user_location)]
-    sets = []
-    for ipl, udl in pairs:
-        picked = _select(log, device, ipl, udl)
-        if not picked:
-            raise EmptySelection(f"no records for ({ipl}, {udl})")
-        sets.append(collapse_pools((r.qname for r in picked), pool_threshold))
-    return jaccard(sets[0], sets[1])
+    a, b = _location_sets(log, device, [(ip_a, user_location), (ip_b, user_location)], pool_threshold)
+    return jaccard(a, b)
 
 
 def cumulative_counts(
@@ -366,10 +361,5 @@ def similarity_matrix(
     regions = [r.upper() for r in regions]
     if len(regions) < 2:
         raise ValueError("need at least two regions")
-    sets = {}
-    for region in regions:
-        picked = _select(log, device, ip_location, region)
-        if not picked:
-            raise EmptySelection(f"no records for ({ip_location}, {region})")
-        sets[region] = collapse_pools((r.qname for r in picked), pool_threshold)
-    return [[jaccard(sets[a], sets[b]) for b in regions] for a in regions]
+    sets = _location_sets(log, device, [(ip_location, region) for region in regions], pool_threshold)
+    return [[jaccard(a, b) for b in sets] for a in sets]

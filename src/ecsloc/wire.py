@@ -5,6 +5,11 @@ records, and one EDNS0 OPT pseudo-record (type 41) whose RDATA may carry
 the client-subnet option (code 8, RFC 7871).  The encoder never emits
 name compression; the decoder accepts compression pointers so responses
 from real resolvers can be read back.
+
+Names and client-subnet fields are validated once, where a message comes
+into being: by the `Question`, `ResourceRecord` and `EcsOption`
+constructors, which `decode_message` also goes through.  The encoder
+trusts a constructed message and checks nothing again.
 """
 
 from __future__ import annotations
@@ -73,7 +78,7 @@ def canonical_name(name: str) -> str:
             raise InvalidName(f"empty label in {name!r}")
         if len(label) > MAX_LABEL_OCTETS:
             raise InvalidName(f"label longer than {MAX_LABEL_OCTETS} octets: {label!r}")
-        if any(c.isspace() for c in label):
+        if label.split() != [label]:
             raise InvalidName(f"whitespace in label: {label!r}")
     return name
 
@@ -280,7 +285,6 @@ def make_response(
 
 
 def _encode_name(name: str) -> bytes:
-    name = canonical_name(name)
     out = bytearray()
     for label in name.split("."):
         raw = label.encode("ascii")
@@ -392,20 +396,10 @@ def _decode_ecs(rdata: bytes) -> EcsOption:
     if len(rdata) < 4:
         raise Malformed("client-subnet option shorter than 4 octets")
     family, source, scope = struct.unpack("!HBB", rdata[:4])
-    address = rdata[4:]
-    if family not in _FAMILY_OCTETS:
-        raise Malformed(f"client-subnet family {family} unknown")
-    max_bits = _FAMILY_BITS[family]
-    if source > max_bits or scope > max_bits:
-        raise Malformed("client-subnet prefix length out of range")
-    if len(address) != (source + 7) // 8:
-        raise Malformed(
-            f"client-subnet address length {len(address)} inconsistent with /{source}"
-        )
-    padded = address + b"\x00" * (_FAMILY_OCTETS[family] - len(address))
-    if address and truncate_to_prefix(padded, source) != address:
-        raise Malformed("client-subnet address has nonzero bits past the source prefix")
-    return EcsOption(family=family, source_prefix_len=source, scope_prefix_len=scope, address=address)
+    try:
+        return EcsOption(family=family, source_prefix_len=source, scope_prefix_len=scope, address=rdata[4:])
+    except InvalidEcs as exc:
+        raise Malformed(f"client-subnet option: {exc}") from None
 
 
 def _decode_opt(reader: _Reader, name: str) -> EdnsOpt:

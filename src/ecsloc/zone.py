@@ -19,7 +19,7 @@ from .wire import EcsOption
 
 DEFAULT_TTL = 300
 
-_REGION_RE = re.compile(r"^[A-Za-z]{2}$")
+_REGION_RE = re.compile(r"[A-Za-z]{2}")
 
 
 class ZoneError(Error):
@@ -46,8 +46,13 @@ class NameNotFound(ZoneError):
     """Qname is not present in the zone (NXDOMAIN at the message layer)."""
 
 
+def is_region_code(code: str) -> bool:
+    """True when *code* is exactly two ASCII letters, such as "UK"."""
+    return _REGION_RE.fullmatch(code) is not None
+
+
 def _check_region_code(code: str) -> str:
-    if not _REGION_RE.match(code):
+    if not is_region_code(code):
         raise ZoneParseError(f"region code must be two letters, got {code!r}")
     return code.upper()
 
@@ -286,7 +291,3 @@ def _reject_duplicate_keys(pairs):
 
 def _lower_name(name: str) -> str:
     return name.rstrip(".").lower()
-
-
-def load_zone(path) -> GeoZone:
-    return GeoZone.load(path)

@@ -54,7 +54,7 @@ from ecsloc.wire import (
     make_query,
     _encode_ecs_rdata,
 )
-from ecsloc.zone import load_zone
+from ecsloc.zone import GeoZone
 
 FIVE_REGIONS = ("DE", "FR", "HK", "UK", "US")
 
@@ -77,7 +77,7 @@ def five_region_zone(tmp_path_factory):
     }
     path = tmp_path_factory.mktemp("zone") / "zone5.json"
     path.write_text(json.dumps(doc))
-    return load_zone(path)
+    return GeoZone.load(path)
 
 
 def test_criterion_1_architecture_outcomes(capsys, tmp_path):

@@ -314,6 +314,10 @@ class TestSerialization:
         with pytest.raises(SchemaError):
             load_groups('[{"canonical": "a.x", "variants": {"EUR": "eu.a.x"}}]')
 
+    def test_groups_region_with_trailing_newline_rejected(self):
+        with pytest.raises(SchemaError, match=r"groups\[0\]\.variants"):
+            load_groups('[{"canonical": "a.x", "variants": {"UK\\n": "uk.a.x"}}]')
+
 
 def test_collapse_result_is_plain_data():
     result = ecs_collapse(generate_mud({"a.x"}, "d"), [])

@@ -22,7 +22,7 @@ from ecsloc.resolver import (
 )
 from ecsloc.transport import InProcessLink
 from ecsloc.wire import EcsOption, make_query
-from ecsloc.zone import UnknownRegion, load_zone
+from ecsloc.zone import GeoZone, UnknownRegion
 
 UK = "203.0.113.10"
 US = "203.0.113.20"
@@ -32,7 +32,7 @@ ALL = {UK, US, HK}
 
 @pytest.fixture(scope="module")
 def zone():
-    return load_zone(FIXTURES / "zone.json")
+    return GeoZone.load(FIXTURES / "zone.json")
 
 
 def device(ip="HK", user="UK", address="198.18.0.77"):

@@ -6,7 +6,7 @@ from helpers import FIXTURES
 from ecsloc.resolver import Authoritative, Forward, Resolver
 from ecsloc.transport import InProcessLink, UdpClient, UdpServer
 from ecsloc.wire import EcsOption, decode_message, encode_message, make_query
-from ecsloc.zone import load_zone
+from ecsloc.zone import GeoZone
 
 
 def test_in_process_link_calls_handler():
@@ -15,7 +15,7 @@ def test_in_process_link_calls_handler():
 
 
 def test_udp_resolver_front_end():
-    zone = load_zone(FIXTURES / "zone.json")
+    zone = GeoZone.load(FIXTURES / "zone.json")
     authoritative = Authoritative(zone)
     resolver = Resolver(Forward(), "HK", InProcessLink(authoritative.handle), zone.regions)
     query = make_query("api.example.iot", ecs=EcsOption.for_prefix("198.18.1.0", 24), msg_id=42)
@@ -30,7 +30,7 @@ def test_udp_resolver_front_end():
 
 
 def test_udp_server_drops_garbage_and_keeps_serving():
-    zone = load_zone(FIXTURES / "zone.json")
+    zone = GeoZone.load(FIXTURES / "zone.json")
     authoritative = Authoritative(zone)
     try:
         with UdpServer(authoritative.handle) as server:

@@ -99,6 +99,9 @@ class TestEcsOption:
         assert _encode_ecs_rdata(option) == reference_ecs_rdata(1, prefix_len, 0, address)
 
 
+NAME_254 = ".".join(["a" * 63] * 3 + ["a" * 62])
+
+
 class TestValidation:
 
     def test_label_too_long(self):
@@ -109,6 +112,25 @@ class TestValidation:
         name = ".".join(["a" * 60] * 5)
         with pytest.raises(InvalidName):
             Question(name)
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("", "empty domain name"),
+            (".", "empty domain name"),
+            ("a..b", "empty label in 'a..b'"),
+            ("a" * 64 + ".com", f"label longer than 63 octets: {'a' * 64!r}"),
+            pytest.param(NAME_254, f"name longer than 253 octets: {NAME_254!r}", id="254-octets"),
+            ("a b.com", "whitespace in label: 'a b'"),
+            ("a\tb.com", "whitespace in label: 'a\\tb'"),
+            ("a\x1cb.com", "whitespace in label: 'a\\x1cb'"),
+            ("\u00e4.com", "non-ASCII name: '\u00e4.com'"),
+        ],
+    )
+    def test_invalid_name_message(self, name, message):
+        with pytest.raises(InvalidName) as info:
+            Question(name)
+        assert str(info.value) == message
 
     def test_qname_case_normalized(self):
         assert Question("API.Example.IOT.").qname == "api.example.iot"
@@ -201,6 +223,23 @@ class TestDecodeErrors:
         # shrink SOURCE PREFIX-LENGTH so the address is longer than declared
         idx = wire.rindex(bytes.fromhex("000118"))
         wire[idx + 2] = 16
+        with pytest.raises(Malformed):
+            decode_message(bytes(wire))
+
+    @pytest.mark.parametrize(
+        "rdata",
+        [
+            bytes.fromhex("00031800" "6f6f6f"),  # family 3
+            bytes.fromhex("00012100" "6f6f6f6f00"),  # source /33 on IPv4
+            bytes.fromhex("00011000" "6f6f6f"),  # address longer than /16 needs
+            bytes.fromhex("00011700" "6f6f6f"),  # bit set past /23
+        ],
+    )
+    def test_inconsistent_ecs_option(self, rdata):
+        wire = bytearray(encode_message(make_query("example.com", use_edns=True)))
+        assert wire[-2:] == b"\x00\x00"  # empty OPT rdata
+        option = (8).to_bytes(2, "big") + len(rdata).to_bytes(2, "big") + rdata
+        wire[-2:] = len(option).to_bytes(2, "big") + option
         with pytest.raises(Malformed):
             decode_message(bytes(wire))
 

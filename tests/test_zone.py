@@ -19,7 +19,6 @@ from ecsloc.zone import (
     RegionalAnswer,
     UnknownRegion,
     ZoneParseError,
-    load_zone,
 )
 
 
@@ -78,20 +77,26 @@ class TestPrefixMap:
 class TestLoad:
 
     def test_two_region_fixture(self, tmp_path):
-        zone = load_zone(write_zone(tmp_path, TWO_REGION_DOC))
+        zone = GeoZone.load(write_zone(tmp_path, TWO_REGION_DOC))
         record = zone.records["api.example.iot"]
         assert len(record.answers) == 2
         assert {str(a) for a in record.default} == {"10.1.0.1", "10.2.0.1"}
 
     def test_repo_fixture_loads(self):
-        zone = load_zone(FIXTURES / "zone.json")
+        zone = GeoZone.load(FIXTURES / "zone.json")
         assert zone.origin == "example.iot"
         assert set(zone.qnames()) == {"api.example.iot", "media.example.iot"}
+
+    def test_region_code_with_trailing_newline_rejected(self, tmp_path):
+        doc = json.loads(json.dumps(TWO_REGION_DOC))
+        doc["regions"]["UK\n"] = doc["regions"].pop("UK")
+        with pytest.raises(ZoneParseError, match="regions: region code must be two letters"):
+            GeoZone.load(write_zone(tmp_path, doc))
 
     def test_empty_file_is_empty_zone(self, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text("")
-        zone = load_zone(path)
+        zone = GeoZone.load(path)
         assert zone.records == {}
 
     def test_duplicate_region_prefix_rejected(self, tmp_path):
@@ -100,34 +105,34 @@ class TestLoad:
             {"region": "UK", "addresses": ["10.9.9.9"]}
         )
         with pytest.raises(OverlapError):
-            load_zone(write_zone(tmp_path, doc))
+            GeoZone.load(write_zone(tmp_path, doc))
 
     def test_default_mismatch_rejected(self, tmp_path):
         doc = json.loads(json.dumps(TWO_REGION_DOC))
         doc["records"]["api.example.iot"]["default"] = ["10.1.0.1"]
         with pytest.raises(DefaultMismatch):
-            load_zone(write_zone(tmp_path, doc))
+            GeoZone.load(write_zone(tmp_path, doc))
 
     def test_unknown_region_reference(self, tmp_path):
         doc = json.loads(json.dumps(TWO_REGION_DOC))
         doc["records"]["api.example.iot"]["answers"][0]["region"] = "FR"
         with pytest.raises(ZoneParseError, match="FR"):
-            load_zone(write_zone(tmp_path, doc))
+            GeoZone.load(write_zone(tmp_path, doc))
 
     def test_parse_error_carries_context(self, tmp_path):
         doc = json.loads(json.dumps(TWO_REGION_DOC))
         doc["records"]["api.example.iot"]["answers"][1]["addresses"] = ["not-an-ip"]
         with pytest.raises(ZoneParseError, match=r"answers\[1\]"):
-            load_zone(write_zone(tmp_path, doc))
+            GeoZone.load(write_zone(tmp_path, doc))
 
     def test_family_mismatch_rejected(self, tmp_path):
         doc = json.loads(json.dumps(TWO_REGION_DOC))
         doc["records"]["api.example.iot"]["answers"][0]["addresses"] = ["2001:db8::1"]
         with pytest.raises(ZoneParseError):
-            load_zone(write_zone(tmp_path, doc))
+            GeoZone.load(write_zone(tmp_path, doc))
 
     def test_ttl_defaults_to_300(self, tmp_path):
-        zone = load_zone(write_zone(tmp_path, TWO_REGION_DOC))
+        zone = GeoZone.load(write_zone(tmp_path, TWO_REGION_DOC))
         assert zone.records["api.example.iot"].ttl == 300
         assert zone.records["api.example.iot"].answers[0].ttl == 300
 
@@ -140,7 +145,7 @@ class TestLoad:
         path = tmp_path / "dup.json"
         path.write_text(text)
         with pytest.raises(ZoneParseError, match="duplicate key"):
-            load_zone(path)
+            GeoZone.load(path)
 
     def test_ipv6_regions_supported(self, tmp_path):
         doc = {
@@ -155,7 +160,7 @@ class TestLoad:
                 }
             },
         }
-        zone = load_zone(write_zone(tmp_path, doc))
+        zone = GeoZone.load(write_zone(tmp_path, doc))
         ecs = EcsOption.for_prefix("2001:db8:1::", 48)
         result = zone.lookup("api.t", ecs)
         assert [str(a) for a in result.addresses] == ["2001:db8:1::10"]
@@ -166,7 +171,7 @@ class TestLookup:
 
     @pytest.fixture
     def zone(self):
-        return load_zone(FIXTURES / "zone.json")
+        return GeoZone.load(FIXTURES / "zone.json")
 
     def test_regional_answer_with_scope(self, zone):
         ecs = EcsOption.for_prefix("198.18.1.0", 24)
@@ -255,7 +260,7 @@ def test_longest_prefix_match_against_brute_force():
 
 
 def test_scope_never_exceeds_matched_entry():
-    zone = load_zone(FIXTURES / "zone.json")
+    zone = GeoZone.load(FIXTURES / "zone.json")
     ecs = EcsOption.for_prefix("198.18.1.128", 32)
     result = zone.lookup("api.example.iot", ecs)
     assert result.scope == 24
