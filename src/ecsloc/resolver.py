@@ -25,6 +25,7 @@ from pathlib import Path
 from .errors import Error
 from .transport import InProcessLink
 from .wire import (
+    PREFIX_MASKS,
     QTYPE_A,
     DnsMessage,
     EcsOption,
@@ -98,12 +99,11 @@ class VirtualClock:
         self.now += seconds
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheEntry:
     qname: str
     qtype: int
     scope_prefix_len: int
-    network: bytes
     addresses: tuple
     expires_at: float
 
@@ -157,6 +157,17 @@ class Authoritative:
         return make_response(query, answers, ecs=_echo(ecs, result.scope))
 
 
+def _cache_key(ecs: EcsOption | None, scope: int, address: int) -> tuple:
+    """Cache key of the network *address* (the option's, as an integer) at *scope*.
+
+    Scope 0 answers every client, with or without an option (RFC 7871
+    section 7.3.1), so it has one key for every family.
+    """
+    if scope == 0:
+        return (0, 0, 0)
+    return (ecs.family, scope, address & PREFIX_MASKS[ecs.family][scope])
+
+
 def _echo(ecs: EcsOption | None, scope: int) -> EcsOption | None:
     if ecs is None:
         return None
@@ -194,7 +205,8 @@ class Resolver:
             prefix = prefix_map.prefix_for(location)
             address = str(prefix.network_address + 1)
         self.address = address
-        self._cache: dict[tuple[str, int], list[CacheEntry]] = {}
+        # (qname, qtype) -> ({(family, scope, network int): entry}, scopes most specific first)
+        self._cache: dict[tuple[str, int], tuple[dict, list[int]]] = {}
         self._lock = threading.Lock()
 
     def handle(self, payload: bytes, source: str, trace: list | None = None) -> bytes:
@@ -215,35 +227,35 @@ class Resolver:
         """Most specific unexpired entry matching under scope semantics, if any.
 
         A scope-0 entry matches any (and absent) option; an entry with
-        positive scope needs an option at least that specific whose address
-        truncated to the scope equals the stored network.
+        positive scope needs an option of its family, at least that
+        specific, whose address truncated to the scope equals the stored
+        network.  Expired entries met on the way are dropped.
         """
-        entries = self._cache.get((qname, qtype), [])
-        live = [e for e in entries if e.expires_at > self.clock.now]
-        best = None
-        for entry in live:
-            if entry.scope_prefix_len == 0:
-                matched = True
-            elif ecs is None or ecs.source_prefix_len < entry.scope_prefix_len:
-                matched = False
-            else:
-                matched = ecs.network_at(entry.scope_prefix_len) == entry.network
-            if matched and (best is None or entry.scope_prefix_len > best.scope_prefix_len):
-                best = entry
-        return best
+        bucket = self._cache.get((qname, qtype))
+        if bucket is None:
+            return None
+        entries, scopes = bucket
+        address = ecs.address_int() if ecs is not None else 0
+        for scope in scopes:
+            if scope and (ecs is None or ecs.source_prefix_len < scope):
+                continue
+            key = _cache_key(ecs, scope, address)
+            entry = entries.get(key)
+            if entry is not None:
+                if entry.expires_at > self.clock.now:
+                    return entry
+                del entries[key]
+        return None
 
     def _store(self, qname, qtype, scope, ecs, addresses, ttl):
-        network = ecs.network_at(scope) if ecs is not None else b""
-        entries = self._cache.setdefault((qname, qtype), [])
-        entries[:] = [
-            e
-            for e in entries
-            if e.expires_at > self.clock.now
-            and not (e.scope_prefix_len == scope and e.network == network)
-        ]
-        entries.append(
-            CacheEntry(qname, qtype, scope, network, tuple(addresses), self.clock.now + ttl)
-        )
+        if ecs is None and scope:
+            return  # no later query could match a scoped answer to an option-less one
+        key = _cache_key(ecs, scope, ecs.address_int() if scope else 0)
+        now = self.clock.now
+        bucket = self._cache.get((qname, qtype))
+        entries = {k: e for k, e in bucket[0].items() if e.expires_at > now} if bucket else {}
+        entries[key] = CacheEntry(qname, qtype, scope, tuple(addresses), now + ttl)
+        self._cache[(qname, qtype)] = (entries, sorted({k[1] for k in entries}, reverse=True))
 
     def resolve(self, query: DnsMessage, source: str, trace: list | None = None) -> DnsMessage:
         if query.is_response:

@@ -20,6 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import Error
+from .wire import InvalidName, canonical_name
 from .zone import is_region_code
 
 DEFAULT_POOL_THRESHOLD = 3
@@ -57,7 +58,7 @@ class CaptureRecord:
     def __post_init__(self):
         if self.timestamp < 0:
             raise ValueError(f"negative timestamp {self.timestamp}")
-        object.__setattr__(self, "qname", self.qname.rstrip(".").lower())
+        object.__setattr__(self, "qname", canonical_name(self.qname))
 
 
 @dataclass(frozen=True)
@@ -119,6 +120,8 @@ def parse_capture_line(line: str, where: str = "line") -> CaptureRecord:
         )
     except LogParseError:
         raise
+    except InvalidName as exc:
+        raise LogParseError(f"{where}: bad qname {fields['q']!r}: {exc}") from None
     except (Error, ValueError) as exc:
         raise LogParseError(f"{where}: {exc}") from None
 

@@ -35,6 +35,13 @@ MAX_NAME_OCTETS = 253
 _FAMILY_OCTETS = {1: 4, 2: 16}
 _FAMILY_BITS = {1: 32, 2: 128}
 
+# PREFIX_MASKS[family][n] keeps the first n bits of a family's address as
+# an integer: the key form of the zone's and the cache's prefix tables.
+PREFIX_MASKS = {
+    family: tuple(((1 << n) - 1) << (bits - n) for n in range(bits + 1))
+    for family, bits in _FAMILY_BITS.items()
+}
+
 
 class WireError(Error):
     """Base for encode/decode failures."""
@@ -150,8 +157,12 @@ class EcsOption:
         """Address padded with zero octets to the family's full length."""
         return self.address + b"\x00" * (_FAMILY_OCTETS[self.family] - len(self.address))
 
+    def address_int(self) -> int:
+        """Padded address as an unsigned integer (prefix-table key form)."""
+        return int.from_bytes(self.padded_address(), "big")
+
     def network_at(self, prefix_len: int) -> bytes:
-        """Padded address truncated to *prefix_len* (cache-key form)."""
+        """Padded address truncated to *prefix_len*, ceil(prefix_len / 8) octets."""
         return truncate_to_prefix(self.padded_address(), prefix_len)
 
     def address_str(self) -> str:
@@ -381,6 +392,8 @@ class _Reader:
             if total > MAX_NAME_OCTETS + 1:
                 raise Malformed("name exceeds 253 octets")
             raw = self.take(length)
+            if b"." in raw:
+                raise Malformed(f"'.' inside label {raw!r}")
             try:
                 labels.append(raw.decode("ascii"))
             except UnicodeDecodeError:

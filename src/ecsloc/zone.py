@@ -15,9 +15,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import Error
-from .wire import EcsOption
+from .wire import PREFIX_MASKS, EcsOption
 
 DEFAULT_TTL = 300
+
+_ADDRESS_TYPES = (ipaddress.IPv4Address, ipaddress.IPv6Address)
 
 _REGION_RE = re.compile(r"[A-Za-z]{2}")
 
@@ -73,11 +75,15 @@ class LocationPrefixMap:
                 except ValueError as exc:
                     raise ZoneParseError(f"region {code}: {exc}") from None
             normalized[code] = prefix
-        items = sorted(normalized.items())
-        for i, (code_a, net_a) in enumerate(items):
-            for code_b, net_b in items[i + 1 :]:
-                if net_a.version == net_b.version and net_a.overlaps(net_b):
-                    raise OverlapError(f"regions {code_a} and {code_b} have overlapping prefixes")
+        # sorted by start, ranges overlap somewhere only if two neighbours do
+        spans = sorted(
+            (net.version, int(net.network_address), int(net.broadcast_address), code)
+            for code, net in normalized.items()
+        )
+        for (version_a, _, last_a, code_a), (version_b, first_b, _, code_b) in zip(spans, spans[1:]):
+            if version_a == version_b and first_b <= last_a:
+                code_a, code_b = sorted((code_a, code_b))
+                raise OverlapError(f"regions {code_a} and {code_b} have overlapping prefixes")
         object.__setattr__(self, "entries", normalized)
 
     @classmethod
@@ -110,7 +116,7 @@ class LocationPrefixMap:
         return region.upper() in self.entries
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegionalAnswer:
     region: str
     prefix: ipaddress.IPv4Network | ipaddress.IPv6Network
@@ -143,19 +149,31 @@ class AnswerSet:
     answers: tuple[RegionalAnswer, ...]
     default: tuple
     ttl: int = DEFAULT_TTL
+    # client-subnet family -> [(prefix_len, mask, {network int: answer}), ...],
+    # most specific first
+    index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # equal-length overlapping networks are identical, so rejecting
-        # duplicates also rejects every equal-length overlap
-        seen = set()
+        tables = {}
         for ans in self.answers:
-            if ans.prefix in seen:
+            family = 1 if ans.prefix.version == 4 else 2
+            table = tables.setdefault((family, ans.prefix.prefixlen), {})
+            network = int(ans.prefix.network_address)
+            # equal-length overlapping networks are identical, so rejecting
+            # duplicates also rejects every equal-length overlap
+            if network in table:
                 raise OverlapError(f"prefix {ans.prefix} listed twice for one qname")
-            seen.add(ans.prefix)
+            table[network] = ans
+        index = {}
+        for (family, plen), table in sorted(tables.items(), key=lambda item: -item[0][1]):
+            index.setdefault(family, []).append((plen, PREFIX_MASKS[family][plen], table))
+        object.__setattr__(self, "index", index)
         union = set()
         for ans in self.answers:
             union.update(ans.addresses)
-        stated = tuple(sorted((ipaddress.ip_address(a) for a in self.default), key=str))
+        # address objects are kept, so a computed default shares the answers' objects
+        parsed = (a if isinstance(a, _ADDRESS_TYPES) else ipaddress.ip_address(a) for a in self.default)
+        stated = tuple(sorted(parsed, key=str))
         if set(stated) != union:
             raise DefaultMismatch(
                 f"default set {sorted(map(str, stated))} != union {sorted(map(str, union))}"
@@ -265,17 +283,13 @@ class GeoZone:
             raise NameNotFound(f"{qname!r} not in zone {self.origin!r}")
         if ecs is None or ecs.source_prefix_len == 0:
             return LookupResult(record.default, 0, record.ttl)
-        query_net = ipaddress.ip_network((ecs.padded_address(), ecs.source_prefix_len))
-        best = None
-        for ans in record.answers:
-            if ans.prefix.version != query_net.version:
-                continue
-            if ans.prefix.prefixlen <= query_net.prefixlen and query_net.subnet_of(ans.prefix):
-                if best is None or ans.prefix.prefixlen > best.prefix.prefixlen:
-                    best = ans
-        if best is None:
-            return LookupResult(record.default, 0, record.ttl)
-        return LookupResult(best.addresses, best.prefix.prefixlen, best.ttl)
+        address = ecs.address_int()
+        for plen, mask, table in record.index.get(ecs.family, ()):
+            if plen <= ecs.source_prefix_len:
+                best = table.get(address & mask)
+                if best is not None:
+                    return LookupResult(best.addresses, plen, best.ttl)
+        return LookupResult(record.default, 0, record.ttl)
 
 
 def _reject_duplicate_keys(pairs):

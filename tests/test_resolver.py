@@ -1,5 +1,6 @@
 """Resolution architectures, policy handling, and scope-aware caching."""
 
+import json
 import random
 
 import pytest
@@ -21,8 +22,15 @@ from ecsloc.resolver import (
     stub_query,
 )
 from ecsloc.transport import InProcessLink
-from ecsloc.wire import EcsOption, make_query
-from ecsloc.zone import GeoZone, UnknownRegion
+from ecsloc.wire import (
+    EcsOption,
+    ResourceRecord,
+    decode_message,
+    encode_message,
+    make_query,
+    make_response,
+)
+from ecsloc.zone import GeoZone, LocationPrefixMap, UnknownRegion
 
 UK = "203.0.113.10"
 US = "203.0.113.20"
@@ -165,6 +173,16 @@ class TestCache:
         clock.advance(2)
         assert resolver.cache_lookup("api.example.iot", 1, ecs) is None
 
+    def test_lookup_drops_expired_entry(self, zone):
+        clock = VirtualClock()
+        resolver = make_resolver(zone, Forward(), "HK", clock=clock)
+        ecs = EcsOption.for_prefix("198.18.1.0", 24)
+        resolver.resolve(make_query("api.example.iot", ecs=ecs), "198.18.0.77")
+        clock.advance(301)
+        assert resolver.cache_lookup("api.example.iot", 1, ecs) is None
+        entries, _ = resolver._cache[("api.example.iot", 1)]
+        assert entries == {}
+
     def test_hits_equal_cold_lookups(self, zone):
         # region-homed prefixes only: a non-matching prefix would cache the
         # default set at scope 0, whose wildcard reuse is covered below
@@ -196,6 +214,131 @@ class TestCache:
             "198.18.0.77",
         )
         assert {rr.address() for rr in follow_up.answers} == ALL
+
+    def test_other_family_never_hits(self, tmp_path):
+        # 32.1.13.0/24 and 2001:db8::/48 share their first 24 bits
+        # (20 01 0d), so only the family tells their cache keys apart
+        doc = {
+            "origin": "t",
+            "regions": {"AA": "32.1.13.0/24", "BB": "2001:db8::/48"},
+            "records": {
+                "q.t": {
+                    "answers": [
+                        {"region": "AA", "addresses": ["32.1.13.5"]},
+                        {"region": "BB", "addresses": ["2001:db8::5"]},
+                    ]
+                }
+            },
+        }
+        path = tmp_path / "zone.json"
+        path.write_text(json.dumps(doc))
+        zone = GeoZone.load(path)
+        resolver = make_resolver(zone, Forward(), "AA")
+        resolver.resolve(make_query("q.t", ecs=EcsOption.for_prefix("32.1.13.0", 24)), "x")
+        v6 = EcsOption.for_prefix("2001:db8::", 48)
+        assert resolver.cache_lookup("q.t", 1, v6) is None
+        got = resolver.resolve(make_query("q.t", ecs=v6), "x")
+        assert got.answers == ()
+        assert got.edns.ecs.scope_prefix_len == 48
+
+
+class _ScriptedUpstream:
+    """Answers every query with a fresh address, at a scope and TTL set beforehand."""
+
+    def __init__(self):
+        self.scope = 0
+        self.ttl = 300
+        self.calls = 0
+
+    def exchange(self, payload: bytes, source: str) -> bytes:
+        self.calls += 1
+        query = decode_message(payload)
+        ecs = query.edns.ecs if query.edns else None
+        if ecs is not None:
+            ecs = EcsOption(ecs.family, ecs.source_prefix_len, self.scope, ecs.address)
+        self.address = f"10.{self.calls >> 16 & 255}.{self.calls >> 8 & 255}.{self.calls & 255}"
+        answer = ResourceRecord.for_address(query.question.qname, self.address, self.ttl)
+        return encode_message(make_response(query, (answer,), ecs=ecs))
+
+
+def _reference_lookup(store, now, ecs):
+    """The linear scan: most specific live entry whose family and network match."""
+    best = None
+    for family, scope, network, address, expires_at in store:
+        if expires_at <= now:
+            continue
+        if scope == 0:
+            matched = True
+        elif ecs is None or ecs.family != family or ecs.source_prefix_len < scope:
+            matched = False
+        else:
+            matched = ecs.network_at(scope) == network
+        if matched and (best is None or scope > best[1]):
+            best = (family, scope, network, address, expires_at)
+    return best
+
+
+def test_cache_lookup_against_linear_scan():
+    rng = random.Random(23)
+    # bases that nest and collide at the scopes used, a v4/v6 pair with
+    # equal leading octets, and the zero network of each family, whose
+    # masked integers are equal too
+    v4 = ["10.1.2.0", "10.1.3.0", "10.1.240.0", "10.2.0.0", "32.1.13.0", "0.0.0.0"]
+    v6 = ["2001:db8::", "2001:db8:0:100::", "2001:db8:1::", "2001:db8:1:8000::", "2001:db8:ff00::", "::"]
+    scopes = {1: (0, 16, 20, 24), 2: (0, 16, 20, 24, 48, 56)}
+    sources = {1: (16, 20, 24, 32), 2: (20, 48, 56, 64)}
+
+    def random_ecs():
+        if rng.random() < 0.1:
+            return None
+        family = rng.choice((1, 2))
+        base = rng.choice(v4 if family == 1 else v6)
+        return EcsOption.for_prefix(base, rng.choice(sources[family]))
+
+    clock = VirtualClock()
+    upstream = _ScriptedUpstream()
+    resolver = Resolver(Forward(), "HK", upstream, LocationPrefixMap.default(["HK"]), clock=clock)
+    stores = {qname: [] for qname in ("a.t", "b.t")}
+    hits = misses = expired_checks = 0
+    for _ in range(4000):
+        qname = rng.choice(list(stores))
+        ecs = random_ecs()
+        store = stores[qname]
+        expected = _reference_lookup(store, clock.now, ecs)
+        roll = rng.random()
+        if roll < 0.15:
+            clock.advance(rng.choice((1, 20, 90, 200)))
+        elif roll < 0.55:
+            family = ecs.family if ecs is not None else 1
+            upstream.scope = rng.choice(scopes[family]) if ecs is not None else 0
+            upstream.ttl = rng.randint(1, 300)
+            before = upstream.calls
+            got = resolver.resolve(make_query(qname, ecs=ecs), "198.18.0.77")
+            if expected is None:
+                assert upstream.calls == before + 1
+                scope = upstream.scope
+                network = ecs.network_at(scope) if ecs is not None else b""
+                store[:] = [
+                    e for e in store
+                    if not (e[1] == scope and (scope == 0 or (e[0], e[2]) == (family, network)))
+                ]
+                store.append((family, scope, network, upstream.address, clock.now + upstream.ttl))
+                misses += 1
+            else:
+                assert upstream.calls == before
+                assert [rr.address() for rr in got.answers] == [expected[3]]
+                hits += 1
+        else:
+            entry = resolver.cache_lookup(qname, 1, ecs)
+            if expected is None:
+                assert entry is None
+            else:
+                assert entry is not None
+                assert (entry.scope_prefix_len, entry.addresses, entry.expires_at) == (
+                    expected[1], (expected[3],), expected[4],
+                )
+            expired_checks += any(e[4] <= clock.now for e in store)
+    assert hits > 200 and misses > 200 and expired_checks > 200
 
 
 class TestScenarios:

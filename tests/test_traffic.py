@@ -30,6 +30,7 @@ from ecsloc.traffic import (
     stabilization_time,
     uds,
 )
+from ecsloc.wire import InvalidName
 
 
 def jaccard_oracle(a, b) -> Fraction:
@@ -119,6 +120,26 @@ class TestIngest:
     def test_empty_answer_list_allowed(self):
         record = parse_capture_line("ts=1 dev=d ipl=UK udl=UK q=a.x a=")
         assert record.resolved_ips == ()
+
+    @pytest.mark.parametrize(
+        "qname", ["", ".", "a..b", "a.b..", pytest.param("x" * 64 + ".com", id="label-64")]
+    )
+    def test_malformed_qname_rejected_with_position(self, tmp_path, qname):
+        path = tmp_path / "log"
+        path.write_text(
+            "ts=1 dev=d ipl=UK udl=UK q=a.x a=10.0.0.1\n"
+            f"ts=2 dev=d ipl=UK udl=UK q={qname} a=10.0.0.1\n"
+        )
+        with pytest.raises(LogParseError, match=":2: bad qname"):
+            ingest_log(path)
+        with pytest.raises(LogParseError, match="line 7"):
+            parse_capture_line(f"ts=2 dev=d ipl=UK udl=UK q={qname} a=", where="line 7")
+        with pytest.raises(InvalidName):
+            CaptureRecord(2, "d", "UK", "UK", qname, ())
+
+    def test_qname_text_kept(self):
+        record = parse_capture_line("ts=1 dev=d ipl=UK udl=UK q=A.X. a=")
+        assert record.qname == "a.x"
 
     def test_comments_and_blanks_skipped(self, tmp_path):
         path = tmp_path / "log"

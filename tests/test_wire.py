@@ -255,6 +255,13 @@ class TestDecodeErrors:
         with pytest.raises(Malformed):
             decode_message(bytes(wire))
 
+    def test_dot_inside_label_rejected(self):
+        # \x03a.b\x03com would read as a.b.com, which encodes differently
+        wire = encode_message(make_query("abc.com"))
+        assert wire[12:21] == b"\x03abc\x03com\x00"
+        with pytest.raises(Malformed, match="inside label"):
+            decode_message(wire[:12] + b"\x03a.b\x03com\x00" + wire[21:])
+
 
 class TestDecodeInterop:
 

@@ -4,6 +4,8 @@ brute-force scan of all entries."""
 import ipaddress
 import json
 import random
+import string
+import time
 
 import pytest
 from helpers import FIXTURES
@@ -218,13 +220,19 @@ class TestLookup:
             assert tailored <= default
 
 
-def _random_nested_zone(rng):
+V4_POOL = [
+    "10.0.0.0/8", "10.1.0.0/16", "10.1.2.0/24", "10.200.0.0/16",
+    "172.16.0.0/12", "172.16.4.0/24", "192.168.0.0/16", "192.168.9.0/24",
+]
+V6_POOL = [
+    "2001:db8::/32", "2001:db8:1::/48", "2001:db8:1::/56", "2001:db8:1:200::/56",
+    "2001:db8:1:200::/64", "2001:db8:2::/48", "2001:db8:8000::/33", "::/0",
+]
+
+
+def _random_nested_zone(rng, pool=V4_POOL):
     # direct construction so prefixes may nest, which the table-driven
     # loader's disjointness rule would otherwise forbid
-    pool = [
-        "10.0.0.0/8", "10.1.0.0/16", "10.1.2.0/24", "10.200.0.0/16",
-        "172.16.0.0/12", "172.16.4.0/24", "192.168.0.0/16", "192.168.9.0/24",
-    ]
     chosen = rng.sample(pool, rng.randint(1, len(pool)))
     answers = []
     used = set()
@@ -233,9 +241,8 @@ def _random_nested_zone(rng):
         if any(net.prefixlen == o.prefixlen and net.overlaps(o) for o in used):
             continue
         used.add(net)
-        answers.append(
-            RegionalAnswer(region="ZZ", prefix=net, addresses=(f"203.0.113.{i + 1}",))
-        )
+        address = f"203.0.113.{i + 1}" if net.version == 4 else f"2001:db8:ffff::{i + 1}"
+        answers.append(RegionalAnswer(region="ZZ", prefix=net, addresses=(address,)))
     default = tuple({a for ans in answers for a in ans.addresses})
     record = AnswerSet(answers=tuple(answers), default=default)
     return GeoZone(origin="t", regions=LocationPrefixMap({}), records={"q.t": record})
@@ -257,6 +264,114 @@ def test_longest_prefix_match_against_brute_force():
             best = max(containing, key=lambda ans: ans.prefix.prefixlen)
             assert result.addresses == best.addresses
             assert result.scope == best.prefix.prefixlen
+    # both families in one record, and sources shorter than the address:
+    # a prefix matches only when it is no longer than the source
+    for _ in range(400):
+        zone = _random_nested_zone(rng, V4_POOL + V6_POOL)
+        record = zone.records["q.t"]
+        inside = ipaddress.ip_network(rng.choice(V4_POOL + V6_POOL))
+        if rng.random() < 0.7:
+            address = inside.network_address + rng.randrange(inside.num_addresses)
+        elif inside.version == 4:
+            address = ipaddress.IPv4Address(rng.getrandbits(32))
+        else:
+            address = ipaddress.IPv6Address(rng.getrandbits(128))
+        source = rng.randint(1, address.max_prefixlen)
+        query = ipaddress.ip_network((address, source), strict=False)
+        result = zone.lookup("q.t", EcsOption.for_prefix(address, source))
+        containing = [
+            ans for ans in record.answers
+            if ans.prefix.version == query.version
+            and ans.prefix.prefixlen <= source
+            and query.subnet_of(ans.prefix)
+        ]
+        if not containing:
+            assert set(result.addresses) == set(record.default)
+            assert result.scope == 0
+        else:
+            best = max(containing, key=lambda ans: ans.prefix.prefixlen)
+            assert result.addresses == best.addresses
+            assert result.scope == best.prefix.prefixlen
+
+
+def _random_prefix_set(rng):
+    # small address spaces so prefixes often nest, coincide or sit side by side
+    prefixes = []
+    for _ in range(rng.randint(2, 12)):
+        if prefixes and rng.random() < 0.3:
+            # the next network of the same length: adjacent, never overlapping
+            net = rng.choice(prefixes)
+            prefixes.append(type(net)((net.broadcast_address + 1, net.prefixlen)))
+        elif rng.random() < 0.5:
+            base = 0x0A000000 + (rng.getrandbits(12) << 8)
+            plen = rng.choice((12, 16, 20, 23, 24, 25))
+            prefixes.append(ipaddress.IPv4Network((base, plen), strict=False))
+        else:
+            base = (0x20010DB8 << 96) + (rng.getrandbits(16) << 64)
+            plen = rng.choice((36, 44, 48, 56, 63, 64))
+            prefixes.append(ipaddress.IPv6Network((base, plen), strict=False))
+    return prefixes
+
+
+def test_overlap_check_against_pairwise():
+    rng = random.Random(17)
+    codes = [a + b for a in "ABCDEFGHIJ" for b in "KLMNOPQRSTUVWXYZ"]
+    raised = accepted_with_neighbours = 0
+    for _ in range(1500):
+        entries = dict(zip(codes, _random_prefix_set(rng)))
+        pairs = [
+            (a, b)
+            for a in sorted(entries)
+            for b in sorted(entries)
+            if a < b
+            and entries[a].version == entries[b].version
+            and entries[a].overlaps(entries[b])
+        ]
+        if not pairs:
+            LocationPrefixMap(entries)
+            accepted_with_neighbours += any(
+                net.broadcast_address + 1 == other.network_address
+                for net in entries.values()
+                for other in entries.values()
+                if net.version == other.version
+            )
+            continue
+        with pytest.raises(OverlapError) as info:
+            LocationPrefixMap(entries)
+        assert str(info.value) in {f"regions {a} and {b} have overlapping prefixes" for a, b in pairs}
+        raised += 1
+    assert raised > 300 and accepted_with_neighbours > 100
+
+
+def _lookup_seconds(zone, ecs, calls):
+    start = time.perf_counter()
+    for _ in range(calls):
+        zone.lookup("q.t", ecs)
+    return time.perf_counter() - start
+
+
+def test_lookup_cost_does_not_grow_with_regions():
+    # timing ratio, not absolute time: best of interleaved repeats, so a
+    # host slowdown hits both sides alike
+    zones = {}
+    for count in (2, 512):
+        codes = [a + b for a in string.ascii_uppercase for b in string.ascii_uppercase]
+        regions = LocationPrefixMap.default(codes[:count])
+        answers = tuple(
+            RegionalAnswer(region=code, prefix=prefix, addresses=(f"203.0.113.{i % 250 + 1}",))
+            for i, (code, prefix) in enumerate(sorted(regions.entries.items()))
+        )
+        default = tuple({a for ans in answers for a in ans.addresses})
+        record = AnswerSet(answers=answers, default=default)
+        # the last region: a scan in region order reaches it last
+        ecs = EcsOption.for_prefix(answers[-1].prefix.network_address, 24)
+        zones[count] = (GeoZone(origin="t", regions=regions, records={"q.t": record}), ecs)
+        assert zones[count][0].lookup("q.t", ecs).addresses == answers[-1].addresses
+    best = {2: float("inf"), 512: float("inf")}
+    for _ in range(7):
+        for count, (zone, ecs) in zones.items():
+            best[count] = min(best[count], _lookup_seconds(zone, ecs, 200))
+    assert best[512] <= 3 * best[2], f"512 regions {best[512]:.6f}s vs 2 regions {best[2]:.6f}s"
 
 
 def test_scope_never_exceeds_matched_entry():
