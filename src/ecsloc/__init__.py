@@ -31,7 +31,6 @@ from .resolver import (
 from .traffic import (
     CaptureLog,
     CaptureRecord,
-    DomainSet,
     collapse_pools,
     cumulative_counts,
     domain_set,

@@ -166,7 +166,7 @@ def generate_mud(
     mud_url: str | None = None,
 ) -> MudFile:
     """One accept entry per domain member, ordered lexicographically."""
-    members = sorted(set(domains.members if hasattr(domains, "members") else domains))
+    members = sorted(set(domains))
     if not members:
         raise EmptyDomainSet(f"no domains for device {device_id!r}")
     if mud_url is None:
@@ -247,9 +247,8 @@ def suggest_groups(domains, regions, aliases=None) -> list[RegionDomainGroup]:
         aliases = DEFAULT_REGION_ALIASES
     label_to_region = {r.lower(): r.upper() for r in regions}
     label_to_region.update({k.lower(): v.upper() for k, v in aliases.items()})
-    members = domains.members if hasattr(domains, "members") else domains
     buckets: dict[tuple, dict[str, str]] = {}
-    for name in sorted(members):
+    for name in sorted(domains):
         if "[" in name:
             continue  # pool patterns never encode a region
         labels = name.lower().split(".")
@@ -385,12 +384,20 @@ def parse_mud(data: bytes | str) -> MudFile:
         raise SchemaError(f"document: {exc}") from None
 
 
+class _JsonObject(dict):
+    """A decoded JSON object that also keeps its keys as written, repeats included."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        self.keys_as_written = [key for key, _ in pairs]
+
+
 def load_groups(data: bytes | str) -> list[RegionDomainGroup]:
     """Parse a region-group document: [{"canonical": ..., "variants": {REGION: name}}]."""
     if isinstance(data, bytes):
         data = data.decode()
     try:
-        doc = json.loads(data)
+        doc = json.loads(data, object_pairs_hook=_JsonObject)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"groups document: {exc}") from None
     if not isinstance(doc, list):
@@ -401,9 +408,13 @@ def load_groups(data: bytes | str) -> list[RegionDomainGroup]:
         variants = _require(raw, "variants", f"groups[{i}]")
         if not isinstance(variants, dict):
             raise SchemaError(f"groups[{i}].variants: expected an object")
-        for region in variants:
+        seen = set()
+        for region in variants.keys_as_written:
             if not is_region_code(region):
                 raise SchemaError(f"groups[{i}].variants: bad region code {region!r}")
+            if region.upper() in seen:
+                raise SchemaError(f"groups[{i}].variants: region {region.upper()} given twice")
+            seen.add(region.upper())
         try:
             groups.append(
                 RegionDomainGroup(

@@ -4,18 +4,20 @@ A capture log holds one DNS observation per line:
 
     ts=<int> dev=<id> ipl=<region> udl=<region> q=<name> a=<ip>[,<ip>...]
 
-From it we derive per-device domain-name sets (with load-balancing pools
-collapsed to one range pattern), stabilization times, Jaccard similarities
-when switching either the user-defined or the IP-based location, cumulative
-unique-domain/unique-IP series, and pairwise similarity matrices.
-Similarities are exact fractions; callers render decimals.
+From it we derive per-device domain sets: frozensets of names and of
+`prefix[lo-hi]` patterns, one pattern per collapsed load-balancing pool (a
+`q` value may not contain `[` or `]`, which only patterns use).  We also
+derive stabilization times, Jaccard similarities when switching either the
+user-defined or the IP-based location, cumulative unique-domain/unique-IP
+series, and pairwise similarity matrices.  Similarities are exact
+fractions; callers render decimals.
 """
 
 from __future__ import annotations
 
 import ipaddress
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,7 +28,6 @@ from .zone import is_region_code
 DEFAULT_POOL_THRESHOLD = 3
 
 _POOL_LABEL_RE = re.compile(r"^(.*?)(\d+)$")
-_PATTERN_LABEL_RE = re.compile(r"^(.*?)\[(\d+)-(\d+)\]$")
 _LINE_KEYS = ("ts", "dev", "ipl", "udl", "q", "a")
 
 
@@ -59,20 +60,30 @@ class CaptureRecord:
         if self.timestamp < 0:
             raise ValueError(f"negative timestamp {self.timestamp}")
         object.__setattr__(self, "qname", canonical_name(self.qname))
+        if "[" in self.qname or "]" in self.qname:
+            raise InvalidName("'[' and ']' are reserved for pool patterns")
 
 
 @dataclass(frozen=True)
 class CaptureLog:
     records: tuple[CaptureRecord, ...]
     resorted: bool = False  # set when input timestamps had to be re-sorted
+    # (device, ipl, udl) -> that selection's records, in timestamp order
+    selections: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for earlier, later in zip(self.records, self.records[1:]):
-            if earlier.timestamp > later.timestamp:
+        selections: dict[tuple[str, str, str], list[CaptureRecord]] = {}
+        last = 0
+        for r in self.records:
+            if r.timestamp < last:
                 raise ValueError("records must be in non-decreasing timestamp order")
+            last = r.timestamp
+            key = (r.device_id, r.ip_based_location, r.user_defined_location)
+            selections.setdefault(key, []).append(r)
+        object.__setattr__(self, "selections", selections)
 
     def devices(self) -> tuple[str, ...]:
-        return tuple(sorted({r.device_id for r in self.records}))
+        return tuple(sorted({device for device, _, _ in self.selections}))
 
     def __len__(self) -> int:
         return len(self.records)
@@ -135,60 +146,21 @@ def ingest_log(path) -> CaptureLog:
         if not stripped or stripped.startswith("#"):
             continue
         records.append(parse_capture_line(stripped, where=f"{path}:{lineno}"))
-    resorted = any(a.timestamp > b.timestamp for a, b in zip(records, records[1:]))
-    if resorted:
+    try:
+        return CaptureLog(records=tuple(records))
+    except ValueError:  # out of timestamp order, CaptureLog's one check
         records.sort(key=lambda r: r.timestamp)
-    return CaptureLog(records=tuple(records), resorted=resorted)
+        return CaptureLog(records=tuple(records), resorted=True)
 
 
-def _pattern_covers(pattern: str, name: str) -> bool:
-    plabels = pattern.split(".")
-    nlabels = name.split(".")
-    if len(plabels) != len(nlabels):
-        return False
-    for pl, nl in zip(plabels, nlabels):
-        if pl == nl:
-            continue
-        m = _PATTERN_LABEL_RE.match(pl)
-        if not m:
-            return False
-        prefix, lo, hi = m.group(1), int(m.group(2)), int(m.group(3))
-        n = _POOL_LABEL_RE.match(nl)
-        if not n or n.group(1) != prefix or not lo <= int(n.group(2)) <= hi:
-            return False
-    return True
-
-
-@dataclass(frozen=True)
-class DomainSet:
-    """Distinct domain names; a member may be a pool pattern like a[10-12].x."""
-
-    members: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(self.members))
-        patterns = [m for m in self.members if "[" in m]
-        for member in self.members:
-            for pattern in patterns:
-                if member != pattern and _pattern_covers(pattern, member):
-                    raise ValueError(f"{member!r} is subsumed by pattern {pattern!r}")
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(sorted(self.members))
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.members
-
-
-def collapse_pools(names, pool_threshold: int = DEFAULT_POOL_THRESHOLD) -> DomainSet:
+def collapse_pools(names, pool_threshold: int = DEFAULT_POOL_THRESHOLD) -> frozenset[str]:
     """Fold numeric sibling names (one varying label) into a range pattern.
 
     Names identical except for one label of the form <prefix><integer> are
     grouped; groups of at least *pool_threshold* distinct names become a
     single member <prefix>[<min>-<max>].rest, everything else passes through.
+    A name a pattern covers has that pattern's group key, so for names
+    without brackets no output member is covered by another's pattern.
     """
     names = {str(n).rstrip(".").lower() for n in names}
     groups: dict[tuple, dict[str, int]] = {}
@@ -213,13 +185,12 @@ def collapse_pools(names, pool_threshold: int = DEFAULT_POOL_THRESHOLD) -> Domai
         out.add(".".join([*before, label, *after]))
         folded.update(members)
     out.update(names - folded)
-    return DomainSet(frozenset(out))
+    return frozenset(out)
 
 
 def jaccard(a, b) -> Fraction:
     """Intersection over union; two empty sets compare equal (1)."""
-    set_a = set(a.members if isinstance(a, DomainSet) else a)
-    set_b = set(b.members if isinstance(b, DomainSet) else b)
+    set_a, set_b = set(a), set(b)
     union = set_a | set_b
     if not union:
         return Fraction(1)
@@ -233,17 +204,11 @@ def _select(
     user_location: str,
     window=None,
 ) -> list[CaptureRecord]:
-    if device not in {r.device_id for r in log.records}:
-        raise UnknownDevice(f"device {device!r} not in log")
-    ip_location = ip_location.upper()
-    user_location = user_location.upper()
-    picked = [
-        r
-        for r in log.records
-        if r.device_id == device
-        and r.ip_based_location == ip_location
-        and r.user_defined_location == user_location
-    ]
+    picked = log.selections.get((device, ip_location.upper(), user_location.upper()))
+    if picked is None:
+        if device not in log.devices():
+            raise UnknownDevice(f"device {device!r} not in log")
+        return []
     if window is not None:
         t0, t1 = window
         picked = [r for r in picked if t0 <= r.timestamp <= t1]
@@ -257,7 +222,7 @@ def domain_set(
     user_location: str,
     window=None,
     pool_threshold: int = DEFAULT_POOL_THRESHOLD,
-) -> DomainSet:
+) -> frozenset[str]:
     """Distinct qnames for the selection (whole log when window is absent), pools collapsed."""
     picked = _select(log, device, ip_location, user_location, window)
     return collapse_pools((r.qname for r in picked), pool_threshold)
@@ -280,7 +245,7 @@ def stabilization_time(
     return max(first_seen.values())
 
 
-def _location_sets(log: CaptureLog, device: str, selections, pool_threshold: int) -> list[DomainSet]:
+def _location_sets(log: CaptureLog, device: str, selections, pool_threshold: int) -> list[frozenset[str]]:
     """Pool-collapsed domain set of each (ipl, udl) selection; none may be empty."""
     sets = []
     for ipl, udl in selections:

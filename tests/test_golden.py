@@ -1,0 +1,102 @@
+"""CLI payloads and exit codes against recorded outputs.
+
+Each case runs the CLI in-process on the fixtures.  Its stdout must equal
+fixtures/golden/<case>.out byte for byte, and its exit code must equal the
+one recorded in fixtures/golden/exit_codes.json.  Some cases read earlier
+cases' recorded outputs as input documents.  When a payload change is
+intended, re-record every case with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import json
+
+import pytest
+from helpers import FIXTURES
+
+from ecsloc.cli import main
+
+GOLDEN = FIXTURES / "golden"
+YI = ["--log", "{fixtures}/captures/yi_camera.log", "--device", "yi-cam"]
+ECHO = ["--log", "{fixtures}/captures/echo_daily.log", "--device", "echo"]
+BULB = ["--log", "{fixtures}/captures/bulb_10region.log", "--device", "bulb01"]
+POOLS = ["--log", "{golden}/pools.log", "--device", "hub"]
+BULB_REGIONS = ["AQ", "AR", "AU", "BR", "ES", "HK", "IN", "RU", "UK", "US"]
+BULB_MUDS = [f"{{golden}}/mud_generate_bulb_{r}.out" for r in ("uk", "us", "hk")]
+
+# name -> argv; recorded in this order, so a case may read an earlier one's output
+CASES = {
+    "scenario_standard": ["scenario", "run", "{fixtures}/scenario_standard.json"],
+    "scenario_ecs_basic": ["scenario", "run", "{fixtures}/scenario_ecs_basic.json"],
+    "scenario_ecs_user_defined": ["scenario", "run", "{fixtures}/scenario_ecs_user_defined.json"],
+    "scenario_zone_override": [
+        "scenario", "run", "{fixtures}/scenario_standard.json", "--zone", "{fixtures}/zone.json",
+    ],
+    "scenario_missing_file": ["scenario", "run", "{fixtures}/no_such_scenario.json"],
+    "analyze_uds_yi": ["analyze", "uds", *YI, "--ipl", "US", "--locations", "HK", "UK"],
+    "analyze_uds_pools": ["analyze", "uds", *POOLS, "--ipl", "us", "--locations", "US", "UK"],
+    "analyze_uds_pools_unfolded": [
+        "analyze", "uds", *POOLS, "--ipl", "US", "--locations", "US", "UK", "--pool-threshold", "5",
+    ],
+    "analyze_uds_empty_selection": ["analyze", "uds", *YI, "--ipl", "UK", "--locations", "HK", "UK"],
+    "analyze_uds_unknown_device": [
+        "analyze", "uds", "--log", "{fixtures}/captures/yi_camera.log", "--device", "ghost",
+        "--ipl", "US", "--locations", "HK", "UK",
+    ],
+    "analyze_ipbs_pools": ["analyze", "ipbs", *POOLS, "--udl", "US", "--locations", "US", "UK"],
+    "analyze_stabilize_yi": ["analyze", "stabilize", *YI, "--ipl", "US", "--udl", "HK"],
+    "analyze_stabilize_empty_selection": ["analyze", "stabilize", *YI, "--ipl", "US", "--udl", "US"],
+    "analyze_cumulative_echo": [
+        "analyze", "cumulative", *ECHO, "--ipl", "UK", "--udl", "UK", "--bucket-seconds", "86400",
+    ],
+    "analyze_cumulative_pools": [
+        "analyze", "cumulative", *POOLS, "--ipl", "UK", "--udl", "US", "--bucket-seconds", "20",
+    ],
+    "analyze_matrix_bulb": ["analyze", "matrix", *BULB, "--ipl", "US", "--regions", *BULB_REGIONS],
+    "analyze_matrix_pools": ["analyze", "matrix", *POOLS, "--ipl", "US", "--regions", "us", "UK", "DE"],
+    "analyze_matrix_empty_selection": ["analyze", "matrix", *POOLS, "--ipl", "UK", "--regions", "US", "UK"],
+    "mud_generate_bulb_uk": ["mud", "generate", *BULB, "--ipl", "US", "--udl", "UK"],
+    "mud_generate_bulb_us": ["mud", "generate", *BULB, "--ipl", "US", "--udl", "US"],
+    "mud_generate_bulb_hk": ["mud", "generate", *BULB, "--ipl", "US", "--udl", "HK"],
+    "mud_generate_pools": ["mud", "generate", *POOLS, "--ipl", "US", "--udl", "DE"],
+    "mud_generate_pools_udp": [
+        "mud", "generate", *POOLS, "--ipl", "UK", "--udl", "US", "--protocol", "udp",
+        "--direction", "to-device", "--src-port", "53", "--dst-port", "any", "--mud-url", "https://x/hub",
+    ],
+    "mud_generate_empty_selection": ["mud", "generate", *POOLS, "--ipl", "UK", "--udl", "UK"],
+    "mud_unify_bulb": ["mud", "unify", *BULB_MUDS],
+    "mud_unify_mixed_devices": ["mud", "unify", BULB_MUDS[0], "{fixtures}/mud_yi_uk.json"],
+    "mud_collapse_bulb": ["mud", "collapse", "{golden}/mud_unify_bulb.out", "--groups", "{fixtures}/groups_bulb.json"],
+    "mud_compare_bulb": ["mud", "compare", *BULB_MUDS, "--groups", "{fixtures}/groups_bulb.json"],
+    "usage_missing_value": ["analyze", "uds", "--log"],
+    "usage_unknown_subcommand": ["mud", "explode"],
+}
+
+
+def run(argv) -> tuple[int, bytes]:
+    args = [arg.format(fixtures=FIXTURES, golden=GOLDEN) for arg in argv]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(args)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, out.getvalue().encode()
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_cli_matches_golden(name):
+    code, payload = run(CASES[name])
+    expected_codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    assert code == expected_codes[name]
+    assert payload == (GOLDEN / f"{name}.out").read_bytes()
+
+
+if __name__ == "__main__":
+    codes = {}
+    for name, argv in CASES.items():
+        codes[name], payload = run(argv)
+        (GOLDEN / f"{name}.out").write_bytes(payload)
+    (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=2) + "\n")

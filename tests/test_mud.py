@@ -318,6 +318,16 @@ class TestSerialization:
         with pytest.raises(SchemaError, match=r"groups\[0\]\.variants"):
             load_groups('[{"canonical": "a.x", "variants": {"UK\\n": "uk.a.x"}}]')
 
+    @pytest.mark.parametrize(
+        "variants",
+        ['{"uk": "uk.svc.x", "UK": "gb.svc.x"}', '{"UK": "uk.svc.x", "UK": "gb.svc.x"}'],
+        ids=["case", "verbatim"],
+    )
+    def test_groups_region_given_twice_rejected(self, variants):
+        doc = '[{"canonical": "a.x", "variants": {"HK": "hk.a.x"}}, {"canonical": "svc.x", "variants": %s}]'
+        with pytest.raises(SchemaError, match=r"groups\[1\]\.variants: region UK given twice"):
+            load_groups(doc % variants)
+
 
 def test_collapse_result_is_plain_data():
     result = ecs_collapse(generate_mud({"a.x"}, "d"), [])

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 
 import pytest
 from helpers import FIXTURES
@@ -339,6 +340,34 @@ def test_cache_lookup_against_linear_scan():
                 )
             expired_checks += any(e[4] <= clock.now for e in store)
     assert hits > 200 and misses > 200 and expired_checks > 200
+
+
+def _cache_hit_seconds(resolver, ecs, calls):
+    start = time.perf_counter()
+    for _ in range(calls):
+        resolver.cache_lookup("q.t", 1, ecs)
+    return time.perf_counter() - start
+
+
+def test_cache_hit_cost_does_not_grow_with_entries():
+    # timing ratio, not absolute time: best of interleaved repeats, so a
+    # host slowdown hits both sides alike
+    resolvers = {}
+    for count in (1, 500):
+        upstream = _ScriptedUpstream()
+        upstream.scope = 24
+        resolver = Resolver(Forward(), "HK", upstream, LocationPrefixMap.default(["HK"]))
+        for i in range(count):
+            ecs = EcsOption.for_prefix(f"10.{i >> 8}.{i & 255}.0", 24)
+            resolver.resolve(make_query("q.t", ecs=ecs), "198.18.0.77")
+        # the last client network stored: a scan in store order reaches it last
+        assert resolver.cache_lookup("q.t", 1, ecs).addresses == (upstream.address,)
+        resolvers[count] = (resolver, ecs)
+    best = {1: float("inf"), 500: float("inf")}
+    for _ in range(7):
+        for count, (resolver, ecs) in resolvers.items():
+            best[count] = min(best[count], _cache_hit_seconds(resolver, ecs, 200))
+    assert best[500] <= 3 * best[1], f"500 entries {best[500]:.6f}s vs 1 entry {best[1]:.6f}s"
 
 
 class TestScenarios:

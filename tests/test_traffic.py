@@ -5,6 +5,8 @@ brute-force oracle in this module before being asserted.
 """
 
 import random
+import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,7 +17,6 @@ from hypothesis import strategies as st
 from ecsloc.traffic import (
     CaptureLog,
     CaptureRecord,
-    DomainSet,
     EmptySelection,
     LogParseError,
     UnknownDevice,
@@ -50,6 +51,21 @@ def stabilization_oracle(records):
         if {r.qname for r in records if r.timestamp <= t} == full:
             return t
     raise AssertionError("unreachable")
+
+
+def covers_oracle(pattern: str, name: str) -> bool:
+    """Label by label: equal, or a numbered label inside the pattern label's range."""
+    plabels, nlabels = pattern.split("."), name.split(".")
+    if len(plabels) != len(nlabels):
+        return False
+    for pl, nl in zip(plabels, nlabels):
+        if pl == nl:
+            continue
+        p = re.fullmatch(r"(.*?)\[(\d+)-(\d+)\]", pl)
+        n = re.fullmatch(r"(.*?)(\d+)", nl)
+        if not (p and n and p[1] == n[1] and int(p[2]) <= int(n[2]) <= int(p[3])):
+            return False
+    return True
 
 
 def log_of(rows) -> CaptureLog:
@@ -122,7 +138,8 @@ class TestIngest:
         assert record.resolved_ips == ()
 
     @pytest.mark.parametrize(
-        "qname", ["", ".", "a..b", "a.b..", pytest.param("x" * 64 + ".com", id="label-64")]
+        "qname",
+        ["", ".", "a..b", "a.b..", pytest.param("x" * 64 + ".com", id="label-64"), "a[1-3].x", "a]b.x"],
     )
     def test_malformed_qname_rejected_with_position(self, tmp_path, qname):
         path = tmp_path / "log"
@@ -178,10 +195,6 @@ class TestDomainSet:
         log = log_of([(1, "d", "UK", "UK", "a.x", [])])
         with pytest.raises(UnknownDevice):
             domain_set(log, "ghost", "UK", "UK")
-
-    def test_subsumed_member_rejected(self):
-        with pytest.raises(ValueError):
-            DomainSet(frozenset({"s[1-5].x", "s3.x"}))
 
 
 class TestStabilization:
@@ -310,14 +323,14 @@ class TestCollapsePools:
     def test_idempotent(self):
         names = {f"s{i}.pool.example" for i in range(1, 6)} | {"api.example"}
         once = collapse_pools(names, 3)
-        twice = collapse_pools(once.members, 3)
-        assert once.members == twice.members
+        twice = collapse_pools(once, 3)
+        assert once == twice
 
     def test_covered_name_count_preserved(self):
         # contiguous run: the folded pattern spans exactly the input names
         names = {f"s{i}.x" for i in range(4, 9)}
         collapsed = collapse_pools(names, 3)
-        (member,) = collapsed.members
+        (member,) = collapsed
         assert member == "s[4-8].x"
         lo, hi = 4, 8
         assert hi - lo + 1 == len(names)
@@ -330,7 +343,46 @@ class TestCollapsePools:
     @given(st.sets(st.sampled_from([f"h{i}.x" for i in range(12)] + ["a.x", "b.y"]), max_size=14))
     def test_idempotence_property(self, names):
         once = collapse_pools(names, 3)
-        assert collapse_pools(once.members, 3).members == once.members
+        assert collapse_pools(once, 3) == once
+
+    def test_no_member_covered_by_another_members_pattern(self):
+        rng = random.Random(31)
+        patterns = 0
+        for _ in range(300):
+            names = set()
+            for _ in range(rng.randint(0, 60)):
+                labels = [rng.choice(["s", "eu"]) for _ in range(rng.randint(1, 3))]
+                for i in rng.sample(range(len(labels)), rng.randint(0, len(labels))):
+                    labels[i] += rng.choice(["", "0"]) + str(rng.randint(0, 6))
+                names.add(".".join(labels))
+            out = collapse_pools(names, rng.randint(2, 4))
+            for member in out:
+                assert not any(p != member and covers_oracle(p, member) for p in out), (member, out)
+            for name in names:
+                assert name in out or any(covers_oracle(p, name) for p in out), (name, out)
+            patterns += sum("[" in m for m in out)
+        assert patterns > 300
+
+
+def _collapse_seconds(names):
+    start = time.perf_counter()
+    collapse_pools(names, 3)
+    return time.perf_counter() - start
+
+
+def test_collapse_cost_does_not_grow_with_pools():
+    # timing ratio, not absolute time: best of interleaved repeats, so a
+    # host slowdown hits both sides alike; 3000 names either way, and only
+    # the first label is numbered, so each p<i>x suffix is one pool
+    inputs = {}
+    for pools in (10, 1000):
+        inputs[pools] = [f"n{j}.p{i}x.example" for i in range(pools) for j in range(3000 // pools)]
+        assert len(collapse_pools(inputs[pools], 3)) == pools
+    best = {pools: float("inf") for pools in inputs}
+    for _ in range(5):
+        for pools, names in inputs.items():
+            best[pools] = min(best[pools], _collapse_seconds(names))
+    assert best[1000] <= 3 * best[10], f"1000 pools {best[1000]:.6f}s vs 10 pools {best[10]:.6f}s"
 
 
 class TestCumulative:
