@@ -41,6 +41,10 @@ class MixedDevices(MudError):
     """Unification inputs describe different devices."""
 
 
+class BadVariantRegion(MudError):
+    """A group variant's key is not a region code, or repeats one in another case."""
+
+
 class SchemaError(MudError):
     """Document violates the allowlist schema; message carries the path."""
 
@@ -153,7 +157,13 @@ class RegionDomainGroup:
 
     def __post_init__(self):
         object.__setattr__(self, "canonical_domain", self.canonical_domain.lower())
-        variants = {k.upper(): v.lower() for k, v in self.regional_variants.items()}
+        variants = {}
+        for region, name in self.regional_variants.items():
+            if not is_region_code(region):
+                raise BadVariantRegion(f"bad region code {region!r}")
+            if region.upper() in variants:
+                raise BadVariantRegion(f"region {region.upper()} given twice")
+            variants[region.upper()] = name.lower()
         if len(set(variants.values())) != len(variants):
             raise MudError(f"group {self.canonical_domain}: duplicate variant names")
         object.__setattr__(self, "regional_variants", variants)
@@ -408,22 +418,22 @@ def load_groups(data: bytes | str) -> list[RegionDomainGroup]:
         variants = _require(raw, "variants", f"groups[{i}]")
         if not isinstance(variants, dict):
             raise SchemaError(f"groups[{i}].variants: expected an object")
-        seen = set()
-        for region in variants.keys_as_written:
-            if not is_region_code(region):
-                raise SchemaError(f"groups[{i}].variants: bad region code {region!r}")
-            if region.upper() in seen:
-                raise SchemaError(f"groups[{i}].variants: region {region.upper()} given twice")
-            seen.add(region.upper())
         try:
-            groups.append(
-                RegionDomainGroup(
-                    canonical_domain=str(canonical),
-                    regional_variants={str(k): str(v) for k, v in variants.items()},
-                )
+            group = RegionDomainGroup(
+                canonical_domain=str(canonical),
+                regional_variants={str(k): str(v) for k, v in variants.items()},
             )
+        except BadVariantRegion as exc:
+            raise SchemaError(f"groups[{i}].variants: {exc}") from None
         except MudError as exc:
             raise SchemaError(f"groups[{i}]: {exc}") from None
+        # json.loads keeps the last of two equal keys; the group never sees the first
+        seen = set()
+        for region in variants.keys_as_written:
+            if region in seen:
+                raise SchemaError(f"groups[{i}].variants: region {region.upper()} given twice")
+            seen.add(region)
+        groups.append(group)
     return groups
 
 

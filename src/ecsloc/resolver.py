@@ -101,10 +101,8 @@ class VirtualClock:
 
 @dataclass(slots=True)
 class CacheEntry:
-    qname: str
-    qtype: int
     scope_prefix_len: int
-    addresses: tuple
+    records: tuple[ResourceRecord, ...]  # the upstream's answers, as received
     expires_at: float
 
 
@@ -247,14 +245,14 @@ class Resolver:
                 del entries[key]
         return None
 
-    def _store(self, qname, qtype, scope, ecs, addresses, ttl):
+    def _store(self, qname, qtype, scope, ecs, records, ttl):
         if ecs is None and scope:
             return  # no later query could match a scoped answer to an option-less one
         key = _cache_key(ecs, scope, ecs.address_int() if scope else 0)
         now = self.clock.now
         bucket = self._cache.get((qname, qtype))
         entries = {k: e for k, e in bucket[0].items() if e.expires_at > now} if bucket else {}
-        entries[key] = CacheEntry(qname, qtype, scope, tuple(addresses), now + ttl)
+        entries[key] = CacheEntry(scope, records, now + ttl)
         self._cache[(qname, qtype)] = (entries, sorted({k[1] for k in entries}, reverse=True))
 
     def resolve(self, query: DnsMessage, source: str, trace: list | None = None) -> DnsMessage:
@@ -268,8 +266,7 @@ class Resolver:
         if entry is not None:
             remaining = max(1, int(entry.expires_at - self.clock.now))
             answers = tuple(
-                ResourceRecord.for_address(question.qname, addr, remaining)
-                for addr in entry.addresses
+                ResourceRecord(question.qname, rr.rtype, remaining, rr.rdata) for rr in entry.records
             )
             return make_response(query, answers, ecs=_echo(effective, entry.scope_prefix_len))
 
@@ -291,9 +288,8 @@ class Resolver:
         scope = 0
         if upstream_response.edns and upstream_response.edns.ecs:
             scope = upstream_response.edns.ecs.scope_prefix_len
-        addresses = tuple(rr.address() for rr in upstream_response.answers)
         ttl = min((rr.ttl for rr in upstream_response.answers), default=DEFAULT_TTL)
-        self._store(question.qname, question.qtype, scope, effective, addresses, ttl)
+        self._store(question.qname, question.qtype, scope, effective, upstream_response.answers, ttl)
         return make_response(query, upstream_response.answers, ecs=_echo(effective, scope))
 
 

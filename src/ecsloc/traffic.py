@@ -202,16 +202,12 @@ def _select(
     device: str,
     ip_location: str,
     user_location: str,
-    window=None,
 ) -> list[CaptureRecord]:
     picked = log.selections.get((device, ip_location.upper(), user_location.upper()))
     if picked is None:
         if device not in log.devices():
             raise UnknownDevice(f"device {device!r} not in log")
         return []
-    if window is not None:
-        t0, t1 = window
-        picked = [r for r in picked if t0 <= r.timestamp <= t1]
     return picked
 
 
@@ -220,11 +216,10 @@ def domain_set(
     device: str,
     ip_location: str,
     user_location: str,
-    window=None,
     pool_threshold: int = DEFAULT_POOL_THRESHOLD,
 ) -> frozenset[str]:
-    """Distinct qnames for the selection (whole log when window is absent), pools collapsed."""
-    picked = _select(log, device, ip_location, user_location, window)
+    """Distinct qnames for the selection, pools collapsed."""
+    picked = _select(log, device, ip_location, user_location)
     return collapse_pools((r.qname for r in picked), pool_threshold)
 
 

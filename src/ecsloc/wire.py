@@ -6,10 +6,25 @@ the client-subnet option (code 8, RFC 7871).  The encoder never emits
 name compression; the decoder accepts compression pointers so responses
 from real resolvers can be read back.
 
-Names and client-subnet fields are validated once, where a message comes
-into being: by the `Question`, `ResourceRecord` and `EcsOption`
-constructors, which `decode_message` also goes through.  The encoder
-trusts a constructed message and checks nothing again.
+Each field is checked once, where a message comes into being, and
+`decode_message` goes through the same constructors as any other caller:
+
+- `Question` owns the question name, qtype and qclass;
+- `ResourceRecord` owns an answer's name, type, TTL and rdata length;
+- `EcsOption` owns the client-subnet family, prefix lengths and address;
+- `EdnsOpt` and `DnsMessage` own the payload size, id, rcode and the
+  query-only rules (no answers, scope 0).
+
+The decoder itself checks only what no constructor sees: the header's
+opcode and counts, label framing and compression pointers, the answer
+class, and the OPT record's placement, name, version and option framing.
+The encoder trusts a constructed message and checks nothing again.
+
+Each wire layout is defined once, as a `struct.Struct` shared by the
+encoder and the decoder: the header, the (type, class) and (option code,
+length) pair, the record tail after the owner name (RFC 1035 section
+4.1.3, the same in all three record sections), and the client-subnet
+head.
 """
 
 from __future__ import annotations
@@ -34,6 +49,11 @@ MAX_NAME_OCTETS = 253
 # Address length in octets per ECS family code.
 _FAMILY_OCTETS = {1: 4, 2: 16}
 _FAMILY_BITS = {1: 32, 2: 128}
+
+_HEADER = struct.Struct("!HHHHHH")  # id, flags, qd/an/ns/ar counts
+_PAIR = struct.Struct("!HH")  # qtype, qclass; or option code, option length
+_RR_TAIL = struct.Struct("!HHIH")  # type, class, ttl, rdlength
+_ECS_HEAD = struct.Struct("!HBB")  # family, source and scope prefix lengths
 
 # PREFIX_MASKS[family][n] keeps the first n bits of a family's address as
 # an integer: the key form of the zone's and the cache's prefix tables.
@@ -138,7 +158,7 @@ class EcsOption:
                 f"address must be {expected} octets for /{self.source_prefix_len}, "
                 f"got {len(self.address)}"
             )
-        if self.address and truncate_to_prefix(self.padded_address(), self.source_prefix_len) != self.address:
+        if int.from_bytes(self.address, "big") & ((1 << (8 * expected - self.source_prefix_len)) - 1):
             raise InvalidEcs("address has nonzero bits past the source prefix length")
 
     @classmethod
@@ -252,12 +272,11 @@ def make_query(
     msg_id: int = 0,
     ecs: EcsOption | None = None,
     use_edns: bool = False,
-    udp_payload_size: int = DEFAULT_UDP_PAYLOAD,
 ) -> DnsMessage:
     """Build a recursion-desired query; EDNS is attached when requested or when ECS is given."""
     edns = None
     if ecs is not None or use_edns:
-        edns = EdnsOpt(udp_payload_size=udp_payload_size, ecs=ecs)
+        edns = EdnsOpt(ecs=ecs)
     return DnsMessage(
         id=msg_id,
         is_response=False,
@@ -306,10 +325,7 @@ def _encode_name(name: str) -> bytes:
 
 
 def _encode_ecs_rdata(ecs: EcsOption) -> bytes:
-    return (
-        struct.pack("!HBB", ecs.family, ecs.source_prefix_len, ecs.scope_prefix_len)
-        + ecs.address
-    )
+    return _ECS_HEAD.pack(ecs.family, ecs.source_prefix_len, ecs.scope_prefix_len) + ecs.address
 
 
 def encode_message(msg: DnsMessage) -> bytes:
@@ -323,20 +339,20 @@ def encode_message(msg: DnsMessage) -> bytes:
         flags |= 0x0080
     flags |= msg.rcode & 0x0F
     arcount = 1 if msg.edns is not None else 0
-    out = bytearray(struct.pack("!HHHHHH", msg.id, flags, 1, len(msg.answers), 0, arcount))
+    out = bytearray(_HEADER.pack(msg.id, flags, 1, len(msg.answers), 0, arcount))
     out += _encode_name(msg.question.qname)
-    out += struct.pack("!HH", msg.question.qtype, msg.question.qclass)
+    out += _PAIR.pack(msg.question.qtype, msg.question.qclass)
     for rr in msg.answers:
         out += _encode_name(rr.name)
-        out += struct.pack("!HHIH", rr.rtype, CLASS_IN, rr.ttl, len(rr.rdata))
+        out += _RR_TAIL.pack(rr.rtype, CLASS_IN, rr.ttl, len(rr.rdata))
         out += rr.rdata
     if msg.edns is not None:
         rdata = b""
         if msg.edns.ecs is not None:
             option = _encode_ecs_rdata(msg.edns.ecs)
-            rdata = struct.pack("!HH", ECS_OPTION_CODE, len(option)) + option
+            rdata = _PAIR.pack(ECS_OPTION_CODE, len(option)) + option
         out += b"\x00"  # root name
-        out += struct.pack("!HHIH", TYPE_OPT, msg.edns.udp_payload_size, 0, len(rdata))
+        out += _RR_TAIL.pack(TYPE_OPT, msg.edns.udp_payload_size, 0, len(rdata))
         out += rdata
     return bytes(out)
 
@@ -355,14 +371,8 @@ class _Reader:
         self.pos += n
         return chunk
 
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack("!H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("!I", self.take(4))[0]
+    def unpack(self, layout: struct.Struct) -> tuple:
+        return layout.unpack(self.take(layout.size))
 
     def name(self) -> str:
         """Read a possibly-compressed name and return its canonical text."""
@@ -371,12 +381,12 @@ class _Reader:
         jumps = 0
         return_pos = None
         while True:
-            length = self.u8()
+            length = self.take(1)[0]
             if length == 0:
                 break
             kind = length & 0xC0
             if kind == 0xC0:
-                pointer = ((length & 0x3F) << 8) | self.u8()
+                pointer = ((length & 0x3F) << 8) | self.take(1)[0]
                 if pointer >= len(self.data):
                     raise Malformed(f"compression pointer {pointer} out of range")
                 jumps += 1
@@ -404,55 +414,50 @@ class _Reader:
             return ""
         return ".".join(labels).lower()
 
+    def record(self) -> tuple[str, int, int, int, bytes]:
+        """Read one resource record: (name, type, class, ttl, rdata)."""
+        name = self.name()
+        rtype, rclass, ttl, rdlen = self.unpack(_RR_TAIL)
+        return name, rtype, rclass, ttl, self.take(rdlen)
+
 
 def _decode_ecs(rdata: bytes) -> EcsOption:
-    if len(rdata) < 4:
+    if len(rdata) < _ECS_HEAD.size:
         raise Malformed("client-subnet option shorter than 4 octets")
-    family, source, scope = struct.unpack("!HBB", rdata[:4])
+    family, source, scope = _ECS_HEAD.unpack_from(rdata)
     try:
         return EcsOption(family=family, source_prefix_len=source, scope_prefix_len=scope, address=rdata[4:])
     except InvalidEcs as exc:
         raise Malformed(f"client-subnet option: {exc}") from None
 
 
-def _decode_opt(reader: _Reader, name: str) -> EdnsOpt:
+def _decode_opt(name: str, payload: int, ttl: int, rdata: bytes) -> EdnsOpt:
+    """Build the OPT pseudo-record from its fields: class is the payload size."""
     if name != "":
         raise Malformed("OPT record name must be root")
-    payload = reader.u16()
-    ttl = reader.u32()
     version = (ttl >> 16) & 0xFF
     if version != 0:
         raise Malformed(f"EDNS version {version} not supported")
-    rdlen = reader.u16()
-    rdata = reader.take(rdlen)
     ecs = None
     pos = 0
     while pos < len(rdata):
-        if pos + 4 > len(rdata):
+        if pos + _PAIR.size > len(rdata):
             raise Malformed("EDNS option header truncated")
-        code, optlen = struct.unpack("!HH", rdata[pos : pos + 4])
-        pos += 4
+        code, optlen = _PAIR.unpack_from(rdata, pos)
+        pos += _PAIR.size
         if pos + optlen > len(rdata):
             raise Malformed("EDNS option data truncated")
-        body = rdata[pos : pos + optlen]
-        pos += optlen
         if code == ECS_OPTION_CODE and ecs is None:
-            ecs = _decode_ecs(body)
+            ecs = _decode_ecs(rdata[pos : pos + optlen])
         # other option codes are ignored
+        pos += optlen
     return EdnsOpt(udp_payload_size=payload, ecs=ecs)
-
-
-def _skip_rr(reader: _Reader) -> None:
-    reader.name()
-    reader.take(8)  # type, class, ttl
-    rdlen = reader.u16()
-    reader.take(rdlen)
 
 
 def decode_message(data: bytes) -> DnsMessage:
     """Parse wire bytes into a DnsMessage; inverse of encode_message on its image."""
     reader = _Reader(bytes(data))
-    msg_id, flags, qdcount, ancount, nscount, arcount = struct.unpack("!HHHHHH", reader.take(12))
+    msg_id, flags, qdcount, ancount, nscount, arcount = reader.unpack(_HEADER)
     opcode = (flags >> 11) & 0x0F
     if opcode != 0:
         raise Malformed(f"opcode {opcode} not supported")
@@ -461,47 +466,30 @@ def decode_message(data: bytes) -> DnsMessage:
     qname = reader.name()
     if qname == "":
         raise Malformed("empty question name")
-    qtype = reader.u16()
-    qclass = reader.u16()
-    if qtype not in (QTYPE_A, QTYPE_AAAA):
-        raise UnsupportedType(f"qtype {qtype} not supported")
-    if qclass != CLASS_IN:
-        raise Malformed(f"qclass {qclass} not supported")
+    question = Question(qname, *reader.unpack(_PAIR))
 
     answers = []
     for _ in range(ancount):
-        name = reader.name()
-        rtype = reader.u16()
-        rclass = reader.u16()
-        ttl = reader.u32()
-        rdlen = reader.u16()
-        rdata = reader.take(rdlen)
+        name, rtype, rclass, ttl, rdata = reader.record()
         if rtype == TYPE_OPT:
             raise Malformed("OPT record in answer section")
-        if rtype not in (QTYPE_A, QTYPE_AAAA):
-            raise UnsupportedType(f"answer type {rtype} not supported")
         if rclass != CLASS_IN:
             raise Malformed(f"answer class {rclass} not supported")
-        expected = 4 if rtype == QTYPE_A else 16
-        if rdlen != expected:
-            raise Malformed(f"rdata length {rdlen} wrong for record type {rtype}")
-        answers.append(ResourceRecord(name=name, rtype=rtype, ttl=ttl, rdata=rdata))
+        try:
+            answers.append(ResourceRecord(name=name, rtype=rtype, ttl=ttl, rdata=rdata))
+        except ValueError as exc:  # rdata length wrong for the type
+            raise Malformed(str(exc)) from None
 
     for _ in range(nscount):
-        _skip_rr(reader)
+        reader.record()
 
     edns = None
     for _ in range(arcount):
-        name = reader.name()
-        rtype = reader.u16()
+        name, rtype, rclass, ttl, rdata = reader.record()
         if rtype == TYPE_OPT:
             if edns is not None:
                 raise Malformed("more than one OPT record")
-            edns = _decode_opt(reader, name)
-        else:
-            reader.take(6)  # class, ttl
-            rdlen = reader.u16()
-            reader.take(rdlen)
+            edns = _decode_opt(name, rclass, ttl, rdata)
 
     if reader.pos != len(reader.data):
         raise Malformed(f"{len(reader.data) - reader.pos} trailing octets")
@@ -514,7 +502,7 @@ def decode_message(data: bytes) -> DnsMessage:
             recursion_desired=bool(flags & 0x0100),
             recursion_available=bool(flags & 0x0080),
             rcode=flags & 0x0F,
-            question=Question(qname, qtype),
+            question=question,
             answers=tuple(answers),
             edns=edns,
         )

@@ -329,6 +329,21 @@ class TestSerialization:
             load_groups(doc % variants)
 
 
+@pytest.mark.parametrize(
+    "variants, message",
+    [
+        ({"uk": "uk.svc.x", "UK": "gb.svc.x"}, "region UK given twice"),
+        ({"U K": "uk.svc.x"}, "bad region code 'U K'"),
+        ({"usa": "us.svc.x"}, "bad region code 'usa'"),
+    ],
+    ids=["case-variants", "space", "three-letters"],
+)
+def test_group_built_directly_checks_regions(variants, message):
+    with pytest.raises(MudError) as info:
+        RegionDomainGroup("svc.x", variants)
+    assert str(info.value) == message
+
+
 def test_collapse_result_is_plain_data():
     result = ecs_collapse(generate_mud({"a.x"}, "d"), [])
     assert isinstance(result, CollapseResult)

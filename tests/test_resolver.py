@@ -140,7 +140,7 @@ class TestCache:
             "api.example.iot", 1, EcsOption.for_prefix("198.18.1.200", 24)
         )
         assert entry is not None
-        assert entry.addresses == tuple(rr.address() for rr in first.answers)
+        assert [rr.address() for rr in entry.records] == [rr.address() for rr in first.answers]
 
     def test_cross_prefix_misses(self, zone):
         resolver = make_resolver(zone, Forward(), "HK")
@@ -335,8 +335,8 @@ def test_cache_lookup_against_linear_scan():
                 assert entry is None
             else:
                 assert entry is not None
-                assert (entry.scope_prefix_len, entry.addresses, entry.expires_at) == (
-                    expected[1], (expected[3],), expected[4],
+                assert (entry.scope_prefix_len, [rr.address() for rr in entry.records], entry.expires_at) == (
+                    expected[1], [expected[3]], expected[4],
                 )
             expired_checks += any(e[4] <= clock.now for e in store)
     assert hits > 200 and misses > 200 and expired_checks > 200
@@ -361,7 +361,7 @@ def test_cache_hit_cost_does_not_grow_with_entries():
             ecs = EcsOption.for_prefix(f"10.{i >> 8}.{i & 255}.0", 24)
             resolver.resolve(make_query("q.t", ecs=ecs), "198.18.0.77")
         # the last client network stored: a scan in store order reaches it last
-        assert resolver.cache_lookup("q.t", 1, ecs).addresses == (upstream.address,)
+        assert [rr.address() for rr in resolver.cache_lookup("q.t", 1, ecs).records] == [upstream.address]
         resolvers[count] = (resolver, ecs)
     best = {1: float("inf"), 500: float("inf")}
     for _ in range(7):

@@ -180,10 +180,6 @@ class TestDomainSet:
         ])
         assert set(domain_set(log, "d", "UK", "UK")) == {"a.x", "b.x"}
 
-    def test_window_excluding_everything(self):
-        log = log_of([(10, "d", "UK", "UK", "a.x", [])])
-        assert len(domain_set(log, "d", "UK", "UK", window=(0, 5))) == 0
-
     def test_yi_fixture_sets_are_disjoint(self):
         log = ingest_log(FIXTURES / "captures" / "yi_camera.log")
         hk = domain_set(log, "yi-cam", "US", "HK")

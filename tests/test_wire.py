@@ -2,6 +2,7 @@
 reference encoders in helpers, not from the code under test."""
 
 import random
+import struct
 
 import pytest
 from helpers import rand_message, reference_ecs_rdata, reference_truncate
@@ -261,6 +262,59 @@ class TestDecodeErrors:
         assert wire[12:21] == b"\x03abc\x03com\x00"
         with pytest.raises(Malformed, match="inside label"):
             decode_message(wire[:12] + b"\x03a.b\x03com\x00" + wire[21:])
+
+
+# Raw pieces for single-fault messages: one response with the question
+# example.com/A/IN, spliced with at most one bad field each.
+QNAME = b"\x07example\x03com\x00"
+QUESTION = QNAME + struct.pack("!HH", QTYPE_A, 1)
+
+
+def _header(flags=0x8000, an=0, ns=0, ar=0):
+    return struct.pack("!HHHHHH", 7, flags, 1, an, ns, ar)
+
+
+def _rr(rtype=QTYPE_A, rclass=1, rdata=bytes([203, 0, 113, 10]), name=QNAME, ttl=300):
+    return name + struct.pack("!HHIH", rtype, rclass, ttl, len(rdata)) + rdata
+
+
+def _opt(rdata=b"", name=b"\x00", ttl=0):
+    return _rr(41, 1232, rdata, name, ttl)
+
+
+SINGLE_FAULTS = [
+    ("opcode", _header(flags=0x0800) + QUESTION, Malformed),
+    ("reserved-label-type", _header() + b"\x40abc\x00" + QUESTION[-4:], Malformed),
+    ("pointer-out-of-range", _header() + b"\xc0\xff" + QUESTION[-4:], Malformed),
+    ("name-over-253", _header() + (b"\x3f" + b"a" * 63) * 4 + b"\x00" + QUESTION[-4:], Malformed),
+    ("non-ascii-label", _header() + b"\x03\xe4bc\x00" + QUESTION[-4:], Malformed),
+    ("opt-in-answer", _header(an=1) + QUESTION + _rr(rtype=41, rdata=b""), Malformed),
+    ("answer-type", _header(an=1) + QUESTION + _rr(rtype=16, rdata=b"\x00"), UnsupportedType),
+    ("answer-class", _header(an=1) + QUESTION + _rr(rclass=3), Malformed),
+    ("answer-rdata-length", _header(an=1) + QUESTION + _rr(rdata=b"\x01" * 5), Malformed),
+    ("opt-name-not-root", _header(ar=1) + QUESTION + _opt(name=b"\x01a\x00"), Malformed),
+    ("edns-version", _header(ar=1) + QUESTION + _opt(ttl=1 << 16), Malformed),
+    ("two-opt", _header(ar=2) + QUESTION + _opt() + _opt(), Malformed),
+    ("option-header-truncated", _header(ar=1) + QUESTION + _opt(rdata=b"\x00\x08"), Malformed),
+    ("option-data-truncated", _header(ar=1) + QUESTION + _opt(rdata=b"\x00\x08\x00\x07\x00\x01"), Malformed),
+    ("record-tail-truncated", _header(an=1) + QUESTION + _rr()[: len(QNAME) + 5], Truncated),
+]
+
+
+class TestSingleFaults:
+
+    def test_unfaulted_pieces_decode(self):
+        wire = _header(an=1, ns=1, ar=2) + QUESTION + _rr() + _rr(rtype=2, rdata=b"\x00") + _rr(rtype=16) + _opt()
+        msg = decode_message(wire)
+        assert msg.question == Question("example.com")
+        assert [rr.address() for rr in msg.answers] == ["203.0.113.10"]
+        assert msg.edns is not None and msg.edns.ecs is None
+
+    @pytest.mark.parametrize("wire, error", [case[1:] for case in SINGLE_FAULTS], ids=[case[0] for case in SINGLE_FAULTS])
+    def test_fault_class(self, wire, error):
+        with pytest.raises(WireError) as info:
+            decode_message(wire)
+        assert type(info.value) is error
 
 
 class TestDecodeInterop:
