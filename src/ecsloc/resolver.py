@@ -146,11 +146,11 @@ class Authoritative:
             result = self.zone.lookup(question.qname, lookup_ecs)
         except NameNotFound:
             return make_response(query, rcode=RCODE_NXDOMAIN, ecs=_echo(ecs, 0))
-        want_v4 = question.qtype == QTYPE_A
+        octets = 4 if question.qtype == QTYPE_A else 16
         answers = tuple(
-            ResourceRecord.for_address(question.qname, addr, result.ttl)
-            for addr in result.addresses
-            if (addr.version == 4) == want_v4
+            ResourceRecord(question.qname, question.qtype, result.ttl, rdata)
+            for rdata in result.addresses
+            if len(rdata) == octets
         )
         return make_response(query, answers, ecs=_echo(ecs, result.scope))
 

@@ -15,14 +15,13 @@ fractions; callers render decimals.
 
 from __future__ import annotations
 
-import ipaddress
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
 from .errors import Error
-from .wire import InvalidName, canonical_name
+from .wire import InvalidName, address_text, canonical_name, pack_address
 from .zone import is_region_code
 
 DEFAULT_POOL_THRESHOLD = 3
@@ -117,7 +116,7 @@ def parse_capture_line(line: str, where: str = "line") -> CaptureRecord:
     if fields["a"]:
         for part in fields["a"].split(","):
             try:
-                ips.append(str(ipaddress.ip_address(part)))
+                ips.append(address_text(pack_address(part)))
             except ValueError:
                 raise LogParseError(f"{where}: bad address {part!r}") from None
     try:

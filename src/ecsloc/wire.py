@@ -30,6 +30,7 @@ head.
 from __future__ import annotations
 
 import ipaddress
+import socket
 import struct
 from dataclasses import dataclass
 
@@ -110,6 +111,22 @@ def canonical_name(name: str) -> str:
     return name
 
 
+def pack_address(text: str) -> bytes:
+    """Packed octets of address text, 4 for IPv4 and 16 for IPv6: the one address rule.
+
+    An IPv6 zone id such as ``%eth0`` is rejected, as A/AAAA rdata cannot carry one.
+    """
+    try:
+        return socket.inet_pton(socket.AF_INET6 if ":" in text else socket.AF_INET, text)
+    except (OSError, TypeError, ValueError):  # not text, or NUL / unencodable in it
+        raise ValueError(f"{text!r} does not appear to be an IPv4 or IPv6 address") from None
+
+
+def address_text(rdata: bytes) -> str:
+    """Text form of 4 or 16 packed octets, as the platform's inet_ntop renders it."""
+    return socket.inet_ntop(socket.AF_INET if len(rdata) == 4 else socket.AF_INET6, rdata)
+
+
 def truncate_to_prefix(address, prefix_len: int) -> bytes:
     """Return ceil(prefix_len / 8) octets of *address* with host bits zeroed.
 
@@ -181,13 +198,9 @@ class EcsOption:
         """Padded address as an unsigned integer (prefix-table key form)."""
         return int.from_bytes(self.padded_address(), "big")
 
-    def network_at(self, prefix_len: int) -> bytes:
-        """Padded address truncated to *prefix_len*, ceil(prefix_len / 8) octets."""
-        return truncate_to_prefix(self.padded_address(), prefix_len)
-
     def address_str(self) -> str:
         """Dotted/colon text of the padded address."""
-        return str(ipaddress.ip_address(self.padded_address()))
+        return address_text(self.padded_address())
 
 
 @dataclass(frozen=True)
@@ -221,14 +234,8 @@ class ResourceRecord:
         if not 0 <= self.ttl <= 0xFFFFFFFF:
             raise ValueError(f"ttl {self.ttl} out of range")
 
-    @classmethod
-    def for_address(cls, name: str, address, ttl: int) -> "ResourceRecord":
-        ip = ipaddress.ip_address(address)
-        rtype = QTYPE_A if ip.version == 4 else QTYPE_AAAA
-        return cls(name=name, rtype=rtype, ttl=ttl, rdata=ip.packed)
-
     def address(self) -> str:
-        return str(ipaddress.ip_address(self.rdata))
+        return address_text(self.rdata)
 
 
 @dataclass(frozen=True)

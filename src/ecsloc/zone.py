@@ -15,11 +15,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import Error
-from .wire import PREFIX_MASKS, EcsOption
+from .wire import PREFIX_MASKS, EcsOption, InvalidName, address_text, canonical_name, pack_address
 
 DEFAULT_TTL = 300
-
-_ADDRESS_TYPES = (ipaddress.IPv4Address, ipaddress.IPv6Address)
 
 _REGION_RE = re.compile(r"[A-Za-z]{2}")
 
@@ -109,9 +107,6 @@ class LocationPrefixMap:
         except KeyError:
             raise UnknownRegion(f"region {region!r} not in prefix map") from None
 
-    def regions(self) -> tuple[str, ...]:
-        return tuple(sorted(self.entries))
-
     def __contains__(self, region: str) -> bool:
         return region.upper() in self.entries
 
@@ -120,24 +115,26 @@ class LocationPrefixMap:
 class RegionalAnswer:
     region: str
     prefix: ipaddress.IPv4Network | ipaddress.IPv6Network
-    addresses: tuple
+    addresses: tuple[bytes, ...]  # given as address text, held packed
     ttl: int = DEFAULT_TTL
 
     def __post_init__(self):
         if not self.addresses:
             raise ZoneParseError(f"region {self.region}: empty address list")
-        parsed = tuple(ipaddress.ip_address(a) for a in self.addresses)
-        for addr in parsed:
-            if addr.version != self.prefix.version:
+        packed = tuple(map(pack_address, self.addresses))
+        octets = 4 if self.prefix.version == 4 else 16
+        for rdata in packed:
+            if len(rdata) != octets:
                 raise ZoneParseError(
-                    f"region {self.region}: address {addr} family differs from prefix {self.prefix}"
+                    f"region {self.region}: address {address_text(rdata)} "
+                    f"family differs from prefix {self.prefix}"
                 )
-        object.__setattr__(self, "addresses", parsed)
+        object.__setattr__(self, "addresses", packed)
 
 
 @dataclass(frozen=True)
 class LookupResult:
-    addresses: tuple
+    addresses: tuple[bytes, ...]  # packed, 4 octets for A and 16 for AAAA rdata
     scope: int
     ttl: int
 
@@ -147,7 +144,7 @@ class AnswerSet:
     """Ordered regional answers for one qname plus the all-region default."""
 
     answers: tuple[RegionalAnswer, ...]
-    default: tuple
+    default: tuple[bytes, ...] | None = None  # their union in text order: computed if None, else checked
     ttl: int = DEFAULT_TTL
     # client-subnet family -> [(prefix_len, mask, {network int: answer}), ...],
     # most specific first
@@ -168,17 +165,13 @@ class AnswerSet:
         for (family, plen), table in sorted(tables.items(), key=lambda item: -item[0][1]):
             index.setdefault(family, []).append((plen, PREFIX_MASKS[family][plen], table))
         object.__setattr__(self, "index", index)
-        union = set()
-        for ans in self.answers:
-            union.update(ans.addresses)
-        # address objects are kept, so a computed default shares the answers' objects
-        parsed = (a if isinstance(a, _ADDRESS_TYPES) else ipaddress.ip_address(a) for a in self.default)
-        stated = tuple(sorted(parsed, key=str))
+        union = {rdata for ans in self.answers for rdata in ans.addresses}
+        stated = union if self.default is None else list(map(pack_address, self.default))
         if set(stated) != union:
             raise DefaultMismatch(
-                f"default set {sorted(map(str, stated))} != union {sorted(map(str, union))}"
+                f"default set {sorted(map(address_text, stated))} != union {sorted(map(address_text, union))}"
             )
-        object.__setattr__(self, "default", stated)
+        object.__setattr__(self, "default", tuple(sorted(stated, key=address_text)))
 
 
 @dataclass(frozen=True)
@@ -215,8 +208,14 @@ class GeoZone:
         records_raw = doc.get("records", {})
         if not isinstance(records_raw, dict):
             raise ZoneParseError(f"{path}: 'records' must be an object")
-        for qname, block in records_raw.items():
-            where = f"{path}: records[{qname!r}]"
+        for key, block in records_raw.items():
+            where = f"{path}: records[{key!r}]"
+            try:
+                qname = canonical_name(key)
+            except InvalidName as exc:
+                raise ZoneParseError(f"{where}: {exc}") from None
+            if qname in records:
+                raise ZoneParseError(f"{where}: names the same record as an earlier key, {qname!r}")
             if not isinstance(block, dict) or "answers" not in block:
                 raise ZoneParseError(f"{where}: expected an object with an 'answers' array")
             ttl = block.get("ttl", DEFAULT_TTL)
@@ -253,22 +252,16 @@ class GeoZone:
                 except ValueError as exc:
                     raise ZoneParseError(f"{spot}.addresses: {exc}") from None
             default = block.get("default")
-            if default is None:
-                union = set()
-                for ans in regional:
-                    union.update(ans.addresses)
-                default = tuple(union)
+            if not isinstance(default, (list, type(None))):
+                raise ZoneParseError(f"{where}.default: must be an array")
             try:
-                answer_set = AnswerSet(answers=tuple(regional), default=tuple(default), ttl=ttl)
+                answer_set = AnswerSet(answers=tuple(regional), default=default, ttl=ttl)
             except (OverlapError, DefaultMismatch) as exc:
                 raise type(exc)(f"{where}: {exc}") from None
             except ValueError as exc:
                 raise ZoneParseError(f"{where}.default: {exc}") from None
-            records[_lower_name(qname)] = answer_set
+            records[qname] = answer_set
         return cls(origin=_lower_name(origin) if origin else "", regions=prefix_map, records=records)
-
-    def qnames(self) -> tuple[str, ...]:
-        return tuple(sorted(self.records))
 
     def lookup(self, qname: str, ecs: EcsOption | None = None) -> LookupResult:
         """Resolve *qname* under the client-subnet rules.

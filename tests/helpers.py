@@ -1,12 +1,20 @@
-"""Shared test utilities: independent oracles and randomized generators.
+"""Shared test utilities: independent oracles, builders and randomized generators.
 
-The reference encoders here are deliberately written against different
-primitives (socket.inet_pton, integer masks, hex assembly) than the package
-uses, so agreement between the two is meaningful.
+Each oracle is written against other primitives than the package path it
+checks, so agreement between the two is meaningful:
+
+- the client-subnet reference encoder (`reference_truncate`,
+  `reference_ecs_rdata`) packs with socket.inet_pton, integer masks and hex
+  assembly, while the package's `truncate_to_prefix` and
+  `EcsOption.for_prefix` use the ipaddress module;
+- the other way round, the package's address rule (`wire.pack_address`,
+  `wire.address_text`) is socket.inet_pton/inet_ntop, and the tests check
+  it against the ipaddress module, as does `record_for_address` here.
 """
 
 from __future__ import annotations
 
+import ipaddress
 import random
 import socket
 import string
@@ -21,6 +29,7 @@ from ecsloc.wire import (
     EdnsOpt,
     Question,
     ResourceRecord,
+    truncate_to_prefix,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -46,6 +55,28 @@ def reference_ecs_rdata(family: int, source: int, scope: int, address_text: str)
     hexed = f"{family:04x}{source:02x}{scope:02x}"
     hexed += reference_truncate(address_text, source, family).hex()
     return bytes.fromhex(hexed)
+
+
+def record_for_address(name: str, address, ttl: int) -> ResourceRecord:
+    """A or AAAA record for *address* text, typed by its family."""
+    ip = ipaddress.ip_address(address)
+    rtype = QTYPE_A if ip.version == 4 else QTYPE_AAAA
+    return ResourceRecord(name=name, rtype=rtype, ttl=ttl, rdata=ip.packed)
+
+
+def network_at(ecs: EcsOption, prefix_len: int) -> bytes:
+    """The option's padded address truncated to *prefix_len*, ceil(prefix_len / 8) octets."""
+    return truncate_to_prefix(ecs.padded_address(), prefix_len)
+
+
+def region_codes(prefix_map) -> tuple[str, ...]:
+    """Sorted region codes of a LocationPrefixMap."""
+    return tuple(sorted(prefix_map.entries))
+
+
+def zone_qnames(zone) -> tuple[str, ...]:
+    """Sorted qnames of a GeoZone."""
+    return tuple(sorted(zone.records))
 
 
 def rand_name(rng: random.Random, max_labels: int = 4) -> str:
@@ -84,7 +115,7 @@ def rand_message(rng: random.Random) -> DnsMessage:
     answers = ()
     if is_response:
         answers = tuple(
-            ResourceRecord.for_address(
+            record_for_address(
                 rand_name(rng),
                 rand_v4(rng) if rng.random() < 0.7 else rand_v6(rng),
                 ttl=rng.randint(0, 86400),

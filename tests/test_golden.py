@@ -35,6 +35,9 @@ CASES = {
         "scenario", "run", "{fixtures}/scenario_standard.json", "--zone", "{fixtures}/zone.json",
     ],
     "scenario_missing_file": ["scenario", "run", "{fixtures}/no_such_scenario.json"],
+    "scenario_zone_with_zone_id": [
+        "scenario", "run", "{fixtures}/scenario_standard.json", "--zone", "{fixtures}/zone_with_zone_id.json",
+    ],
     "analyze_uds_yi": ["analyze", "uds", *YI, "--ipl", "US", "--locations", "HK", "UK"],
     "analyze_uds_pools": ["analyze", "uds", *POOLS, "--ipl", "us", "--locations", "US", "UK"],
     "analyze_uds_pools_unfolded": [
@@ -53,6 +56,10 @@ CASES = {
     ],
     "analyze_cumulative_pools": [
         "analyze", "cumulative", *POOLS, "--ipl", "UK", "--udl", "US", "--bucket-seconds", "20",
+    ],
+    "analyze_cumulative_zone_id": [
+        "analyze", "cumulative", "--log", "{fixtures}/captures/zone_id.log", "--device", "echo",
+        "--ipl", "UK", "--udl", "UK", "--bucket-seconds", "60",
     ],
     "analyze_matrix_bulb": ["analyze", "matrix", *BULB, "--ipl", "US", "--regions", *BULB_REGIONS],
     "analyze_matrix_pools": ["analyze", "matrix", *POOLS, "--ipl", "US", "--regions", "us", "UK", "DE"],

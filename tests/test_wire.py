@@ -1,11 +1,19 @@
 """Wire codec tests; the byte-level expectations come from the independent
 reference encoders in helpers, not from the code under test."""
 
+import ipaddress
 import random
 import struct
 
 import pytest
-from helpers import rand_message, reference_ecs_rdata, reference_truncate
+from helpers import (
+    rand_message,
+    rand_v4,
+    rand_v6,
+    record_for_address,
+    reference_ecs_rdata,
+    reference_truncate,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,10 +30,12 @@ from ecsloc.wire import (
     Truncated,
     UnsupportedType,
     WireError,
+    address_text,
     decode_message,
     encode_message,
     make_query,
     make_response,
+    pack_address,
     truncate_to_prefix,
 )
 from ecsloc.wire import _encode_ecs_rdata
@@ -61,6 +71,87 @@ class TestTruncateToPrefix:
         padded = int.from_bytes(got + b"\x00" * (4 - len(got)), "big")
         kept = (((1 << prefix_len) - 1) << (32 - prefix_len)) if prefix_len else 0
         assert padded & ~kept == 0
+
+
+ADDRESS_EDGE_CASES = [
+    "0.0.0.0", "255.255.255.255", "256.1.1.1", "1.2.3", "1.2.3.4.", "1.2.3.4.5",
+    "01.2.3.4", "1.2.3.04", "00.0.0.0", "0x1.2.3.4",
+    "::", "::1", "2001:DB8::1", "2001:db8::ABCD", "0001:0db8::0001", "00001::",
+    "1:2:3:4:5:6:7:8", "1:2:3:4:5:6:7::", "::2:3:4:5:6:7:8", "1:2:3:4:5:6:7::8",
+    "1::2::3", ":1::", "1:2:3:4:5:6:7:8:9", "::g",
+    "::ffff:1.2.3.4", "::FFFF:1.2.3.4", "::ffff:01.2.3.4", "::1.2.3.4", "1:2:3:4:5:6:1.2.3.4",
+    "1.2.3.4::", "fe80::1%eth0", "fe80::1%1", "fe80::1%", "fe80::1%a%b", "1.2.3.4%eth0",
+    "", " ", " 1.2.3.4", "1.2.3.4 ", "1.2.3.4\n", "\t::1", "::1 ", "1.2.3.4\x00", "\u0661.2.3.4",
+]
+
+
+def _rand_address_text(rng: random.Random) -> str:
+    """Address-like text: valid v4/v6 forms, their spelling variants, and near misses."""
+    roll = rng.random()
+    if roll < 0.3:
+        octets = rand_v4(rng).split(".")
+        if rng.random() < 0.2:
+            octets[rng.randrange(4)] = "0" + str(rng.randint(0, 99))
+        text = ".".join(octets)
+    elif roll < 0.8:
+        groups = rand_v6(rng).split(":")
+        if rng.random() < 0.3:
+            groups[-2:] = [rand_v4(rng)]
+        if rng.random() < 0.5:
+            lo = rng.randint(0, len(groups))
+            hi = rng.randint(lo, len(groups))
+            text = ":".join(groups[:lo]) + "::" + ":".join(groups[hi:])
+        else:
+            text = ":".join(g.zfill(rng.randint(1, 5)) for g in groups)
+        if rng.random() < 0.3:
+            text = text.upper()
+        if rng.random() < 0.1:
+            text += "%" + rng.choice(("eth0", "1", ""))
+    else:
+        text = "".join(rng.choice("0123456789abcdefABCDEF:.%g \t") for _ in range(rng.randint(0, 20)))
+    for _ in range(rng.choice((0, 0, 0, 1, 2))):
+        at = rng.randint(0, len(text))
+        text = text[:at] + rng.choice("0:.%f ") + text[at + rng.randint(0, 1):]
+    return text
+
+
+class TestAddressRule:
+
+    def test_pack_address_against_ipaddress(self):
+        """Every accepted text packs as ipaddress packs it; only zone ids are refused beyond it."""
+        rng = random.Random(61)
+        inputs = ADDRESS_EDGE_CASES + [_rand_address_text(rng) for _ in range(20000)]
+        accepted = zone_ids = 0
+        for text in inputs:
+            try:
+                expected = ipaddress.ip_address(text).packed
+            except ValueError:
+                expected = None
+            try:
+                got = pack_address(text)
+            except ValueError as exc:
+                assert str(exc) == f"{text!r} does not appear to be an IPv4 or IPv6 address"
+                if expected is not None:
+                    assert "%" in text, text
+                    zone_ids += 1
+                continue
+            assert got == expected, text
+            accepted += 1
+        assert accepted > 4000 and zone_ids > 100
+
+    @pytest.mark.parametrize("value", [16909060, None, b"1.2.3.4", ["1.2.3.4"]])
+    def test_non_text_rejected(self, value):
+        with pytest.raises(ValueError, match="does not appear to be an IPv4 or IPv6 address"):
+            pack_address(value)
+
+    @pytest.mark.parametrize("text", ["1.2.3.4", "2001:db8::1", "::ffff:1.2.3.4", "::1.2.3.4"])
+    def test_rendering_is_pinned(self, text):
+        """inet_ntop's form on every Python; ipaddress renders ::ffff:1.2.3.4 by version."""
+        rdata = pack_address(text)
+        rtype, family = (QTYPE_A, 1) if len(rdata) == 4 else (QTYPE_AAAA, 2)
+        assert address_text(rdata) == text
+        assert ResourceRecord("a.t", rtype, 0, rdata).address() == text
+        assert EcsOption(family, 8 * len(rdata), 0, rdata).address_str() == text
 
 
 class TestEcsOption:
@@ -147,7 +238,7 @@ class TestValidation:
             ResourceRecord("example.com", QTYPE_AAAA, 300, b"\x01" * 4)
 
     def test_query_cannot_carry_answers(self):
-        rr = ResourceRecord.for_address("example.com", "10.0.0.1", 300)
+        rr = record_for_address("example.com", "10.0.0.1", 300)
         with pytest.raises(ValueError):
             DnsMessage(
                 id=1, is_response=False, recursion_desired=True,
@@ -174,8 +265,8 @@ class TestRoundtrip:
     def test_response_with_answers_and_scope(self):
         query = make_query("api.example.iot", ecs=EcsOption.for_prefix("198.18.1.0", 24))
         answers = (
-            ResourceRecord.for_address("api.example.iot", "203.0.113.10", 300),
-            ResourceRecord.for_address("api.example.iot", "2001:db8::10", 300),
+            record_for_address("api.example.iot", "203.0.113.10", 300),
+            record_for_address("api.example.iot", "2001:db8::10", 300),
         )
         response = make_response(
             query, answers, ecs=EcsOption.for_prefix("198.18.1.0", 24, scope_prefix_len=24)

@@ -4,13 +4,14 @@ brute-force scan of all entries."""
 import ipaddress
 import json
 import random
+import re
 import string
 import time
 
 import pytest
-from helpers import FIXTURES
+from helpers import FIXTURES, zone_qnames
 
-from ecsloc.wire import EcsOption
+from ecsloc.wire import EcsOption, address_text
 from ecsloc.zone import (
     AnswerSet,
     DefaultMismatch,
@@ -82,12 +83,12 @@ class TestLoad:
         zone = GeoZone.load(write_zone(tmp_path, TWO_REGION_DOC))
         record = zone.records["api.example.iot"]
         assert len(record.answers) == 2
-        assert {str(a) for a in record.default} == {"10.1.0.1", "10.2.0.1"}
+        assert {address_text(a) for a in record.default} == {"10.1.0.1", "10.2.0.1"}
 
     def test_repo_fixture_loads(self):
         zone = GeoZone.load(FIXTURES / "zone.json")
         assert zone.origin == "example.iot"
-        assert set(zone.qnames()) == {"api.example.iot", "media.example.iot"}
+        assert set(zone_qnames(zone)) == {"api.example.iot", "media.example.iot"}
 
     def test_region_code_with_trailing_newline_rejected(self, tmp_path):
         doc = json.loads(json.dumps(TWO_REGION_DOC))
@@ -113,6 +114,13 @@ class TestLoad:
         doc = json.loads(json.dumps(TWO_REGION_DOC))
         doc["records"]["api.example.iot"]["default"] = ["10.1.0.1"]
         with pytest.raises(DefaultMismatch):
+            GeoZone.load(write_zone(tmp_path, doc))
+
+    @pytest.mark.parametrize("default", [5, "10.1.0.1"])
+    def test_default_must_be_an_array(self, tmp_path, default):
+        doc = json.loads(json.dumps(TWO_REGION_DOC))
+        doc["records"]["api.example.iot"]["default"] = default
+        with pytest.raises(ZoneParseError, match=r"\.default: must be an array"):
             GeoZone.load(write_zone(tmp_path, doc))
 
     def test_unknown_region_reference(self, tmp_path):
@@ -149,6 +157,17 @@ class TestLoad:
         with pytest.raises(ZoneParseError, match="duplicate key"):
             GeoZone.load(path)
 
+    @pytest.mark.parametrize(
+        "keys",
+        [["API.t", "api.t."], ["bad name.t"], ["a..b"], ["x" * 64 + ".t"]],
+        ids=["same-name-twice", "space", "empty-label", "64-octet-label"],
+    )
+    def test_record_key_must_be_a_new_valid_name(self, tmp_path, keys):
+        block = TWO_REGION_DOC["records"]["api.example.iot"]
+        doc = {**TWO_REGION_DOC, "records": {key: block for key in keys}}
+        with pytest.raises(ZoneParseError, match=re.escape(f"records[{keys[-1]!r}]: ")):
+            GeoZone.load(write_zone(tmp_path, doc))
+
     def test_ipv6_regions_supported(self, tmp_path):
         doc = {
             "origin": "t",
@@ -165,7 +184,7 @@ class TestLoad:
         zone = GeoZone.load(write_zone(tmp_path, doc))
         ecs = EcsOption.for_prefix("2001:db8:1::", 48)
         result = zone.lookup("api.t", ecs)
-        assert [str(a) for a in result.addresses] == ["2001:db8:1::10"]
+        assert [address_text(a) for a in result.addresses] == ["2001:db8:1::10"]
         assert result.scope == 48
 
 
@@ -178,12 +197,12 @@ class TestLookup:
     def test_regional_answer_with_scope(self, zone):
         ecs = EcsOption.for_prefix("198.18.1.0", 24)
         result = zone.lookup("api.example.iot", ecs)
-        assert [str(a) for a in result.addresses] == ["203.0.113.10"]
+        assert [address_text(a) for a in result.addresses] == ["203.0.113.10"]
         assert result.scope == 24
 
     def test_no_option_returns_all_regions(self, zone):
         result = zone.lookup("api.example.iot", None)
-        assert {str(a) for a in result.addresses} == {
+        assert {address_text(a) for a in result.addresses} == {
             "203.0.113.10", "203.0.113.20", "203.0.113.30",
         }
         assert result.scope == 0
@@ -243,8 +262,7 @@ def _random_nested_zone(rng, pool=V4_POOL):
         used.add(net)
         address = f"203.0.113.{i + 1}" if net.version == 4 else f"2001:db8:ffff::{i + 1}"
         answers.append(RegionalAnswer(region="ZZ", prefix=net, addresses=(address,)))
-    default = tuple({a for ans in answers for a in ans.addresses})
-    record = AnswerSet(answers=tuple(answers), default=default)
+    record = AnswerSet(answers=tuple(answers))
     return GeoZone(origin="t", regions=LocationPrefixMap({}), records={"q.t": record})
 
 
@@ -361,8 +379,7 @@ def test_lookup_cost_does_not_grow_with_regions():
             RegionalAnswer(region=code, prefix=prefix, addresses=(f"203.0.113.{i % 250 + 1}",))
             for i, (code, prefix) in enumerate(sorted(regions.entries.items()))
         )
-        default = tuple({a for ans in answers for a in ans.addresses})
-        record = AnswerSet(answers=answers, default=default)
+        record = AnswerSet(answers=answers)
         # the last region: a scan in region order reaches it last
         ecs = EcsOption.for_prefix(answers[-1].prefix.network_address, 24)
         zones[count] = (GeoZone(origin="t", regions=regions, records={"q.t": record}), ecs)
