@@ -34,6 +34,7 @@ from .wire import (
     encode_message,
     make_query,
     make_response,
+    pack_address,
 )
 from .zone import DEFAULT_TTL, GeoZone, LocationPrefixMap, NameNotFound
 
@@ -80,7 +81,7 @@ class DeviceConfig:
     def validate_against(self, prefix_map: LocationPrefixMap) -> None:
         """Check that client_address lies inside the IP-based region's prefix."""
         prefix = prefix_map.prefix_for(self.ip_based_location)
-        if ipaddress.ip_address(self.client_address) not in prefix:
+        if ipaddress.ip_address(pack_address(self.client_address)) not in prefix:
             raise ScenarioError(
                 f"device {self.device_id}: address {self.client_address} outside "
                 f"{self.ip_based_location} prefix {prefix}"
@@ -192,24 +193,20 @@ class Resolver:
         prefix_map: LocationPrefixMap,
         *,
         clock: VirtualClock | None = None,
-        address: str | None = None,
     ):
         self.policy = policy
         self.location = location
         self.upstream = upstream
         self.prefix_map = prefix_map
         self.clock = clock if clock is not None else VirtualClock()
-        if address is None:
-            prefix = prefix_map.prefix_for(location)
-            address = str(prefix.network_address + 1)
-        self.address = address
+        self.address = str(prefix_map.prefix_for(location).network_address + 1)
         # (qname, qtype) -> ({(family, scope, network int): entry}, scopes most specific first)
         self._cache: dict[tuple[str, int], tuple[dict, list[int]]] = {}
         self._lock = threading.Lock()
 
-    def handle(self, payload: bytes, source: str, trace: list | None = None) -> bytes:
+    def handle(self, payload: bytes, source: str) -> bytes:
         with self._lock:
-            return encode_message(self.resolve(decode_message(payload), source, trace))
+            return encode_message(self.resolve(decode_message(payload), source))
 
     def effective_ecs(self, incoming: EcsOption | None, source: str) -> EcsOption | None:
         match self.policy:
@@ -255,7 +252,7 @@ class Resolver:
         entries[key] = CacheEntry(scope, records, now + ttl)
         self._cache[(qname, qtype)] = (entries, sorted({k[1] for k in entries}, reverse=True))
 
-    def resolve(self, query: DnsMessage, source: str, trace: list | None = None) -> DnsMessage:
+    def resolve(self, query: DnsMessage, source: str) -> DnsMessage:
         if query.is_response:
             raise ScenarioError("resolver got a response instead of a query")
         question = query.question
@@ -273,13 +270,9 @@ class Resolver:
         upstream_query = make_query(
             question.qname, question.qtype, msg_id=query.id, ecs=effective
         )
-        if trace is not None:
-            trace.append(Hop("resolver", "authoritative", upstream_query))
         upstream_response = decode_message(
             self.upstream.exchange(encode_message(upstream_query), self.address)
         )
-        if trace is not None:
-            trace.append(Hop("authoritative", "resolver", upstream_response))
 
         if upstream_response.rcode != 0:
             return make_response(
@@ -364,22 +357,23 @@ def run_scenario(
     cfg.validate_against(prefix_map)
     if policy is None:
         policy = policy_for_architecture(arch)
-    authoritative = Authoritative(zone, legacy_geo=(arch == "standard"))
-    resolver = Resolver(
-        policy,
-        resolver_location,
-        InProcessLink(authoritative.handle),
-        prefix_map,
-        clock=clock,
-    )
     if arch == "ecs_user_defined":
         query = stub_query(cfg, qname, prefix_map, msg_id=msg_id)
     else:
         query = make_query(qname, msg_id=msg_id)
-    trace: list[Hop] = [Hop("device", "resolver", query)]
-    response = decode_message(resolver.handle(encode_message(query), cfg.client_address, trace))
-    trace.append(Hop("resolver", "device", response))
-    return ScenarioTranscript(architecture=arch, hops=tuple(trace))
+    hops = [Hop("device", "resolver", query)]
+    authoritative = Authoritative(zone, legacy_geo=(arch == "standard"))
+
+    def recorded_link(payload: bytes, source: str) -> bytes:
+        hops.append(Hop("resolver", "authoritative", decode_message(payload)))
+        reply = authoritative.handle(payload, source)
+        hops.append(Hop("authoritative", "resolver", decode_message(reply)))
+        return reply
+
+    resolver = Resolver(policy, resolver_location, InProcessLink(recorded_link), prefix_map, clock=clock)
+    response = decode_message(resolver.handle(encode_message(query), cfg.client_address))
+    hops.append(Hop("resolver", "device", response))
+    return ScenarioTranscript(architecture=arch, hops=tuple(hops))
 
 
 @dataclass(frozen=True)

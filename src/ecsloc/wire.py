@@ -29,7 +29,6 @@ head.
 
 from __future__ import annotations
 
-import ipaddress
 import socket
 import struct
 from dataclasses import dataclass
@@ -89,7 +88,9 @@ class UnsupportedType(WireError):
 
 
 def canonical_name(name: str) -> str:
-    """Lowercase *name*, strip one trailing dot, and validate label limits."""
+    """Lowercase *name*, strip one trailing dot, and validate label limits: the one name rule."""
+    if not isinstance(name, str):
+        raise InvalidName(f"name must be text, got {name!r}")
     if name.endswith("."):
         name = name[:-1]
     name = name.lower()
@@ -127,18 +128,18 @@ def address_text(rdata: bytes) -> str:
     return socket.inet_ntop(socket.AF_INET if len(rdata) == 4 else socket.AF_INET6, rdata)
 
 
-def truncate_to_prefix(address, prefix_len: int) -> bytes:
-    """Return ceil(prefix_len / 8) octets of *address* with host bits zeroed.
-
-    *address* may be a dotted/colon string, an ipaddress object, or packed
-    bytes (4 or 16 octets).
-    """
+def _packed(address) -> bytes:
+    """Packed octets given as is; anything else, an ipaddress object too, read as text."""
     if isinstance(address, (bytes, bytearray)):
         if len(address) not in (4, 16):
             raise ValueError(f"packed address must be 4 or 16 octets, got {len(address)}")
-        packed = bytes(address)
-    else:
-        packed = ipaddress.ip_address(address).packed
+        return bytes(address)
+    return pack_address(str(address))
+
+
+def truncate_to_prefix(address, prefix_len: int) -> bytes:
+    """Return ceil(prefix_len / 8) octets of *address*, read by `_packed`, with host bits zeroed."""
+    packed = _packed(address)
     if not 0 <= prefix_len <= len(packed) * 8:
         raise ValueError(f"prefix length {prefix_len} out of range for {len(packed)}-octet address")
     nbytes = (prefix_len + 7) // 8
@@ -181,13 +182,12 @@ class EcsOption:
     @classmethod
     def for_prefix(cls, address, prefix_len: int, scope_prefix_len: int = 0) -> "EcsOption":
         """Build an option for *address*/*prefix_len*, truncating host bits."""
-        ip = ipaddress.ip_address(address)
-        family = 1 if ip.version == 4 else 2
+        packed = _packed(address)
         return cls(
-            family=family,
+            family=1 if len(packed) == 4 else 2,
             source_prefix_len=prefix_len,
             scope_prefix_len=scope_prefix_len,
-            address=truncate_to_prefix(ip, prefix_len),
+            address=truncate_to_prefix(packed, prefix_len),
         )
 
     def padded_address(self) -> bytes:

@@ -196,6 +196,11 @@ class GeoZone:
         if not isinstance(doc, dict):
             raise ZoneParseError(f"{path}: top level must be an object")
         origin = doc.get("origin", "")
+        if origin != "":
+            try:
+                origin = canonical_name(origin)
+            except InvalidName as exc:
+                raise ZoneParseError(f"{path}: origin: {exc}") from None
         regions_raw = doc.get("regions", {})
         if not isinstance(regions_raw, dict):
             raise ZoneParseError(f"{path}: 'regions' must be an object")
@@ -219,7 +224,7 @@ class GeoZone:
             if not isinstance(block, dict) or "answers" not in block:
                 raise ZoneParseError(f"{where}: expected an object with an 'answers' array")
             ttl = block.get("ttl", DEFAULT_TTL)
-            if not isinstance(ttl, int) or ttl < 0:
+            if type(ttl) is not int or ttl < 0:  # a JSON true or false is no TTL
                 raise ZoneParseError(f"{where}.ttl: must be a non-negative integer")
             regional = []
             entries = block["answers"]
@@ -261,7 +266,7 @@ class GeoZone:
             except ValueError as exc:
                 raise ZoneParseError(f"{where}.default: {exc}") from None
             records[qname] = answer_set
-        return cls(origin=_lower_name(origin) if origin else "", regions=prefix_map, records=records)
+        return cls(origin=origin, regions=prefix_map, records=records)
 
     def lookup(self, qname: str, ecs: EcsOption | None = None) -> LookupResult:
         """Resolve *qname* under the client-subnet rules.
@@ -270,10 +275,12 @@ class GeoZone:
         default with scope 0.  Otherwise the longest prefix containing the
         query network wins and the answer's scope is that prefix's length;
         with no containing prefix the default set is returned at scope 0.
+        *qname* is folded by the name rule, so a name it rejects is not found.
         """
-        record = self.records.get(_lower_name(qname))
-        if record is None:
-            raise NameNotFound(f"{qname!r} not in zone {self.origin!r}")
+        try:
+            record = self.records[canonical_name(qname)]
+        except (InvalidName, KeyError):
+            raise NameNotFound(f"{qname!r} not in zone {self.origin!r}") from None
         if ecs is None or ecs.source_prefix_len == 0:
             return LookupResult(record.default, 0, record.ttl)
         address = ecs.address_int()
@@ -294,7 +301,3 @@ def _reject_duplicate_keys(pairs):
             raise ZoneParseError(f"duplicate key {key!r}")
         out[key] = value
     return out
-
-
-def _lower_name(name: str) -> str:
-    return name.rstrip(".").lower()

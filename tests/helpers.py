@@ -4,12 +4,16 @@ Each oracle is written against other primitives than the package path it
 checks, so agreement between the two is meaningful:
 
 - the client-subnet reference encoder (`reference_truncate`,
-  `reference_ecs_rdata`) packs with socket.inet_pton, integer masks and hex
-  assembly, while the package's `truncate_to_prefix` and
-  `EcsOption.for_prefix` use the ipaddress module;
-- the other way round, the package's address rule (`wire.pack_address`,
-  `wire.address_text`) is socket.inet_pton/inet_ntop, and the tests check
-  it against the ipaddress module, as does `record_for_address` here.
+  `reference_ecs_rdata`) packs with socket.inet_pton, then zeroes host bits
+  with integer masks and assembles the option from hex text, while the
+  package's `truncate_to_prefix` and `EcsOption.for_prefix` pack through
+  `wire.pack_address` (also socket.inet_pton) and zero host bits by byte
+  slicing and a last-octet mask: the packing is shared, the truncation
+  and the option layout are not;
+- the package's address rule (`wire.pack_address`, `wire.address_text`)
+  is socket.inet_pton/inet_ntop, and the tests check it against the
+  ipaddress module, as they check `for_prefix` against
+  `ipaddress.ip_network`, and as `record_for_address` here packs.
 """
 
 from __future__ import annotations

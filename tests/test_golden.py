@@ -7,11 +7,16 @@ cases' recorded outputs as input documents.  When a payload change is
 intended, re-record every case with
 
     PYTHONPATH=src python tests/test_golden.py
+
+or only the named cases, leaving every other file as it is, with
+
+    PYTHONPATH=src python tests/test_golden.py <case> [<case> ...]
 """
 
 import contextlib
 import io
 import json
+import sys
 
 import pytest
 from helpers import FIXTURES
@@ -37,6 +42,13 @@ CASES = {
     "scenario_missing_file": ["scenario", "run", "{fixtures}/no_such_scenario.json"],
     "scenario_zone_with_zone_id": [
         "scenario", "run", "{fixtures}/scenario_standard.json", "--zone", "{fixtures}/zone_with_zone_id.json",
+    ],
+    "scenario_qname_not_text": ["scenario", "run", "{fixtures}/scenario_qname_not_text.json"],
+    "scenario_zone_origin_not_text": [
+        "scenario", "run", "{fixtures}/scenario_standard.json", "--zone", "{fixtures}/zone_origin_not_text.json",
+    ],
+    "scenario_zone_ttl_bool": [
+        "scenario", "run", "{fixtures}/scenario_standard.json", "--zone", "{fixtures}/zone_ttl_bool.json",
     ],
     "analyze_uds_yi": ["analyze", "uds", *YI, "--ipl", "US", "--locations", "HK", "UK"],
     "analyze_uds_pools": ["analyze", "uds", *POOLS, "--ipl", "us", "--locations", "US", "UK"],
@@ -102,8 +114,15 @@ def test_cli_matches_golden(name):
 
 
 if __name__ == "__main__":
-    codes = {}
-    for name, argv in CASES.items():
-        codes[name], payload = run(argv)
-        (GOLDEN / f"{name}.out").write_bytes(payload)
-    (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=2) + "\n")
+    names = sys.argv[1:] or list(CASES)
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown golden cases: {', '.join(unknown)}")
+    codes_path = GOLDEN / "exit_codes.json"
+    codes = json.loads(codes_path.read_text()) if sys.argv[1:] else {}
+    for name in CASES:
+        if name in names:
+            codes[name], payload = run(CASES[name])
+            (GOLDEN / f"{name}.out").write_bytes(payload)
+    ordered = {name: codes[name] for name in CASES if name in codes}
+    codes_path.write_text(json.dumps(ordered, indent=2) + "\n")

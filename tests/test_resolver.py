@@ -409,6 +409,12 @@ class TestScenarios:
         with pytest.raises(ScenarioError):
             run_scenario("ecs_basic", bad, "api.example.iot", zone, "HK")
 
+    def test_zone_id_client_address_rejected(self):
+        # fe80::1%eth0 lies inside fe80::/64 once its zone id is ignored
+        prefix_map = LocationPrefixMap({"HK": "fe80::/64", "UK": "198.18.1.0/24"})
+        with pytest.raises(ValueError, match=r"'fe80::1%eth0' does not appear to be an IPv4 or IPv6 address"):
+            device(ip="HK", address="fe80::1%eth0").validate_against(prefix_map)
+
     def test_unknown_architecture_rejected(self, zone):
         with pytest.raises(ScenarioError):
             run_scenario("anycast", device(), "api.example.iot", zone, "HK")

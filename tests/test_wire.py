@@ -31,6 +31,7 @@ from ecsloc.wire import (
     UnsupportedType,
     WireError,
     address_text,
+    canonical_name,
     decode_message,
     encode_message,
     make_query,
@@ -190,6 +191,33 @@ class TestEcsOption:
         option = EcsOption.for_prefix(address, prefix_len)
         assert _encode_ecs_rdata(option) == reference_ecs_rdata(1, prefix_len, 0, address)
 
+    @pytest.mark.parametrize(
+        "address",
+        ["fe80::1%eth0", "fe80::1%1", pytest.param(ipaddress.ip_address("fe80::1%eth0"), id="ipaddress-object")],
+    )
+    @pytest.mark.parametrize("build", [EcsOption.for_prefix, truncate_to_prefix])
+    def test_zone_id_rejected_by_the_address_rule(self, build, address):
+        with pytest.raises(ValueError) as info:
+            build(address, 64)
+        assert str(info.value) == f"{str(address)!r} does not appear to be an IPv4 or IPv6 address"
+
+    def test_for_prefix_against_ipaddress_networks(self):
+        """Guard: text, ipaddress objects and packed octets give the option of ip_network((a, n))."""
+        rng = random.Random(77)
+        for _ in range(4000):
+            text = rand_v4(rng) if rng.random() < 0.6 else rand_v6(rng)
+            ip = ipaddress.ip_address(text)
+            prefix_len = rng.randint(0, ip.max_prefixlen)
+            network = ipaddress.ip_network((text, prefix_len), strict=False)
+            expected = EcsOption(
+                family=1 if network.version == 4 else 2,
+                source_prefix_len=prefix_len,
+                address=network.network_address.packed[: (prefix_len + 7) // 8],
+            )
+            for address in (text, ip, ip.packed):
+                assert EcsOption.for_prefix(address, prefix_len) == expected, (address, prefix_len)
+                assert truncate_to_prefix(address, prefix_len) == expected.address
+
 
 NAME_254 = ".".join(["a" * 63] * 3 + ["a" * 62])
 
@@ -223,6 +251,12 @@ class TestValidation:
         with pytest.raises(InvalidName) as info:
             Question(name)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("name", [5, None, b"a.b"])
+    def test_non_text_name_rejected(self, name):
+        with pytest.raises(InvalidName) as info:
+            canonical_name(name)
+        assert str(info.value) == f"name must be text, got {name!r}"
 
     def test_qname_case_normalized(self):
         assert Question("API.Example.IOT.").qname == "api.example.iot"

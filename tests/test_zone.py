@@ -146,6 +146,28 @@ class TestLoad:
         assert zone.records["api.example.iot"].ttl == 300
         assert zone.records["api.example.iot"].answers[0].ttl == 300
 
+    @pytest.mark.parametrize(
+        "ttl",
+        [True, False, pytest.param(-1, id="guard-negative"), pytest.param(1.5, id="guard-float"),
+         pytest.param("300", id="guard-text")],
+    )
+    def test_ttl_must_be_a_non_negative_integer(self, tmp_path, ttl):
+        doc = json.loads(json.dumps(TWO_REGION_DOC))
+        doc["records"]["api.example.iot"]["ttl"] = ttl
+        message = "records['api.example.iot'].ttl: must be a non-negative integer"
+        with pytest.raises(ZoneParseError, match=re.escape(message)):
+            GeoZone.load(write_zone(tmp_path, doc))
+
+    @pytest.mark.parametrize("origin", [5, pytest.param(["x"], id="list"), "a b", "ex..iot"])
+    def test_origin_must_be_a_dns_name(self, tmp_path, origin):
+        path = write_zone(tmp_path, {**TWO_REGION_DOC, "origin": origin})
+        with pytest.raises(ZoneParseError, match=re.escape(f"{path}: origin: ")):
+            GeoZone.load(path)
+
+    def test_origin_is_folded_guard(self, tmp_path):
+        zone = GeoZone.load(write_zone(tmp_path, {**TWO_REGION_DOC, "origin": "Example.IOT."}))
+        assert zone.origin == "example.iot"
+
     def test_duplicate_json_key_rejected(self, tmp_path):
         text = (
             '{"origin": "t", '
@@ -227,6 +249,15 @@ class TestLookup:
     def test_name_not_found(self, zone):
         with pytest.raises(NameNotFound):
             zone.lookup("nope.example.iot", None)
+
+    @pytest.mark.parametrize(
+        "qname",
+        ["api.example.iot..", 5, pytest.param("a..b", id="guard-empty-label"),
+         pytest.param("bad name", id="guard-space"), pytest.param("", id="guard-empty")],
+    )
+    def test_names_the_rule_rejects_are_not_found(self, zone, qname):
+        with pytest.raises(NameNotFound):
+            zone.lookup(qname, None)
 
     def test_qname_case_insensitive(self, zone):
         ecs = EcsOption.for_prefix("198.18.1.0", 24)
