@@ -29,7 +29,9 @@ from .wire import (
     QTYPE_A,
     DnsMessage,
     EcsOption,
+    InvalidName,
     ResourceRecord,
+    canonical_name,
     decode_message,
     encode_message,
     make_query,
@@ -403,16 +405,27 @@ def load_scenario(path) -> ScenarioSpec:
         raise ScenarioError(f"{path}: missing field {exc}") from None
     if arch not in ARCHITECTURES:
         raise ScenarioError(f"{path}: unknown architecture {arch!r}")
+
+    def text(doc, section, key):
+        value = doc[key]
+        if not isinstance(value, str):
+            raise ScenarioError(f"{path}: {section}.{key}: must be text, got {value!r}")
+        return value
+
     try:
         cfg = DeviceConfig(
-            device_id=str(device_doc["device_id"]),
-            ip_based_location=str(device_doc["ip_based_location"]),
-            user_defined_location=str(device_doc["user_defined_location"]),
-            client_address=str(device_doc["client_address"]),
+            device_id=text(device_doc, "device", "device_id"),
+            ip_based_location=text(device_doc, "device", "ip_based_location"),
+            user_defined_location=text(device_doc, "device", "user_defined_location"),
+            client_address=text(device_doc, "device", "client_address"),
         )
-        resolver_location = str(resolver_doc["location"])
+        resolver_location = text(resolver_doc, "resolver", "location")
     except (KeyError, TypeError) as exc:
         raise ScenarioError(f"{path}: missing field {exc}") from None
+    try:
+        qname = canonical_name(qname)
+    except InvalidName as exc:
+        raise ScenarioError(f"{path}: qname: {exc}") from None
     policy = None
     if "policy" in resolver_doc:
         policy = _parse_policy(resolver_doc["policy"], path)
@@ -433,5 +446,11 @@ def _parse_policy(raw, path) -> Policy:
     if raw == "strip":
         return Strip()
     if isinstance(raw, dict) and "rewrite_client_subnet" in raw:
-        return RewriteClientSubnet(int(raw["rewrite_client_subnet"]))
+        prefix_len = raw["rewrite_client_subnet"]
+        if type(prefix_len) is not int:  # a JSON true, 24.9 or "24" is no prefix length
+            raise ScenarioError(f"{path}: policy: rewrite_client_subnet must be an integer, got {prefix_len!r}")
+        try:
+            return RewriteClientSubnet(prefix_len)
+        except ScenarioError as exc:
+            raise ScenarioError(f"{path}: policy: {exc}") from None
     raise ScenarioError(f"{path}: unknown policy {raw!r}")

@@ -20,6 +20,16 @@ opcode and counts, label framing and compression pointers, the answer
 class, and the OPT record's placement, name, version and option framing.
 The encoder trusts a constructed message and checks nothing again.
 
+A name is checked once, however many values carry it: `Question` and
+`ResourceRecord` hold what `canonical_name` returned as a private `str`
+subclass, and take a name of that type as it is.  So an answer that the
+decoder reads under the question's name takes the question's checked
+name, and so do the records the resolver and the authoritative build.
+The decoder reads names by index, with one bounds test before each octet
+or label it reads.  The encoder encodes the question name once and
+reuses those octets for every answer of the same name; it still never
+compresses.
+
 Each wire layout is defined once, as a `struct.Struct` shared by the
 encoder and the decoder: the header, the (type, class) and (option code,
 length) pair, the record tail after the owner name (RFC 1035 section
@@ -112,6 +122,19 @@ def canonical_name(name: str) -> str:
     return name
 
 
+class _CheckedName(str):
+    """A name that `canonical_name` returned, as the wire values hold it."""
+
+    __slots__ = ()
+
+
+def _checked_name(name) -> _CheckedName:
+    """*name* through `canonical_name`, unless it is a name a wire value holds already."""
+    if type(name) is _CheckedName:
+        return name
+    return _CheckedName(canonical_name(name))
+
+
 def pack_address(text: str) -> bytes:
     """Packed octets of address text, 4 for IPv4 and 16 for IPv6: the one address rule.
 
@@ -149,7 +172,7 @@ def truncate_to_prefix(address, prefix_len: int) -> bytes:
     return bytes(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EcsOption:
     """RFC 7871 client-subnet option.
 
@@ -203,21 +226,21 @@ class EcsOption:
         return address_text(self.padded_address())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Question:
     qname: str
     qtype: int = QTYPE_A
     qclass: int = CLASS_IN
 
     def __post_init__(self):
-        object.__setattr__(self, "qname", canonical_name(self.qname))
+        object.__setattr__(self, "qname", _checked_name(self.qname))
         if self.qtype not in (QTYPE_A, QTYPE_AAAA):
             raise UnsupportedType(f"qtype {self.qtype} not supported")
         if self.qclass != CLASS_IN:
             raise Malformed(f"qclass {self.qclass} not supported")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResourceRecord:
     name: str
     rtype: int
@@ -225,7 +248,7 @@ class ResourceRecord:
     rdata: bytes
 
     def __post_init__(self):
-        object.__setattr__(self, "name", canonical_name(self.name))
+        object.__setattr__(self, "name", _checked_name(self.name))
         if self.rtype not in (QTYPE_A, QTYPE_AAAA):
             raise UnsupportedType(f"record type {self.rtype} not supported")
         expected = 4 if self.rtype == QTYPE_A else 16
@@ -238,7 +261,7 @@ class ResourceRecord:
         return address_text(self.rdata)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdnsOpt:
     udp_payload_size: int = DEFAULT_UDP_PAYLOAD
     ecs: EcsOption | None = None
@@ -248,7 +271,7 @@ class EdnsOpt:
             raise ValueError(f"udp payload size {self.udp_payload_size} out of range")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DnsMessage:
     id: int
     is_response: bool
@@ -321,14 +344,13 @@ def make_response(
     )
 
 
-def _encode_name(name: str) -> bytes:
+def _encode_name(name: str) -> bytearray:
     out = bytearray()
-    for label in name.split("."):
-        raw = label.encode("ascii")
-        out.append(len(raw))
-        out += raw
+    for label in name.encode("ascii").split(b"."):
+        out.append(len(label))
+        out += label
     out.append(0)
-    return bytes(out)
+    return out
 
 
 def _encode_ecs_rdata(ecs: EcsOption) -> bytes:
@@ -347,10 +369,12 @@ def encode_message(msg: DnsMessage) -> bytes:
     flags |= msg.rcode & 0x0F
     arcount = 1 if msg.edns is not None else 0
     out = bytearray(_HEADER.pack(msg.id, flags, 1, len(msg.answers), 0, arcount))
-    out += _encode_name(msg.question.qname)
+    qname = msg.question.qname
+    qname_octets = _encode_name(qname)
+    out += qname_octets
     out += _PAIR.pack(msg.question.qtype, msg.question.qclass)
     for rr in msg.answers:
-        out += _encode_name(rr.name)
+        out += qname_octets if rr.name == qname else _encode_name(rr.name)
         out += _RR_TAIL.pack(rr.rtype, CLASS_IN, rr.ttl, len(rr.rdata))
         out += rr.rdata
     if msg.edns is not None:
@@ -364,6 +388,10 @@ def encode_message(msg: DnsMessage) -> bytes:
     return bytes(out)
 
 
+def _truncated(n: int, pos: int, end: int) -> Truncated:
+    return Truncated(f"need {n} octets at offset {pos}, have {end - pos}")
+
+
 class _Reader:
     """Cursor over message bytes; raises Truncated when data runs out."""
 
@@ -371,55 +399,74 @@ class _Reader:
         self.data = data
         self.pos = 0
 
+    def skip(self, n: int) -> int:
+        """Move past *n* octets and return the offset they start at."""
+        pos = self.pos
+        if pos + n > len(self.data):
+            raise _truncated(n, pos, len(self.data))
+        self.pos = pos + n
+        return pos
+
     def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise Truncated(f"need {n} octets at offset {self.pos}, have {len(self.data) - self.pos}")
-        chunk = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
+        pos = self.skip(n)
+        return self.data[pos : pos + n]
 
     def unpack(self, layout: struct.Struct) -> tuple:
-        return layout.unpack(self.take(layout.size))
+        return layout.unpack_from(self.data, self.skip(layout.size))
 
     def name(self) -> str:
-        """Read a possibly-compressed name and return its canonical text."""
+        """Read a possibly-compressed name and return its canonical text.
+
+        Walks the length octets by index: each octet read is bounds-tested
+        first, and each label is sliced once.
+        """
+        data = self.data
+        end = len(data)
+        pos = self.pos
         labels = []
         total = 0
         jumps = 0
         return_pos = None
         while True:
-            length = self.take(1)[0]
+            if pos >= end:
+                raise _truncated(1, pos, end)
+            length = data[pos]
+            pos += 1
             if length == 0:
                 break
             kind = length & 0xC0
             if kind == 0xC0:
-                pointer = ((length & 0x3F) << 8) | self.take(1)[0]
-                if pointer >= len(self.data):
+                if pos >= end:
+                    raise _truncated(1, pos, end)
+                pointer = ((length & 0x3F) << 8) | data[pos]
+                pos += 1
+                if pointer >= end:
                     raise Malformed(f"compression pointer {pointer} out of range")
                 jumps += 1
                 if jumps > 64:
                     raise Malformed("compression pointer loop")
                 if return_pos is None:
-                    return_pos = self.pos
-                self.pos = pointer
+                    return_pos = pos
+                pos = pointer
                 continue
             if kind != 0:
                 raise Malformed(f"reserved label type {kind >> 6:#04b}")
             total += length + 1
             if total > MAX_NAME_OCTETS + 1:
                 raise Malformed("name exceeds 253 octets")
-            raw = self.take(length)
+            if pos + length > end:
+                raise _truncated(length, pos, end)
+            raw = data[pos : pos + length]
+            pos += length
             if b"." in raw:
                 raise Malformed(f"'.' inside label {raw!r}")
-            try:
-                labels.append(raw.decode("ascii"))
-            except UnicodeDecodeError:
-                raise Malformed(f"non-ASCII label bytes {raw!r}") from None
-        if return_pos is not None:
-            self.pos = return_pos
+            if not raw.isascii():
+                raise Malformed(f"non-ASCII label bytes {raw!r}")
+            labels.append(raw)
+        self.pos = pos if return_pos is None else return_pos
         if not labels:
             return ""
-        return ".".join(labels).lower()
+        return b".".join(labels).decode("ascii").lower()
 
     def record(self) -> tuple[str, int, int, int, bytes]:
         """Read one resource record: (name, type, class, ttl, rdata)."""
@@ -482,6 +529,8 @@ def decode_message(data: bytes) -> DnsMessage:
             raise Malformed("OPT record in answer section")
         if rclass != CLASS_IN:
             raise Malformed(f"answer class {rclass} not supported")
+        if name == question.qname:
+            name = question.qname  # a checked name, not checked again
         try:
             answers.append(ResourceRecord(name=name, rtype=rtype, ttl=ttl, rdata=rdata))
         except ValueError as exc:  # rdata length wrong for the type

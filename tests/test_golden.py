@@ -50,6 +50,9 @@ CASES = {
     "scenario_zone_ttl_bool": [
         "scenario", "run", "{fixtures}/scenario_standard.json", "--zone", "{fixtures}/zone_ttl_bool.json",
     ],
+    "scenario_policy_bool": ["scenario", "run", "{fixtures}/scenario_policy_bool.json"],
+    "scenario_policy_float": ["scenario", "run", "{fixtures}/scenario_policy_float.json"],
+    "scenario_policy_text": ["scenario", "run", "{fixtures}/scenario_policy_text.json"],
     "analyze_uds_yi": ["analyze", "uds", *YI, "--ipl", "US", "--locations", "HK", "UK"],
     "analyze_uds_pools": ["analyze", "uds", *POOLS, "--ipl", "us", "--locations", "US", "UK"],
     "analyze_uds_pools_unfolded": [

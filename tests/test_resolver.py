@@ -507,3 +507,53 @@ class TestScenarioFiles:
         path.write_text("{\"architecture\": \"standard\"}")
         with pytest.raises(ScenarioError):
             load_scenario(path)
+
+    @staticmethod
+    def _write(tmp_path, edit):
+        """An ecs_basic scenario file with *edit* applied to its document."""
+        doc = json.loads((FIXTURES / "scenario_ecs_basic.json").read_text())
+        edit(doc)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (True, "rewrite_client_subnet must be an integer, got True"),
+            (24.9, "rewrite_client_subnet must be an integer, got 24.9"),
+            ("24", "rewrite_client_subnet must be an integer, got '24'"),
+            (33, "rewrite prefix length 33 out of range"),
+        ],
+        ids=["bool", "float", "text", "range"],
+    )
+    def test_policy_prefix_read_strictly(self, tmp_path, value, message):
+        path = self._write(tmp_path, lambda doc: doc["resolver"].update(policy={"rewrite_client_subnet": value}))
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(path)
+        assert str(info.value) == f"{path}: policy: {message}"
+
+    @pytest.mark.parametrize(
+        "section, key", [("device", "device_id"), ("device", "ip_based_location"),
+                         ("device", "user_defined_location"), ("device", "client_address"),
+                         ("resolver", "location")],
+    )
+    def test_fields_must_be_text(self, tmp_path, section, key):
+        path = self._write(tmp_path, lambda doc: doc[section].update({key: True}))
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(path)
+        assert str(info.value) == f"{path}: {section}.{key}: must be text, got True"
+
+    @pytest.mark.parametrize(
+        "qname, message", [(5, "name must be text, got 5"), ("api..example.iot", "empty label in 'api..example.iot'")],
+        ids=["number", "empty-label"],
+    )
+    def test_qname_checked_at_load(self, tmp_path, qname, message):
+        path = self._write(tmp_path, lambda doc: doc.update(qname=qname))
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(path)
+        assert str(info.value) == f"{path}: qname: {message}"
+
+    def test_qname_canonical_at_load(self, tmp_path):
+        path = self._write(tmp_path, lambda doc: doc.update(qname="API.Example.IoT."))
+        assert load_scenario(path).qname == "api.example.iot"

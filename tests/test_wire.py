@@ -1,8 +1,10 @@
 """Wire codec tests; the byte-level expectations come from the independent
 reference encoders in helpers, not from the code under test."""
 
+import dataclasses
 import ipaddress
 import random
+import re
 import struct
 
 import pytest
@@ -22,6 +24,7 @@ from ecsloc.wire import (
     QTYPE_AAAA,
     DnsMessage,
     EcsOption,
+    EdnsOpt,
     InvalidEcs,
     InvalidName,
     Malformed,
@@ -317,6 +320,36 @@ class TestRoundtrip:
             msg = rand_message(rng)
             assert decode_message(encode_message(msg)) == msg
 
+    def test_answer_named_apart_from_question(self):
+        # the question's name octets are reused only for an answer of the same name
+        response = make_response(
+            make_query("q.example", msg_id=5),
+            (record_for_address("q.example", "203.0.113.10", 300), record_for_address("other.example", "203.0.113.11", 60)),
+        )
+        wire = (
+            struct.pack("!HHHHHH", 5, 0x8180, 1, 2, 0, 0)
+            + b"\x01q\x07example\x00" + struct.pack("!HH", QTYPE_A, 1)
+            + b"\x01q\x07example\x00" + struct.pack("!HHIH", QTYPE_A, 1, 300, 4) + bytes([203, 0, 113, 10])
+            + b"\x05other\x07example\x00" + struct.pack("!HHIH", QTYPE_A, 1, 60, 4) + bytes([203, 0, 113, 11])
+        )
+        assert encode_message(response) == wire
+        assert decode_message(wire) == response
+
+    def test_values_frozen_and_hashable(self):
+        def build():
+            ecs = EcsOption.for_prefix("198.18.1.0", 24, scope_prefix_len=24)
+            question = Question("api.example.iot")
+            record = record_for_address("api.example.iot", "203.0.113.10", 300)
+            edns = EdnsOpt(ecs=ecs)
+            message = DnsMessage(7, True, True, True, 0, question, (record,), edns)
+            return ecs, question, record, edns, message
+
+        for value, twin in zip(build(), build()):
+            assert value == twin and value is not twin
+            assert hash(value) == hash(twin)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, dataclasses.fields(value)[0].name, None)
+
 
 class TestDecodeErrors:
 
@@ -380,6 +413,23 @@ class TestDecodeErrors:
         wire[5] = 2
         with pytest.raises(Malformed):
             decode_message(bytes(wire))
+
+    @pytest.mark.parametrize("compressed, cuts", [(False, 117), (True, 87)], ids=["plain", "compressed"])
+    def test_every_prefix_cut_truncated(self, compressed, cuts):
+        query = make_query("api.example.iot", ecs=EcsOption.for_prefix("198.18.1.0", 24))
+        answers = tuple(record_for_address("api.example.iot", a, 300) for a in ("203.0.113.10", "203.0.113.11"))
+        wire = encode_message(make_response(query, answers, ecs=EcsOption.for_prefix("198.18.1.0", 24, 24)))
+        if compressed:
+            name = b"\x03api\x07example\x03iot\x00"
+            wire = wire[:12] + name + wire[12 + len(name) :].replace(name, b"\xc0\x0c")
+        assert len(decode_message(wire).answers) == 2
+        assert len(wire) == cuts
+        for end in range(cuts):
+            with pytest.raises(Truncated) as info:
+                decode_message(wire[:end])
+            # the field that ran out starts inside the cut data
+            need, offset, have = map(int, re.fullmatch(r"need (\d+) octets at offset (\d+), have (\d+)", str(info.value)).groups())
+            assert offset + have == end and need > have
 
     def test_dot_inside_label_rejected(self):
         # \x03a.b\x03com would read as a.b.com, which encodes differently
