@@ -11,6 +11,9 @@ derive stabilization times, Jaccard similarities when switching either the
 user-defined or the IP-based location, cumulative unique-domain/unique-IP
 series, and pairwise similarity matrices.  Similarities are exact
 fractions; callers render decimals.
+
+Ingest checks each distinct raw qname, region token and answer list once per
+call and reuses the result for every later line that repeats it.
 """
 
 from __future__ import annotations
@@ -58,9 +61,11 @@ class CaptureRecord:
     def __post_init__(self):
         if self.timestamp < 0:
             raise ValueError(f"negative timestamp {self.timestamp}")
-        object.__setattr__(self, "qname", canonical_name(self.qname))
-        if "[" in self.qname or "]" in self.qname:
+        qname = canonical_name(self.qname)
+        if "[" in qname or "]" in qname:
             raise InvalidName("'[' and ']' are reserved for pool patterns")
+        if qname != self.qname:  # a name given canonical is kept, so records can share it
+            object.__setattr__(self, "qname", qname)
 
 
 @dataclass(frozen=True)
@@ -94,62 +99,94 @@ def _parse_region(token: str, where: str) -> str:
     return token.upper()
 
 
+class _LineReader:
+    """Reads capture lines for one ingest, checking each distinct raw value once.
+
+    It maps raw `q=` text to the canonical qname, raw `ipl=`/`udl=` tokens to
+    upper-cased regions and raw `a=` fields to address text.  Only values that
+    passed are stored, so a bad value raises on the first line that carries it.
+    """
+
+    def __init__(self):
+        self._qnames: dict[str, str] = {}
+        self._regions: dict[str, str] = {}
+        self._addresses: dict[str, tuple[str, ...]] = {}
+
+    def _region(self, token: str, where: str) -> str:
+        region = self._regions.get(token)
+        if region is None:
+            region = self._regions[token] = _parse_region(token, where)
+        return region
+
+    def _ips(self, field: str, where: str) -> tuple[str, ...]:
+        ips = self._addresses.get(field)
+        if ips is None:
+            parts = []
+            for part in field.split(",") if field else ():
+                try:
+                    parts.append(address_text(pack_address(part)))
+                except ValueError:
+                    raise LogParseError(f"{where}: bad address {part!r}") from None
+            ips = self._addresses[field] = tuple(parts)
+        return ips
+
+    def parse(self, line: str, where: str) -> CaptureRecord:
+        fields = {}
+        for token in line.split():
+            key, sep, value = token.partition("=")
+            if not sep or key not in _LINE_KEYS:
+                raise LogParseError(f"{where}: unexpected token {token!r}")
+            if key in fields:
+                raise LogParseError(f"{where}: duplicate key {key!r}")
+            fields[key] = value
+        if len(fields) < len(_LINE_KEYS):
+            missing = [k for k in _LINE_KEYS if k not in fields]
+            raise LogParseError(f"{where}: missing keys {missing}")
+        try:
+            ts = int(fields["ts"])
+        except ValueError:
+            raise LogParseError(f"{where}: ts={fields['ts']!r} is not an integer") from None
+        if not fields["dev"]:
+            raise LogParseError(f"{where}: empty device id")
+        ips = self._ips(fields["a"], where)
+        ipl = self._region(fields["ipl"], where)
+        udl = self._region(fields["udl"], where)
+        raw = fields["q"]
+        known = self._qnames.get(raw)
+        try:
+            record = CaptureRecord(ts, fields["dev"], ipl, udl, raw if known is None else known, ips)
+        except InvalidName as exc:
+            raise LogParseError(f"{where}: bad qname {raw!r}: {exc}") from None
+        except (Error, ValueError) as exc:
+            raise LogParseError(f"{where}: {exc}") from None
+        if known is None:
+            self._qnames[raw] = record.qname
+        return record
+
+
 def parse_capture_line(line: str, where: str = "line") -> CaptureRecord:
-    fields = {}
-    for token in line.split():
-        key, sep, value = token.partition("=")
-        if not sep or key not in _LINE_KEYS:
-            raise LogParseError(f"{where}: unexpected token {token!r}")
-        if key in fields:
-            raise LogParseError(f"{where}: duplicate key {key!r}")
-        fields[key] = value
-    missing = [k for k in _LINE_KEYS if k not in fields]
-    if missing:
-        raise LogParseError(f"{where}: missing keys {missing}")
-    try:
-        ts = int(fields["ts"])
-    except ValueError:
-        raise LogParseError(f"{where}: ts={fields['ts']!r} is not an integer") from None
-    if not fields["dev"]:
-        raise LogParseError(f"{where}: empty device id")
-    ips = []
-    if fields["a"]:
-        for part in fields["a"].split(","):
-            try:
-                ips.append(address_text(pack_address(part)))
-            except ValueError:
-                raise LogParseError(f"{where}: bad address {part!r}") from None
-    try:
-        return CaptureRecord(
-            timestamp=ts,
-            device_id=fields["dev"],
-            ip_based_location=_parse_region(fields["ipl"], where),
-            user_defined_location=_parse_region(fields["udl"], where),
-            qname=fields["q"],
-            resolved_ips=tuple(ips),
-        )
-    except LogParseError:
-        raise
-    except InvalidName as exc:
-        raise LogParseError(f"{where}: bad qname {fields['q']!r}: {exc}") from None
-    except (Error, ValueError) as exc:
-        raise LogParseError(f"{where}: {exc}") from None
+    return _LineReader().parse(line, where)
 
 
 def ingest_log(path) -> CaptureLog:
     """Parse a capture file; out-of-order timestamps are sorted and flagged."""
     path = Path(path)
+    name = str(path)
+    reader = _LineReader()
     records = []
+    last, resorted = 0, False
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        records.append(parse_capture_line(stripped, where=f"{path}:{lineno}"))
-    try:
-        return CaptureLog(records=tuple(records))
-    except ValueError:  # out of timestamp order, CaptureLog's one check
+        record = reader.parse(stripped, f"{name}:{lineno}")
+        if record.timestamp < last:
+            resorted = True
+        last = record.timestamp
+        records.append(record)
+    if resorted:
         records.sort(key=lambda r: r.timestamp)
-        return CaptureLog(records=tuple(records), resorted=True)
+    return CaptureLog(records=tuple(records), resorted=resorted)
 
 
 def collapse_pools(names, pool_threshold: int = DEFAULT_POOL_THRESHOLD) -> frozenset[str]:

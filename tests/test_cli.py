@@ -180,6 +180,34 @@ class TestAnalyze:
         )
         assert code == EXIT_DATA
 
+    def test_bad_address_names_the_line(self, tmp_path, capsys):
+        log = tmp_path / "log"
+        log.write_text(
+            "ts=1 dev=d ipl=US udl=HK q=svc.x a=10.0.0.1\n"
+            "ts=2 dev=d ipl=US udl=UK q=svc.x a=10.0.0.1\n"
+            "ts=3 dev=d ipl=US udl=UK q=svc.x a=999.1.1.1\n"
+        )
+        code, out, err = run_cli(
+            ["analyze", "matrix", "--log", str(log), "--device", "d",
+             "--ipl", "US", "--regions", "HK", "UK"],
+            capsys,
+        )
+        assert (code, out) == (EXIT_DATA, "")
+        assert err == f"ecsloc: error: {log}:3: bad address '999.1.1.1'\n"
+
+    def test_bad_qname_on_a_late_line(self, tmp_path, capsys):
+        log = tmp_path / "log"
+        lines = [f"ts={i} dev=d ipl=US udl={'HK' if i % 2 else 'UK'} q=n{i % 5}.x a=10.0.0.1" for i in range(500)]
+        lines.append("ts=500 dev=d ipl=US udl=UK q=n1..x a=10.0.0.1")
+        log.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(
+            ["analyze", "matrix", "--log", str(log), "--device", "d",
+             "--ipl", "US", "--regions", "HK", "UK"],
+            capsys,
+        )
+        assert (code, out) == (EXIT_DATA, "")
+        assert err == f"ecsloc: error: {log}:501: bad qname 'n1..x': empty label in 'n1..x'\n"
+
 
 class TestMud:
 

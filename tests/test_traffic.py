@@ -14,6 +14,7 @@ from helpers import FIXTURES
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ecsloc import traffic
 from ecsloc.traffic import (
     CaptureLog,
     CaptureRecord,
@@ -168,6 +169,110 @@ class TestIngest:
         b = CaptureRecord(1, "d", "UK", "UK", "b.x", ())
         with pytest.raises(ValueError):
             CaptureLog((a, b))
+
+
+def ingest_reference(path) -> CaptureLog:
+    """Memo-free ingest: every line through parse_capture_line, then one sort if needed."""
+    records = []
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            records.append(parse_capture_line(stripped, where=f"{path}:{lineno}"))
+    try:
+        return CaptureLog(tuple(records))
+    except ValueError:
+        records.sort(key=lambda r: r.timestamp)
+        return CaptureLog(tuple(records), resorted=True)
+
+
+def outcome(ingest, path):
+    try:
+        log = ingest(path)
+    except LogParseError as exc:
+        return str(exc)
+    return log.records, log.resorted
+
+
+def capture_lines(rng: random.Random, count: int) -> list[str]:
+    """Valid lines over a few hundred distinct values, each value spelled several ways."""
+    names = [f"edge{n}.p{k}.vendor.example" for k in range(4) for n in range(1, 40)]
+    names += ["api.vendor.example", "time.vendor.example", "a.x"]
+    addresses = [f"198.51.100.{n}" for n in range(1, 60)] + ["2001:db8::1", "2001:DB8:0:0::2"]
+    spellings = [str, str.upper, lambda q: q + "."]
+    lines, ts = [], 1_600_000_000
+    for _ in range(count):
+        ts += rng.choice([7, 7, 7, 0, -20])  # equal and out-of-order stamps too
+        qname = rng.choice(spellings)(rng.choice(names))
+        answers = ",".join(rng.sample(addresses, rng.choice([0, 1, 1, 1, 2])))
+        ipl, udl = (rng.choice(["US", "UK", "uk", "De"]) for _ in range(2))
+        lines.append(f"ts={ts} dev={rng.choice(['cam', 'plug'])} ipl={ipl} udl={udl} q={qname} a={answers}")
+    return lines
+
+
+FAULTS = {
+    "bad-qname": lambda line: re.sub(r"q=\S*", "q=a..x", line),
+    "bracket-qname": lambda line: re.sub(r"q=\S*", "q=edge[1-3].vendor.example", line),
+    "bad-address": lambda line: re.sub(r"a=\S*", "a=198.51.100.1,999.1.1.1", line),
+    "bad-ipl": lambda line: re.sub(r"ipl=\S*", "ipl=UKX", line),
+    "bad-udl": lambda line: re.sub(r"udl=\S*", "udl=U1", line),
+    "negative-ts": lambda line: re.sub(r"ts=\S*", "ts=-5", line),
+    "non-integer-ts": lambda line: re.sub(r"ts=\S*", "ts=1.5", line),
+    "duplicate-key": lambda line: line + " dev=again",
+    "missing-key": lambda line: re.sub(r" a=\S*", "", line),
+    "unexpected-key": lambda line: line + " ttl=30",
+    "token-without-equals": lambda line: line + " stray",
+    "empty-dev": lambda line: re.sub(r"dev=\S*", "dev=", line),
+}
+
+
+class TestIngestOnceEachValue:
+    """ingest_log reuses each checked raw value; outcomes match a memo-free ingest."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_valid_log_matches_reference(self, tmp_path, seed):
+        rng = random.Random(seed)
+        lines = capture_lines(rng, 2000)
+        lines[5:5] = ["ts=1 dev=cam ipl=US udl=UK q=A.X. a=", "ts=2 dev=cam ipl=US udl=UK q=a.x a="]
+        path = tmp_path / "log"
+        path.write_text("# capture\n" + "\n".join(lines) + "\n")
+        records, resorted = outcome(ingest_log, path)
+        assert (records, resorted) == outcome(ingest_reference, path)
+        assert resorted
+        assert {r.qname for r in records if r.qname.endswith(".x")} == {"a.x"}
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_single_fault_matches_reference(self, tmp_path, fault):
+        rng = random.Random(fault)
+        lines = capture_lines(rng, 2000)
+        at = rng.randrange(1000, len(lines))  # late, after every value was seen valid
+        lines[at] = FAULTS[fault](lines[at])
+        path = tmp_path / "log"
+        path.write_text("\n".join(lines) + "\n")
+        got = outcome(ingest_log, path)
+        assert got == outcome(ingest_reference, path)
+        assert got.startswith(f"{path}:{at + 1}: ")
+
+    def test_each_distinct_value_checked_once(self, tmp_path, monkeypatch):
+        calls = {"pack_address": 0, "_parse_region": 0}
+
+        def counting(name):
+            real = getattr(traffic, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(traffic, name, wrapper)
+
+        counting("pack_address")
+        counting("_parse_region")
+        path = tmp_path / "log"
+        path.write_text("".join(
+            f"ts={i} dev=d ipl=US udl={'UK' if i % 2 else 'US'} q=n{i % 7}.x a=10.0.0.{i % 3}\n"
+            for i in range(300)
+        ))
+        assert len(ingest_log(path)) == 300
+        assert calls == {"pack_address": 3, "_parse_region": 2}
 
 
 class TestDomainSet:
