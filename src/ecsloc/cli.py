@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 usage, 3 data error, 4 empty selection,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -210,7 +211,9 @@ def cmd_mud_compare(args, report: RunReport) -> None:
         report.metrics["final_ratio"] = _decimal(rows[-1][3])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="ecsloc",
         description="Client-subnet location toolkit: scenario runs, capture analysis, allowlist workflows.",

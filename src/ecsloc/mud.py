@@ -25,7 +25,7 @@ ACTIONS = ("accept", "drop")
 
 _MAC_RE = re.compile(r"^([0-9a-f]{2}:){5}[0-9a-f]{2}$")
 
-# Labels that name a region but are not two-letter codes themselves.
+# Labels that name a region even when that region is not among those given.
 DEFAULT_REGION_ALIASES = {"eu": "EU"}
 
 
@@ -246,17 +246,15 @@ def ecs_collapse(unified: MudFile, groups) -> CollapseResult:
     return CollapseResult(mud=collapsed, unmatched_variants=unmatched, tuple_splits=splits)
 
 
-def suggest_groups(domains, regions, aliases=None) -> list[RegionDomainGroup]:
+def suggest_groups(domains, regions) -> list[RegionDomainGroup]:
     """Advisory grouping of domains differing only in one region-code label.
 
-    The label must equal a region code (case-insensitive) or a configured
-    alias; cross-TLD variants intentionally exceed this heuristic, so the
-    operator confirms groups before collapsing.
+    The label must equal a region code (case-insensitive) or a key of
+    `DEFAULT_REGION_ALIASES`; cross-TLD variants intentionally exceed this
+    heuristic, so the operator confirms groups before collapsing.
     """
-    if aliases is None:
-        aliases = DEFAULT_REGION_ALIASES
     label_to_region = {r.lower(): r.upper() for r in regions}
-    label_to_region.update({k.lower(): v.upper() for k, v in aliases.items()})
+    label_to_region.update(DEFAULT_REGION_ALIASES)
     buckets: dict[tuple, dict[str, str]] = {}
     for name in sorted(domains):
         if "[" in name:

@@ -113,14 +113,10 @@ def stub_query(
     cfg: DeviceConfig,
     qname: str,
     prefix_map: LocationPrefixMap,
-    *,
-    qtype: int = QTYPE_A,
-    msg_id: int = 0,
 ) -> DnsMessage:
     """Device-side query carrying the user-defined region's prefix, not the device address."""
     prefix = prefix_map.prefix_for(cfg.user_defined_location)
-    ecs = EcsOption.for_prefix(prefix.network_address, prefix.prefixlen)
-    return make_query(qname, qtype, msg_id=msg_id, ecs=ecs)
+    return make_query(qname, ecs=EcsOption.for_prefix(prefix.network_address, prefix.prefixlen))
 
 
 class Authoritative:
@@ -349,20 +345,17 @@ def run_scenario(
     resolver_location: str,
     *,
     policy: Policy | None = None,
-    clock: VirtualClock | None = None,
-    msg_id: int = 0,
 ) -> ScenarioTranscript:
     """Run one query through the chosen architecture and record every hop."""
-    if arch not in ARCHITECTURES:
-        raise ScenarioError(f"unknown architecture {arch!r}; expected one of {ARCHITECTURES}")
+    arch_policy = policy_for_architecture(arch)  # raises for an unknown architecture
+    if policy is None:
+        policy = arch_policy
     prefix_map = zone.regions
     cfg.validate_against(prefix_map)
-    if policy is None:
-        policy = policy_for_architecture(arch)
     if arch == "ecs_user_defined":
-        query = stub_query(cfg, qname, prefix_map, msg_id=msg_id)
+        query = stub_query(cfg, qname, prefix_map)
     else:
-        query = make_query(qname, msg_id=msg_id)
+        query = make_query(qname)
     hops = [Hop("device", "resolver", query)]
     authoritative = Authoritative(zone, legacy_geo=(arch == "standard"))
 
@@ -372,7 +365,7 @@ def run_scenario(
         hops.append(Hop("authoritative", "resolver", decode_message(reply)))
         return reply
 
-    resolver = Resolver(policy, resolver_location, InProcessLink(recorded_link), prefix_map, clock=clock)
+    resolver = Resolver(policy, resolver_location, InProcessLink(recorded_link), prefix_map)
     response = decode_message(resolver.handle(encode_message(query), cfg.client_address))
     hops.append(Hop("resolver", "device", response))
     return ScenarioTranscript(architecture=arch, hops=tuple(hops))

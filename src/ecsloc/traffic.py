@@ -12,8 +12,9 @@ user-defined or the IP-based location, cumulative unique-domain/unique-IP
 series, and pairwise similarity matrices.  Similarities are exact
 fractions; callers render decimals.
 
-Ingest checks each distinct raw qname, region token and answer list once per
-call and reuses the result for every later line that repeats it.
+Ingest checks each distinct raw region token and answer list once per call
+and reuses the result for every later line that repeats it; qnames go
+through `canonical_name`, whose memo checks each distinct name once.
 """
 
 from __future__ import annotations
@@ -64,8 +65,7 @@ class CaptureRecord:
         qname = canonical_name(self.qname)
         if "[" in qname or "]" in qname:
             raise InvalidName("'[' and ']' are reserved for pool patterns")
-        if qname != self.qname:  # a name given canonical is kept, so records can share it
-            object.__setattr__(self, "qname", qname)
+        object.__setattr__(self, "qname", qname)  # the memo's string: records of one spelling share it
 
 
 @dataclass(frozen=True)
@@ -102,13 +102,12 @@ def _parse_region(token: str, where: str) -> str:
 class _LineReader:
     """Reads capture lines for one ingest, checking each distinct raw value once.
 
-    It maps raw `q=` text to the canonical qname, raw `ipl=`/`udl=` tokens to
-    upper-cased regions and raw `a=` fields to address text.  Only values that
-    passed are stored, so a bad value raises on the first line that carries it.
+    It maps raw `ipl=`/`udl=` tokens to upper-cased regions and raw `a=` fields
+    to address text.  Only values that passed are stored, so a bad value raises
+    on the first line that carries it.
     """
 
     def __init__(self):
-        self._qnames: dict[str, str] = {}
         self._regions: dict[str, str] = {}
         self._addresses: dict[str, tuple[str, ...]] = {}
 
@@ -151,17 +150,12 @@ class _LineReader:
         ips = self._ips(fields["a"], where)
         ipl = self._region(fields["ipl"], where)
         udl = self._region(fields["udl"], where)
-        raw = fields["q"]
-        known = self._qnames.get(raw)
         try:
-            record = CaptureRecord(ts, fields["dev"], ipl, udl, raw if known is None else known, ips)
+            return CaptureRecord(ts, fields["dev"], ipl, udl, fields["q"], ips)
         except InvalidName as exc:
-            raise LogParseError(f"{where}: bad qname {raw!r}: {exc}") from None
+            raise LogParseError(f"{where}: bad qname {fields['q']!r}: {exc}") from None
         except (Error, ValueError) as exc:
             raise LogParseError(f"{where}: {exc}") from None
-        if known is None:
-            self._qnames[raw] = record.qname
-        return record
 
 
 def parse_capture_line(line: str, where: str = "line") -> CaptureRecord:

@@ -20,11 +20,8 @@ opcode and counts, label framing and compression pointers, the answer
 class, and the OPT record's placement, name, version and option framing.
 The encoder trusts a constructed message and checks nothing again.
 
-A name is checked once, however many values carry it: `Question` and
-`ResourceRecord` hold what `canonical_name` returned as a private `str`
-subclass, and take a name of that type as it is.  So an answer that the
-decoder reads under the question's name takes the question's checked
-name, and so do the records the resolver and the authoritative build.
+`canonical_name` keeps up to 4096 checked names in a memo, so a repeated name
+is not checked again; it keeps no error, so a bad name raises every time.
 The decoder reads names by index, with one bounds test before each octet
 or label it reads.  The encoder encodes the question name once and
 reuses those octets for every answer of the same name; it still never
@@ -42,6 +39,7 @@ from __future__ import annotations
 import socket
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import Error
 
@@ -101,6 +99,11 @@ def canonical_name(name: str) -> str:
     """Lowercase *name*, strip one trailing dot, and validate label limits: the one name rule."""
     if not isinstance(name, str):
         raise InvalidName(f"name must be text, got {name!r}")
+    return _canonical_text(name)
+
+
+@lru_cache(maxsize=4096)
+def _canonical_text(name: str) -> str:
     if name.endswith("."):
         name = name[:-1]
     name = name.lower()
@@ -120,19 +123,6 @@ def canonical_name(name: str) -> str:
         if label.split() != [label]:
             raise InvalidName(f"whitespace in label: {label!r}")
     return name
-
-
-class _CheckedName(str):
-    """A name that `canonical_name` returned, as the wire values hold it."""
-
-    __slots__ = ()
-
-
-def _checked_name(name) -> _CheckedName:
-    """*name* through `canonical_name`, unless it is a name a wire value holds already."""
-    if type(name) is _CheckedName:
-        return name
-    return _CheckedName(canonical_name(name))
 
 
 def pack_address(text: str) -> bytes:
@@ -233,7 +223,7 @@ class Question:
     qclass: int = CLASS_IN
 
     def __post_init__(self):
-        object.__setattr__(self, "qname", _checked_name(self.qname))
+        object.__setattr__(self, "qname", canonical_name(self.qname))
         if self.qtype not in (QTYPE_A, QTYPE_AAAA):
             raise UnsupportedType(f"qtype {self.qtype} not supported")
         if self.qclass != CLASS_IN:
@@ -248,7 +238,7 @@ class ResourceRecord:
     rdata: bytes
 
     def __post_init__(self):
-        object.__setattr__(self, "name", _checked_name(self.name))
+        object.__setattr__(self, "name", canonical_name(self.name))
         if self.rtype not in (QTYPE_A, QTYPE_AAAA):
             raise UnsupportedType(f"record type {self.rtype} not supported")
         expected = 4 if self.rtype == QTYPE_A else 16
@@ -301,12 +291,8 @@ def make_query(
     *,
     msg_id: int = 0,
     ecs: EcsOption | None = None,
-    use_edns: bool = False,
 ) -> DnsMessage:
-    """Build a recursion-desired query; EDNS is attached when requested or when ECS is given."""
-    edns = None
-    if ecs is not None or use_edns:
-        edns = EdnsOpt(ecs=ecs)
+    """Build a recursion-desired query; EDNS is attached when ECS is given."""
     return DnsMessage(
         id=msg_id,
         is_response=False,
@@ -314,7 +300,7 @@ def make_query(
         recursion_available=False,
         rcode=0,
         question=Question(qname, qtype),
-        edns=edns,
+        edns=None if ecs is None else EdnsOpt(ecs=ecs),
     )
 
 
@@ -324,7 +310,6 @@ def make_response(
     *,
     rcode: int = 0,
     ecs: EcsOption | None = None,
-    recursion_available: bool = True,
 ) -> DnsMessage:
     """Build a response echoing the query's id and question."""
     edns = None
@@ -336,7 +321,7 @@ def make_response(
         id=query.id,
         is_response=True,
         recursion_desired=query.recursion_desired,
-        recursion_available=recursion_available,
+        recursion_available=True,
         rcode=rcode,
         question=query.question,
         answers=tuple(answers),
@@ -529,8 +514,6 @@ def decode_message(data: bytes) -> DnsMessage:
             raise Malformed("OPT record in answer section")
         if rclass != CLASS_IN:
             raise Malformed(f"answer class {rclass} not supported")
-        if name == question.qname:
-            name = question.qname  # a checked name, not checked again
         try:
             answers.append(ResourceRecord(name=name, rtype=rtype, ttl=ttl, rdata=rdata))
         except ValueError as exc:  # rdata length wrong for the type

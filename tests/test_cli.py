@@ -13,6 +13,7 @@ from ecsloc.cli import (
     EXIT_EMPTY_SELECTION,
     EXIT_INTERNAL,
     EXIT_OK,
+    build_parser,
     main,
 )
 
@@ -284,6 +285,20 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "uds", "--log"])  # missing value
         assert exc.value.code == 2
+
+    def test_parser_reused_after_usage_error(self, capsys):
+        assert build_parser() is build_parser()
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "uds", "--log"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, _ = run_cli(
+            ["analyze", "uds", "--log", YI_LOG, "--device", "yi-cam",
+             "--ipl", "US", "--locations", "HK", "UK"],
+            capsys,
+        )
+        assert code == EXIT_OK
+        assert out.encode() == (FIXTURES / "golden" / "analyze_uds_yi.out").read_bytes()
 
     def test_internal_error_is_70(self, capsys, monkeypatch):
         import ecsloc.traffic

@@ -19,6 +19,7 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ecsloc import wire
 from ecsloc.wire import (
     QTYPE_A,
     QTYPE_AAAA,
@@ -251,15 +252,24 @@ class TestValidation:
         ],
     )
     def test_invalid_name_message(self, name, message):
-        with pytest.raises(InvalidName) as info:
-            Question(name)
-        assert str(info.value) == message
+        for _ in range(2):  # a failed check is not memoized: the same text both times
+            with pytest.raises(InvalidName) as info:
+                Question(name)
+            assert str(info.value) == message
 
-    @pytest.mark.parametrize("name", [5, None, b"a.b"])
+    @pytest.mark.parametrize("name", [5, None, b"a.b", ["a.b"]])
     def test_non_text_name_rejected(self, name):
         with pytest.raises(InvalidName) as info:
             canonical_name(name)
         assert str(info.value) == f"name must be text, got {name!r}"
+
+    def test_name_memo_is_bounded(self):
+        memo = wire._canonical_text
+        for n in range(memo.cache_info().maxsize + 500):
+            assert canonical_name(f"Host{n}.Example.") == f"host{n}.example"
+        info = memo.cache_info()
+        assert info.maxsize == 4096
+        assert info.currsize <= info.maxsize
 
     def test_qname_case_normalized(self):
         assert Question("API.Example.IOT.").qname == "api.example.iot"
@@ -395,7 +405,7 @@ class TestDecodeErrors:
         ],
     )
     def test_inconsistent_ecs_option(self, rdata):
-        wire = bytearray(encode_message(make_query("example.com", use_edns=True)))
+        wire = bytearray(encode_message(dataclasses.replace(make_query("example.com"), edns=EdnsOpt())))
         assert wire[-2:] == b"\x00\x00"  # empty OPT rdata
         option = (8).to_bytes(2, "big") + len(rdata).to_bytes(2, "big") + rdata
         wire[-2:] = len(option).to_bytes(2, "big") + option
@@ -526,7 +536,7 @@ class TestDecodeInterop:
             decode_message(bytes(wire))
 
     def test_unknown_edns_option_ignored(self):
-        query = make_query("example.com", use_edns=True)
+        query = dataclasses.replace(make_query("example.com"), edns=EdnsOpt())
         wire = bytearray(encode_message(query))
         # rewrite the OPT rdata to hold a cookie option (code 10)
         assert wire[-2:] == b"\x00\x00"  # empty rdata length
