@@ -13,10 +13,10 @@ from __future__ import annotations
 import ipaddress
 import json
 import re
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import Error
+from .value import Value
 from .zone import is_region_code
 
 PROTOCOLS = ("tcp", "udp", "icmp", "any")
@@ -63,32 +63,26 @@ def _endpoint_kind(endpoint: str) -> str:
         return "domain"
 
 
-@dataclass(frozen=True)
-class Ace:
+class Ace(Value, fields="endpoint protocol direction source_port destination_port action"):
     """One allowlist rule; a port of None means any port."""
 
-    endpoint: str
-    protocol: str = "tcp"
-    direction: str = "from-device"
-    source_port: int | None = None
-    destination_port: int | None = None
-    action: str = "accept"
-
-    def __post_init__(self):
-        object.__setattr__(self, "endpoint", self.endpoint.strip().lower())
-        if not self.endpoint:
+    def __new__(cls, endpoint: str, protocol: str = "tcp", direction: str = "from-device",
+                source_port: int | None = None, destination_port: int | None = None, action: str = "accept"):
+        endpoint = endpoint.strip().lower()
+        if not endpoint:
             raise MudError("empty endpoint")
-        if self.protocol not in PROTOCOLS:
-            raise MudError(f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
-        if self.direction not in DIRECTIONS:
-            raise MudError(f"direction must be one of {DIRECTIONS}, got {self.direction!r}")
-        if self.action not in ACTIONS:
-            raise MudError(f"action must be one of {ACTIONS}, got {self.action!r}")
-        for port in (self.source_port, self.destination_port):
+        if protocol not in PROTOCOLS:
+            raise MudError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
+        if direction not in DIRECTIONS:
+            raise MudError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+        if action not in ACTIONS:
+            raise MudError(f"action must be one of {ACTIONS}, got {action!r}")
+        for port in (source_port, destination_port):
             if port is not None and not 0 <= port <= 65535:
                 raise MudError(f"port {port} out of range")
-        if self.protocol == "icmp" and (self.source_port is not None or self.destination_port is not None):
+        if protocol == "icmp" and (source_port is not None or destination_port is not None):
             raise MudError("icmp entries carry no ports")
+        return tuple.__new__(cls, (endpoint, protocol, direction, source_port, destination_port, action))
 
     @property
     def endpoint_kind(self) -> str:
@@ -105,15 +99,9 @@ class Ace:
         )
 
 
-@dataclass(frozen=True)
-class AceTemplate:
+class AceTemplate(Value, fields="protocol direction source_port destination_port action",
+                  defaults=("tcp", "from-device", None, 443, "accept")):
     """Everything but the endpoint; stamped onto each domain by generate_mud."""
-
-    protocol: str = "tcp"
-    direction: str = "from-device"
-    source_port: int | None = None
-    destination_port: int | None = 443
-    action: str = "accept"
 
     def make(self, endpoint: str) -> Ace:
         return Ace(
@@ -129,44 +117,34 @@ class AceTemplate:
 DEFAULT_TEMPLATE = AceTemplate()
 
 
-@dataclass(frozen=True)
-class MudFile:
+class MudFile(Value, fields="device_id mud_url acl default_action"):
     """Allowlist for one device; entries are kept sorted and de-duplicated."""
 
-    device_id: str
-    mud_url: str
-    acl: tuple[Ace, ...] = ()
-    default_action: str = "drop"
-
-    def __post_init__(self):
-        if self.default_action != "drop":
+    def __new__(cls, device_id: str, mud_url: str, acl: tuple[Ace, ...] = (), default_action: str = "drop"):
+        if default_action != "drop":
             raise MudError("default action must be drop")
-        canonical = tuple(sorted(set(self.acl), key=Ace.sort_key))
-        object.__setattr__(self, "acl", canonical)
+        acl = tuple(sorted(set(acl), key=Ace.sort_key))
+        return tuple.__new__(cls, (device_id, mud_url, acl, default_action))
 
     def endpoints(self) -> tuple[str, ...]:
         return tuple(sorted({ace.endpoint for ace in self.acl}))
 
 
-@dataclass(frozen=True)
-class RegionDomainGroup:
-    """Per-region variants of one service domain and the name replacing them."""
+class RegionDomainGroup(Value, fields="canonical_domain regional_variants"):
+    """Per-region variants of one service domain (region code -> name) and the name replacing them."""
 
-    canonical_domain: str
-    regional_variants: dict  # region code -> domain name
-
-    def __post_init__(self):
-        object.__setattr__(self, "canonical_domain", self.canonical_domain.lower())
+    def __new__(cls, canonical_domain: str, regional_variants: dict):
+        canonical_domain = canonical_domain.lower()
         variants = {}
-        for region, name in self.regional_variants.items():
+        for region, name in regional_variants.items():
             if not is_region_code(region):
                 raise BadVariantRegion(f"bad region code {region!r}")
             if region.upper() in variants:
                 raise BadVariantRegion(f"region {region.upper()} given twice")
             variants[region.upper()] = name.lower()
         if len(set(variants.values())) != len(variants):
-            raise MudError(f"group {self.canonical_domain}: duplicate variant names")
-        object.__setattr__(self, "regional_variants", variants)
+            raise MudError(f"group {canonical_domain}: duplicate variant names")
+        return tuple.__new__(cls, (canonical_domain, variants))
 
 
 def generate_mud(
@@ -206,11 +184,8 @@ def unify(muds) -> MudFile:
     )
 
 
-@dataclass(frozen=True)
-class CollapseResult:
-    mud: MudFile
-    unmatched_variants: tuple[str, ...]
-    tuple_splits: tuple[str, ...]  # canonical domains whose variants disagreed on the tuple
+class CollapseResult(Value, fields="mud unmatched_variants tuple_splits"):
+    """*tuple_splits* are the canonical domains whose variants disagreed on the tuple."""
 
 
 def ecs_collapse(unified: MudFile, groups) -> CollapseResult:
@@ -234,7 +209,7 @@ def ecs_collapse(unified: MudFile, groups) -> CollapseResult:
         if canonical is None:
             kept.append(ace)
         else:
-            merged.setdefault(canonical, set()).add(replace(ace, endpoint=canonical))
+            merged.setdefault(canonical, set()).add(ace.replace(endpoint=canonical))
     splits = tuple(sorted(name for name, aces in merged.items() if len(aces) > 1))
     for aces in merged.values():
         kept.extend(aces)

@@ -19,11 +19,11 @@ from __future__ import annotations
 import ipaddress
 import json
 import threading
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import Error
 from .transport import InProcessLink
+from .value import Value
 from .wire import (
     PREFIX_MASKS,
     QTYPE_A,
@@ -49,37 +49,27 @@ class ScenarioError(Error):
     """Scenario wiring or definition problem."""
 
 
-@dataclass(frozen=True)
-class Forward:
+class Forward(Value, fields=()):
     """Pass a client-supplied client-subnet option upstream unmodified."""
 
 
-@dataclass(frozen=True)
-class Strip:
+class Strip(Value, fields=()):
     """Remove any client-subnet option before going upstream."""
 
 
-@dataclass(frozen=True)
-class RewriteClientSubnet:
+class RewriteClientSubnet(Value, fields="prefix_len"):
     """Replace the option with the querying client's address truncated to prefix_len."""
 
-    prefix_len: int = 24
-
-    def __post_init__(self):
-        if not 0 <= self.prefix_len <= 32:
-            raise ScenarioError(f"rewrite prefix length {self.prefix_len} out of range")
+    def __new__(cls, prefix_len: int = 24):
+        if not 0 <= prefix_len <= 32:
+            raise ScenarioError(f"rewrite prefix length {prefix_len} out of range")
+        return tuple.__new__(cls, (prefix_len,))
 
 
 Policy = Forward | Strip | RewriteClientSubnet
 
 
-@dataclass(frozen=True)
-class DeviceConfig:
-    device_id: str
-    ip_based_location: str
-    user_defined_location: str
-    client_address: str
-
+class DeviceConfig(Value, fields="device_id ip_based_location user_defined_location client_address"):
     def validate_against(self, prefix_map: LocationPrefixMap) -> None:
         """Check that client_address lies inside the IP-based region's prefix."""
         prefix = prefix_map.prefix_for(self.ip_based_location)
@@ -102,11 +92,8 @@ class VirtualClock:
         self.now += seconds
 
 
-@dataclass(slots=True)
-class CacheEntry:
-    scope_prefix_len: int
-    records: tuple[ResourceRecord, ...]  # the upstream's answers, as received
-    expires_at: float
+class CacheEntry(Value, fields="scope_prefix_len records expires_at"):
+    """A cached answer: *records* are the upstream's answers, as received."""
 
 
 def stub_query(
@@ -166,14 +153,7 @@ def _cache_key(ecs: EcsOption | None, scope: int, address: int) -> tuple:
 
 
 def _echo(ecs: EcsOption | None, scope: int) -> EcsOption | None:
-    if ecs is None:
-        return None
-    return EcsOption(
-        family=ecs.family,
-        source_prefix_len=ecs.source_prefix_len,
-        scope_prefix_len=scope,
-        address=ecs.address,
-    )
+    return None if ecs is None else ecs.with_scope(scope)
 
 
 class Resolver:
@@ -284,12 +264,7 @@ class Resolver:
         return make_response(query, upstream_response.answers, ecs=_echo(effective, scope))
 
 
-@dataclass(frozen=True)
-class Hop:
-    sender: str
-    receiver: str
-    message: DnsMessage
-
+class Hop(Value, fields="sender receiver message"):
     def fields(self, index: int) -> tuple:
         ecs = self.message.edns.ecs if self.message.edns else None
         if ecs is None:
@@ -306,16 +281,13 @@ class Hop:
 TRANSCRIPT_HEADER = "hop_index,sender,receiver,qname,ecs_family,ecs_prefix,ecs_address,answer_ips,scope"
 
 
-@dataclass(frozen=True)
-class ScenarioTranscript:
-    architecture: str
-    hops: tuple[Hop, ...]
-
-    def __post_init__(self):
-        if not self.hops:
+class ScenarioTranscript(Value, fields="architecture hops"):
+    def __new__(cls, architecture: str, hops: tuple[Hop, ...]):
+        if not hops:
             raise ScenarioError("transcript has no hops")
-        if self.hops[0].sender != "device" or self.hops[-1].receiver != "device":
+        if hops[0].sender != "device" or hops[-1].receiver != "device":
             raise ScenarioError("transcript must start and end at the device")
+        return tuple.__new__(cls, (architecture, hops))
 
     def final_answers(self) -> tuple[str, ...]:
         return tuple(rr.address() for rr in self.hops[-1].message.answers)
@@ -371,15 +343,10 @@ def run_scenario(
     return ScenarioTranscript(architecture=arch, hops=tuple(hops))
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
-    architecture: str
-    device: DeviceConfig
-    qname: str
-    zone_path: Path
-    resolver_location: str
-    policy: Policy | None = None
-
+class ScenarioSpec(
+    Value, fields="architecture device qname zone_path resolver_location policy", defaults=(None,)
+):
+    """A scenario document: its DeviceConfig, canonical qname, resolved zone Path and Policy override."""
 
 def load_scenario(path) -> ScenarioSpec:
     """Read a scenario document; the zone path is resolved relative to the file."""
@@ -422,6 +389,8 @@ def load_scenario(path) -> ScenarioSpec:
     policy = None
     if "policy" in resolver_doc:
         policy = _parse_policy(resolver_doc["policy"], path)
+    if not isinstance(zone_rel, str):
+        raise ScenarioError(f"{path}: zone: must be text, got {zone_rel!r}")
     zone_path = (path.parent / zone_rel).resolve()
     return ScenarioSpec(
         architecture=arch,

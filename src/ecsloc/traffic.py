@@ -25,6 +25,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import Error
+from .value import Value
 from .wire import InvalidName, address_text, canonical_name, pack_address
 from .zone import is_region_code
 
@@ -50,22 +51,19 @@ class EmptySelection(TrafficError):
     """A required (device, locations) selection matched no records."""
 
 
-@dataclass(frozen=True)
-class CaptureRecord:
-    timestamp: int
-    device_id: str
-    ip_based_location: str
-    user_defined_location: str
-    qname: str
-    resolved_ips: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.timestamp < 0:
-            raise ValueError(f"negative timestamp {self.timestamp}")
-        qname = canonical_name(self.qname)
+class CaptureRecord(
+    Value, fields="timestamp device_id ip_based_location user_defined_location qname resolved_ips"
+):
+    def __new__(cls, timestamp: int, device_id: str, ip_based_location: str, user_defined_location: str,
+                qname: str, resolved_ips: tuple[str, ...]):
+        if timestamp < 0:
+            raise ValueError(f"negative timestamp {timestamp}")
+        qname = canonical_name(qname)  # the memo's string: records of one spelling share it
         if "[" in qname or "]" in qname:
             raise InvalidName("'[' and ']' are reserved for pool patterns")
-        object.__setattr__(self, "qname", qname)  # the memo's string: records of one spelling share it
+        return tuple.__new__(
+            cls, (timestamp, device_id, ip_based_location, user_defined_location, qname, resolved_ips)
+        )
 
 
 @dataclass(frozen=True)
@@ -93,9 +91,9 @@ class CaptureLog:
         return len(self.records)
 
 
-def _parse_region(token: str, where: str) -> str:
+def _parse_region(token: str) -> str:
     if not is_region_code(token):
-        raise LogParseError(f"{where}: {token!r} is not a two-letter region code")
+        raise LogParseError(f"{token!r} is not a two-letter region code")
     return token.upper()
 
 
@@ -104,20 +102,21 @@ class _LineReader:
 
     It maps raw `ipl=`/`udl=` tokens to upper-cased regions and raw `a=` fields
     to address text.  Only values that passed are stored, so a bad value raises
-    on the first line that carries it.
+    on the first line that carries it.  Its errors carry no line position:
+    callers prefix one, so it is built only for a line that fails.
     """
 
     def __init__(self):
         self._regions: dict[str, str] = {}
         self._addresses: dict[str, tuple[str, ...]] = {}
 
-    def _region(self, token: str, where: str) -> str:
+    def _region(self, token: str) -> str:
         region = self._regions.get(token)
         if region is None:
-            region = self._regions[token] = _parse_region(token, where)
+            region = self._regions[token] = _parse_region(token)
         return region
 
-    def _ips(self, field: str, where: str) -> tuple[str, ...]:
+    def _ips(self, field: str) -> tuple[str, ...]:
         ips = self._addresses.get(field)
         if ips is None:
             parts = []
@@ -125,55 +124,61 @@ class _LineReader:
                 try:
                     parts.append(address_text(pack_address(part)))
                 except ValueError:
-                    raise LogParseError(f"{where}: bad address {part!r}") from None
+                    raise LogParseError(f"bad address {part!r}") from None
             ips = self._addresses[field] = tuple(parts)
         return ips
 
-    def parse(self, line: str, where: str) -> CaptureRecord:
+    def parse(self, line: str) -> CaptureRecord:
         fields = {}
         for token in line.split():
             key, sep, value = token.partition("=")
             if not sep or key not in _LINE_KEYS:
-                raise LogParseError(f"{where}: unexpected token {token!r}")
+                raise LogParseError(f"unexpected token {token!r}")
             if key in fields:
-                raise LogParseError(f"{where}: duplicate key {key!r}")
+                raise LogParseError(f"duplicate key {key!r}")
             fields[key] = value
         if len(fields) < len(_LINE_KEYS):
             missing = [k for k in _LINE_KEYS if k not in fields]
-            raise LogParseError(f"{where}: missing keys {missing}")
+            raise LogParseError(f"missing keys {missing}")
         try:
             ts = int(fields["ts"])
         except ValueError:
-            raise LogParseError(f"{where}: ts={fields['ts']!r} is not an integer") from None
+            raise LogParseError(f"ts={fields['ts']!r} is not an integer") from None
         if not fields["dev"]:
-            raise LogParseError(f"{where}: empty device id")
-        ips = self._ips(fields["a"], where)
-        ipl = self._region(fields["ipl"], where)
-        udl = self._region(fields["udl"], where)
+            raise LogParseError("empty device id")
+        ips = self._ips(fields["a"])
+        ipl = self._region(fields["ipl"])
+        udl = self._region(fields["udl"])
         try:
             return CaptureRecord(ts, fields["dev"], ipl, udl, fields["q"], ips)
         except InvalidName as exc:
-            raise LogParseError(f"{where}: bad qname {fields['q']!r}: {exc}") from None
+            raise LogParseError(f"bad qname {fields['q']!r}: {exc}") from None
         except (Error, ValueError) as exc:
-            raise LogParseError(f"{where}: {exc}") from None
+            raise LogParseError(str(exc)) from None
 
 
 def parse_capture_line(line: str, where: str = "line") -> CaptureRecord:
-    return _LineReader().parse(line, where)
+    try:
+        return _LineReader().parse(line)
+    except LogParseError as exc:
+        raise LogParseError(f"{where}: {exc}") from None
 
 
 def ingest_log(path) -> CaptureLog:
     """Parse a capture file; out-of-order timestamps are sorted and flagged."""
     path = Path(path)
     name = str(path)
-    reader = _LineReader()
+    parse = _LineReader().parse
     records = []
     last, resorted = 0, False
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        record = reader.parse(stripped, f"{name}:{lineno}")
+        try:
+            record = parse(stripped)
+        except LogParseError as exc:
+            raise LogParseError(f"{name}:{lineno}: {exc}") from None
         if record.timestamp < last:
             resorted = True
         last = record.timestamp

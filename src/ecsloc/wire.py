@@ -15,6 +15,10 @@ Each field is checked once, where a message comes into being, and
 - `EdnsOpt` and `DnsMessage` own the payload size, id, rcode and the
   query-only rules (no answers, scope 0).
 
+The five are `value.Value` types: each checks its fields in its one `__new__`,
+equals only a value of its own type, never a bare tuple, and its `replace`
+checks again.  `EcsOption.with_scope` re-checks only the new scope.
+
 The decoder itself checks only what no constructor sees: the header's
 opcode and counts, label framing and compression pointers, the answer
 class, and the OPT record's placement, name, version and option framing.
@@ -38,10 +42,10 @@ from __future__ import annotations
 
 import socket
 import struct
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import Error
+from .value import Value
 
 QTYPE_A = 1
 QTYPE_AAAA = 28
@@ -162,35 +166,27 @@ def truncate_to_prefix(address, prefix_len: int) -> bytes:
     return bytes(out)
 
 
-@dataclass(frozen=True, slots=True)
-class EcsOption:
+class EcsOption(Value, fields="family source_prefix_len scope_prefix_len address"):
     """RFC 7871 client-subnet option.
 
     *address* holds only ceil(source_prefix_len / 8) octets, and every bit
     past source_prefix_len must be zero.
     """
 
-    family: int
-    source_prefix_len: int
-    scope_prefix_len: int = 0
-    address: bytes = b""
-
-    def __post_init__(self):
-        if self.family not in _FAMILY_OCTETS:
-            raise InvalidEcs(f"family must be 1 or 2, got {self.family}")
-        max_bits = _FAMILY_BITS[self.family]
-        if not 0 <= self.source_prefix_len <= max_bits:
-            raise InvalidEcs(f"source prefix length {self.source_prefix_len} out of range")
-        if not 0 <= self.scope_prefix_len <= max_bits:
-            raise InvalidEcs(f"scope prefix length {self.scope_prefix_len} out of range")
-        expected = (self.source_prefix_len + 7) // 8
-        if len(self.address) != expected:
-            raise InvalidEcs(
-                f"address must be {expected} octets for /{self.source_prefix_len}, "
-                f"got {len(self.address)}"
-            )
-        if int.from_bytes(self.address, "big") & ((1 << (8 * expected - self.source_prefix_len)) - 1):
+    def __new__(cls, family: int, source_prefix_len: int, scope_prefix_len: int = 0, address: bytes = b""):
+        max_bits = _FAMILY_BITS.get(family)
+        if max_bits is None:
+            raise InvalidEcs(f"family must be 1 or 2, got {family}")
+        if not 0 <= source_prefix_len <= max_bits:
+            raise InvalidEcs(f"source prefix length {source_prefix_len} out of range")
+        if not 0 <= scope_prefix_len <= max_bits:
+            raise InvalidEcs(f"scope prefix length {scope_prefix_len} out of range")
+        expected = (source_prefix_len + 7) // 8
+        if len(address) != expected:
+            raise InvalidEcs(f"address must be {expected} octets for /{source_prefix_len}, got {len(address)}")
+        if int.from_bytes(address, "big") & ((1 << (8 * expected - source_prefix_len)) - 1):
             raise InvalidEcs("address has nonzero bits past the source prefix length")
+        return tuple.__new__(cls, (family, source_prefix_len, scope_prefix_len, address))
 
     @classmethod
     def for_prefix(cls, address, prefix_len: int, scope_prefix_len: int = 0) -> "EcsOption":
@@ -202,6 +198,12 @@ class EcsOption:
             scope_prefix_len=scope_prefix_len,
             address=truncate_to_prefix(packed, prefix_len),
         )
+
+    def with_scope(self, scope_prefix_len: int) -> "EcsOption":
+        """This option with another scope prefix length, the one field checked again."""
+        if not 0 <= scope_prefix_len <= _FAMILY_BITS[self.family]:
+            raise InvalidEcs(f"scope prefix length {scope_prefix_len} out of range")
+        return tuple.__new__(EcsOption, (self.family, self.source_prefix_len, scope_prefix_len, self.address))
 
     def padded_address(self) -> bytes:
         """Address padded with zero octets to the family's full length."""
@@ -216,73 +218,57 @@ class EcsOption:
         return address_text(self.padded_address())
 
 
-@dataclass(frozen=True, slots=True)
-class Question:
-    qname: str
-    qtype: int = QTYPE_A
-    qclass: int = CLASS_IN
-
-    def __post_init__(self):
-        object.__setattr__(self, "qname", canonical_name(self.qname))
-        if self.qtype not in (QTYPE_A, QTYPE_AAAA):
-            raise UnsupportedType(f"qtype {self.qtype} not supported")
-        if self.qclass != CLASS_IN:
-            raise Malformed(f"qclass {self.qclass} not supported")
+class Question(Value, fields="qname qtype qclass"):
+    def __new__(cls, qname: str, qtype: int = QTYPE_A, qclass: int = CLASS_IN):
+        qname = canonical_name(qname)
+        if qtype not in (QTYPE_A, QTYPE_AAAA):
+            raise UnsupportedType(f"qtype {qtype} not supported")
+        if qclass != CLASS_IN:
+            raise Malformed(f"qclass {qclass} not supported")
+        return tuple.__new__(cls, (qname, qtype, qclass))
 
 
-@dataclass(frozen=True, slots=True)
-class ResourceRecord:
-    name: str
-    rtype: int
-    ttl: int
-    rdata: bytes
-
-    def __post_init__(self):
-        object.__setattr__(self, "name", canonical_name(self.name))
-        if self.rtype not in (QTYPE_A, QTYPE_AAAA):
-            raise UnsupportedType(f"record type {self.rtype} not supported")
-        expected = 4 if self.rtype == QTYPE_A else 16
-        if len(self.rdata) != expected:
-            raise ValueError(f"rdata must be {expected} octets for this type, got {len(self.rdata)}")
-        if not 0 <= self.ttl <= 0xFFFFFFFF:
-            raise ValueError(f"ttl {self.ttl} out of range")
+class ResourceRecord(Value, fields="name rtype ttl rdata"):
+    def __new__(cls, name: str, rtype: int, ttl: int, rdata: bytes):
+        name = canonical_name(name)
+        if rtype not in (QTYPE_A, QTYPE_AAAA):
+            raise UnsupportedType(f"record type {rtype} not supported")
+        expected = 4 if rtype == QTYPE_A else 16
+        if len(rdata) != expected:
+            raise ValueError(f"rdata must be {expected} octets for this type, got {len(rdata)}")
+        if not 0 <= ttl <= 0xFFFFFFFF:
+            raise ValueError(f"ttl {ttl} out of range")
+        return tuple.__new__(cls, (name, rtype, ttl, rdata))
 
     def address(self) -> str:
         return address_text(self.rdata)
 
 
-@dataclass(frozen=True, slots=True)
-class EdnsOpt:
-    udp_payload_size: int = DEFAULT_UDP_PAYLOAD
-    ecs: EcsOption | None = None
-
-    def __post_init__(self):
-        if not 0 <= self.udp_payload_size <= 0xFFFF:
-            raise ValueError(f"udp payload size {self.udp_payload_size} out of range")
+class EdnsOpt(Value, fields="udp_payload_size ecs"):
+    def __new__(cls, udp_payload_size: int = DEFAULT_UDP_PAYLOAD, ecs: EcsOption | None = None):
+        if not 0 <= udp_payload_size <= 0xFFFF:
+            raise ValueError(f"udp payload size {udp_payload_size} out of range")
+        return tuple.__new__(cls, (udp_payload_size, ecs))
 
 
-@dataclass(frozen=True, slots=True)
-class DnsMessage:
-    id: int
-    is_response: bool
-    recursion_desired: bool
-    recursion_available: bool
-    rcode: int
-    question: Question
-    answers: tuple[ResourceRecord, ...] = ()
-    edns: EdnsOpt | None = None
-
-    def __post_init__(self):
-        if not 0 <= self.id <= 0xFFFF:
-            raise ValueError(f"message id {self.id} out of range")
-        if not 0 <= self.rcode <= 15:
-            raise ValueError(f"rcode {self.rcode} out of range")
-        object.__setattr__(self, "answers", tuple(self.answers))
-        if not self.is_response:
-            if self.answers:
+class DnsMessage(
+    Value, fields="id is_response recursion_desired recursion_available rcode question answers edns"
+):
+    def __new__(cls, id: int, is_response: bool, recursion_desired: bool, recursion_available: bool, rcode: int,
+                question: Question, answers: tuple[ResourceRecord, ...] = (), edns: EdnsOpt | None = None):
+        if not 0 <= id <= 0xFFFF:
+            raise ValueError(f"message id {id} out of range")
+        if not 0 <= rcode <= 15:
+            raise ValueError(f"rcode {rcode} out of range")
+        answers = tuple(answers)
+        if not is_response:
+            if answers:
                 raise ValueError("a query must carry no answers")
-            if self.edns and self.edns.ecs and self.edns.ecs.scope_prefix_len != 0:
+            if edns and edns.ecs and edns.ecs.scope_prefix_len != 0:
                 raise ValueError("scope prefix length must be 0 in queries")
+        return tuple.__new__(
+            cls, (id, is_response, recursion_desired, recursion_available, rcode, question, answers, edns)
+        )
 
 
 def make_query(
@@ -352,23 +338,25 @@ def encode_message(msg: DnsMessage) -> bytes:
     if msg.recursion_available:
         flags |= 0x0080
     flags |= msg.rcode & 0x0F
-    arcount = 1 if msg.edns is not None else 0
-    out = bytearray(_HEADER.pack(msg.id, flags, 1, len(msg.answers), 0, arcount))
-    qname = msg.question.qname
+    question, answers, edns = msg.question, msg.answers, msg.edns
+    out = bytearray(_HEADER.pack(msg.id, flags, 1, len(answers), 0, 0 if edns is None else 1))
+    qname = question.qname
     qname_octets = _encode_name(qname)
     out += qname_octets
-    out += _PAIR.pack(msg.question.qtype, msg.question.qclass)
-    for rr in msg.answers:
-        out += qname_octets if rr.name == qname else _encode_name(rr.name)
-        out += _RR_TAIL.pack(rr.rtype, CLASS_IN, rr.ttl, len(rr.rdata))
-        out += rr.rdata
-    if msg.edns is not None:
+    out += _PAIR.pack(question.qtype, question.qclass)
+    for rr in answers:
+        name, rdata = rr.name, rr.rdata
+        out += qname_octets if name == qname else _encode_name(name)
+        out += _RR_TAIL.pack(rr.rtype, CLASS_IN, rr.ttl, len(rdata))
+        out += rdata
+    if edns is not None:
         rdata = b""
-        if msg.edns.ecs is not None:
-            option = _encode_ecs_rdata(msg.edns.ecs)
+        ecs = edns.ecs
+        if ecs is not None:
+            option = _encode_ecs_rdata(ecs)
             rdata = _PAIR.pack(ECS_OPTION_CODE, len(option)) + option
         out += b"\x00"  # root name
-        out += _RR_TAIL.pack(TYPE_OPT, msg.edns.udp_payload_size, 0, len(rdata))
+        out += _RR_TAIL.pack(TYPE_OPT, edns.udp_payload_size, 0, len(rdata))
         out += rdata
     return bytes(out)
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import Error
+from .value import Value
 from .wire import PREFIX_MASKS, EcsOption, InvalidName, address_text, canonical_name, pack_address
 
 DEFAULT_TTL = 300
@@ -57,15 +58,12 @@ def _check_region_code(code: str) -> str:
     return code.upper()
 
 
-@dataclass(frozen=True)
-class LocationPrefixMap:
-    """Region code (two letters, e.g. "UK") to network prefix."""
+class LocationPrefixMap(Value, fields="entries"):
+    """Region code (two letters, e.g. "UK") to network prefix, an IPv4Network or IPv6Network."""
 
-    entries: dict  # region -> IPv4Network | IPv6Network
-
-    def __post_init__(self):
+    def __new__(cls, entries: dict):
         normalized = {}
-        for code, prefix in self.entries.items():
+        for code, prefix in entries.items():
             code = _check_region_code(code)
             if not isinstance(prefix, (ipaddress.IPv4Network, ipaddress.IPv6Network)):
                 try:
@@ -82,7 +80,7 @@ class LocationPrefixMap:
             if version_a == version_b and first_b <= last_a:
                 code_a, code_b = sorted((code_a, code_b))
                 raise OverlapError(f"regions {code_a} and {code_b} have overlapping prefixes")
-        object.__setattr__(self, "entries", normalized)
+        return tuple.__new__(cls, (normalized,))
 
     @classmethod
     def default(cls, regions) -> "LocationPrefixMap":
@@ -111,32 +109,25 @@ class LocationPrefixMap:
         return region.upper() in self.entries
 
 
-@dataclass(frozen=True, slots=True)
-class RegionalAnswer:
-    region: str
-    prefix: ipaddress.IPv4Network | ipaddress.IPv6Network
-    addresses: tuple[bytes, ...]  # given as address text, held packed
-    ttl: int = DEFAULT_TTL
+class RegionalAnswer(Value, fields="region prefix addresses ttl"):
+    """One region's answers: *addresses* are given as text or packed octets, and held packed."""
 
-    def __post_init__(self):
-        if not self.addresses:
-            raise ZoneParseError(f"region {self.region}: empty address list")
-        packed = tuple(map(pack_address, self.addresses))
-        octets = 4 if self.prefix.version == 4 else 16
+    def __new__(cls, region: str, prefix: ipaddress.IPv4Network | ipaddress.IPv6Network,
+                addresses: tuple[str, ...], ttl: int = DEFAULT_TTL):
+        if not addresses:
+            raise ZoneParseError(f"region {region}: empty address list")
+        packed = tuple(a if type(a) is bytes else pack_address(a) for a in addresses)
+        octets = 4 if prefix.version == 4 else 16
         for rdata in packed:
             if len(rdata) != octets:
                 raise ZoneParseError(
-                    f"region {self.region}: address {address_text(rdata)} "
-                    f"family differs from prefix {self.prefix}"
+                    f"region {region}: address {address_text(rdata)} family differs from prefix {prefix}"
                 )
-        object.__setattr__(self, "addresses", packed)
+        return tuple.__new__(cls, (region, prefix, packed, ttl))
 
 
-@dataclass(frozen=True)
-class LookupResult:
-    addresses: tuple[bytes, ...]  # packed, 4 octets for A and 16 for AAAA rdata
-    scope: int
-    ttl: int
+class LookupResult(Value, fields="addresses scope ttl"):
+    """*addresses* are packed, 4 octets for A and 16 for AAAA rdata."""
 
 
 @dataclass(frozen=True)
@@ -174,11 +165,11 @@ class AnswerSet:
         object.__setattr__(self, "default", tuple(sorted(stated, key=address_text)))
 
 
-@dataclass(frozen=True)
-class GeoZone:
-    origin: str
-    regions: LocationPrefixMap
-    records: dict = field(default_factory=dict)  # qname -> AnswerSet
+class GeoZone(Value, fields="origin regions records"):
+    """A zone's origin, its LocationPrefixMap, and *records*: qname -> AnswerSet."""
+
+    def __new__(cls, origin: str, regions: LocationPrefixMap, records: dict | None = None):
+        return tuple.__new__(cls, (origin, regions, {} if records is None else records))
 
     @classmethod
     def load(cls, path) -> "GeoZone":

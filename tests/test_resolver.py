@@ -554,6 +554,13 @@ class TestScenarioFiles:
             load_scenario(path)
         assert str(info.value) == f"{path}: qname: {message}"
 
+    @pytest.mark.parametrize("zone", [5, None, ["zone.json"]], ids=["number", "null", "array"])
+    def test_zone_must_be_text(self, tmp_path, zone):
+        path = self._write(tmp_path, lambda doc: doc.update(zone=zone))
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(path)
+        assert str(info.value) == f"{path}: zone: must be text, got {zone!r}"
+
     def test_qname_canonical_at_load(self, tmp_path):
         path = self._write(tmp_path, lambda doc: doc.update(qname="API.Example.IoT."))
         assert load_scenario(path).qname == "api.example.iot"
