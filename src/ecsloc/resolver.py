@@ -40,6 +40,7 @@ from .wire import (
 )
 from .zone import DEFAULT_TTL, GeoZone, LocationPrefixMap, NameNotFound
 
+RCODE_SERVFAIL = 2
 RCODE_NXDOMAIN = 3
 
 ARCHITECTURES = ("standard", "ecs_basic", "ecs_user_defined")
@@ -256,9 +257,11 @@ class Resolver:
             return make_response(
                 query, rcode=upstream_response.rcode, ecs=_echo(effective, 0)
             )
-        scope = 0
-        if upstream_response.edns and upstream_response.edns.ecs:
-            scope = upstream_response.edns.ecs.scope_prefix_len
+        echo = upstream_response.edns.ecs if upstream_response.edns else None
+        sent = effective and (effective.family, effective.source_prefix_len, effective.address)
+        if echo is not None and sent and (echo.family, echo.source_prefix_len, echo.address) != sent:
+            return make_response(query, rcode=RCODE_SERVFAIL, ecs=_echo(effective, 0))  # RFC 7871 section 7.3
+        scope = echo.scope_prefix_len if echo is not None else 0
         ttl = min((rr.ttl for rr in upstream_response.answers), default=DEFAULT_TTL)
         self._store(question.qname, question.qtype, scope, effective, upstream_response.answers, ttl)
         return make_response(query, upstream_response.answers, ecs=_echo(effective, scope))

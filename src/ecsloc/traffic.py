@@ -12,9 +12,11 @@ user-defined or the IP-based location, cumulative unique-domain/unique-IP
 series, and pairwise similarity matrices.  Similarities are exact
 fractions; callers render decimals.
 
-Ingest checks each distinct raw region token and answer list once per call
-and reuses the result for every later line that repeats it; qnames go
-through `canonical_name`, whose memo checks each distinct name once.
+Keys may come in any order, any whitespace apart: a line in the layout above
+is read by one regex match, any other by a token loop, and both feed the same
+checks.  Ingest checks each distinct raw region token and answer list once
+per call and reuses the result for every later line that repeats it; qnames
+go through `canonical_name`, whose memo checks each distinct name once.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ DEFAULT_POOL_THRESHOLD = 3
 
 _POOL_LABEL_RE = re.compile(r"^(.*?)(\d+)$")
 _LINE_KEYS = ("ts", "dev", "ipl", "udl", "q", "a")
+# `\S` excludes just what `str.split()` splits on: a full match is the six tokens in order
+_LINE_RE = re.compile(" ".join(rf"{key}=(\S*)" for key in _LINE_KEYS))
 
 
 class TrafficError(Error):
@@ -97,6 +101,27 @@ def _parse_region(token: str) -> str:
     return token.upper()
 
 
+def _line_fields(line: str) -> tuple[str, ...]:
+    """The raw `_LINE_KEYS` values of a line, in that order: one match, else the token loop."""
+    match = _LINE_RE.fullmatch(line)
+    return match.groups() if match else _scan_tokens(line)
+
+
+def _scan_tokens(line: str) -> tuple[str, ...]:
+    fields = {}
+    for token in line.split():
+        key, sep, value = token.partition("=")
+        if not sep or key not in _LINE_KEYS:
+            raise LogParseError(f"unexpected token {token!r}")
+        if key in fields:
+            raise LogParseError(f"duplicate key {key!r}")
+        fields[key] = value
+    if len(fields) < len(_LINE_KEYS):
+        missing = [k for k in _LINE_KEYS if k not in fields]
+        raise LogParseError(f"missing keys {missing}")
+    return tuple(fields[k] for k in _LINE_KEYS)
+
+
 class _LineReader:
     """Reads capture lines for one ingest, checking each distinct raw value once.
 
@@ -129,30 +154,20 @@ class _LineReader:
         return ips
 
     def parse(self, line: str) -> CaptureRecord:
-        fields = {}
-        for token in line.split():
-            key, sep, value = token.partition("=")
-            if not sep or key not in _LINE_KEYS:
-                raise LogParseError(f"unexpected token {token!r}")
-            if key in fields:
-                raise LogParseError(f"duplicate key {key!r}")
-            fields[key] = value
-        if len(fields) < len(_LINE_KEYS):
-            missing = [k for k in _LINE_KEYS if k not in fields]
-            raise LogParseError(f"missing keys {missing}")
+        ts, dev, ipl, udl, q, a = _line_fields(line)
         try:
-            ts = int(fields["ts"])
+            timestamp = int(ts)
         except ValueError:
-            raise LogParseError(f"ts={fields['ts']!r} is not an integer") from None
-        if not fields["dev"]:
+            raise LogParseError(f"ts={ts!r} is not an integer") from None
+        if not dev:
             raise LogParseError("empty device id")
-        ips = self._ips(fields["a"])
-        ipl = self._region(fields["ipl"])
-        udl = self._region(fields["udl"])
+        ips = self._ips(a)
+        ipl = self._region(ipl)
+        udl = self._region(udl)
         try:
-            return CaptureRecord(ts, fields["dev"], ipl, udl, fields["q"], ips)
+            return CaptureRecord(timestamp, dev, ipl, udl, q, ips)
         except InvalidName as exc:
-            raise LogParseError(f"bad qname {fields['q']!r}: {exc}") from None
+            raise LogParseError(f"bad qname {q!r}: {exc}") from None
         except (Error, ValueError) as exc:
             raise LogParseError(str(exc)) from None
 

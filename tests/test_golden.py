@@ -54,6 +54,10 @@ CASES = {
     "scenario_policy_float": ["scenario", "run", "{fixtures}/scenario_policy_float.json"],
     "scenario_policy_text": ["scenario", "run", "{fixtures}/scenario_policy_text.json"],
     "analyze_uds_yi": ["analyze", "uds", *YI, "--ipl", "US", "--locations", "HK", "UK"],
+    "analyze_uds_yi_reordered": [
+        "analyze", "uds", "--log", "{fixtures}/captures/yi_camera_reordered.log", "--device", "yi-cam",
+        "--ipl", "US", "--locations", "HK", "UK",
+    ],
     "analyze_uds_pools": ["analyze", "uds", *POOLS, "--ipl", "us", "--locations", "US", "UK"],
     "analyze_uds_pools_unfolded": [
         "analyze", "uds", *POOLS, "--ipl", "US", "--locations", "US", "UK", "--pool-threshold", "5",
@@ -114,6 +118,12 @@ def test_cli_matches_golden(name):
     expected_codes = json.loads((GOLDEN / "exit_codes.json").read_text())
     assert code == expected_codes[name]
     assert payload == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def test_reordered_log_reads_like_documented_layout():
+    """Keys in any order, with any whitespace, give the same payload."""
+    reordered = (GOLDEN / "analyze_uds_yi_reordered.out").read_bytes()
+    assert reordered == (GOLDEN / "analyze_uds_yi.out").read_bytes()
 
 
 if __name__ == "__main__":

@@ -262,6 +262,39 @@ class _ScriptedUpstream:
         return encode_message(make_response(query, (answer,), ecs=ecs))
 
 
+class TestUpstreamEchoChecked:
+    """RFC 7871 section 7.3: an echo not matching the sent option is dropped."""
+
+    SENT = EcsOption.for_prefix("198.18.0.0", 24)
+
+    @pytest.mark.parametrize("echo", [
+        pytest.param(EcsOption.for_prefix("2001:db8::", 56, 56), id="other-family"),
+        pytest.param(EcsOption.for_prefix("203.0.113.0", 24, 24), id="other-address"),
+        pytest.param(EcsOption.for_prefix("198.18.0.0", 16, 16), id="other-source-length"),
+    ])
+    def test_mismatched_echo_is_servfail_and_not_cached(self, echo):
+        echoes = [echo]
+
+        def upstream(payload, source):
+            query = decode_message(payload)
+            ecs = echoes.pop() if echoes else query.edns.ecs.with_scope(24)
+            answer = record_for_address(query.question.qname, "10.0.0.1", 300)
+            return encode_message(make_response(query, (answer,), ecs=ecs))
+
+        prefix_map = LocationPrefixMap({"HK": "198.19.0.0/16"})
+        resolver = Resolver(Forward(), "HK", InProcessLink(upstream), prefix_map)
+        query = encode_message(make_query("q.t", msg_id=7, ecs=self.SENT))
+        reply = decode_message(resolver.handle(query, "198.18.0.77"))
+        assert (reply.id, reply.rcode, reply.answers) == (7, 2, ())
+        assert reply.edns.ecs == self.SENT
+        assert resolver.cache_lookup("q.t", 1, self.SENT) is None
+
+        reply = decode_message(resolver.handle(query, "198.18.0.77"))
+        assert reply.rcode == 0
+        assert reply.edns.ecs == self.SENT.with_scope(24)
+        assert resolver.cache_lookup("q.t", 1, self.SENT).scope_prefix_len == 24
+
+
 def _reference_lookup(store, now, ecs):
     """The linear scan: most specific live entry whose family and network match."""
     best = None

@@ -275,6 +275,61 @@ class TestIngestOnceEachValue:
         assert calls == {"pack_address": 3, "_parse_region": 2}
 
 
+# Valid and invalid raw values per key; int() accepts "+7", "1_000" and "\u0663".
+LINE_VALUES = {
+    "ts": ["1", "0", "+7", "1_000", "\u0663", "-5", "1.5", "now", "", "a=b"],
+    "dev": ["d", "cam-1", "", "a=b"],
+    "ipl": ["US", "uk", "UKX", "U1", "", "a=b"],
+    "udl": ["UK", "de", "U1", "", "a=b"],
+    "q": ["a.x", "A.X.", "a..b", "a[1-3].x", "", "a=b"],
+    "a": ["", "10.0.0.1", "10.0.0.1,2001:DB8::1", "999.1.1.1", "10.0.0.1,", "a=b"],
+}
+SEPARATORS = [" ", "  ", "\t", " \t ", "\u3000", "\x1f", "\x85", "\r\n"]
+
+
+def line_outcome(line):
+    try:
+        return parse_capture_line(line, where="here")
+    except LogParseError as exc:
+        return str(exc)
+
+
+class TestLineLayouts:
+    """The one-match route and the token loop read the same lines the same way."""
+
+    @settings(max_examples=300)
+    @given(
+        st.fixed_dictionaries({key: st.sampled_from(pool) for key, pool in LINE_VALUES.items()}),
+        st.one_of(st.just(traffic._LINE_KEYS), st.permutations(traffic._LINE_KEYS)),
+        st.one_of(st.just([" "] * 5), st.lists(st.sampled_from(SEPARATORS), min_size=5, max_size=5)),
+        st.lists(st.sampled_from(["", *SEPARATORS]), min_size=2, max_size=2),
+    )
+    def test_any_order_and_whitespace_same_outcome(self, values, order, gaps, ends):
+        documented = " ".join(f"{key}={values[key]}" for key in traffic._LINE_KEYS)
+        first, *rest = (f"{key}={values[key]}" for key in order)
+        shuffled = ends[0] + first + "".join(gap + token for gap, token in zip(gaps, rest)) + ends[1]
+        assert line_outcome(shuffled) == line_outcome(documented)
+
+    @pytest.mark.parametrize("line, error", [
+        ("ts=1 dev=d ipl=US udl=UK q=a.x", "missing keys ['a']"),
+        ("ts=1 dev=d ipl=US udl=UK q=a.x a= dev=e", "duplicate key 'dev'"),
+        ("ts=1 dev=d ipl=US udl=UK q=a.x a= ttl=3", "unexpected token 'ttl=3'"),
+        ("ts=1 dev=d ipl=US udl=UK q=a.x a= stray", "unexpected token 'stray'"),
+    ])
+    def test_token_loop_errors_kept(self, line, error):
+        assert line_outcome(line) == f"here: {error}"
+
+    def test_documented_layout_never_enters_token_loop(self, monkeypatch):
+        def token_loop(line):
+            raise AssertionError(f"token loop entered for {line!r}")
+
+        monkeypatch.setattr(traffic, "_scan_tokens", token_loop)
+        log = ingest_log(FIXTURES / "captures" / "bulb_10region.log")
+        assert len(log) > 0
+        with pytest.raises(AssertionError, match="token loop"):
+            parse_capture_line("ts=1\tdev=d ipl=US udl=UK q=a.x a=")
+
+
 class TestDomainSet:
 
     def test_distinct_names(self):
