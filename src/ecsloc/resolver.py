@@ -11,12 +11,25 @@ ecs_user_defined  the device's stub fills the option with the prefix mapped
                   untouched, so answers follow the registration choice.
 
 The resolver caches under client-subnet scope semantics with an injected
-virtual clock; a single resolver instance expects serialized calls.
+virtual clock; a single resolver instance expects serialized calls.  Each
+(qname, qtype) has a bucket: one dict keyed by (family, scope, network)
+and its scopes, most specific first.  A store writes its entry into the
+bucket in place, so it costs the same at any bucket size.  One heap orders
+every stored entry by expiry time, then store order; each store or lookup
+first pops the heap's dead records, dropping their entries and any bucket
+left empty.  A record left stale by an overwritten or dropped entry is
+skipped, and the heap is compacted past twice CACHE_MAX_ENTRIES records.
+At most CACHE_MAX_ENTRIES entries are live: a store beyond that evicts the
+heap top, the entry closest to expiry, oldest store first on a tie.  The
+resolver counts what it does in plain integers: hits, misses,
+stores, expiries, evictions, bad_echoes and upstream_errors.
 """
 
 from __future__ import annotations
 
+import heapq
 import ipaddress
+import itertools
 import json
 import threading
 from pathlib import Path
@@ -42,6 +55,9 @@ from .zone import DEFAULT_TTL, GeoZone, LocationPrefixMap, NameNotFound
 
 RCODE_SERVFAIL = 2
 RCODE_NXDOMAIN = 3
+
+# RFC 7871's security considerations: client-subnet caching multiplies the entries per name
+CACHE_MAX_ENTRIES = 10_000
 
 ARCHITECTURES = ("standard", "ecs_basic", "ecs_user_defined")
 
@@ -94,7 +110,7 @@ class VirtualClock:
 
 
 class CacheEntry(Value, fields="scope_prefix_len records expires_at"):
-    """A cached answer: *records* are the upstream's answers, as received."""
+    """A cached answer: *records* are the upstream's answers under the question's name."""
 
 
 def stub_query(
@@ -179,8 +195,15 @@ class Resolver:
         self.prefix_map = prefix_map
         self.clock = clock if clock is not None else VirtualClock()
         self.address = str(prefix_map.prefix_for(location).network_address + 1)
-        # (qname, qtype) -> ({(family, scope, network int): entry}, scopes most specific first)
-        self._cache: dict[tuple[str, int], tuple[dict, list[int]]] = {}
+        # (qname, qtype) -> ({(family, scope, network int): entry}, {scope: entry count}, most specific first)
+        self._cache: dict[tuple[str, int], tuple[dict, dict[int, int]]] = {}
+        # (expires_at, store order, (qname, qtype), key, entry), one per store;
+        # the entry itself tells a live record from a stale one
+        self._heap: list[tuple] = []
+        self._order = itertools.count()
+        self._size = 0
+        self.hits = self.misses = self.stores = self.expiries = self.evictions = 0
+        self.bad_echoes = self.upstream_errors = 0
         self._lock = threading.Lock()
 
     def handle(self, payload: bytes, source: str) -> bytes:
@@ -203,8 +226,9 @@ class Resolver:
         A scope-0 entry matches any (and absent) option; an entry with
         positive scope needs an option of its family, at least that
         specific, whose address truncated to the scope equals the stored
-        network.  Expired entries met on the way are dropped.
+        network.  Expired entries are dropped first.
         """
+        self._expire(self.clock.now)
         bucket = self._cache.get((qname, qtype))
         if bucket is None:
             return None
@@ -213,12 +237,9 @@ class Resolver:
         for scope in scopes:
             if scope and (ecs is None or ecs.source_prefix_len < scope):
                 continue
-            key = _cache_key(ecs, scope, address)
-            entry = entries.get(key)
+            entry = entries.get(_cache_key(ecs, scope, address))
             if entry is not None:
-                if entry.expires_at > self.clock.now:
-                    return entry
-                del entries[key]
+                return entry
         return None
 
     def _store(self, qname, qtype, scope, ecs, records, ttl):
@@ -226,10 +247,61 @@ class Resolver:
             return  # no later query could match a scoped answer to an option-less one
         key = _cache_key(ecs, scope, ecs.address_int() if scope else 0)
         now = self.clock.now
-        bucket = self._cache.get((qname, qtype))
-        entries = {k: e for k, e in bucket[0].items() if e.expires_at > now} if bucket else {}
-        entries[key] = CacheEntry(scope, records, now + ttl)
-        self._cache[(qname, qtype)] = (entries, sorted({k[1] for k in entries}, reverse=True))
+        self._expire(now)
+        records = tuple(
+            rr if rr.name == qname else ResourceRecord(qname, rr.rtype, rr.ttl, rr.rdata) for rr in records
+        )
+        entry = CacheEntry(scope, records, now + ttl)
+        name = (qname, qtype)
+        bucket = self._cache.get(name)
+        if bucket is None:
+            bucket = self._cache[name] = ({}, {})
+        entries, scopes = bucket
+        if key not in entries:
+            self._size += 1
+            if scope not in scopes:
+                scopes[scope] = 0
+                for known in sorted(scopes, reverse=True):  # re-insert, most specific first
+                    scopes[known] = scopes.pop(known)
+            scopes[scope] += 1
+        entries[key] = entry
+        heap = self._heap
+        heapq.heappush(heap, (entry.expires_at, next(self._order), name, key, entry))
+        self.stores += 1
+        if self._size > CACHE_MAX_ENTRIES:
+            while not self._drop(heapq.heappop(heap)):
+                pass
+            self.evictions += 1
+        if len(heap) > 2 * CACHE_MAX_ENTRIES:
+            self._heap = [record for record in heap if self._holds(record)]
+            heapq.heapify(self._heap)
+
+    def _expire(self, now: float) -> None:
+        """Drop every entry whose expiry time has come."""
+        heap = self._heap
+        while heap and heap[0][0] <= now:
+            if self._drop(heapq.heappop(heap)):
+                self.expiries += 1
+
+    def _holds(self, record: tuple) -> bool:
+        """Whether the entry of heap *record* is still cached, not overwritten or dropped."""
+        bucket = self._cache.get(record[2])
+        return bucket is not None and bucket[0].get(record[3]) is record[4]
+
+    def _drop(self, record: tuple) -> bool:
+        """Drop the entry of heap *record*, its scope and bucket if left empty; False for a stale record."""
+        if not self._holds(record):
+            return False
+        _, _, name, key, entry = record
+        entries, scopes = self._cache[name]
+        del entries[key]
+        self._size -= 1
+        scopes[entry.scope_prefix_len] -= 1
+        if not scopes[entry.scope_prefix_len]:
+            del scopes[entry.scope_prefix_len]
+        if not entries:
+            del self._cache[name]
+        return True
 
     def resolve(self, query: DnsMessage, source: str) -> DnsMessage:
         if query.is_response:
@@ -240,11 +312,11 @@ class Resolver:
 
         entry = self.cache_lookup(question.qname, question.qtype, effective)
         if entry is not None:
+            self.hits += 1
             remaining = max(1, int(entry.expires_at - self.clock.now))
-            answers = tuple(
-                ResourceRecord(question.qname, rr.rtype, remaining, rr.rdata) for rr in entry.records
-            )
+            answers = tuple(rr.with_ttl(remaining) for rr in entry.records)
             return make_response(query, answers, ecs=_echo(effective, entry.scope_prefix_len))
+        self.misses += 1
 
         upstream_query = make_query(
             question.qname, question.qtype, msg_id=query.id, ecs=effective
@@ -254,12 +326,14 @@ class Resolver:
         )
 
         if upstream_response.rcode != 0:
+            self.upstream_errors += 1
             return make_response(
                 query, rcode=upstream_response.rcode, ecs=_echo(effective, 0)
             )
         echo = upstream_response.edns.ecs if upstream_response.edns else None
         sent = effective and (effective.family, effective.source_prefix_len, effective.address)
         if echo is not None and sent and (echo.family, echo.source_prefix_len, echo.address) != sent:
+            self.bad_echoes += 1
             return make_response(query, rcode=RCODE_SERVFAIL, ecs=_echo(effective, 0))  # RFC 7871 section 7.3
         scope = echo.scope_prefix_len if echo is not None else 0
         ttl = min((rr.ttl for rr in upstream_response.answers), default=DEFAULT_TTL)

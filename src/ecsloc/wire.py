@@ -240,6 +240,13 @@ class ResourceRecord(Value, fields="name rtype ttl rdata"):
             raise ValueError(f"ttl {ttl} out of range")
         return tuple.__new__(cls, (name, rtype, ttl, rdata))
 
+    def with_ttl(self, ttl: int) -> "ResourceRecord":
+        """This record with another TTL, the one field checked again."""
+        if not 0 <= ttl <= 0xFFFFFFFF:
+            raise ValueError(f"ttl {ttl} out of range")
+        name, rtype, _, rdata = self
+        return tuple.__new__(ResourceRecord, (name, rtype, ttl, rdata))
+
     def address(self) -> str:
         return address_text(self.rdata)
 

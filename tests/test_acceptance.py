@@ -15,6 +15,7 @@ import pytest
 from helpers import FIXTURES, rand_message, rand_mud, reference_ecs_rdata
 
 from ecsloc import cli
+from ecsloc import resolver as resolver_module
 from ecsloc.mud import (
     RegionDomainGroup,
     domain_count,
@@ -336,6 +337,22 @@ def test_criterion_8_cache_semantics(five_region_zone):
     run_workload(Forward(), forward_query, 250)
     print("[criterion 8] PASS - 500 randomized interleavings match the cacheless oracle,"
           " including scope-0 wildcard hits and cross-prefix misses")
+
+
+def test_criterion_8_cache_semantics_under_eviction(five_region_zone, monkeypatch):
+    # eviction only turns hits into misses, which the cacheless oracle allows
+    monkeypatch.setattr(resolver_module, "CACHE_MAX_ENTRIES", 4)
+    made = []
+
+    class RecordedResolver(Resolver):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setitem(globals(), "Resolver", RecordedResolver)
+    test_criterion_8_cache_semantics(five_region_zone)
+    assert len(made) == 2
+    assert sum(resolver.evictions for resolver in made) > 0
 
 
 def test_criterion_9_mud_roundtrip_and_algebra():

@@ -7,6 +7,7 @@ import time
 import pytest
 from helpers import FIXTURES, network_at, record_for_address, region_codes
 
+from ecsloc import resolver as resolver_module
 from ecsloc.resolver import (
     Authoritative,
     DeviceConfig,
@@ -181,8 +182,7 @@ class TestCache:
         resolver.resolve(make_query("api.example.iot", ecs=ecs), "198.18.0.77")
         clock.advance(301)
         assert resolver.cache_lookup("api.example.iot", 1, ecs) is None
-        entries, _ = resolver._cache[("api.example.iot", 1)]
-        assert entries == {}
+        assert ("api.example.iot", 1) not in resolver._cache
 
     def test_hits_equal_cold_lookups(self, zone):
         # region-homed prefixes only: a non-matching prefix would cache the
@@ -401,6 +401,129 @@ def test_cache_hit_cost_does_not_grow_with_entries():
         for count, (resolver, ecs) in resolvers.items():
             best[count] = min(best[count], _cache_hit_seconds(resolver, ecs, 200))
     assert best[500] <= 3 * best[1], f"500 entries {best[500]:.6f}s vs 1 entry {best[1]:.6f}s"
+
+
+def _store_seconds(resolver, ecs, records, calls):
+    start = time.perf_counter()
+    for _ in range(calls):
+        resolver._store("q.t", 1, 24, ecs, records, 300)
+    return time.perf_counter() - start
+
+
+def test_cache_store_cost_does_not_grow_with_entries():
+    # timing ratio, not absolute time: best of interleaved repeats, so a
+    # host slowdown hits both sides alike; each timed store overwrites one
+    # client network of a bucket of distinct /24s
+    records = (record_for_address("q.t", "10.0.0.1", 300),)
+    resolvers = {}
+    for count in (40, 4000):
+        resolver = Resolver(Forward(), "HK", _ScriptedUpstream(), LocationPrefixMap.default(["HK"]))
+        for i in range(count):
+            ecs = EcsOption.for_prefix(f"10.{i >> 8}.{i & 255}.0", 24)
+            resolver._store("q.t", 1, 24, ecs, records, 300)
+        assert len(resolver._cache[("q.t", 1)][0]) == count
+        resolvers[count] = (resolver, ecs)
+    best = {40: float("inf"), 4000: float("inf")}
+    for _ in range(7):
+        for count, (resolver, ecs) in resolvers.items():
+            best[count] = min(best[count], _store_seconds(resolver, ecs, records, 200))
+    assert best[4000] <= 3 * best[40], f"4000 entries {best[4000]:.6f}s vs 40 entries {best[40]:.6f}s"
+
+
+def _live_entries(resolver):
+    return sum(len(entries) for entries, _ in resolver._cache.values())
+
+
+def test_cache_memory_is_bounded(monkeypatch):
+    monkeypatch.setattr(resolver_module, "CACHE_MAX_ENTRIES", 1000)
+    clock = VirtualClock()
+    upstream = _ScriptedUpstream()
+    upstream.scope = 24
+    resolver = Resolver(Forward(), "HK", upstream, LocationPrefixMap.default(["HK"]), clock=clock)
+    ecs = EcsOption.for_prefix("10.0.0.0", 24)
+    for i in range(50_000):
+        qname = f"n{i}.t"
+        resolver._store(qname, 1, 24, ecs, (record_for_address(qname, "10.0.0.1", 300),), 300)
+    assert _live_entries(resolver) == len(resolver._cache) == 1000
+    # equal TTLs on a still clock: the oldest stores were evicted
+    assert set(resolver._cache) == {(f"n{i}.t", 1) for i in range(49_000, 50_000)}
+    assert (resolver.stores, resolver.evictions, resolver.expiries) == (50_000, 49_000, 0)
+
+    # a scope longer than the source never hits, so every query overwrites
+    upstream.scope = 28
+    largest_heap = 0
+    for i in range(2500):
+        resolver.resolve(make_query(f"w{i % 7}.t", ecs=ecs), "198.18.0.77")
+        largest_heap = max(largest_heap, len(resolver._heap))
+    assert resolver.hits == 0
+    assert 1000 < largest_heap <= 2000
+    assert _live_entries(resolver) == 1000
+
+    clock.advance(301)
+    resolver.resolve(make_query("last.t", ecs=ecs), "198.18.0.77")
+    assert list(resolver._cache) == [("last.t", 1)]
+    assert _live_entries(resolver) == 1
+    assert resolver.expiries == 1000
+
+
+def test_overwritten_entry_outlives_its_stale_heap_record():
+    clock = VirtualClock()
+    upstream = _ScriptedUpstream()
+    upstream.scope = 28  # longer than the source: never a hit, so each query overwrites
+    resolver = Resolver(Forward(), "HK", upstream, LocationPrefixMap.default(["HK"]), clock=clock)
+    ecs = EcsOption.for_prefix("10.0.0.0", 24)
+    for ttl in (10, 100):
+        upstream.ttl = ttl
+        resolver.resolve(make_query("q.t", ecs=ecs), "198.18.0.77")
+    clock.advance(20)
+    entry = resolver.cache_lookup("q.t", 1, EcsOption.for_prefix("10.0.0.0", 28))
+    assert entry is not None and entry.expires_at == 100
+    assert (resolver.stores, resolver.expiries, len(resolver._heap)) == (2, 0, 1)
+
+
+def test_counters_on_a_scripted_sequence(monkeypatch):
+    monkeypatch.setattr(resolver_module, "CACHE_MAX_ENTRIES", 2)
+    plan = []  # per upstream call: (answer name, ttl, rcode, echo or None for the sent option at scope 24)
+
+    def upstream(payload, source):
+        query = decode_message(payload)
+        name, ttl, rcode, echo = plan.pop(0)
+        answers = (record_for_address(name, "10.0.0.1", ttl),) if rcode == 0 else ()
+        ecs = echo or query.edns.ecs.with_scope(24)
+        return encode_message(make_response(query, answers, rcode=rcode, ecs=ecs))
+
+    clock = VirtualClock()
+    prefix_map = LocationPrefixMap({"HK": "198.19.0.0/16"})
+    resolver = Resolver(Forward(), "HK", InProcessLink(upstream), prefix_map, clock=clock)
+    sent = EcsOption.for_prefix("198.18.0.0", 24)
+
+    def ask(qname, *answer):
+        plan[:] = [answer] if answer else []
+        reply = resolver.resolve(make_query(qname, ecs=sent), "198.18.0.77")
+        assert plan == []  # a planned upstream call was made, and only then
+        return reply
+
+    ask("a.t", "a.t", 100, 0, None)
+    clock.advance(40)
+    # a hit re-issues the cached record with the remaining TTL
+    assert ask("a.t").answers == (record_for_address("a.t", "10.0.0.1", 60),)
+    ask("b.t", "cdn.t", 50, 0, None)  # expires at 90, the first
+    assert ask("b.t").answers == (record_for_address("b.t", "10.0.0.1", 50),)
+    ask("c.t", "c.t", 200, 0, None)  # a third entry evicts b.t
+    ask("b.t", "b.t", 300, 0, None)  # then a.t, expiring at 100
+    ask("c.t")
+    clock.advance(200)  # c.t expired at 240
+    ask("c.t", "c.t", 0, 3, None)  # NXDOMAIN upstream
+    ask("d.t", "d.t", 300, 0, EcsOption.for_prefix("203.0.113.0", 24, 24))
+    ask("b.t")
+    clock.advance(100)  # b.t expired at 340
+    ask("e.t", "e.t", 10, 0, None)
+
+    assert list(resolver._cache) == [("e.t", 1)]
+    assert resolver.hits + resolver.misses == 11
+    assert (resolver.hits, resolver.misses, resolver.stores) == (4, 7, 5)
+    assert (resolver.expiries, resolver.evictions) == (2, 2)
+    assert (resolver.bad_echoes, resolver.upstream_errors) == (1, 1)
 
 
 class TestScenarios:
