@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import socket
 import threading
+import time
 
 
 class InProcessLink:
@@ -18,32 +19,81 @@ class InProcessLink:
 
 
 class UdpClient:
-    """Blocking UDP exchange against (host, port); the OS supplies the real source."""
+    """UDP exchanges with (host, port) over one connected socket; the OS supplies the real source.
+
+    The socket opens on the first exchange and is connected to the remote,
+    so the kernel drops datagrams from any other source, and a refused port
+    raises ConnectionRefusedError.  A reply whose message ID (its first two
+    octets) differs from the query's is discarded, and the wait goes on for
+    what is left of *timeout*.  The source port stays fixed for the client's
+    life: fine for a test harness, not for a resolver's upstream socket
+    (RFC 5452 section 9.2).  Exchanges run one at a time: share no client
+    between threads.  close() it, or use it in a with statement.
+    """
 
     def __init__(self, host: str, port: int, timeout: float = 2.0):
         self.remote = (host, port)
         self.timeout = timeout
+        self._sock = None
 
     def exchange(self, payload: bytes, source: str = "") -> bytes:
-        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+        start = time.monotonic()
+        sock = self._sock if self._sock is not None else self._connect()
+        sock.send(payload)
+        reply = sock.recv(65535)
+        if reply[:2] == payload[:2]:
+            return reply
+        # RFC 5452 section 3: a reply to another query is not this query's answer
+        try:
+            while reply[:2] != payload[:2]:
+                remaining = start + self.timeout - time.monotonic()
+                if remaining <= 0:
+                    raise TimeoutError("timed out")
+                sock.settimeout(remaining)
+                reply = sock.recv(65535)
+        finally:
             sock.settimeout(self.timeout)
-            sock.sendto(payload, self.remote)
-            data, _ = sock.recvfrom(65535)
-            return data
+        return reply
+
+    def _connect(self) -> socket.socket:
+        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        try:
+            sock.settimeout(self.timeout)
+            sock.connect(self.remote)
+        except BaseException:
+            sock.close()
+            raise
+        self._sock = sock
+        return sock
+
+    def close(self) -> None:
+        sock, self._sock = self._sock, None
+        if sock is not None:
+            sock.close()
+
+    def __enter__(self) -> "UdpClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 class UdpServer:
     """Threaded UDP front end for a handler(payload, source) -> payload.
 
-    Packets whose handling raises are dropped; the handler must provide its
-    own serialization if it mutates shared state.
+    The serving thread blocks in recvfrom; stop() wakes it with one empty
+    datagram to the server's own address.  It counts packets `received`,
+    `answered` and `dropped`: a packet is dropped when its handler raised
+    or its reply could not be sent.  Only the serving thread writes the
+    counts.  The handler must provide its own serialization if it mutates
+    shared state.
     """
 
     def __init__(self, handler, host: str = "127.0.0.1", port: int = 0):
         self.handler = handler
+        self.received = self.answered = self.dropped = 0
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self._sock.bind((host, port))
-        self._sock.settimeout(0.2)
         self._thread = None
         self._running = False
 
@@ -58,25 +108,26 @@ class UdpServer:
         return self
 
     def _serve(self) -> None:
-        while self._running:
+        sock = self._sock
+        while True:
             try:
-                data, peer = self._sock.recvfrom(65535)
-            except socket.timeout:
-                continue
+                data, peer = sock.recvfrom(65535)
             except OSError:
                 break
+            if not self._running:
+                break
+            self.received += 1
             try:
-                reply = self.handler(data, peer[0])
+                sock.sendto(self.handler(data, peer[0]), peer)
             except Exception:
-                continue
-            try:
-                self._sock.sendto(reply, peer)
-            except OSError:
-                break
+                self.dropped += 1
+            else:
+                self.answered += 1
 
     def stop(self) -> None:
         self._running = False
-        if self._thread is not None:
+        if self._thread is not None and self._thread.is_alive():
+            self._sock.sendto(b"", self._sock.getsockname())
             self._thread.join(timeout=2.0)
         self._sock.close()
 

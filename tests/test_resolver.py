@@ -1,5 +1,6 @@
 """Resolution architectures, policy handling, and scope-aware caching."""
 
+import itertools
 import json
 import random
 import time
@@ -298,7 +299,7 @@ class TestUpstreamEchoChecked:
 def _reference_lookup(store, now, ecs):
     """The linear scan: most specific live entry whose family and network match."""
     best = None
-    for family, scope, network, address, expires_at in store:
+    for family, scope, network, address, expires_at, _ in store:
         if expires_at <= now:
             continue
         if scope == 0:
@@ -312,7 +313,11 @@ def _reference_lookup(store, now, ecs):
     return best
 
 
-def test_cache_lookup_against_linear_scan():
+# at 8 a few stores evict; at 4 about one miss in three does, so the tie rule shows
+@pytest.mark.parametrize("bound", [None, 8, 4], ids=["default", "8", "4"])
+def test_cache_lookup_against_linear_scan(bound, monkeypatch):
+    if bound is not None:
+        monkeypatch.setattr(resolver_module, "CACHE_MAX_ENTRIES", bound)
     rng = random.Random(23)
     # bases that nest and collide at the scopes used, a v4/v6 pair with
     # equal leading octets, and the zero network of each family, whose
@@ -333,7 +338,8 @@ def test_cache_lookup_against_linear_scan():
     upstream = _ScriptedUpstream()
     resolver = Resolver(Forward(), "HK", upstream, LocationPrefixMap.default(["HK"]), clock=clock)
     stores = {qname: [] for qname in ("a.t", "b.t")}
-    hits = misses = expired_checks = 0
+    order = itertools.count()
+    hits = misses = expired_checks = evictions = 0
     for _ in range(4000):
         qname = rng.choice(list(stores))
         ecs = random_ecs()
@@ -352,11 +358,21 @@ def test_cache_lookup_against_linear_scan():
                 assert upstream.calls == before + 1
                 scope = upstream.scope
                 network = network_at(ecs, scope) if ecs is not None else b""
+                for entries in stores.values():
+                    entries[:] = [e for e in entries if e[4] > clock.now]
                 store[:] = [
                     e for e in store
                     if not (e[1] == scope and (scope == 0 or (e[0], e[2]) == (family, network)))
                 ]
-                store.append((family, scope, network, upstream.address, clock.now + upstream.ttl))
+                store.append((family, scope, network, upstream.address, clock.now + upstream.ttl, next(order)))
+                live = [e for entries in stores.values() for e in entries]
+                if len(live) > resolver_module.CACHE_MAX_ENTRIES:
+                    # the live entry closest to expiry goes, the earliest stored on a tie
+                    victim = min(live, key=lambda e: (e[4], e[5]))
+                    for entries in stores.values():
+                        if victim in entries:
+                            entries.remove(victim)
+                    evictions += 1
                 misses += 1
             else:
                 assert upstream.calls == before
@@ -373,6 +389,8 @@ def test_cache_lookup_against_linear_scan():
                 )
             expired_checks += any(e[4] <= clock.now for e in store)
     assert hits > 200 and misses > 200 and expired_checks > 200
+    assert resolver.evictions == evictions
+    assert (evictions > 0) == (bound is not None)
 
 
 def _cache_hit_seconds(resolver, ecs, calls):

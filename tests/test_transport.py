@@ -1,5 +1,9 @@
 """In-process and UDP transports expose the same exchange surface."""
 
+import socket
+import threading
+import time
+
 import pytest
 from helpers import FIXTURES
 
@@ -7,6 +11,49 @@ from ecsloc.resolver import Authoritative, Forward, Resolver
 from ecsloc.transport import InProcessLink, UdpClient, UdpServer
 from ecsloc.wire import EcsOption, decode_message, encode_message, make_query
 from ecsloc.zone import GeoZone
+
+QUERY = encode_message(make_query("api.example.iot", msg_id=7))
+
+
+def other_id(payload: bytes) -> bytes:
+    """*payload* under a message ID one above its own."""
+    return ((int.from_bytes(payload[:2], "big") + 1) % 65536).to_bytes(2, "big") + payload[2:]
+
+
+@pytest.fixture
+def peer():
+    """A bare UDP socket on loopback standing in for the server."""
+    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    try:
+        sock.bind(("127.0.0.1", 0))
+    except OSError as exc:
+        sock.close()
+        pytest.skip(f"UDP loopback unavailable: {exc}")
+    sock.settimeout(2.0)
+    with sock:
+        yield sock
+
+
+def answer(peer, replies, sources=None):
+    """From a thread, answer the next query at *peer* with each datagram of replies(query).
+
+    The query's source address is appended to *sources* when given.
+    """
+    def run():
+        query, client = peer.recvfrom(65535)
+        if sources is not None:
+            sources.append(client)
+        for datagram in replies(query):
+            peer.sendto(datagram, client)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    return thread
+
+
+def joined(thread) -> bool:
+    thread.join(timeout=2.0)
+    return not thread.is_alive()
 
 
 def test_in_process_link_calls_handler():
@@ -20,8 +67,7 @@ def test_udp_resolver_front_end():
     resolver = Resolver(Forward(), "HK", InProcessLink(authoritative.handle), zone.regions)
     query = make_query("api.example.iot", ecs=EcsOption.for_prefix("198.18.1.0", 24), msg_id=42)
     try:
-        with UdpServer(resolver.handle) as server:
-            client = UdpClient(*server.address)
+        with UdpServer(resolver.handle) as server, UdpClient(*server.address) as client:
             response = decode_message(client.exchange(encode_message(query)))
     except OSError as exc:
         pytest.skip(f"UDP loopback unavailable: {exc}")
@@ -34,11 +80,97 @@ def test_udp_server_drops_garbage_and_keeps_serving():
     authoritative = Authoritative(zone)
     try:
         with UdpServer(authoritative.handle) as server:
-            client = UdpClient(*server.address, timeout=0.3)
-            with pytest.raises(OSError):
-                client.exchange(b"\x00\x01")  # truncated header: no reply
-            query = make_query("api.example.iot", msg_id=7)
-            response = decode_message(client.exchange(encode_message(query)))
+            with UdpClient(*server.address, timeout=0.3) as client:
+                with pytest.raises(OSError):
+                    client.exchange(b"\x00\x01")  # truncated header: no reply
+                response = decode_message(client.exchange(QUERY))
     except OSError as exc:
         pytest.skip(f"UDP loopback unavailable: {exc}")
     assert response.id == 7
+    # the wake-up datagram of stop() is not a packet served
+    assert (server.received, server.answered, server.dropped) == (2, 1, 1)
+
+
+def test_udp_server_counts_a_reply_it_cannot_send_as_dropped():
+    try:
+        with UdpServer(lambda payload, source: b"x" * 70_000) as server:  # too long for a datagram
+            with UdpClient(*server.address, timeout=0.3) as client:
+                with pytest.raises(TimeoutError):
+                    client.exchange(QUERY)
+    except OSError as exc:
+        pytest.skip(f"UDP loopback unavailable: {exc}")
+    assert (server.received, server.answered, server.dropped) == (1, 0, 1)
+
+
+def test_udp_server_stop_wakes_its_thread_at_once():
+    try:
+        server = UdpServer(lambda payload, source: payload).start()
+    except OSError as exc:
+        pytest.skip(f"UDP loopback unavailable: {exc}")
+    thread = server._thread
+    with UdpClient(*server.address) as client:
+        assert client.exchange(QUERY) == QUERY
+    started = time.monotonic()
+    server.stop()
+    assert time.monotonic() - started < 0.1
+    assert not thread.is_alive()
+    assert (server.received, server.answered, server.dropped) == (1, 1, 0)
+
+
+def test_client_discards_a_reply_with_another_id(peer):
+    with UdpClient(*peer.getsockname()) as client:
+        thread = answer(peer, lambda query: (other_id(query), query))
+        assert client.exchange(QUERY) == QUERY
+    assert joined(thread)
+
+
+def test_client_exchanges_share_one_source_port(peer):
+    sources = []
+    with UdpClient(*peer.getsockname()) as client:
+        for _ in range(2):
+            thread = answer(peer, lambda query: (query,), sources)
+            assert client.exchange(QUERY) == QUERY
+            assert joined(thread)
+    assert len(sources) == 2 and sources[0] == sources[1]
+
+
+def test_client_never_returns_a_datagram_from_another_source(peer):
+    sources = []
+    with UdpClient(*peer.getsockname()) as client:
+        thread = answer(peer, lambda query: (query,), sources)
+        client.exchange(QUERY)
+        assert joined(thread)
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as stranger:
+            stranger.sendto(QUERY[:2] + b"spoofed", sources[0])  # the right ID, the wrong source
+        thread = answer(peer, lambda query: (query + b"genuine",))
+        assert client.exchange(QUERY) == QUERY + b"genuine"
+    assert joined(thread)
+
+
+def test_client_wrong_ids_cannot_stretch_the_timeout(peer):
+    done = threading.Event()
+
+    def flood(query):
+        while not done.is_set():
+            yield other_id(query)
+            time.sleep(0.01)
+
+    thread = answer(peer, flood)
+    try:
+        with UdpClient(*peer.getsockname(), timeout=0.2) as client:
+            started = time.monotonic()
+            with pytest.raises(TimeoutError):
+                client.exchange(QUERY)
+            assert time.monotonic() - started < 0.6
+    finally:
+        done.set()
+    assert joined(thread)
+
+
+def test_client_refused_port_raises_at_once():
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as probe:
+        probe.bind(("127.0.0.1", 0))
+        closed_port = probe.getsockname()[1]
+    with UdpClient("127.0.0.1", closed_port) as client:
+        with pytest.raises(ConnectionRefusedError):
+            client.exchange(QUERY)
