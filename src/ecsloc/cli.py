@@ -42,8 +42,8 @@ class RunReport:
     outputs: list = dc_field(default_factory=list)
     metrics: dict = dc_field(default_factory=dict)
 
-    def note_input(self, path) -> None:
-        data = Path(path).read_bytes()
+    def note_input(self, path, data: bytes) -> None:
+        """Record the digest of *data*, the bytes the command read from *path*."""
         self.inputs[str(path)] = hashlib.sha256(data).hexdigest()
 
     def to_json(self) -> str:
@@ -72,10 +72,10 @@ def _emit(payload: str, out_path, report: RunReport) -> None:
 
 def cmd_scenario_run(args, report: RunReport) -> None:
     spec = load_scenario(args.scenario)
-    report.note_input(args.scenario)
+    report.note_input(args.scenario, Path(args.scenario).read_bytes())
     zone_path = Path(args.zone) if args.zone else spec.zone_path
     zone = GeoZone.load(zone_path)
-    report.note_input(zone_path)
+    report.note_input(zone_path, zone_path.read_bytes())
     transcript = run_scenario(
         spec.architecture,
         spec.device,
@@ -92,7 +92,7 @@ def cmd_scenario_run(args, report: RunReport) -> None:
 
 def _load_log(args, report: RunReport) -> traffic.CaptureLog:
     log = traffic.ingest_log(args.log)
-    report.note_input(args.log)
+    report.note_input(args.log, Path(args.log).read_bytes())
     if log.resorted:
         print(f"warning: {args.log}: timestamps were out of order; records re-sorted", file=sys.stderr)
     return log
@@ -177,9 +177,16 @@ def cmd_mud_generate(args, report: RunReport) -> None:
 def _read_muds(paths, report: RunReport) -> list[mudlib.MudFile]:
     muds = []
     for path in paths:
-        muds.append(mudlib.parse_mud(Path(path).read_bytes()))
-        report.note_input(path)
+        data = Path(path).read_bytes()
+        muds.append(mudlib.parse_mud(data))
+        report.note_input(path, data)
     return muds
+
+
+def _read_groups(path, report: RunReport) -> list[mudlib.RegionDomainGroup]:
+    data = Path(path).read_bytes()
+    report.note_input(path, data)
+    return mudlib.load_groups(data)
 
 
 def cmd_mud_unify(args, report: RunReport) -> None:
@@ -190,8 +197,7 @@ def cmd_mud_unify(args, report: RunReport) -> None:
 
 def cmd_mud_collapse(args, report: RunReport) -> None:
     (mud,) = _read_muds([args.input], report)
-    groups = mudlib.load_groups(Path(args.groups).read_bytes())
-    report.note_input(args.groups)
+    groups = _read_groups(args.groups, report)
     result = mudlib.ecs_collapse(mud, groups)
     _emit(mudlib.serialize_mud(result.mud).decode(), args.out, report)
     report.metrics["domains"] = mudlib.domain_count(result.mud)
@@ -201,8 +207,7 @@ def cmd_mud_collapse(args, report: RunReport) -> None:
 
 def cmd_mud_compare(args, report: RunReport) -> None:
     muds = _read_muds(args.inputs, report)
-    groups = mudlib.load_groups(Path(args.groups).read_bytes())
-    report.note_input(args.groups)
+    groups = _read_groups(args.groups, report)
     rows = mudlib.sweep_table(muds, groups)
     lines = ["locations_included,unified_domains,ecs_domains,ratio"]
     lines += [f"{k},{u},{e},{_decimal(r)}" for k, u, e, r in rows]

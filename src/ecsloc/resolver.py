@@ -220,20 +220,24 @@ class Resolver:
                 return EcsOption.for_prefix(source, plen)
         raise ScenarioError(f"unknown policy {self.policy!r}")
 
-    def cache_lookup(self, qname: str, qtype: int, ecs: EcsOption | None) -> CacheEntry | None:
+    def cache_lookup(
+        self, qname: str, qtype: int, ecs: EcsOption | None, address: int | None = None
+    ) -> CacheEntry | None:
         """Most specific unexpired entry matching under scope semantics, if any.
 
         A scope-0 entry matches any (and absent) option; an entry with
         positive scope needs an option of its family, at least that
         specific, whose address truncated to the scope equals the stored
-        network.  Expired entries are dropped first.
+        network.  Expired entries are dropped first.  *address* is the
+        option's `address_int()`, worked out here when not given.
         """
         self._expire(self.clock.now)
         bucket = self._cache.get((qname, qtype))
         if bucket is None:
             return None
         entries, scopes = bucket
-        address = ecs.address_int() if ecs is not None else 0
+        if address is None:
+            address = ecs.address_int() if ecs is not None else 0
         for scope in scopes:
             if scope and (ecs is None or ecs.source_prefix_len < scope):
                 continue
@@ -242,15 +246,18 @@ class Resolver:
                 return entry
         return None
 
-    def _store(self, qname, qtype, scope, ecs, records, ttl):
+    def _store(self, qname, qtype, scope, ecs, address, records, ttl):
         if ecs is None and scope:
             return  # no later query could match a scoped answer to an option-less one
-        key = _cache_key(ecs, scope, ecs.address_int() if scope else 0)
+        key = _cache_key(ecs, scope, address)
         now = self.clock.now
         self._expire(now)
-        records = tuple(
-            rr if rr.name == qname else ResourceRecord(qname, rr.rtype, rr.ttl, rr.rdata) for rr in records
-        )
+        for rr in records:
+            if rr.name != qname:
+                records = tuple(
+                    rr if rr.name == qname else ResourceRecord(qname, rr.rtype, rr.ttl, rr.rdata) for rr in records
+                )
+                break
         entry = CacheEntry(scope, records, now + ttl)
         name = (qname, qtype)
         bucket = self._cache.get(name)
@@ -309,8 +316,9 @@ class Resolver:
         question = query.question
         incoming = query.edns.ecs if query.edns else None
         effective = self.effective_ecs(incoming, source)
+        address = effective.address_int() if effective is not None else 0
 
-        entry = self.cache_lookup(question.qname, question.qtype, effective)
+        entry = self.cache_lookup(question.qname, question.qtype, effective, address)
         if entry is not None:
             self.hits += 1
             remaining = max(1, int(entry.expires_at - self.clock.now))
@@ -337,7 +345,7 @@ class Resolver:
             return make_response(query, rcode=RCODE_SERVFAIL, ecs=_echo(effective, 0))  # RFC 7871 section 7.3
         scope = echo.scope_prefix_len if echo is not None else 0
         ttl = min((rr.ttl for rr in upstream_response.answers), default=DEFAULT_TTL)
-        self._store(question.qname, question.qtype, scope, effective, upstream_response.answers, ttl)
+        self._store(question.qname, question.qtype, scope, effective, address, upstream_response.answers, ttl)
         return make_response(query, upstream_response.answers, ecs=_echo(effective, scope))
 
 

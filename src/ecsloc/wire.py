@@ -26,10 +26,21 @@ The encoder trusts a constructed message and checks nothing again.
 
 `canonical_name` keeps up to 4096 checked names in a memo, so a repeated name
 is not checked again; it keeps no error, so a bad name raises every time.
-The decoder reads names by index, with one bounds test before each octet
-or label it reads.  The encoder encodes the question name once and
-reuses those octets for every answer of the same name; it still never
-compresses.
+The decoder keeps two more memos of the same kind and bound, so a message
+of names and options seen before is mostly memo lookups:
+
+- `_plain_name`, keyed on the octets of an uncompressed wire name, from its
+  first length octet to its zero octet (at most 255 octets for a valid
+  name); a name with a compression pointer, a reserved label type or an
+  end past the message is walked in the message, as before;
+- `_decode_ecs`, keyed on the client-subnet option data (at most 20
+  octets when valid).
+
+Only successes are stored, so a rejected name or option raises the same
+error class and text every time.  The name walk reads by index, with one
+bounds test before each octet or label it reads.  The encoder encodes the
+question name once and reuses those octets for every answer of the same
+name; it still never compresses.
 
 Each wire layout is defined once, as a `struct.Struct` shared by the
 encoder and the decoder: the header, the (type, class) and (option code,
@@ -57,6 +68,9 @@ DEFAULT_UDP_PAYLOAD = 1232
 
 MAX_LABEL_OCTETS = 63
 MAX_NAME_OCTETS = 253
+
+# Entries in each memo of checked input: names by text and by wire octets, client-subnet options
+_MEMO_SIZE = 4096
 
 # Address length in octets per ECS family code.
 _FAMILY_OCTETS = {1: 4, 2: 16}
@@ -106,7 +120,7 @@ def canonical_name(name: str) -> str:
     return _canonical_text(name)
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=_MEMO_SIZE)
 def _canonical_text(name: str) -> str:
     if name.endswith("."):
         name = name[:-1]
@@ -397,9 +411,26 @@ class _Reader:
     def name(self) -> str:
         """Read a possibly-compressed name and return its canonical text.
 
-        Walks the length octets by index: each octet read is bounds-tested
-        first, and each label is sliced once.
+        First steps over the length octets unchecked while each is 1-63: a
+        name that ends on a zero octet within bounds is read from its raw
+        octets by the memo `_plain_name`.  Any other name is walked here.
         """
+        data = self.data
+        pos = start = self.pos
+        stop = min(len(data), start + MAX_NAME_OCTETS + 2)  # a valid name has at most 255 wire octets
+        while pos < stop:
+            length = data[pos]
+            if not length:
+                self.pos = pos + 1
+                return _plain_name(data[start : self.pos])
+            if length > MAX_LABEL_OCTETS:
+                break
+            pos += length + 1
+        return self._walk()
+
+    def _walk(self) -> str:
+        """Walk the length octets by index: each octet read is bounds-tested
+        first, and each label is sliced once."""
         data = self.data
         end = len(data)
         pos = self.pos
@@ -455,6 +486,13 @@ class _Reader:
         return name, rtype, rclass, ttl, self.take(rdlen)
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
+def _plain_name(raw: bytes) -> str:
+    """Canonical text of an uncompressed wire name given as its own octets."""
+    return _Reader(raw)._walk()
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
 def _decode_ecs(rdata: bytes) -> EcsOption:
     if len(rdata) < _ECS_HEAD.size:
         raise Malformed("client-subnet option shorter than 4 octets")

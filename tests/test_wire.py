@@ -9,7 +9,9 @@ import struct
 
 import pytest
 from helpers import (
+    rand_ecs,
     rand_message,
+    rand_name,
     rand_v4,
     rand_v6,
     record_for_address,
@@ -544,6 +546,100 @@ class TestDecodeInterop:
         msg = decode_message(bytes(wire))
         assert msg.edns is not None
         assert msg.edns.ecs is None
+
+
+DECODER_MEMOS = (wire._plain_name, wire._decode_ecs)
+
+
+def _clear_memos():
+    for memo in (wire._canonical_text, *DECODER_MEMOS):
+        memo.cache_clear()
+
+
+def _outcome(data):
+    """(message, its re-encoding) for accepted bytes, (error class, text) for rejected ones."""
+    try:
+        msg = decode_message(data)
+    except WireError as exc:
+        return type(exc), str(exc)
+    return msg, encode_message(msg)
+
+
+def _compressed_response(rng):
+    """Encoded response whose answer names are pointers to the question name at offset 12."""
+    query = make_query(rand_name(rng), msg_id=rng.randint(0, 0xFFFF), ecs=rand_ecs(rng))
+    qname = query.question.qname
+    answers = tuple(
+        record_for_address(qname, rand_v4(rng) if rng.random() < 0.7 else rand_v6(rng), rng.randint(0, 86400))
+        for _ in range(rng.randint(1, 3))
+    )
+    wire_bytes = encode_message(make_response(query, answers, ecs=query.edns.ecs.with_scope(rng.randint(0, 24))))
+    name = wire_bytes[12 : wire_bytes.index(0, 12) + 1]
+    head = 12 + len(name) + 4
+    return wire_bytes[:head] + wire_bytes[head:].replace(name, b"\xc0\x0c")
+
+
+def _flip_one_bit(rng, data):
+    flipped = bytearray(data)
+    flipped[rng.randrange(len(flipped))] ^= 1 << rng.randrange(8)
+    return bytes(flipped)
+
+
+class TestDecoderMemos:
+
+    def test_cold_and_warm_decodes_agree(self):
+        rng = random.Random(1515)
+        inputs = [_flip_one_bit(rng, encode_message(rand_message(rng))) for _ in range(2000)]
+        for _ in range(300):
+            compressed = _compressed_response(rng)
+            inputs += [compressed, _flip_one_bit(rng, compressed)]
+        cold, warm = [], []
+        for data in inputs:
+            _clear_memos()
+            cold.append(_outcome(data))
+            warm.append(_outcome(data))
+        assert warm == cold
+        assert [_outcome(data) for data in inputs] == cold  # warm from every input before it
+        accepted = [isinstance(outcome[0], DnsMessage) for outcome in cold]
+        assert 500 < sum(accepted) < len(inputs) - 500
+        assert all(accepted[2000::2])  # every unflipped compressed response
+        assert all(memo.cache_info().hits for memo in DECODER_MEMOS)
+
+    def test_memos_are_bounded(self):
+        _clear_memos()
+        for n in range(wire._MEMO_SIZE + 500):
+            ecs = EcsOption.for_prefix(f"10.{n >> 8}.{n & 255}.0", 24)
+            assert decode_message(encode_message(make_query(f"Host{n}.example", ecs=ecs))).edns.ecs == ecs
+        for memo in DECODER_MEMOS:
+            info = memo.cache_info()
+            assert info.maxsize == 4096
+            assert info.currsize == info.maxsize
+
+    @pytest.mark.parametrize(
+        "data, memo, misses, message",
+        [
+            pytest.param(
+                _header() + b"\x03a.b\x03com\x00" + QUESTION[-4:], wire._plain_name, 2,
+                "'.' inside label b'a.b'", id="dot-inside-label",
+            ),
+            # longer than any valid name, so walked in the message without a memo lookup
+            pytest.param(
+                _header() + (b"\x3f" + b"a" * 63) * 4 + b"\x00" + QUESTION[-4:], wire._plain_name, 0,
+                "name exceeds 253 octets", id="name-over-253",
+            ),
+            pytest.param(
+                _header(ar=1) + QUESTION + _opt(rdata=bytes.fromhex("00080007" "00011700" "6f6f6f")), wire._decode_ecs,
+                2, "client-subnet option: address has nonzero bits past the source prefix length", id="ecs-bits-past-prefix",
+            ),
+        ],
+    )
+    def test_rejected_input_is_not_stored(self, data, memo, misses, message):
+        _clear_memos()
+        for _ in range(2):
+            with pytest.raises(Malformed) as info:
+                decode_message(data)
+            assert str(info.value) == message
+        assert (memo.cache_info().currsize, memo.cache_info().misses) == (0, misses)
 
 
 @settings(max_examples=200, deadline=None)
