@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .errors import Error
 from .value import Value
+from .wire import InvalidName, canonical_name
 from .zone import is_region_code
 
 PROTOCOLS = ("tcp", "udp", "icmp", "any")
@@ -53,7 +54,17 @@ class DivisionGuard(MudError):
     """Reduction ratio undefined for empty allowlists."""
 
 
+def _domain_name(name: str, what: str) -> str:
+    """*name* under the package's one name rule; a name that breaks it raises MudError naming *what*."""
+    try:
+        return canonical_name(name)
+    except InvalidName as exc:
+        raise MudError(f"{what}: {exc}") from None
+
+
 def _endpoint_kind(endpoint: str) -> str:
+    if ":" not in endpoint and endpoint.strip("0123456789."):
+        return "domain"  # MAC and IPv6 addresses hold a ':', IPv4 ones only digits and dots
     if _MAC_RE.match(endpoint):
         return "mac"
     try:
@@ -64,13 +75,19 @@ def _endpoint_kind(endpoint: str) -> str:
 
 
 class Ace(Value, fields="endpoint protocol direction source_port destination_port action"):
-    """One allowlist rule; a port of None means any port."""
+    """One allowlist rule; a port of None means any port.
+
+    A domain endpoint is kept in canonical form (lower case, no trailing dot);
+    address endpoints are only lower-cased, as RFC 8520 allows an IPv6 zone id.
+    """
 
     def __new__(cls, endpoint: str, protocol: str = "tcp", direction: str = "from-device",
                 source_port: int | None = None, destination_port: int | None = None, action: str = "accept"):
         endpoint = endpoint.strip().lower()
         if not endpoint:
             raise MudError("empty endpoint")
+        if _endpoint_kind(endpoint) == "domain":
+            endpoint = _domain_name(endpoint, "endpoint")
         if protocol not in PROTOCOLS:
             raise MudError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
         if direction not in DIRECTIONS:
@@ -131,17 +148,20 @@ class MudFile(Value, fields="device_id mud_url acl default_action"):
 
 
 class RegionDomainGroup(Value, fields="canonical_domain regional_variants"):
-    """Per-region variants of one service domain (region code -> name) and the name replacing them."""
+    """Per-region variants of one service domain (region code -> name) and the name replacing them.
+
+    Every name is kept in canonical form, so a variant matches the endpoint it names however it is spelled.
+    """
 
     def __new__(cls, canonical_domain: str, regional_variants: dict):
-        canonical_domain = canonical_domain.lower()
+        canonical_domain = _domain_name(canonical_domain, "canonical domain")
         variants = {}
         for region, name in regional_variants.items():
             if not is_region_code(region):
                 raise BadVariantRegion(f"bad region code {region!r}")
             if region.upper() in variants:
                 raise BadVariantRegion(f"region {region.upper()} given twice")
-            variants[region.upper()] = name.lower()
+            variants[region.upper()] = _domain_name(name, f"variant {region.upper()}")
         if len(set(variants.values())) != len(variants):
             raise MudError(f"group {canonical_domain}: duplicate variant names")
         return tuple.__new__(cls, (canonical_domain, variants))
@@ -247,6 +267,8 @@ def suggest_groups(domains, regions) -> list[RegionDomainGroup]:
         if len(variants) < 2:
             continue
         i, before, after = key
+        if not (before or after):
+            continue  # single-label names: no name is left to replace them
         canonical = ".".join([*before, *after])
         out.append(RegionDomainGroup(canonical_domain=canonical, regional_variants=variants))
     return out
@@ -317,6 +339,13 @@ def _require(obj, key: str, where: str):
     return obj[key]
 
 
+def _text(obj, key: str, where: str) -> str:
+    value = _require(obj, key, where)
+    if not isinstance(value, str):
+        raise SchemaError(f"{where}.{key}: expected text, got {value!r}")
+    return value
+
+
 def parse_mud(data: bytes | str) -> MudFile:
     """Inverse of serialize_mud; schema violations name the offending path."""
     if isinstance(data, bytes):
@@ -326,9 +355,9 @@ def parse_mud(data: bytes | str) -> MudFile:
     except json.JSONDecodeError as exc:
         raise SchemaError(f"document: {exc}") from None
     head = _require(doc, "mud", "document")
-    device_id = _require(head, "device-id", "mud")
-    mud_url = _require(head, "mud-url", "mud")
-    default_action = _require(head, "default-action", "mud")
+    device_id = _text(head, "device-id", "mud")
+    mud_url = _text(head, "mud-url", "mud")
+    default_action = _text(head, "default-action", "mud")
     acls = _require(doc, "acls", "document")
     if not isinstance(acls, list):
         raise SchemaError("document.acls: expected an array")
@@ -342,14 +371,14 @@ def parse_mud(data: bytes | str) -> MudFile:
             try:
                 aces.append(
                     Ace(
-                        endpoint=str(_require(raw, "endpoint", where)),
-                        protocol=str(_require(raw, "protocol", where)),
-                        direction=str(_require(raw, "direction", where)),
+                        endpoint=_text(raw, "endpoint", where),
+                        protocol=_text(raw, "protocol", where),
+                        direction=_text(raw, "direction", where),
                         source_port=_port_from_json(_require(raw, "source-port", where), where),
                         destination_port=_port_from_json(
                             _require(raw, "destination-port", where), where
                         ),
-                        action=str(_require(raw, "action", where)),
+                        action=_text(raw, "action", where),
                     )
                 )
             except MudError as exc:
@@ -358,10 +387,10 @@ def parse_mud(data: bytes | str) -> MudFile:
                 raise SchemaError(f"{where}: {exc}") from None
     try:
         return MudFile(
-            device_id=str(device_id),
-            mud_url=str(mud_url),
+            device_id=device_id,
+            mud_url=mud_url,
             acl=tuple(aces),
-            default_action=str(default_action),
+            default_action=default_action,
         )
     except MudError as exc:
         raise SchemaError(f"document: {exc}") from None
@@ -387,15 +416,14 @@ def load_groups(data: bytes | str) -> list[RegionDomainGroup]:
         raise SchemaError("groups document: expected an array")
     groups = []
     for i, raw in enumerate(doc):
-        canonical = _require(raw, "canonical", f"groups[{i}]")
+        canonical = _text(raw, "canonical", f"groups[{i}]")
         variants = _require(raw, "variants", f"groups[{i}]")
         if not isinstance(variants, dict):
             raise SchemaError(f"groups[{i}].variants: expected an object")
+        for region in variants:
+            _text(variants, region, f"groups[{i}].variants")
         try:
-            group = RegionDomainGroup(
-                canonical_domain=str(canonical),
-                regional_variants={str(k): str(v) for k, v in variants.items()},
-            )
+            group = RegionDomainGroup(canonical_domain=canonical, regional_variants=variants)
         except BadVariantRegion as exc:
             raise SchemaError(f"groups[{i}].variants: {exc}") from None
         except MudError as exc:

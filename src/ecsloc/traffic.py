@@ -14,9 +14,14 @@ fractions; callers render decimals.
 
 Keys may come in any order, any whitespace apart: a line in the layout above
 is read by one regex match, any other by a token loop, and both feed the same
-checks.  Ingest checks each distinct raw region token and answer list once
-per call and reuses the result for every later line that repeats it; qnames
-go through `canonical_name`, whose memo checks each distinct name once.
+checks.  `ingest_log` reads a file in one walk.  For that call only, it keeps
+three memos of raw values that passed their checks: the `dev=.. ipl=.. udl=..`
+span, the `q=` value and the `a=` field.  A line in the layout whose three are
+all known needs only its timestamp checked, and its record goes straight into
+its selection.  Every other line takes the full line reader, with the checks
+and error texts of a single line: one with a value not seen yet, a timestamp
+that is not an integer or is negative, other key orders or spacing, or
+whitespace around it.  The values of each line it accepts are stored.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import Error
@@ -35,8 +41,9 @@ DEFAULT_POOL_THRESHOLD = 3
 
 _POOL_LABEL_RE = re.compile(r"^(.*?)(\d+)$")
 _LINE_KEYS = ("ts", "dev", "ipl", "udl", "q", "a")
-# `\S` excludes just what `str.split()` splits on: a full match is the six tokens in order
-_LINE_RE = re.compile(" ".join(rf"{key}=(\S*)" for key in _LINE_KEYS))
+# `\S` excludes just what `str.split()` splits on: a full match is the six tokens in
+# order; its groups are the ts, q and a values and the span of the dev, ipl and udl tokens
+_LINE_RE = re.compile(r"ts=(\S*) (dev=\S* ipl=\S* udl=\S*) q=(\S*) a=(\S*)")
 
 
 class TrafficError(Error):
@@ -88,6 +95,15 @@ class CaptureLog:
             selections.setdefault(key, []).append(r)
         object.__setattr__(self, "selections", selections)
 
+    @classmethod
+    def _grouped(cls, records: tuple[CaptureRecord, ...], resorted: bool, selections: dict) -> CaptureLog:
+        """A log of *records* already in order and grouped into *selections*: no second walk."""
+        log = object.__new__(cls)
+        object.__setattr__(log, "records", records)
+        object.__setattr__(log, "resorted", resorted)
+        object.__setattr__(log, "selections", selections)
+        return log
+
     def devices(self) -> tuple[str, ...]:
         return tuple(sorted({device for device, _, _ in self.selections}))
 
@@ -104,7 +120,11 @@ def _parse_region(token: str) -> str:
 def _line_fields(line: str) -> tuple[str, ...]:
     """The raw `_LINE_KEYS` values of a line, in that order: one match, else the token loop."""
     match = _LINE_RE.fullmatch(line)
-    return match.groups() if match else _scan_tokens(line)
+    if not match:
+        return _scan_tokens(line)
+    ts, place, q, a = match.groups()
+    dev, ipl, udl = place.split(" ")  # each "<key>=<value>" with a three-letter key
+    return ts, dev[4:], ipl[4:], udl[4:], q, a
 
 
 def _scan_tokens(line: str) -> tuple[str, ...]:
@@ -183,24 +203,56 @@ def ingest_log(path) -> CaptureLog:
     """Parse a capture file; out-of-order timestamps are sorted and flagged."""
     path = Path(path)
     name = str(path)
-    parse = _LineReader().parse
+    reader = _LineReader()
+    places = {}  # raw "dev=.. ipl=.. udl=.." span -> (dev, ipl, udl, that selection's records)
+    qnames = {}  # raw q= value -> its canonical name
+    known_place, known_qname, known_ips = places.get, qnames.get, reader._addresses.get
+    match_line = _LINE_RE.fullmatch
+    build = tuple.__new__
+    selections: dict[tuple[str, str, str], list[CaptureRecord]] = {}
     records = []
     last, resorted = 0, False
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        try:
-            record = parse(stripped)
-        except LogParseError as exc:
-            raise LogParseError(f"{name}:{lineno}: {exc}") from None
-        if record.timestamp < last:
-            resorted = True
-        last = record.timestamp
+        record = None
+        match = match_line(line)
+        if match:
+            ts, span, q, a = match.groups()
+            place = known_place(span)
+            qname = known_qname(q)
+            ips = known_ips(a)
+            if place and qname and ips is not None:  # each checked on an earlier line
+                try:
+                    timestamp = int(ts)
+                except ValueError:
+                    timestamp = -1  # the reader below raises its error
+                if timestamp >= 0:
+                    dev, ipl, udl, picked = place
+                    record = build(CaptureRecord, (timestamp, dev, ipl, udl, qname, ips))
+        if record is None:
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            try:
+                record = reader.parse(stripped)
+            except LogParseError as exc:
+                raise LogParseError(f"{name}:{lineno}: {exc}") from None
+            timestamp = record.timestamp
+            key = record[1:4]
+            picked = selections.setdefault(key, [])
+            if match:
+                places[span] = (*key, picked)
+                qnames[q] = record.qname
+        picked.append(record)
         records.append(record)
+        if timestamp < last:
+            resorted = True
+        last = timestamp
     if resorted:
-        records.sort(key=lambda r: r.timestamp)
-    return CaptureLog(records=tuple(records), resorted=resorted)
+        by_time = itemgetter(0)
+        records.sort(key=by_time)
+        for picked in selections.values():
+            picked.sort(key=by_time)
+    return CaptureLog._grouped(tuple(records), resorted, selections)
 
 
 def collapse_pools(names, pool_threshold: int = DEFAULT_POOL_THRESHOLD) -> frozenset[str]:
@@ -255,7 +307,7 @@ def _select(
 ) -> list[CaptureRecord]:
     picked = log.selections.get((device, ip_location.upper(), user_location.upper()))
     if picked is None:
-        if device not in log.devices():
+        if not any(dev == device for dev, _, _ in log.selections):
             raise UnknownDevice(f"device {device!r} not in log")
         return []
     return picked

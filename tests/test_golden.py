@@ -96,6 +96,15 @@ CASES = {
     "mud_unify_mixed_devices": ["mud", "unify", BULB_MUDS[0], "{fixtures}/mud_yi_uk.json"],
     "mud_collapse_bulb": ["mud", "collapse", "{golden}/mud_unify_bulb.out", "--groups", "{fixtures}/groups_bulb.json"],
     "mud_compare_bulb": ["mud", "compare", *BULB_MUDS, "--groups", "{fixtures}/groups_bulb.json"],
+    "mud_compare_bulb_variant_spelling": [
+        "mud", "compare", *BULB_MUDS, "--groups", "{fixtures}/groups_bulb_variant_spelling.json",
+    ],
+    "mud_collapse_canonical_empty_label": [
+        "mud", "collapse", "{golden}/mud_unify_bulb.out", "--groups", "{fixtures}/groups_bulb_canonical_empty_label.json",
+    ],
+    "mud_unify_endpoint_spellings": ["mud", "unify", BULB_MUDS[1], "{fixtures}/mud_bulb_us_spelled.json"],
+    "mud_unify_endpoint_empty_label": ["mud", "unify", "{fixtures}/mud_yi_endpoint_empty_label.json"],
+    "mud_unify_endpoint_not_text": ["mud", "unify", "{fixtures}/mud_yi_endpoint_not_text.json"],
     "usage_missing_value": ["analyze", "uds", "--log"],
     "usage_unknown_subcommand": ["mud", "explode"],
 }

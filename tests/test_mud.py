@@ -1,12 +1,16 @@
 """Allowlist construction, unification algebra, collapsing, and the
 closed-form domain-count reduction."""
 
+import ipaddress
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from helpers import FIXTURES, rand_mud
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecsloc.mud import (
     Ace,
@@ -19,6 +23,7 @@ from ecsloc.mud import (
     MudFile,
     RegionDomainGroup,
     SchemaError,
+    _endpoint_kind,
     domain_count,
     ecs_collapse,
     generate_mud,
@@ -64,6 +69,22 @@ class TestAce:
         assert Ace(endpoint="api.example.com").endpoint_kind == "domain"
         assert Ace(endpoint="10.0.0.1").endpoint_kind == "ip"
         assert Ace(endpoint="aa:bb:cc:dd:ee:ff").endpoint_kind == "mac"
+
+    @settings(max_examples=500)
+    @given(st.text(alphabet="0123456789abcdefg.:%", min_size=1, max_size=20))
+    def test_endpoint_kind_matches_address_parsers(self, endpoint):
+        try:
+            ipaddress.ip_address(endpoint)
+            expected = "ip"
+        except ValueError:
+            expected = "mac" if re.fullmatch(r"([0-9a-f]{2}:){5}[0-9a-f]{2}", endpoint) else "domain"
+        assert _endpoint_kind(endpoint) == expected
+
+    def test_domain_endpoint_in_canonical_form(self):
+        assert Ace(endpoint="US.bulb.example.iot.") == Ace(endpoint="us.bulb.example.iot")
+        assert Ace(endpoint="FE80::1%ETH0").endpoint == "fe80::1%eth0"
+        with pytest.raises(MudError, match=r"^endpoint: empty label in 'a\.\.b'$"):
+            Ace(endpoint="a..b")
 
     def test_default_action_must_be_drop(self):
         with pytest.raises(MudError):
@@ -205,6 +226,9 @@ class TestSuggestGroups:
         groups = suggest_groups({"api.xiaoyi.com.tw", "api.eu.xiaoyi.com"}, ["HK", "UK"])
         assert groups == []
 
+    def test_single_label_names_suggest_nothing(self):
+        assert suggest_groups({"uk", "us"}, ["UK", "US"]) == []
+
     def test_no_region_label_no_groups(self):
         assert suggest_groups({"a.x", "b.x"}, ["UK", "US"]) == []
 
@@ -309,6 +333,30 @@ class TestSerialization:
         assert len(groups) == 1
         assert groups[0].canonical_domain == "bulb.example.iot"
         assert len(groups[0].regional_variants) == 10
+
+    @pytest.mark.parametrize("field", ["device-id", "mud-url", "default-action", "endpoint", "protocol",
+                                       "direction", "action"])
+    def test_text_field_given_other_json_rejected(self, field):
+        data = re.sub(f'"{field}": "[^"]*"', f'"{field}": true', (FIXTURES / "mud_yi_uk.json").read_text(), count=1)
+        where = "mud" if field in ("device-id", "mud-url", "default-action") else "acls[0].aces[0]"
+        with pytest.raises(SchemaError, match=rf"^{re.escape(where)}\.{field}: expected text, got True$"):
+            parse_mud(data)
+
+    def test_groups_names_in_canonical_form(self):
+        (group,) = load_groups('[{"canonical": "Svc.X.", "variants": {"uk": "UK.Svc.X."}}]')
+        assert group == RegionDomainGroup("svc.x", {"UK": "uk.svc.x"})
+
+    @pytest.mark.parametrize("doc, message", [
+        ('[{"canonical": 1, "variants": {}}]', "groups[0].canonical: expected text, got 1"),
+        ('[{"canonical": "svc.x", "variants": {"UK": null}}]', "groups[0].variants.UK: expected text, got None"),
+        ('[{"canonical": "svc..x", "variants": {}}]', "groups[0]: canonical domain: empty label in 'svc..x'"),
+        ('[{"canonical": "svc.x", "variants": {"UK": "uk..svc.x"}}]',
+         "groups[0]: variant UK: empty label in 'uk..svc.x'"),
+    ])
+    def test_groups_bad_name_rejected(self, doc, message):
+        with pytest.raises(SchemaError) as info:
+            load_groups(doc)
+        assert str(info.value) == message
 
     def test_groups_bad_region_rejected(self):
         with pytest.raises(SchemaError):

@@ -225,6 +225,15 @@ FAULTS = {
 }
 
 
+SEEN_LINE_LAYOUTS = {
+    "documented": lambda line: line,
+    "tabs": lambda line: line.replace(" ", "\t"),
+    "leading-space": lambda line: " " + line,
+    "trailing-space": lambda line: line + " ",
+    "both-ends": lambda line: "\t" + line + "\u3000",
+}
+
+
 class TestIngestOnceEachValue:
     """ingest_log reuses each checked raw value; outcomes match a memo-free ingest."""
 
@@ -232,6 +241,8 @@ class TestIngestOnceEachValue:
     def test_valid_log_matches_reference(self, tmp_path, seed):
         rng = random.Random(seed)
         lines = capture_lines(rng, 2000)
+        for at in range(3, len(lines), 7):
+            lines[at] = " ".join(reversed(lines[at].split()))  # outside the layout, read by the token loop
         lines[5:5] = ["ts=1 dev=cam ipl=US udl=UK q=A.X. a=", "ts=2 dev=cam ipl=US udl=UK q=a.x a="]
         path = tmp_path / "log"
         path.write_text("# capture\n" + "\n".join(lines) + "\n")
@@ -253,7 +264,7 @@ class TestIngestOnceEachValue:
         assert got.startswith(f"{path}:{at + 1}: ")
 
     def test_each_distinct_value_checked_once(self, tmp_path, monkeypatch):
-        calls = {"pack_address": 0, "_parse_region": 0}
+        calls = {"pack_address": 0, "_parse_region": 0, "canonical_name": 0}
 
         def counting(name):
             real = getattr(traffic, name)
@@ -266,13 +277,38 @@ class TestIngestOnceEachValue:
 
         counting("pack_address")
         counting("_parse_region")
+        counting("canonical_name")
         path = tmp_path / "log"
         path.write_text("".join(
             f"ts={i} dev=d ipl=US udl={'UK' if i % 2 else 'US'} q=n{i % 7}.x a=10.0.0.{i % 3}\n"
             for i in range(300)
         ))
         assert len(ingest_log(path)) == 300
-        assert calls == {"pack_address": 3, "_parse_region": 2}
+        assert calls == {"pack_address": 3, "_parse_region": 2, "canonical_name": 7}
+
+    @pytest.mark.parametrize("ts", ["7", "+7", "1_000", "\u0663", "-5", "1.5", "now", "",
+                                    pytest.param("9" * 5000, id="5000-digits")])
+    @pytest.mark.parametrize("layout", SEEN_LINE_LAYOUTS)
+    def test_seen_values_new_timestamp_matches_reference(self, tmp_path, ts, layout):
+        """A line whose dev/ipl/udl, q and a were all accepted earlier: only ts is new."""
+        seen = "ts=2 dev=cam ipl=US udl=uk q=A.X. a=10.0.0.1,2001:DB8::1"
+        path = tmp_path / "log"
+        path.write_text(seen + "\n" + SEEN_LINE_LAYOUTS[layout](seen.replace("ts=2", f"ts={ts}")) + "\n")
+        got = outcome(ingest_log, path)
+        assert got == outcome(ingest_reference, path)
+        if ts == "-5":
+            assert got == f"{path}:2: negative timestamp -5"
+
+    @pytest.mark.parametrize("in_order", [True, False])
+    def test_selections_match_direct_construction(self, tmp_path, in_order):
+        lines = capture_lines(random.Random(3), 2000)
+        if in_order:
+            lines.sort(key=lambda line: int(line.split()[0][3:]))
+        path = tmp_path / "log"
+        path.write_text("\n".join(lines) + "\n")
+        log = ingest_log(path)
+        assert log.resorted is not in_order
+        assert log.selections == CaptureLog(log.records).selections
 
 
 # Valid and invalid raw values per key; int() accepts "+7", "1_000" and "\u0663".
