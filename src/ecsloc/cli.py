@@ -74,8 +74,9 @@ def cmd_scenario_run(args, report: RunReport) -> None:
     spec = load_scenario(args.scenario)
     report.note_input(args.scenario, Path(args.scenario).read_bytes())
     zone_path = Path(args.zone) if args.zone else spec.zone_path
-    zone = GeoZone.load(zone_path)
-    report.note_input(zone_path, zone_path.read_bytes())
+    zone_data = zone_path.read_bytes()
+    zone = GeoZone.loads(zone_data, zone_path)
+    report.note_input(zone_path, zone_data)
     transcript = run_scenario(
         spec.architecture,
         spec.device,

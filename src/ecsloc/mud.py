@@ -138,6 +138,10 @@ class MudFile(Value, fields="device_id mud_url acl default_action"):
     """Allowlist for one device; entries are kept sorted and de-duplicated."""
 
     def __new__(cls, device_id: str, mud_url: str, acl: tuple[Ace, ...] = (), default_action: str = "drop"):
+        if not device_id:
+            raise MudError("device id must not be empty")
+        if not mud_url:
+            raise MudError("MUD URL must not be empty")
         if default_action != "drop":
             raise MudError("default action must be drop")
         acl = tuple(sorted(set(acl), key=Ace.sort_key))

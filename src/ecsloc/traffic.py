@@ -120,8 +120,11 @@ def _parse_region(token: str) -> str:
 def _line_fields(line: str) -> tuple[str, ...]:
     """The raw `_LINE_KEYS` values of a line, in that order: one match, else the token loop."""
     match = _LINE_RE.fullmatch(line)
-    if not match:
-        return _scan_tokens(line)
+    return _match_fields(match) if match else _scan_tokens(line)
+
+
+def _match_fields(match: re.Match) -> tuple[str, ...]:
+    """The raw `_LINE_KEYS` values of a line that `_LINE_RE` matched, in that order."""
     ts, place, q, a = match.groups()
     dev, ipl, udl = place.split(" ")  # each "<key>=<value>" with a three-letter key
     return ts, dev[4:], ipl[4:], udl[4:], q, a
@@ -173,8 +176,9 @@ class _LineReader:
             ips = self._addresses[field] = tuple(parts)
         return ips
 
-    def parse(self, line: str) -> CaptureRecord:
-        ts, dev, ipl, udl, q, a = _line_fields(line)
+    def parse(self, fields: tuple[str, ...]) -> CaptureRecord:
+        """The record of a line's raw `_LINE_KEYS` values, *fields*, as `_line_fields` gives them."""
+        ts, dev, ipl, udl, q, a = fields
         try:
             timestamp = int(ts)
         except ValueError:
@@ -194,7 +198,7 @@ class _LineReader:
 
 def parse_capture_line(line: str, where: str = "line") -> CaptureRecord:
     try:
-        return _LineReader().parse(line)
+        return _LineReader().parse(_line_fields(line))
     except LogParseError as exc:
         raise LogParseError(f"{where}: {exc}") from None
 
@@ -232,8 +236,8 @@ def ingest_log(path) -> CaptureLog:
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
-            try:
-                record = reader.parse(stripped)
+            try:  # a full match has no whitespace around it, so its fields are the stripped line's
+                record = reader.parse(_match_fields(match) if match else _line_fields(stripped))
             except LogParseError as exc:
                 raise LogParseError(f"{name}:{lineno}: {exc}") from None
             timestamp = record.timestamp

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import socket
 import struct
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .errors import Error
 from .value import Value
@@ -152,6 +152,16 @@ def pack_address(text: str) -> bytes:
         return socket.inet_pton(socket.AF_INET6 if ":" in text else socket.AF_INET, text)
     except (OSError, TypeError, ValueError):  # not text, or NUL / unencodable in it
         raise ValueError(f"{text!r} does not appear to be an IPv4 or IPv6 address") from None
+
+
+def family_packer(version: int):
+    """`pack_address` for the text of one IP version only, as one C call.
+
+    IPv4 text never holds a ":" and IPv6 text always does, so it packs
+    exactly the texts that `pack_address` packs to that version's length.
+    Any other input raises OSError, TypeError or ValueError.
+    """
+    return partial(socket.inet_pton, socket.AF_INET if version == 4 else socket.AF_INET6)
 
 
 def address_text(rdata: bytes) -> str:

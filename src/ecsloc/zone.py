@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .errors import Error
 from .value import Value
-from .wire import PREFIX_MASKS, EcsOption, InvalidName, address_text, canonical_name, pack_address
+from .wire import PREFIX_MASKS, EcsOption, InvalidName, address_text, canonical_name, family_packer, pack_address
 
 DEFAULT_TTL = 300
 
@@ -72,10 +72,12 @@ class LocationPrefixMap(Value, fields="entries"):
                     raise ZoneParseError(f"region {code}: {exc}") from None
             normalized[code] = prefix
         # sorted by start, ranges overlap somewhere only if two neighbours do
-        spans = sorted(
-            (net.version, int(net.network_address), int(net.broadcast_address), code)
-            for code, net in normalized.items()
-        )
+        spans = []
+        for code, net in normalized.items():
+            first = int(net.network_address)
+            last = first | ((1 << (net.max_prefixlen - net.prefixlen)) - 1)  # no broadcast_address objects
+            spans.append((net.version, first, last, code))
+        spans.sort()
         for (version_a, _, last_a, code_a), (version_b, first_b, _, code_b) in zip(spans, spans[1:]):
             if version_a == version_b and first_b <= last_a:
                 code_a, code_b = sorted((code_a, code_b))
@@ -126,6 +128,11 @@ class RegionalAnswer(Value, fields="region prefix addresses ttl"):
         return tuple.__new__(cls, (region, prefix, packed, ttl))
 
 
+def _index_key(prefix) -> tuple[tuple[int, int], int]:
+    """Where *prefix* sits in an AnswerSet index: ((client-subnet family, length), network as an integer)."""
+    return (1 if prefix.version == 4 else 2, prefix.prefixlen), int(prefix.network_address)
+
+
 class LookupResult(Value, fields="addresses scope ttl"):
     """*addresses* are packed, 4 octets for A and 16 for AAAA rdata."""
 
@@ -144,14 +151,31 @@ class AnswerSet:
     def __post_init__(self):
         tables = {}
         for ans in self.answers:
-            family = 1 if ans.prefix.version == 4 else 2
-            table = tables.setdefault((family, ans.prefix.prefixlen), {})
-            network = int(ans.prefix.network_address)
+            slot, network = _index_key(ans.prefix)
+            tables.setdefault(slot, {})[network] = ans
+        self._derive(tables)
+
+    @classmethod
+    def _indexed(cls, answers: tuple[RegionalAnswer, ...], tables: dict, default, ttl: int) -> AnswerSet:
+        """An answer set whose *answers* the caller has already put in *tables*, as `_derive` takes them."""
+        answer_set = object.__new__(cls)
+        object.__setattr__(answer_set, "answers", answers)
+        object.__setattr__(answer_set, "default", default)
+        object.__setattr__(answer_set, "ttl", ttl)
+        answer_set._derive(tables)
+        return answer_set
+
+    def _derive(self, tables: dict) -> None:
+        """Set the index from *tables*, the answers by (family, length) then network, and check the default."""
+        if sum(map(len, tables.values())) != len(self.answers):
             # equal-length overlapping networks are identical, so rejecting
             # duplicates also rejects every equal-length overlap
-            if network in table:
-                raise OverlapError(f"prefix {ans.prefix} listed twice for one qname")
-            table[network] = ans
+            seen = set()
+            for ans in self.answers:
+                key = _index_key(ans.prefix)
+                if key in seen:
+                    raise OverlapError(f"prefix {ans.prefix} listed twice for one qname")
+                seen.add(key)
         index = {}
         for (family, plen), table in sorted(tables.items(), key=lambda item: -item[0][1]):
             index.setdefault(family, []).append((plen, PREFIX_MASKS[family][plen], table))
@@ -173,39 +197,56 @@ class GeoZone(Value, fields="origin regions records"):
 
     @classmethod
     def load(cls, path) -> "GeoZone":
-        """Load and validate a zone document; invariant violations are load errors."""
+        """Load and validate the zone document at *path*; see `loads`."""
         path = Path(path)
-        text = path.read_text()
+        return cls.loads(path.read_bytes(), path)
+
+    @classmethod
+    def loads(cls, data: bytes | str, name) -> "GeoZone":
+        """Parse and validate a zone document read from *name*; invariant violations are load errors.
+
+        Each error text starts with *name* and the path of the field at
+        fault.  A region's code, prefix and index key are worked out once,
+        on the first answer cell that names it; each cell then only packs
+        its addresses by its region's family.
+        """
+        text = data
+        if isinstance(text, bytes):  # as a file read in text mode: UTF-8, universal newlines
+            text = text.decode()
+            if "\r" in text:
+                text = text.replace("\r\n", "\n").replace("\r", "\n")
         if not text.strip():
             return cls(origin="", regions=LocationPrefixMap({}), records={})
         try:
             doc = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
         except json.JSONDecodeError as exc:
-            raise ZoneParseError(f"{path}: {exc}") from None
+            raise ZoneParseError(f"{name}: {exc}") from None
         except ZoneParseError as exc:
-            raise ZoneParseError(f"{path}: {exc}") from None
+            raise ZoneParseError(f"{name}: {exc}") from None
         if not isinstance(doc, dict):
-            raise ZoneParseError(f"{path}: top level must be an object")
+            raise ZoneParseError(f"{name}: top level must be an object")
         origin = doc.get("origin", "")
         if origin != "":
             try:
                 origin = canonical_name(origin)
             except InvalidName as exc:
-                raise ZoneParseError(f"{path}: origin: {exc}") from None
+                raise ZoneParseError(f"{name}: origin: {exc}") from None
         regions_raw = doc.get("regions", {})
         if not isinstance(regions_raw, dict):
-            raise ZoneParseError(f"{path}: 'regions' must be an object")
+            raise ZoneParseError(f"{name}: 'regions' must be an object")
         try:
             prefix_map = LocationPrefixMap(regions_raw)
         except ZoneError as exc:
-            raise type(exc)(f"{path}: regions: {exc}") from None
+            raise type(exc)(f"{name}: regions: {exc}") from None
 
+        known = {}  # a cell's raw region text -> that region's facts, see _cell_region
+        build = tuple.__new__
         records = {}
         records_raw = doc.get("records", {})
         if not isinstance(records_raw, dict):
-            raise ZoneParseError(f"{path}: 'records' must be an object")
+            raise ZoneParseError(f"{name}: 'records' must be an object")
         for key, block in records_raw.items():
-            where = f"{path}: records[{key!r}]"
+            where = f"{name}: records[{key!r}]"
             try:
                 qname = canonical_name(key)
             except InvalidName as exc:
@@ -217,41 +258,36 @@ class GeoZone(Value, fields="origin regions records"):
             ttl = block.get("ttl", DEFAULT_TTL)
             if type(ttl) is not int or ttl < 0:  # a JSON true or false is no TTL
                 raise ZoneParseError(f"{where}.ttl: must be a non-negative integer")
-            regional = []
             entries = block["answers"]
             if not isinstance(entries, list):
                 raise ZoneParseError(f"{where}.answers: must be an array")
+            regional, tables = [], {}
             for i, entry in enumerate(entries):
-                spot = f"{where}.answers[{i}]"
-                if not isinstance(entry, dict):
-                    raise ZoneParseError(f"{spot}: expected an object")
                 try:
-                    region = _check_region_code(str(entry["region"]))
+                    region, prefix, pack, slot, network = known[entry["region"]]
                     addresses = entry["addresses"]
-                except KeyError as exc:
-                    raise ZoneParseError(f"{spot}: missing field {exc}") from None
-                if region not in prefix_map:
-                    raise ZoneParseError(f"{spot}.region: {region!r} not in regions table")
-                if not isinstance(addresses, list) or not addresses:
-                    raise ZoneParseError(f"{spot}.addresses: must be a non-empty array")
-                try:
-                    regional.append(
-                        RegionalAnswer(
-                            region=region,
-                            prefix=prefix_map.prefix_for(region),
-                            addresses=tuple(addresses),
-                            ttl=ttl,
-                        )
+                except (KeyError, TypeError):  # a region text not seen yet, or a bad cell
+                    region, prefix, pack, slot, network = _cell_region(
+                        entry, prefix_map, known, f"{where}.answers[{i}]"
                     )
-                except ZoneParseError as exc:
-                    raise ZoneParseError(f"{spot}: {exc}") from None
-                except ValueError as exc:
-                    raise ZoneParseError(f"{spot}.addresses: {exc}") from None
+                    addresses = entry["addresses"]
+                if not isinstance(addresses, list) or not addresses:
+                    raise ZoneParseError(f"{where}.answers[{i}].addresses: must be a non-empty array")
+                try:
+                    packed = tuple(map(pack, addresses))
+                except (OSError, TypeError, ValueError):
+                    # not all text of the region's family: the checking constructor raises why
+                    packed = _checked_answer(region, prefix, addresses, f"{where}.answers[{i}]").addresses
+                # every field is checked above, so the checking constructor is skipped
+                answer = build(RegionalAnswer, (region, prefix, packed, ttl))
+                regional.append(answer)
+                tables.setdefault(slot, {})[network] = answer
+            entries.clear()  # freed now, the parsed cells and the zone are never both whole in memory
             default = block.get("default")
             if not isinstance(default, (list, type(None))):
                 raise ZoneParseError(f"{where}.default: must be an array")
             try:
-                answer_set = AnswerSet(answers=tuple(regional), default=default, ttl=ttl)
+                answer_set = AnswerSet._indexed(tuple(regional), tables, default, ttl)
             except (OverlapError, DefaultMismatch) as exc:
                 raise type(exc)(f"{where}: {exc}") from None
             except ValueError as exc:
@@ -281,6 +317,44 @@ class GeoZone(Value, fields="origin regions records"):
                 if best is not None:
                     return LookupResult(best.addresses, plen, best.ttl)
         return LookupResult(record.default, 0, record.ttl)
+
+
+def _cell_region(entry, prefix_map: LocationPrefixMap, known: dict, spot: str) -> tuple:
+    """The facts of answer cell *entry*'s region: code, prefix, `family_packer`, then its `_index_key` parts.
+
+    The cell's fields are checked in document order, and a failure raises
+    with *spot*, the cell's path.  The facts are stored in *known* under the
+    cell's raw region text, so later cells that spell the region the same
+    way look them up.
+    """
+    if not isinstance(entry, dict):
+        raise ZoneParseError(f"{spot}: expected an object")
+    if "region" not in entry:
+        raise ZoneParseError(f"{spot}: missing field 'region'")
+    raw = entry["region"]
+    if not isinstance(raw, str):
+        raise ZoneParseError(f"{spot}.region: must be text")
+    try:
+        region = _check_region_code(raw)
+    except ZoneParseError as exc:
+        raise ZoneParseError(f"{spot}.region: {exc}") from None
+    if "addresses" not in entry:
+        raise ZoneParseError(f"{spot}: missing field 'addresses'")
+    prefix = prefix_map.entries.get(region)
+    if prefix is None:
+        raise ZoneParseError(f"{spot}.region: {region!r} not in regions table")
+    facts = known[raw] = (region, prefix, family_packer(prefix.version), *_index_key(prefix))
+    return facts
+
+
+def _checked_answer(region: str, prefix, addresses: list, spot: str) -> RegionalAnswer:
+    """*addresses* of a cell at *spot* through the checking constructor, its errors given *spot*."""
+    try:
+        return RegionalAnswer(region, prefix, tuple(addresses))
+    except ZoneParseError as exc:
+        raise ZoneParseError(f"{spot}: {exc}") from None
+    except ValueError as exc:
+        raise ZoneParseError(f"{spot}.addresses: {exc}") from None
 
 
 def _reject_duplicate_keys(pairs):

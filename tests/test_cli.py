@@ -1,6 +1,7 @@
 """Command-line surface: payload on stdout/--out, report on stderr, and the
 documented exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -88,6 +89,32 @@ class TestScenario:
         )
         assert code == EXIT_OK
         assert out.splitlines()[-1].split(",")[7] == "203.0.113.99"
+
+    def test_report_digests_the_zone_bytes_it_loaded(self, capsys):
+        zone_path = FIXTURES / "zone.json"
+        code, _, err = run_cli(
+            ["scenario", "run", str(FIXTURES / "scenario_ecs_basic.json"), "--zone", str(zone_path)], capsys
+        )
+        assert code == EXIT_OK
+        digest = hashlib.sha256(zone_path.read_bytes()).hexdigest()
+        assert json.loads(err.splitlines()[-1])["inputs"][str(zone_path)] == digest
+
+    @pytest.mark.parametrize(
+        "region, reason",
+        [("U1", "region code must be two letters, got 'U1'"), (12, "must be text")],
+        ids=["not-letters", "not-text"],
+    )
+    def test_bad_region_in_an_answer_names_its_cell(self, tmp_path, capsys, region, reason):
+        doc = json.loads((FIXTURES / "zone.json").read_text())
+        doc["records"]["api.example.iot"]["answers"][1]["region"] = region
+        override = tmp_path / "zone.json"
+        override.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            ["scenario", "run", str(FIXTURES / "scenario_ecs_basic.json"), "--zone", str(override)], capsys
+        )
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err == f"ecsloc: error: {override}: records['api.example.iot'].answers[1].region: {reason}\n"
 
 
 class TestAnalyze:

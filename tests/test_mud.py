@@ -90,6 +90,15 @@ class TestAce:
         with pytest.raises(MudError):
             MudFile(device_id="d", mud_url="urn:mud:d", default_action="accept")
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [({"device_id": ""}, "device id must not be empty"), ({"mud_url": ""}, "MUD URL must not be empty")],
+        ids=["device-id", "mud-url"],
+    )
+    def test_empty_device_id_or_url_rejected(self, fields, message):
+        with pytest.raises(MudError, match=f"^{message}$"):
+            MudFile(**{"device_id": "d", "mud_url": "urn:mud:d", **fields})
+
     def test_acl_sorted_and_deduplicated(self):
         a = Ace(endpoint="b.x")
         b = Ace(endpoint="a.x")
@@ -116,6 +125,11 @@ class TestGenerate:
     def test_empty_set_rejected(self):
         with pytest.raises(EmptyDomainSet):
             generate_mud(set(), "d")
+
+    @pytest.mark.parametrize("device_id, mud_url", [("", None), ("d", "")], ids=["device-id", "mud-url"])
+    def test_empty_device_id_or_url_rejected(self, device_id, mud_url):
+        with pytest.raises(MudError, match="must not be empty"):
+            generate_mud({"a.x"}, device_id, mud_url=mud_url)
 
 
 class TestUnify:
@@ -340,6 +354,15 @@ class TestSerialization:
         data = re.sub(f'"{field}": "[^"]*"', f'"{field}": true', (FIXTURES / "mud_yi_uk.json").read_text(), count=1)
         where = "mud" if field in ("device-id", "mud-url", "default-action") else "acls[0].aces[0]"
         with pytest.raises(SchemaError, match=rf"^{re.escape(where)}\.{field}: expected text, got True$"):
+            parse_mud(data)
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [("device-id", "device id must not be empty"), ("mud-url", "MUD URL must not be empty")],
+    )
+    def test_empty_device_id_or_url_rejected(self, field, message):
+        data = re.sub(f'"{field}": "[^"]*"', f'"{field}": ""', (FIXTURES / "mud_yi_uk.json").read_text(), count=1)
+        with pytest.raises(SchemaError, match=f"^document: {message}$"):
             parse_mud(data)
 
     def test_groups_names_in_canonical_form(self):

@@ -21,6 +21,7 @@ from ecsloc.zone import (
     OverlapError,
     RegionalAnswer,
     UnknownRegion,
+    ZoneError,
     ZoneParseError,
 )
 
@@ -95,6 +96,21 @@ class TestLoad:
         doc["regions"]["UK\n"] = doc["regions"].pop("UK")
         with pytest.raises(ZoneParseError, match="regions: region code must be two letters"):
             GeoZone.load(write_zone(tmp_path, doc))
+
+    def test_loads_takes_the_bytes_or_text_load_reads(self, tmp_path):
+        path = write_zone(tmp_path, TWO_REGION_DOC)
+        zone = GeoZone.load(path)
+        assert GeoZone.loads(path.read_bytes(), path) == zone
+        assert GeoZone.loads(path.read_text(), path) == zone
+
+    def test_bytes_read_with_universal_newlines(self, tmp_path):
+        text = '{"origin": "t",\n "records": {\n "a.t": 5,\n}}'
+        with pytest.raises(ZoneParseError) as lf:
+            GeoZone.loads(text, "z.json")
+        with pytest.raises(ZoneParseError) as crlf:
+            GeoZone.loads(text.replace("\n", "\r\n").encode(), "z.json")
+        message = "z.json: Expecting property name enclosed in double quotes: line 4 column 1 (char 41)"
+        assert str(crlf.value) == str(lf.value) == message
 
     def test_empty_file_is_empty_zone(self, tmp_path):
         path = tmp_path / "empty.json"
@@ -427,3 +443,200 @@ def test_scope_never_exceeds_matched_entry():
     ecs = EcsOption.for_prefix("198.18.1.128", 32)
     result = zone.lookup("api.example.iot", ecs)
     assert result.scope == 24
+
+
+# --- outcome sweep: one field of one answer cell (or of its record) broken at a
+# time, first in the document's first record, where the cell's region is seen
+# for the first time, then in its last, after that region has loaded cleanly
+
+SWEEP_DOC = {
+    "origin": "t",
+    "regions": {"UK": "198.18.1.0/24", "HK": "198.18.0.0/24", "US": "2001:db8:1::/48"},
+    "records": {
+        f"{q}.t": {
+            "answers": [
+                {"region": "UK", "addresses": [f"10.1.0.{n}"]},
+                {"region": "HK", "addresses": [f"10.2.0.{n}", f"10.2.1.{n}"]},
+                {"region": "US", "addresses": [f"2001:db8:1::{n}"]},
+            ]
+        }
+        for n, q in ((1, "a"), (2, "b"))
+    },
+}
+SWEEP_PROBES = [None, *(EcsOption.for_prefix(net, int(plen)) for net, plen in (
+    ("198.18.1.0", 24), ("198.18.0.0", 24), ("2001:db8:1::", 48), ("192.0.2.0", 24), ("198.18.1.77", 32)))]
+_DROP = object()
+
+
+def _cell(index, **fields):
+    def mutate(block):
+        cell = block["answers"][index]
+        for key, value in fields.items():
+            if value is _DROP:
+                del cell[key]
+            else:
+                cell[key] = value(cell[key]) if callable(value) else value
+    return mutate
+
+
+def _entry(index, value):
+    def mutate(block):
+        block["answers"][index] = value
+    return mutate
+
+
+def _append(region, address):
+    def mutate(block):
+        block["answers"].append({"region": region, "addresses": [address]})
+    return mutate
+
+
+def _default(value):
+    def mutate(block):
+        union = [a for cell in block["answers"] for a in cell["addresses"]]
+        block["default"] = value(union) if callable(value) else value
+    return mutate
+
+
+# mutant -> (mutation, outcome): "base" is a zone equal to SWEEP_DOC's with the
+# same lookups; otherwise (exception type, text), where {where} stands for
+# "zone.json: records['<the mutated record>']" and {n} for its number, 1 or 2
+SWEEP = {
+    "entry-text": (_entry(0, "UK"), (ZoneParseError, "{where}.answers[0]: expected an object")),
+    "entry-array": (_entry(0, ["UK", ["10.1.0.9"]]), (ZoneParseError, "{where}.answers[0]: expected an object")),
+    "entry-null": (_entry(0, None), (ZoneParseError, "{where}.answers[0]: expected an object")),
+    "entry-number": (_entry(1, 7), (ZoneParseError, "{where}.answers[1]: expected an object")),
+    "entry-empty-object": (_entry(0, {}), (ZoneParseError, "{where}.answers[0]: missing field 'region'")),
+    "entry-extra-field": (_cell(0, note="x"), "base"),
+    "region-missing": (_cell(0, region=_DROP), (ZoneParseError, "{where}.answers[0]: missing field 'region'")),
+    "addresses-missing": (_cell(0, addresses=_DROP),
+                          (ZoneParseError, "{where}.answers[0]: missing field 'addresses'")),
+    "region-number": (_cell(0, region=12), (ZoneParseError, "{where}.answers[0].region: must be text")),
+    "region-null": (_cell(0, region=None), (ZoneParseError, "{where}.answers[0].region: must be text")),
+    "region-bool": (_cell(0, region=True), (ZoneParseError, "{where}.answers[0].region: must be text")),
+    "region-array": (_cell(0, region=["UK"]), (ZoneParseError, "{where}.answers[0].region: must be text")),
+    "region-object": (_cell(2, region={"US": 1}), (ZoneParseError, "{where}.answers[2].region: must be text")),
+    "region-lower": (_cell(0, region="uk"), "base"),
+    "region-mixed-case": (_cell(2, region="uS"), "base"),
+    "region-digit": (_cell(0, region="U1"), (
+        ZoneParseError, "{where}.answers[0].region: region code must be two letters, got 'U1'")),
+    "region-three-letters": (_cell(1, region="HKG"), (
+        ZoneParseError, "{where}.answers[1].region: region code must be two letters, got 'HKG'")),
+    "region-newline": (_cell(0, region="UK\n"), (
+        ZoneParseError, "{where}.answers[0].region: region code must be two letters, got 'UK\\n'")),
+    "region-empty": (_cell(0, region=""), (
+        ZoneParseError, "{where}.answers[0].region: region code must be two letters, got ''")),
+    "region-unknown": (_cell(0, region="FR"), (
+        ZoneParseError, "{where}.answers[0].region: 'FR' not in regions table")),
+    "region-unknown-lower": (_cell(0, region="fr"), (
+        ZoneParseError, "{where}.answers[0].region: 'FR' not in regions table")),
+    "region-digit-addresses-missing": (_cell(0, region="U1", addresses=_DROP), (
+        ZoneParseError, "{where}.answers[0].region: region code must be two letters, got 'U1'")),
+    "region-number-addresses-missing": (_cell(0, region=12, addresses=_DROP), (
+        ZoneParseError, "{where}.answers[0].region: must be text")),
+    "region-unknown-addresses-missing": (_cell(0, region="FR", addresses=_DROP), (
+        ZoneParseError, "{where}.answers[0]: missing field 'addresses'")),
+    "region-unknown-addresses-empty": (_cell(0, region="FR", addresses=[]), (
+        ZoneParseError, "{where}.answers[0].region: 'FR' not in regions table")),
+    "addresses-empty": (_cell(0, addresses=[]), (
+        ZoneParseError, "{where}.answers[0].addresses: must be a non-empty array")),
+    "addresses-text": (_cell(0, addresses="10.1.0.9"), (
+        ZoneParseError, "{where}.answers[0].addresses: must be a non-empty array")),
+    "addresses-object": (_cell(0, addresses={"a": "10.1.0.9"}), (
+        ZoneParseError, "{where}.answers[0].addresses: must be a non-empty array")),
+    "addresses-null": (_cell(0, addresses=None), (
+        ZoneParseError, "{where}.answers[0].addresses: must be a non-empty array")),
+    "address-number": (_cell(0, addresses=[5]), (
+        ZoneParseError, "{where}.answers[0].addresses: 5 does not appear to be an IPv4 or IPv6 address")),
+    "address-null": (_cell(0, addresses=[None]), (
+        ZoneParseError, "{where}.answers[0].addresses: None does not appear to be an IPv4 or IPv6 address")),
+    "address-array": (_cell(0, addresses=[["10.1.0.9"]]), (
+        ZoneParseError,
+        "{where}.answers[0].addresses: ['10.1.0.9'] does not appear to be an IPv4 or IPv6 address")),
+    "address-bad": (_cell(0, addresses=["not-an-ip"]), (
+        ZoneParseError, "{where}.answers[0].addresses: 'not-an-ip' does not appear to be an IPv4 or IPv6 address")),
+    "address-zone-id": (_cell(2, addresses=["fe80::1%eth0"]), (
+        ZoneParseError,
+        "{where}.answers[2].addresses: 'fe80::1%eth0' does not appear to be an IPv4 or IPv6 address")),
+    "address-nul": (_cell(0, addresses=["10.1.0.9\x00"]), (
+        ZoneParseError,
+        "{where}.answers[0].addresses: '10.1.0.9\\x00' does not appear to be an IPv4 or IPv6 address")),
+    "address-second-bad": (_cell(1, addresses=["10.2.0.9", "10.2.0.300"]), (
+        ZoneParseError,
+        "{where}.answers[1].addresses: '10.2.0.300' does not appear to be an IPv4 or IPv6 address")),
+    "address-v6-in-v4-region": (_cell(0, addresses=["2001:db8::1"]), (
+        ZoneParseError,
+        "{where}.answers[0]: region UK: address 2001:db8::1 family differs from prefix 198.18.1.0/24")),
+    "address-v4-in-v6-region": (_cell(2, addresses=["10.3.0.1"]), (
+        ZoneParseError,
+        "{where}.answers[2]: region US: address 10.3.0.1 family differs from prefix 2001:db8:1::/48")),
+    "address-v4-mapped-in-v4-region": (_cell(0, addresses=["::ffff:10.1.0.9"]), (
+        ZoneParseError,
+        "{where}.answers[0]: region UK: address ::ffff:10.1.0.9 family differs from prefix 198.18.1.0/24")),
+    "address-second-other-family": (_cell(1, addresses=["10.2.0.9", "2001:db8::9"]), (
+        ZoneParseError,
+        "{where}.answers[1]: region HK: address 2001:db8::9 family differs from prefix 198.18.0.0/24")),
+    "address-other-family-then-bad": (_cell(0, addresses=["2001:db8::1", "nope"]), (
+        ZoneParseError, "{where}.answers[0].addresses: 'nope' does not appear to be an IPv4 or IPv6 address")),
+    "address-v6-upper-case": (_cell(2, addresses=lambda addresses: [a.upper() for a in addresses]), "base"),
+    "prefix-twice": (_append("UK", "10.9.9.9"), (
+        OverlapError, "{where}: prefix 198.18.1.0/24 listed twice for one qname")),
+    "prefix-twice-lower": (_append("uk", "10.9.9.9"), (
+        OverlapError, "{where}: prefix 198.18.1.0/24 listed twice for one qname")),
+    "prefix-twice-v6": (_append("US", "2001:db8:1::99"), (
+        OverlapError, "{where}: prefix 2001:db8:1::/48 listed twice for one qname")),
+    "default-stated": (_default(lambda union: union[::-1]), "base"),
+    "default-missing-one": (_default(lambda union: union[1:]), (
+        DefaultMismatch, "{where}: default set ['10.2.0.{n}', '10.2.1.{n}', '2001:db8:1::{n}']"
+        " != union ['10.1.0.{n}', '10.2.0.{n}', '10.2.1.{n}', '2001:db8:1::{n}']")),
+    "default-extra": (_default(lambda union: [*union, "10.9.9.9"]), (
+        DefaultMismatch,
+        "{where}: default set ['10.1.0.{n}', '10.2.0.{n}', '10.2.1.{n}', '10.9.9.9', '2001:db8:1::{n}']"
+        " != union ['10.1.0.{n}', '10.2.0.{n}', '10.2.1.{n}', '2001:db8:1::{n}']")),
+    "default-not-array": (_default(5), (ZoneParseError, "{where}.default: must be an array")),
+    "default-bad-address": (_default(["nope"]), (
+        ZoneParseError, "{where}.default: 'nope' does not appear to be an IPv4 or IPv6 address")),
+}
+
+
+def _sweep_lookups(zone):
+    return [
+        (qname, [address_text(a) for a in result.addresses], result.scope, result.ttl)
+        for qname in sorted(zone.records)
+        for result in (zone.lookup(qname, probe) for probe in SWEEP_PROBES)
+    ]
+
+
+def _sweep_doc(mutation, qname):
+    doc = json.loads(json.dumps(SWEEP_DOC))
+    mutation(doc["records"][qname])
+    return doc
+
+
+def test_sweep_base_zone_lookups():
+    zone = GeoZone.loads(json.dumps(SWEEP_DOC), "zone.json")
+    expected = []
+    for n, qname in ((1, "a.t"), (2, "b.t")):
+        uk, hk, us = [f"10.1.0.{n}"], [f"10.2.0.{n}", f"10.2.1.{n}"], [f"2001:db8:1::{n}"]
+        # probes: none, UK, HK, US, a network outside every region, a /32 inside UK
+        for texts, scope in ((uk + hk + us, 0), (uk, 24), (hk, 24), (us, 48), (uk + hk + us, 0), (uk, 24)):
+            expected.append((qname, texts, scope, 300))
+    assert _sweep_lookups(zone) == expected
+
+
+@pytest.mark.parametrize("n, qname", [(1, "a.t"), (2, "b.t")], ids=["first-sight", "region-seen"])
+@pytest.mark.parametrize("mutant", list(SWEEP))
+def test_zone_load_outcome_sweep(mutant, n, qname):
+    mutation, outcome = SWEEP[mutant]
+    text = json.dumps(_sweep_doc(mutation, qname))
+    if outcome == "base":
+        base = GeoZone.loads(json.dumps(SWEEP_DOC), "zone.json")
+        zone = GeoZone.loads(text, "zone.json")
+        assert zone == base
+        assert _sweep_lookups(zone) == _sweep_lookups(base)
+        return
+    error, message = outcome
+    with pytest.raises(ZoneError) as caught:
+        GeoZone.loads(text, "zone.json")
+    assert type(caught.value) is error
+    assert str(caught.value) == message.format(where=f"zone.json: records[{qname!r}]", n=n)
