@@ -37,6 +37,7 @@ from .traffic import (
     ingest_log,
     ipbs,
     jaccard,
+    parse_log,
     similarity_matrix,
     stabilization_time,
     uds,

@@ -23,7 +23,7 @@ from pathlib import Path
 from . import mud as mudlib
 from . import traffic
 from .errors import Error
-from .resolver import load_scenario, run_scenario
+from .resolver import parse_scenario, run_scenario
 from .traffic import EmptySelection
 from .zone import GeoZone
 
@@ -71,8 +71,9 @@ def _emit(payload: str, out_path, report: RunReport) -> None:
 
 
 def cmd_scenario_run(args, report: RunReport) -> None:
-    spec = load_scenario(args.scenario)
-    report.note_input(args.scenario, Path(args.scenario).read_bytes())
+    data = Path(args.scenario).read_bytes()
+    spec = parse_scenario(data, args.scenario)
+    report.note_input(args.scenario, data)
     zone_path = Path(args.zone) if args.zone else spec.zone_path
     zone_data = zone_path.read_bytes()
     zone = GeoZone.loads(zone_data, zone_path)
@@ -92,8 +93,9 @@ def cmd_scenario_run(args, report: RunReport) -> None:
 
 
 def _load_log(args, report: RunReport) -> traffic.CaptureLog:
-    log = traffic.ingest_log(args.log)
-    report.note_input(args.log, Path(args.log).read_bytes())
+    data = Path(args.log).read_bytes()
+    log = traffic.parse_log(data, args.log)
+    report.note_input(args.log, data)
     if log.resorted:
         print(f"warning: {args.log}: timestamps were out of order; records re-sorted", file=sys.stderr)
     return log

@@ -1,0 +1,73 @@
+"""The one reader of the package's JSON documents: zone, scenario, MUD allowlist and region groups.
+
+A loader hands `parse` the bytes it was given and its own error class,
+then checks each field it reads with the typed getters.  Every getter
+raises the loader's error class with the field's path, in one wording:
+
+    records['a.t'].answers[0].region: must be text, got 12
+    device: missing field 'device_id'
+
+JSON keeps the last of two equal keys in one object without a word, which
+would hide a repeated qname, region or device id, so `parse` rejects any
+repeat.
+"""
+
+from __future__ import annotations
+
+import functools
+import json
+
+
+def decode(data: bytes | str) -> str:
+    """*data* as text; bytes are decoded as a file read in text mode is: UTF-8, universal newlines."""
+    if isinstance(data, bytes):
+        data = data.decode()
+        if "\r" in data:
+            data = data.replace("\r\n", "\n").replace("\r", "\n")
+    return data
+
+
+def parse(data: bytes | str, document, error: type[Exception]):
+    """The JSON value in *data*; bad JSON or a key repeated in one object raises *error* naming *document*."""
+
+    def unique(pairs):
+        obj = dict(pairs)
+        if len(obj) != len(pairs):
+            seen = set()
+            for key, _ in pairs:
+                if key in seen:
+                    raise error(f"{document}: duplicate key {key!r}")
+                seen.add(key)
+        return obj
+
+    try:
+        return json.loads(decode(data), object_pairs_hook=unique)
+    except json.JSONDecodeError as exc:
+        raise error(f"{document}: {exc}") from None
+
+
+def _typed(value, path, error: type[Exception], kind: type, name: str):
+    if type(value) is not kind:  # exact, so a JSON true or false is no integer
+        raise error(f"{path}: must be {name}, got {value!r}")
+    return value
+
+
+# The typed getters, called as getter(value, path, error): *value*, the field at *path*, if it has
+# the getter's JSON type; otherwise *error* is raised.
+obj = functools.partial(_typed, kind=dict, name="an object")
+array = functools.partial(_typed, kind=list, name="an array")
+text = functools.partial(_typed, kind=str, name="text")
+integer = functools.partial(_typed, kind=int, name="an integer")
+
+
+def field(container: dict, key: str, path, error: type[Exception], check=None):
+    """*container*[*key*], *container* being the object at *path*.
+
+    With *check*, one of the typed getters, the value is also checked by
+    it as the field at ``{path}.{key}``.
+    """
+    try:
+        value = container[key]
+    except KeyError:
+        raise error(f"{path}: missing field {key!r}") from None
+    return value if check is None else check(value, f"{path}.{key}", error)

@@ -15,6 +15,7 @@ import json
 import re
 from fractions import Fraction
 
+from . import document
 from .errors import Error
 from .value import Value
 from .wire import InvalidName, canonical_name
@@ -298,9 +299,9 @@ def _port_json(port: int | None):
 def _port_from_json(raw, where: str) -> int | None:
     if raw == "any":
         return None
-    if isinstance(raw, int) and not isinstance(raw, bool):
-        return raw
-    raise SchemaError(f"{where}: expected a port number or 'any', got {raw!r}")
+    if type(raw) is not int:  # a JSON true or false is no port
+        raise SchemaError(f"{where}: must be a port number or 'any', got {raw!r}")
+    return raw
 
 
 def serialize_mud(mud: MudFile) -> bytes:
@@ -337,57 +338,33 @@ def serialize_mud(mud: MudFile) -> bytes:
     return (json.dumps(doc, indent=2) + "\n").encode()
 
 
-def _require(obj, key: str, where: str):
-    if not isinstance(obj, dict) or key not in obj:
-        raise SchemaError(f"{where}.{key}: missing")
-    return obj[key]
-
-
-def _text(obj, key: str, where: str) -> str:
-    value = _require(obj, key, where)
-    if not isinstance(value, str):
-        raise SchemaError(f"{where}.{key}: expected text, got {value!r}")
-    return value
-
-
 def parse_mud(data: bytes | str) -> MudFile:
     """Inverse of serialize_mud; schema violations name the offending path."""
-    if isinstance(data, bytes):
-        data = data.decode()
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"document: {exc}") from None
-    head = _require(doc, "mud", "document")
-    device_id = _text(head, "device-id", "mud")
-    mud_url = _text(head, "mud-url", "mud")
-    default_action = _text(head, "default-action", "mud")
-    acls = _require(doc, "acls", "document")
-    if not isinstance(acls, list):
-        raise SchemaError("document.acls: expected an array")
+    doc = document.obj(document.parse(data, "document", SchemaError), "document", SchemaError)
+    head = document.obj(document.field(doc, "mud", "document", SchemaError), "mud", SchemaError)
+    device_id, mud_url, default_action = (
+        document.field(head, key, "mud", SchemaError, document.text)
+        for key in ("device-id", "mud-url", "default-action")
+    )
     aces = []
-    for i, acl in enumerate(acls):
-        raw_aces = _require(acl, "aces", f"acls[{i}]")
-        if not isinstance(raw_aces, list):
-            raise SchemaError(f"acls[{i}].aces: expected an array")
-        for j, raw in enumerate(raw_aces):
+    for i, acl in enumerate(document.field(doc, "acls", "document", SchemaError, document.array)):
+        acl = document.obj(acl, f"acls[{i}]", SchemaError)
+        document.field(acl, "name", f"acls[{i}]", SchemaError, document.text)  # not kept: named by direction
+        for j, raw in enumerate(document.field(acl, "aces", f"acls[{i}]", SchemaError, document.array)):
             where = f"acls[{i}].aces[{j}]"
+            raw = document.obj(raw, where, SchemaError)
+            endpoint, protocol, direction = (
+                document.field(raw, key, where, SchemaError, document.text)
+                for key in ("endpoint", "protocol", "direction")
+            )
+            source_port, destination_port = (
+                _port_from_json(document.field(raw, key, where, SchemaError), f"{where}.{key}")
+                for key in ("source-port", "destination-port")
+            )
+            action = document.field(raw, "action", where, SchemaError, document.text)
             try:
-                aces.append(
-                    Ace(
-                        endpoint=_text(raw, "endpoint", where),
-                        protocol=_text(raw, "protocol", where),
-                        direction=_text(raw, "direction", where),
-                        source_port=_port_from_json(_require(raw, "source-port", where), where),
-                        destination_port=_port_from_json(
-                            _require(raw, "destination-port", where), where
-                        ),
-                        action=_text(raw, "action", where),
-                    )
-                )
+                aces.append(Ace(endpoint, protocol, direction, source_port, destination_port, action))
             except MudError as exc:
-                if isinstance(exc, SchemaError):
-                    raise
                 raise SchemaError(f"{where}: {exc}") from None
     try:
         return MudFile(
@@ -400,45 +377,23 @@ def parse_mud(data: bytes | str) -> MudFile:
         raise SchemaError(f"document: {exc}") from None
 
 
-class _JsonObject(dict):
-    """A decoded JSON object that also keeps its keys as written, repeats included."""
-
-    def __init__(self, pairs):
-        super().__init__(pairs)
-        self.keys_as_written = [key for key, _ in pairs]
-
-
 def load_groups(data: bytes | str) -> list[RegionDomainGroup]:
     """Parse a region-group document: [{"canonical": ..., "variants": {REGION: name}}]."""
-    if isinstance(data, bytes):
-        data = data.decode()
-    try:
-        doc = json.loads(data, object_pairs_hook=_JsonObject)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"groups document: {exc}") from None
-    if not isinstance(doc, list):
-        raise SchemaError("groups document: expected an array")
+    doc = document.array(document.parse(data, "groups document", SchemaError), "groups document", SchemaError)
     groups = []
     for i, raw in enumerate(doc):
-        canonical = _text(raw, "canonical", f"groups[{i}]")
-        variants = _require(raw, "variants", f"groups[{i}]")
-        if not isinstance(variants, dict):
-            raise SchemaError(f"groups[{i}].variants: expected an object")
-        for region in variants:
-            _text(variants, region, f"groups[{i}].variants")
+        where = f"groups[{i}]"
+        raw = document.obj(raw, where, SchemaError)
+        canonical = document.field(raw, "canonical", where, SchemaError, document.text)
+        variants = document.field(raw, "variants", where, SchemaError, document.obj)
+        for region, name in variants.items():
+            document.text(name, f"{where}.variants.{region}", SchemaError)
         try:
-            group = RegionDomainGroup(canonical_domain=canonical, regional_variants=variants)
+            groups.append(RegionDomainGroup(canonical_domain=canonical, regional_variants=variants))
         except BadVariantRegion as exc:
-            raise SchemaError(f"groups[{i}].variants: {exc}") from None
+            raise SchemaError(f"{where}.variants: {exc}") from None
         except MudError as exc:
-            raise SchemaError(f"groups[{i}]: {exc}") from None
-        # json.loads keeps the last of two equal keys; the group never sees the first
-        seen = set()
-        for region in variants.keys_as_written:
-            if region in seen:
-                raise SchemaError(f"groups[{i}].variants: region {region.upper()} given twice")
-            seen.add(region)
-        groups.append(group)
+            raise SchemaError(f"{where}: {exc}") from None
     return groups
 
 

@@ -30,10 +30,10 @@ from __future__ import annotations
 import heapq
 import ipaddress
 import itertools
-import json
 import threading
 from pathlib import Path
 
+from . import document
 from .errors import Error
 from .transport import InProcessLink
 from .value import Value
@@ -433,40 +433,31 @@ class ScenarioSpec(
 ):
     """A scenario document: its DeviceConfig, canonical qname, resolved zone Path and Policy override."""
 
+
 def load_scenario(path) -> ScenarioSpec:
-    """Read a scenario document; the zone path is resolved relative to the file."""
+    """Read the scenario document at *path*; see `parse_scenario`."""
+    return parse_scenario(Path(path).read_bytes(), path)
+
+
+def parse_scenario(data: bytes | str, path) -> ScenarioSpec:
+    """Parse a scenario document read from *path*; its zone path is resolved relative to *path*'s directory."""
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path}: {exc}") from None
-    try:
-        arch = doc["architecture"]
-        device_doc = doc["device"]
-        qname = doc["qname"]
-        zone_rel = doc["zone"]
-        resolver_doc = doc["resolver"]
-    except (KeyError, TypeError) as exc:
-        raise ScenarioError(f"{path}: missing field {exc}") from None
+    doc = document.obj(document.parse(data, path, ScenarioError), path, ScenarioError)
+    arch, device_doc, qname, zone_rel, resolver_doc = (
+        document.field(doc, key, path, ScenarioError)
+        for key in ("architecture", "device", "qname", "zone", "resolver")
+    )
     if arch not in ARCHITECTURES:
         raise ScenarioError(f"{path}: unknown architecture {arch!r}")
-
-    def text(doc, section, key):
-        value = doc[key]
-        if not isinstance(value, str):
-            raise ScenarioError(f"{path}: {section}.{key}: must be text, got {value!r}")
-        return value
-
-    try:
-        cfg = DeviceConfig(
-            device_id=text(device_doc, "device", "device_id"),
-            ip_based_location=text(device_doc, "device", "ip_based_location"),
-            user_defined_location=text(device_doc, "device", "user_defined_location"),
-            client_address=text(device_doc, "device", "client_address"),
-        )
-        resolver_location = text(resolver_doc, "resolver", "location")
-    except (KeyError, TypeError) as exc:
-        raise ScenarioError(f"{path}: missing field {exc}") from None
+    device_doc = document.obj(device_doc, f"{path}: device", ScenarioError)
+    cfg = DeviceConfig(*(
+        document.field(device_doc, key, f"{path}: device", ScenarioError, document.text)
+        for key in DeviceConfig._fields
+    ))
+    resolver_doc = document.obj(resolver_doc, f"{path}: resolver", ScenarioError)
+    resolver_location = document.field(
+        resolver_doc, "location", f"{path}: resolver", ScenarioError, document.text
+    )
     try:
         qname = canonical_name(qname)
     except InvalidName as exc:
@@ -474,9 +465,7 @@ def load_scenario(path) -> ScenarioSpec:
     policy = None
     if "policy" in resolver_doc:
         policy = _parse_policy(resolver_doc["policy"], path)
-    if not isinstance(zone_rel, str):
-        raise ScenarioError(f"{path}: zone: must be text, got {zone_rel!r}")
-    zone_path = (path.parent / zone_rel).resolve()
+    zone_path = (path.parent / document.text(zone_rel, f"{path}: zone", ScenarioError)).resolve()
     return ScenarioSpec(
         architecture=arch,
         device=cfg,
@@ -493,9 +482,9 @@ def _parse_policy(raw, path) -> Policy:
     if raw == "strip":
         return Strip()
     if isinstance(raw, dict) and "rewrite_client_subnet" in raw:
-        prefix_len = raw["rewrite_client_subnet"]
-        if type(prefix_len) is not int:  # a JSON true, 24.9 or "24" is no prefix length
-            raise ScenarioError(f"{path}: policy: rewrite_client_subnet must be an integer, got {prefix_len!r}")
+        prefix_len = document.integer(
+            raw["rewrite_client_subnet"], f"{path}: policy.rewrite_client_subnet", ScenarioError
+        )
         try:
             return RewriteClientSubnet(prefix_len)
         except ScenarioError as exc:

@@ -14,7 +14,7 @@ fractions; callers render decimals.
 
 Keys may come in any order, any whitespace apart: a line in the layout above
 is read by one regex match, any other by a token loop, and both feed the same
-checks.  `ingest_log` reads a file in one walk.  For that call only, it keeps
+checks.  `parse_log` reads a log in one walk.  For that call only, it keeps
 three memos of raw values that passed their checks: the `dev=.. ipl=.. udl=..`
 span, the `q=` value and the `a=` field.  A line in the layout whose three are
 all known needs only its timestamp checked, and its record goes straight into
@@ -32,6 +32,7 @@ from fractions import Fraction
 from operator import itemgetter
 from pathlib import Path
 
+from . import document
 from .errors import Error
 from .value import Value
 from .wire import InvalidName, address_text, canonical_name, pack_address
@@ -204,9 +205,12 @@ def parse_capture_line(line: str, where: str = "line") -> CaptureRecord:
 
 
 def ingest_log(path) -> CaptureLog:
-    """Parse a capture file; out-of-order timestamps are sorted and flagged."""
-    path = Path(path)
-    name = str(path)
+    """Read and parse the capture file at *path*; see `parse_log`."""
+    return parse_log(Path(path).read_bytes(), path)
+
+
+def parse_log(data: bytes | str, name) -> CaptureLog:
+    """Parse a capture log read from *name*; out-of-order timestamps are sorted and flagged."""
     reader = _LineReader()
     places = {}  # raw "dev=.. ipl=.. udl=.." span -> (dev, ipl, udl, that selection's records)
     qnames = {}  # raw q= value -> its canonical name
@@ -216,7 +220,7 @@ def ingest_log(path) -> CaptureLog:
     selections: dict[tuple[str, str, str], list[CaptureRecord]] = {}
     records = []
     last, resorted = 0, False
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(document.decode(data).splitlines(), start=1):
         record = None
         match = match_line(line)
         if match:

@@ -9,11 +9,11 @@ addresses (so an allowlist builder sees all endpoints at once).
 from __future__ import annotations
 
 import ipaddress
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import document
 from .errors import Error
 from .value import Value
 from .wire import PREFIX_MASKS, EcsOption, InvalidName, address_text, canonical_name, family_packer, pack_address
@@ -112,7 +112,7 @@ class LocationPrefixMap(Value, fields="entries"):
 
 
 class RegionalAnswer(Value, fields="region prefix addresses ttl"):
-    """One region's answers: *addresses* are given as text or packed octets, and held packed."""
+    """One region's answers: *addresses* are given as text or packed octets, and held packed, each once."""
 
     def __new__(cls, region: str, prefix: ipaddress.IPv4Network | ipaddress.IPv6Network,
                 addresses: tuple[str, ...], ttl: int = DEFAULT_TTL):
@@ -125,6 +125,9 @@ class RegionalAnswer(Value, fields="region prefix addresses ttl"):
                 raise ZoneParseError(
                     f"region {region}: address {address_text(rdata)} family differs from prefix {prefix}"
                 )
+        if len(set(packed)) != len(packed):
+            repeat = next(rdata for i, rdata in enumerate(packed) if rdata in packed[:i])
+            raise ZoneParseError(f"region {region}: address {address_text(repeat)} listed twice")
         return tuple.__new__(cls, (region, prefix, packed, ttl))
 
 
@@ -182,7 +185,7 @@ class AnswerSet:
         object.__setattr__(self, "index", index)
         union = {rdata for ans in self.answers for rdata in ans.addresses}
         stated = union if self.default is None else list(map(pack_address, self.default))
-        if set(stated) != union:
+        if len(stated) != len(union) or set(stated) != union:
             raise DefaultMismatch(
                 f"default set {sorted(map(address_text, stated))} != union {sorted(map(address_text, union))}"
             )
@@ -210,30 +213,19 @@ class GeoZone(Value, fields="origin regions records"):
         on the first answer cell that names it; each cell then only packs
         its addresses by its region's family.
         """
-        text = data
-        if isinstance(text, bytes):  # as a file read in text mode: UTF-8, universal newlines
-            text = text.decode()
-            if "\r" in text:
-                text = text.replace("\r\n", "\n").replace("\r", "\n")
+        text = document.decode(data)
         if not text.strip():
             return cls(origin="", regions=LocationPrefixMap({}), records={})
-        try:
-            doc = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
-        except json.JSONDecodeError as exc:
-            raise ZoneParseError(f"{name}: {exc}") from None
-        except ZoneParseError as exc:
-            raise ZoneParseError(f"{name}: {exc}") from None
-        if not isinstance(doc, dict):
-            raise ZoneParseError(f"{name}: top level must be an object")
+        doc = document.obj(document.parse(text, name, ZoneParseError), name, ZoneParseError)
         origin = doc.get("origin", "")
         if origin != "":
             try:
                 origin = canonical_name(origin)
             except InvalidName as exc:
                 raise ZoneParseError(f"{name}: origin: {exc}") from None
-        regions_raw = doc.get("regions", {})
-        if not isinstance(regions_raw, dict):
-            raise ZoneParseError(f"{name}: 'regions' must be an object")
+        regions_raw = document.obj(doc.get("regions", {}), f"{name}: regions", ZoneParseError)
+        for code, prefix in regions_raw.items():  # ipaddress would read a number, or a bool, as an address
+            document.text(prefix, f"{name}: regions.{code}", ZoneParseError)
         try:
             prefix_map = LocationPrefixMap(regions_raw)
         except ZoneError as exc:
@@ -242,9 +234,7 @@ class GeoZone(Value, fields="origin regions records"):
         known = {}  # a cell's raw region text -> that region's facts, see _cell_region
         build = tuple.__new__
         records = {}
-        records_raw = doc.get("records", {})
-        if not isinstance(records_raw, dict):
-            raise ZoneParseError(f"{name}: 'records' must be an object")
+        records_raw = document.obj(doc.get("records", {}), f"{name}: records", ZoneParseError)
         for key, block in records_raw.items():
             where = f"{name}: records[{key!r}]"
             try:
@@ -253,14 +243,11 @@ class GeoZone(Value, fields="origin regions records"):
                 raise ZoneParseError(f"{where}: {exc}") from None
             if qname in records:
                 raise ZoneParseError(f"{where}: names the same record as an earlier key, {qname!r}")
-            if not isinstance(block, dict) or "answers" not in block:
-                raise ZoneParseError(f"{where}: expected an object with an 'answers' array")
-            ttl = block.get("ttl", DEFAULT_TTL)
-            if type(ttl) is not int or ttl < 0:  # a JSON true or false is no TTL
-                raise ZoneParseError(f"{where}.ttl: must be a non-negative integer")
-            entries = block["answers"]
-            if not isinstance(entries, list):
-                raise ZoneParseError(f"{where}.answers: must be an array")
+            block = document.obj(block, where, ZoneParseError)
+            entries = document.field(block, "answers", where, ZoneParseError, document.array)
+            ttl = document.integer(block.get("ttl", DEFAULT_TTL), f"{where}.ttl", ZoneParseError)
+            if ttl < 0:
+                raise ZoneParseError(f"{where}.ttl: must be a non-negative integer, got {ttl}")
             regional, tables = [], {}
             for i, entry in enumerate(entries):
                 try:
@@ -276,7 +263,9 @@ class GeoZone(Value, fields="origin regions records"):
                 try:
                     packed = tuple(map(pack, addresses))
                 except (OSError, TypeError, ValueError):
-                    # not all text of the region's family: the checking constructor raises why
+                    packed = None
+                if packed is None or len(set(packed)) != len(packed):
+                    # not all text of the region's family, or a repeat: the checking constructor raises why
                     packed = _checked_answer(region, prefix, addresses, f"{where}.answers[{i}]").addresses
                 # every field is checked above, so the checking constructor is skipped
                 answer = build(RegionalAnswer, (region, prefix, packed, ttl))
@@ -284,8 +273,8 @@ class GeoZone(Value, fields="origin regions records"):
                 tables.setdefault(slot, {})[network] = answer
             entries.clear()  # freed now, the parsed cells and the zone are never both whole in memory
             default = block.get("default")
-            if not isinstance(default, (list, type(None))):
-                raise ZoneParseError(f"{where}.default: must be an array")
+            if default is not None:
+                document.array(default, f"{where}.default", ZoneParseError)
             try:
                 answer_set = AnswerSet._indexed(tuple(regional), tables, default, ttl)
             except (OverlapError, DefaultMismatch) as exc:
@@ -327,19 +316,13 @@ def _cell_region(entry, prefix_map: LocationPrefixMap, known: dict, spot: str) -
     cell's raw region text, so later cells that spell the region the same
     way look them up.
     """
-    if not isinstance(entry, dict):
-        raise ZoneParseError(f"{spot}: expected an object")
-    if "region" not in entry:
-        raise ZoneParseError(f"{spot}: missing field 'region'")
-    raw = entry["region"]
-    if not isinstance(raw, str):
-        raise ZoneParseError(f"{spot}.region: must be text")
+    entry = document.obj(entry, spot, ZoneParseError)
+    raw = document.field(entry, "region", spot, ZoneParseError, document.text)
     try:
         region = _check_region_code(raw)
     except ZoneParseError as exc:
         raise ZoneParseError(f"{spot}.region: {exc}") from None
-    if "addresses" not in entry:
-        raise ZoneParseError(f"{spot}: missing field 'addresses'")
+    document.field(entry, "addresses", spot, ZoneParseError)
     prefix = prefix_map.entries.get(region)
     if prefix is None:
         raise ZoneParseError(f"{spot}.region: {region!r} not in regions table")
@@ -356,13 +339,3 @@ def _checked_answer(region: str, prefix, addresses: list, spot: str) -> Regional
     except ValueError as exc:
         raise ZoneParseError(f"{spot}.addresses: {exc}") from None
 
-
-def _reject_duplicate_keys(pairs):
-    # JSON keeps the last duplicate silently, which would hide a
-    # repeated qname or region entry
-    out = {}
-    for key, value in pairs:
-        if key in out:
-            raise ZoneParseError(f"duplicate key {key!r}")
-        out[key] = value
-    return out

@@ -1,10 +1,15 @@
 """Command-line surface: payload on stdout/--out, report on stderr, and the
 documented exit codes."""
 
+import builtins
+import collections
 import hashlib
+import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from helpers import FIXTURES
@@ -101,7 +106,7 @@ class TestScenario:
 
     @pytest.mark.parametrize(
         "region, reason",
-        [("U1", "region code must be two letters, got 'U1'"), (12, "must be text")],
+        [("U1", "region code must be two letters, got 'U1'"), (12, "must be text, got 12")],
         ids=["not-letters", "not-text"],
     )
     def test_bad_region_in_an_answer_names_its_cell(self, tmp_path, capsys, region, reason):
@@ -304,6 +309,53 @@ class TestMud:
             assert int(unified) == int(k)
             if int(k) >= 3:
                 assert float(ratio) >= 0.66
+
+
+SCENARIO = str(FIXTURES / "scenario_ecs_user_defined.json")
+ZONE = str(FIXTURES / "zone.json")
+POOLS_LOG = str(FIXTURES / "golden" / "pools.log")
+
+# argv -> the input files it reads; each must be opened once, and digested as read
+READ_ONCE = {
+    "scenario": (["scenario", "run", SCENARIO], [SCENARIO, ZONE]),
+    "scenario-zone-override": (
+        ["scenario", "run", str(FIXTURES / "scenario_standard.json"), "--zone", ZONE],
+        [str(FIXTURES / "scenario_standard.json"), ZONE],
+    ),
+    "uds": (["analyze", "uds", "--log", YI_LOG, "--device", "yi-cam", "--ipl", "US", "--locations", "UK", "HK"],
+            [YI_LOG]),
+    "ipbs": (["analyze", "ipbs", "--log", POOLS_LOG, "--device", "hub", "--udl", "US", "--locations", "US", "UK"],
+             [POOLS_LOG]),
+    "stabilize": (["analyze", "stabilize", "--log", YI_LOG, "--device", "yi-cam", "--ipl", "US", "--udl", "HK"],
+                  [YI_LOG]),
+    "cumulative": (["analyze", "cumulative", "--log", ECHO_LOG, "--device", "echo", "--ipl", "UK", "--udl", "UK"],
+                   [ECHO_LOG]),
+    "matrix": (["analyze", "matrix", "--log", BULB_LOG, "--device", "bulb01", "--ipl", "US", "--regions", "UK", "US"],
+               [BULB_LOG]),
+    "mud-generate": (["mud", "generate", "--log", BULB_LOG, "--device", "bulb01", "--ipl", "US", "--udl", "UK"],
+                     [BULB_LOG]),
+}
+
+
+@pytest.mark.parametrize("command", list(READ_ONCE))
+def test_each_input_read_once_and_digested_as_read(command, capsys, monkeypatch):
+    argv, inputs = READ_ONCE[command]
+    opened = collections.Counter()
+    real_open = io.open
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)):
+            opened[os.path.realpath(file)] += 1
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    code, _, err = run_cli(argv, capsys)
+    monkeypatch.undo()
+    assert code == EXIT_OK
+    assert {path: opened[os.path.realpath(path)] for path in inputs} == {path: 1 for path in inputs}
+    digests = {path: hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in inputs}
+    assert json.loads(err.splitlines()[-1])["inputs"] == digests
 
 
 class TestExitCodes:

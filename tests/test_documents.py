@@ -1,0 +1,106 @@
+"""Field-mutation gate over the four JSON documents the CLI reads.
+
+Every value in a fixture zone, scenario, MUD allowlist and region-group
+document is replaced, in turn, by each of `REPLACEMENTS`, and also deleted
+from its object or array.  Each mutant runs through the CLI in process, by
+the command that reads that document.  No mutant may end in an internal
+error (exit 70).  A replaced value may give exit 0 only when it has the
+original's JSON type (an integer is not a float, and a bool is neither), or
+when `ALLOWED` lists it: anything else must be refused as bad data.
+"""
+
+import contextlib
+import copy
+import io
+import json
+
+import pytest
+from helpers import FIXTURES
+
+from ecsloc.cli import EXIT_INTERNAL, EXIT_OK, main
+
+GOLDEN = FIXTURES / "golden"
+REPLACEMENTS = [None, True, False, 0, -1, 1.5, "", "x", "A..B", [], {}, [1], {"k": 1}]
+_DELETED = object()
+
+
+def _port(value) -> bool:
+    return value == "any" or type(value) is int
+
+
+# document -> {key: test}: a replacement under that key that passes the test may give exit 0
+ALLOWED = {
+    "zone": {"default": lambda value: value is None},
+    "mud": {"source-port": _port, "destination-port": _port},
+}
+
+# document -> (fixture it mutates, file name the mutant is written as, argv running it)
+DOCUMENTS = {
+    "zone": (FIXTURES / "zone.json", "zone.json",
+             ["scenario", "run", str(FIXTURES / "scenario_ecs_user_defined.json"), "--zone", "{mutant}"]),
+    "scenario": (FIXTURES / "scenario_ecs_user_defined.json", "scenario.json", ["scenario", "run", "{mutant}"]),
+    "mud": (GOLDEN / "mud_generate_bulb_uk.out", "mud.json",
+            ["mud", "compare", "{mutant}", str(GOLDEN / "mud_generate_bulb_us.out"),
+             str(GOLDEN / "mud_generate_bulb_hk.out"), "--groups", str(FIXTURES / "groups_bulb.json")]),
+    "groups": (FIXTURES / "groups_bulb.json", "groups.json",
+               ["mud", "collapse", str(GOLDEN / "mud_unify_bulb.out"), "--groups", "{mutant}"]),
+}
+
+
+def fields(value, path=()):
+    """(path, value) of every value below the root of a JSON document, parents first."""
+    children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield (*path, key), child
+        yield from fields(child, (*path, key))
+
+
+def mutant(doc, path, value):
+    """A copy of *doc* with the value at *path* replaced by *value*, or deleted."""
+    doc = copy.deepcopy(doc)
+    *parents, last = path
+    container = doc
+    for key in parents:
+        container = container[key]
+    if value is _DELETED:
+        del container[last]
+    else:
+        container[last] = value
+    return doc
+
+
+def run(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def test_fields_cover_every_value():
+    doc = {"a": [1, {"b": None}], "c": "x"}
+    assert [path for path, _ in fields(doc)] == [("a",), ("a", 0), ("a", 1), ("a", 1, "b"), ("c",)]
+
+
+@pytest.mark.parametrize("name", list(DOCUMENTS))
+def test_no_mutant_is_an_internal_error_or_accepted_as_another_type(name, tmp_path):
+    source, file_name, argv = DOCUMENTS[name]
+    doc = json.loads(source.read_text())
+    (tmp_path / "zone.json").write_text((FIXTURES / "zone.json").read_text())  # a scenario mutant's zone
+    mutant_path = tmp_path / file_name
+    args = [arg.format(mutant=mutant_path) for arg in argv]
+    mutant_path.write_text(json.dumps(doc))
+    assert run(args)[0] == EXIT_OK  # the unmutated document
+    faults, count = [], 0
+    for path, original in fields(doc):
+        allowed = ALLOWED.get(name, {}).get(path[-1], lambda value: False)
+        for value in [*REPLACEMENTS, _DELETED]:
+            mutant_path.write_text(json.dumps(mutant(doc, path, value)))
+            code, err = run(args)
+            count += 1
+            if code == EXIT_INTERNAL:
+                faults.append(f"{path} = {value!r}: internal error\n{err}")
+            elif code == EXIT_OK and value is not _DELETED and type(value) is not type(original) \
+                    and not allowed(value):
+                faults.append(f"{path} = {value!r}: accepted in place of {original!r}")
+    assert count > 100
+    assert faults == []

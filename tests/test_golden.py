@@ -53,6 +53,7 @@ CASES = {
     "scenario_policy_bool": ["scenario", "run", "{fixtures}/scenario_policy_bool.json"],
     "scenario_policy_float": ["scenario", "run", "{fixtures}/scenario_policy_float.json"],
     "scenario_policy_text": ["scenario", "run", "{fixtures}/scenario_policy_text.json"],
+    "scenario_duplicate_key": ["scenario", "run", "{fixtures}/scenario_duplicate_key.json"],
     "analyze_uds_yi": ["analyze", "uds", *YI, "--ipl", "US", "--locations", "HK", "UK"],
     "analyze_uds_yi_reordered": [
         "analyze", "uds", "--log", "{fixtures}/captures/yi_camera_reordered.log", "--device", "yi-cam",
@@ -105,6 +106,7 @@ CASES = {
     "mud_unify_endpoint_spellings": ["mud", "unify", BULB_MUDS[1], "{fixtures}/mud_bulb_us_spelled.json"],
     "mud_unify_endpoint_empty_label": ["mud", "unify", "{fixtures}/mud_yi_endpoint_empty_label.json"],
     "mud_unify_endpoint_not_text": ["mud", "unify", "{fixtures}/mud_yi_endpoint_not_text.json"],
+    "mud_unify_duplicate_key": ["mud", "unify", "{fixtures}/mud_yi_duplicate_key.json"],
     "usage_missing_value": ["analyze", "uds", "--log"],
     "usage_unknown_subcommand": ["mud", "explode"],
 }

@@ -21,6 +21,7 @@ from ecsloc.resolver import (
     Strip,
     VirtualClock,
     load_scenario,
+    parse_scenario,
     run_scenario,
     stub_query,
 )
@@ -666,6 +667,12 @@ class TestScenarioFiles:
         assert spec.device.user_defined_location == "UK"
         assert spec.zone_path == (FIXTURES / "zone.json").resolve()
 
+    def test_parse_scenario_takes_the_bytes_load_reads(self, tmp_path):
+        path = FIXTURES / "scenario_ecs_user_defined.json"
+        assert parse_scenario(path.read_bytes(), path) == load_scenario(path)
+        spec = parse_scenario(path.read_text(), tmp_path / "elsewhere" / "s.json")
+        assert spec.zone_path == (tmp_path / "elsewhere" / "zone.json").resolve()
+
     def test_policy_override_parses(self, tmp_path):
         doc = (FIXTURES / "scenario_ecs_basic.json").read_text().replace(
             '"location": "HK"', '"location": "HK", "policy": {"rewrite_client_subnet": 16}'
@@ -694,10 +701,10 @@ class TestScenarioFiles:
     @pytest.mark.parametrize(
         "value, message",
         [
-            (True, "rewrite_client_subnet must be an integer, got True"),
-            (24.9, "rewrite_client_subnet must be an integer, got 24.9"),
-            ("24", "rewrite_client_subnet must be an integer, got '24'"),
-            (33, "rewrite prefix length 33 out of range"),
+            (True, ".rewrite_client_subnet: must be an integer, got True"),
+            (24.9, ".rewrite_client_subnet: must be an integer, got 24.9"),
+            ("24", ".rewrite_client_subnet: must be an integer, got '24'"),
+            (33, ": rewrite prefix length 33 out of range"),
         ],
         ids=["bool", "float", "text", "range"],
     )
@@ -705,7 +712,7 @@ class TestScenarioFiles:
         path = self._write(tmp_path, lambda doc: doc["resolver"].update(policy={"rewrite_client_subnet": value}))
         with pytest.raises(ScenarioError) as info:
             load_scenario(path)
-        assert str(info.value) == f"{path}: policy: {message}"
+        assert str(info.value) == f"{path}: policy{message}"
 
     @pytest.mark.parametrize(
         "section, key", [("device", "device_id"), ("device", "ip_based_location"),
@@ -717,6 +724,28 @@ class TestScenarioFiles:
         with pytest.raises(ScenarioError) as info:
             load_scenario(path)
         assert str(info.value) == f"{path}: {section}.{key}: must be text, got True"
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [(lambda doc: doc.update(device="x"), "device: must be an object, got 'x'"),
+         (lambda doc: doc.update(resolver=["HK"]), "resolver: must be an object, got ['HK']"),
+         (lambda doc: doc["device"].pop("device_id"), "device: missing field 'device_id'"),
+         (lambda doc: doc["resolver"].pop("location"), "resolver: missing field 'location'"),
+         (lambda doc: doc.pop("zone"), "missing field 'zone'")],
+        ids=["device-text", "resolver-array", "device-id-missing", "location-missing", "zone-missing"],
+    )
+    def test_sections_name_their_fault(self, tmp_path, edit, message):
+        path = self._write(tmp_path, edit)
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_duplicate_key_rejected(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text('{"architecture": "standard", "architecture": "ecs_basic"}')
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(path)
+        assert str(info.value) == f"{path}: duplicate key 'architecture'"
 
     @pytest.mark.parametrize(
         "qname, message", [(5, "name must be text, got 5"), ("api..example.iot", "empty label in 'api..example.iot'")],

@@ -28,6 +28,7 @@ from ecsloc.traffic import (
     ipbs,
     jaccard,
     parse_capture_line,
+    parse_log,
     similarity_matrix,
     stabilization_time,
     uds,
@@ -101,6 +102,15 @@ class TestIngest:
         log = ingest_log(FIXTURES / "captures" / "yi_camera.log")
         assert len(log) == 4
         assert log.devices() == ("yi-cam",)
+
+    def test_parse_log_takes_the_bytes_or_text_ingest_reads(self):
+        path = FIXTURES / "captures" / "yi_camera_reordered.log"
+        log = ingest_log(path)
+        assert parse_log(path.read_bytes(), path) == log
+        assert parse_log(path.read_text().replace("\n", "\r\n"), path) == log
+        with pytest.raises(LogParseError) as info:
+            parse_log(b"ts=1 dev=d ipl=UKX udl=UK q=a.x a=10.0.0.1\n", "mem.log")
+        assert str(info.value).startswith("mem.log:1: ")
 
     def test_malformed_region_rejected_with_position(self, tmp_path):
         path = tmp_path / "log"

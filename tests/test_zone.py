@@ -157,22 +157,43 @@ class TestLoad:
         with pytest.raises(ZoneParseError):
             GeoZone.load(write_zone(tmp_path, doc))
 
+    @pytest.mark.parametrize("prefix", [True, 7, 3232235777, None, ["198.18.1.0/24"]],
+                             ids=["bool", "small-number", "number-of-an-address", "null", "array"])
+    def test_region_prefix_must_be_text(self, prefix):
+        doc = {**TWO_REGION_DOC, "regions": {"UK": "198.18.1.0/24", "HK": prefix}}
+        with pytest.raises(ZoneParseError) as info:
+            GeoZone.loads(json.dumps(doc), "zone.json")
+        assert str(info.value) == f"zone.json: regions.HK: must be text, got {prefix!r}"
+
+    def test_repeated_address_rejected_by_the_constructor(self):
+        net = ipaddress.ip_network("198.18.1.0/24")
+        with pytest.raises(ZoneParseError) as info:
+            RegionalAnswer("UK", net, ("10.1.0.1", "10.1.0.2", "10.1.0.1"))
+        assert str(info.value) == "region UK: address 10.1.0.1 listed twice"
+        answer = RegionalAnswer("UK", net, ("10.1.0.1",))
+        with pytest.raises(DefaultMismatch):
+            AnswerSet((answer,), default=("10.1.0.1", "10.1.0.1"))
+
     def test_ttl_defaults_to_300(self, tmp_path):
         zone = GeoZone.load(write_zone(tmp_path, TWO_REGION_DOC))
         assert zone.records["api.example.iot"].ttl == 300
         assert zone.records["api.example.iot"].answers[0].ttl == 300
 
     @pytest.mark.parametrize(
-        "ttl",
-        [True, False, pytest.param(-1, id="guard-negative"), pytest.param(1.5, id="guard-float"),
-         pytest.param("300", id="guard-text")],
+        "ttl, reason",
+        [pytest.param(True, "must be an integer, got True", id="True"),
+         pytest.param(False, "must be an integer, got False", id="False"),
+         pytest.param(-1, "must be a non-negative integer, got -1", id="guard-negative"),
+         pytest.param(1.5, "must be an integer, got 1.5", id="guard-float"),
+         pytest.param("300", "must be an integer, got '300'", id="guard-text")],
     )
-    def test_ttl_must_be_a_non_negative_integer(self, tmp_path, ttl):
+    def test_ttl_must_be_a_non_negative_integer(self, tmp_path, ttl, reason):
         doc = json.loads(json.dumps(TWO_REGION_DOC))
         doc["records"]["api.example.iot"]["ttl"] = ttl
-        message = "records['api.example.iot'].ttl: must be a non-negative integer"
-        with pytest.raises(ZoneParseError, match=re.escape(message)):
-            GeoZone.load(write_zone(tmp_path, doc))
+        path = write_zone(tmp_path, doc)
+        with pytest.raises(ZoneParseError) as info:
+            GeoZone.load(path)
+        assert str(info.value) == f"{path}: records['api.example.iot'].ttl: {reason}"
 
     @pytest.mark.parametrize("origin", [5, pytest.param(["x"], id="list"), "a b", "ex..iot"])
     def test_origin_must_be_a_dns_name(self, tmp_path, origin):
@@ -502,20 +523,23 @@ def _default(value):
 # same lookups; otherwise (exception type, text), where {where} stands for
 # "zone.json: records['<the mutated record>']" and {n} for its number, 1 or 2
 SWEEP = {
-    "entry-text": (_entry(0, "UK"), (ZoneParseError, "{where}.answers[0]: expected an object")),
-    "entry-array": (_entry(0, ["UK", ["10.1.0.9"]]), (ZoneParseError, "{where}.answers[0]: expected an object")),
-    "entry-null": (_entry(0, None), (ZoneParseError, "{where}.answers[0]: expected an object")),
-    "entry-number": (_entry(1, 7), (ZoneParseError, "{where}.answers[1]: expected an object")),
+    "entry-text": (_entry(0, "UK"), (ZoneParseError, "{where}.answers[0]: must be an object, got 'UK'")),
+    "entry-array": (_entry(0, ["UK", ["10.1.0.9"]]), (
+        ZoneParseError, "{where}.answers[0]: must be an object, got ['UK', ['10.1.0.9']]")),
+    "entry-null": (_entry(0, None), (ZoneParseError, "{where}.answers[0]: must be an object, got None")),
+    "entry-number": (_entry(1, 7), (ZoneParseError, "{where}.answers[1]: must be an object, got 7")),
     "entry-empty-object": (_entry(0, {}), (ZoneParseError, "{where}.answers[0]: missing field 'region'")),
     "entry-extra-field": (_cell(0, note="x"), "base"),
     "region-missing": (_cell(0, region=_DROP), (ZoneParseError, "{where}.answers[0]: missing field 'region'")),
     "addresses-missing": (_cell(0, addresses=_DROP),
                           (ZoneParseError, "{where}.answers[0]: missing field 'addresses'")),
-    "region-number": (_cell(0, region=12), (ZoneParseError, "{where}.answers[0].region: must be text")),
-    "region-null": (_cell(0, region=None), (ZoneParseError, "{where}.answers[0].region: must be text")),
-    "region-bool": (_cell(0, region=True), (ZoneParseError, "{where}.answers[0].region: must be text")),
-    "region-array": (_cell(0, region=["UK"]), (ZoneParseError, "{where}.answers[0].region: must be text")),
-    "region-object": (_cell(2, region={"US": 1}), (ZoneParseError, "{where}.answers[2].region: must be text")),
+    "region-number": (_cell(0, region=12), (ZoneParseError, "{where}.answers[0].region: must be text, got 12")),
+    "region-null": (_cell(0, region=None), (ZoneParseError, "{where}.answers[0].region: must be text, got None")),
+    "region-bool": (_cell(0, region=True), (ZoneParseError, "{where}.answers[0].region: must be text, got True")),
+    "region-array": (_cell(0, region=["UK"]), (
+        ZoneParseError, "{where}.answers[0].region: must be text, got ['UK']")),
+    "region-object": (_cell(2, region={"US": 1}), (
+        ZoneParseError, "{where}.answers[2].region: must be text, got {{'US': 1}}")),
     "region-lower": (_cell(0, region="uk"), "base"),
     "region-mixed-case": (_cell(2, region="uS"), "base"),
     "region-digit": (_cell(0, region="U1"), (
@@ -533,7 +557,7 @@ SWEEP = {
     "region-digit-addresses-missing": (_cell(0, region="U1", addresses=_DROP), (
         ZoneParseError, "{where}.answers[0].region: region code must be two letters, got 'U1'")),
     "region-number-addresses-missing": (_cell(0, region=12, addresses=_DROP), (
-        ZoneParseError, "{where}.answers[0].region: must be text")),
+        ZoneParseError, "{where}.answers[0].region: must be text, got 12")),
     "region-unknown-addresses-missing": (_cell(0, region="FR", addresses=_DROP), (
         ZoneParseError, "{where}.answers[0]: missing field 'addresses'")),
     "region-unknown-addresses-empty": (_cell(0, region="FR", addresses=[]), (
@@ -579,6 +603,10 @@ SWEEP = {
     "address-other-family-then-bad": (_cell(0, addresses=["2001:db8::1", "nope"]), (
         ZoneParseError, "{where}.answers[0].addresses: 'nope' does not appear to be an IPv4 or IPv6 address")),
     "address-v6-upper-case": (_cell(2, addresses=lambda addresses: [a.upper() for a in addresses]), "base"),
+    "address-repeated": (_cell(1, addresses=lambda addresses: [*addresses, addresses[0]]), (
+        ZoneParseError, "{where}.answers[1]: region HK: address 10.2.0.{n} listed twice")),
+    "address-repeated-spelled-apart": (_cell(2, addresses=lambda addresses: [*addresses, addresses[0].upper()]), (
+        ZoneParseError, "{where}.answers[2]: region US: address 2001:db8:1::{n} listed twice")),
     "prefix-twice": (_append("UK", "10.9.9.9"), (
         OverlapError, "{where}: prefix 198.18.1.0/24 listed twice for one qname")),
     "prefix-twice-lower": (_append("uk", "10.9.9.9"), (
@@ -593,7 +621,11 @@ SWEEP = {
         DefaultMismatch,
         "{where}: default set ['10.1.0.{n}', '10.2.0.{n}', '10.2.1.{n}', '10.9.9.9', '2001:db8:1::{n}']"
         " != union ['10.1.0.{n}', '10.2.0.{n}', '10.2.1.{n}', '2001:db8:1::{n}']")),
-    "default-not-array": (_default(5), (ZoneParseError, "{where}.default: must be an array")),
+    "default-repeat": (_default(lambda union: [*union, union[0]]), (
+        DefaultMismatch,
+        "{where}: default set ['10.1.0.{n}', '10.1.0.{n}', '10.2.0.{n}', '10.2.1.{n}', '2001:db8:1::{n}']"
+        " != union ['10.1.0.{n}', '10.2.0.{n}', '10.2.1.{n}', '2001:db8:1::{n}']")),
+    "default-not-array": (_default(5), (ZoneParseError, "{where}.default: must be an array, got 5")),
     "default-bad-address": (_default(["nope"]), (
         ZoneParseError, "{where}.default: 'nope' does not appear to be an IPv4 or IPv6 address")),
 }
