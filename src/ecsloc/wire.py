@@ -26,9 +26,13 @@ The encoder trusts a constructed message and checks nothing again.
 
 `canonical_name` keeps up to 4096 checked names in a memo, so a repeated name
 is not checked again; it keeps no error, so a bad name raises every time.
-The decoder keeps two more memos of the same kind and bound, so a message
-of names and options seen before is mostly memo lookups:
+The decoder keeps three more memos of the same kind and bound:
 
+- `_decode_body`, keyed on a whole message's octets after its 2-octet ID:
+  a message seen before under any ID is one lookup, with its own ID patched
+  in.  A message with a compression pointer is never stored, as a pointer
+  may target the ID (offset 0 or 1) and make the decode depend on it; it
+  is decoded in full on every call;
 - `_plain_name`, keyed on the octets of an uncompressed wire name, from its
   first length octet to its zero octet (at most 255 octets for a valid
   name); a name with a compression pointer, a reserved label type or an
@@ -36,11 +40,12 @@ of names and options seen before is mostly memo lookups:
 - `_decode_ecs`, keyed on the client-subnet option data (at most 20
   octets when valid).
 
-Only successes are stored, so a rejected name or option raises the same
-error class and text every time.  The name walk reads by index, with one
-bounds test before each octet or label it reads.  The encoder encodes the
-question name once and reuses those octets for every answer of the same
-name; it still never compresses.
+The last two serve a message not in the first.  Only successes are stored,
+so a rejected message, name or option raises the same error class and text
+every time.  The name walk reads by index, with one bounds test before each
+octet or label it reads.  The encoder encodes the question name once and
+reuses those octets for every answer of the same name; it still never
+compresses.
 
 Each wire layout is defined once, as a `struct.Struct` shared by the
 encoder and the decoder: the header, the (type, class) and (option code,
@@ -69,7 +74,9 @@ DEFAULT_UDP_PAYLOAD = 1232
 MAX_LABEL_OCTETS = 63
 MAX_NAME_OCTETS = 253
 
-# Entries in each memo of checked input: names by text and by wire octets, client-subnet options
+# Entries in each memo of checked input: names by text and by wire octets,
+# client-subnet options, and messages by their octets after the ID (none with
+# a compression pointer, which may target the ID)
 _MEMO_SIZE = 4096
 
 # Address length in octets per ECS family code.
@@ -396,12 +403,21 @@ def _truncated(n: int, pos: int, end: int) -> Truncated:
     return Truncated(f"need {n} octets at offset {pos}, have {end - pos}")
 
 
-class _Reader:
-    """Cursor over message bytes; raises Truncated when data runs out."""
+class _Compressed(Exception):
+    """A name followed a compression pointer in a reader told not to."""
 
-    def __init__(self, data: bytes):
+
+class _Reader:
+    """Cursor over message bytes; raises Truncated when data runs out.
+
+    Told not to follow compression pointers, it raises `_Compressed` at the
+    first one instead.
+    """
+
+    def __init__(self, data: bytes, follow_pointers: bool = True):
         self.data = data
         self.pos = 0
+        self.follow_pointers = follow_pointers
 
     def skip(self, n: int) -> int:
         """Move past *n* octets and return the offset they start at."""
@@ -457,6 +473,8 @@ class _Reader:
                 break
             kind = length & 0xC0
             if kind == 0xC0:
+                if not self.follow_pointers:
+                    raise _Compressed
                 if pos >= end:
                     raise _truncated(1, pos, end)
                 pointer = ((length & 0x3F) << 8) | data[pos]
@@ -537,8 +555,32 @@ def _decode_opt(name: str, payload: int, ttl: int, rdata: bytes) -> EdnsOpt:
 
 
 def decode_message(data: bytes) -> DnsMessage:
-    """Parse wire bytes into a DnsMessage; inverse of encode_message on its image."""
-    reader = _Reader(bytes(data))
+    """Parse wire bytes into a DnsMessage; inverse of encode_message on its image.
+
+    The decode is looked up in the memo `_decode_body`, keyed on the octets
+    after the 2-octet ID, and returned with this message's ID patched in.
+    A message with a compression pointer is never stored, as a pointer may
+    target the ID: it is decoded in full on every call.
+    """
+    data = bytes(data)
+    if len(data) < 2:  # no ID to patch: read as is, to raise Truncated
+        return _decode(data)
+    try:
+        msg = _decode_body(data[2:])
+    except _Compressed:
+        return _decode(data)
+    return tuple.__new__(DnsMessage, ((data[0] << 8) | data[1], *msg[1:]))
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _decode_body(body: bytes) -> DnsMessage:
+    """The message with ID 0 and *body* after it; raises _Compressed at a compression pointer."""
+    return _decode(b"\x00\x00" + body, follow_pointers=False)
+
+
+def _decode(data: bytes, follow_pointers: bool = True) -> DnsMessage:
+    """Decode *data* in full, with no lookup in the message memo."""
+    reader = _Reader(data, follow_pointers)
     msg_id, flags, qdcount, ancount, nscount, arcount = reader.unpack(_HEADER)
     opcode = (flags >> 11) & 0x0F
     if opcode != 0:

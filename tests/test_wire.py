@@ -6,6 +6,8 @@ import ipaddress
 import random
 import re
 import struct
+import sys
+import threading
 
 import pytest
 from helpers import (
@@ -548,7 +550,7 @@ class TestDecodeInterop:
         assert msg.edns.ecs is None
 
 
-DECODER_MEMOS = (wire._plain_name, wire._decode_ecs)
+DECODER_MEMOS = (wire._plain_name, wire._decode_ecs, wire._decode_body)
 
 
 def _clear_memos():
@@ -556,13 +558,18 @@ def _clear_memos():
         memo.cache_clear()
 
 
-def _outcome(data):
+def _outcome(data, decode=decode_message):
     """(message, its re-encoding) for accepted bytes, (error class, text) for rejected ones."""
     try:
-        msg = decode_message(data)
+        msg = decode(data)
     except WireError as exc:
         return type(exc), str(exc)
     return msg, encode_message(msg)
+
+
+def _with_id(data, msg_id):
+    """*data* with its first two octets, the message ID, replaced by *msg_id*."""
+    return msg_id.to_bytes(2, "big") + data[2:]
 
 
 def _compressed_response(rng):
@@ -585,6 +592,13 @@ def _flip_one_bit(rng, data):
     return bytes(flipped)
 
 
+# A query with flags 0 whose question name is a pointer to offset 0 or 1,
+# so the name is read from the ID: ID 0x0161 at offset 0 reads as "a".
+POINTER_INTO_ID = {
+    offset: struct.pack("!HHHHHH", 0, 0, 1, 0, 0, 0) + bytes([0xC0, offset]) + QUESTION[-4:] for offset in (0, 1)
+}
+
+
 class TestDecoderMemos:
 
     def test_cold_and_warm_decodes_agree(self):
@@ -593,17 +607,60 @@ class TestDecoderMemos:
         for _ in range(300):
             compressed = _compressed_response(rng)
             inputs += [compressed, _flip_one_bit(rng, compressed)]
-        cold, warm = [], []
-        for data in inputs:
+        # bodies apart that share every name and option: only the inner memos can hit
+        for _ in range(300):
+            msg = rand_message(rng)
+            inputs += [encode_message(msg), encode_message(msg.replace(recursion_desired=not msg.recursion_desired))]
+        inputs += [_with_id(data, 0x0161) for data in POINTER_INTO_ID.values()]
+        # each input also under a second ID
+        others = [_with_id(data, rng.randrange(0x10000)) for data in inputs]
+        cold, warm, cold_others, warm_others = [], [], [], []
+        for data, other in zip(inputs, others):
+            _clear_memos()
+            cold_others.append(_outcome(other))
             _clear_memos()
             cold.append(_outcome(data))
             warm.append(_outcome(data))
+            warm_others.append(_outcome(other))  # warm from the same body under the first ID
         assert warm == cold
-        assert [_outcome(data) for data in inputs] == cold  # warm from every input before it
+        assert warm_others == cold_others
+        _clear_memos()
+        both = [data for pair in zip(inputs, others) for data in pair]
+        # warm from every input before it
+        assert [_outcome(data) for data in both] == [outcome for pair in zip(cold, cold_others) for outcome in pair]
+        assert all(memo.cache_info().hits for memo in DECODER_MEMOS)
+        assert [_outcome(data, wire._decode) for data in inputs] == cold  # no memo at all
         accepted = [isinstance(outcome[0], DnsMessage) for outcome in cold]
         assert 500 < sum(accepted) < len(inputs) - 500
-        assert all(accepted[2000::2])  # every unflipped compressed response
-        assert all(memo.cache_info().hits for memo in DECODER_MEMOS)
+        assert all(accepted[2000:2600:2])  # every unflipped compressed response
+        assert all(accepted[2600:3200])  # every query and its twin
+        for data, outcome in zip(inputs, cold):
+            if isinstance(outcome[0], DnsMessage):
+                assert outcome[0].id == int.from_bytes(data[:2], "big")
+
+    def test_one_body_under_many_ids_is_decoded_once(self):
+        _clear_memos()
+        data = encode_message(make_query("api.example.iot", ecs=EcsOption.for_prefix("198.18.1.0", 24)))
+        for msg_id in range(100):
+            assert decode_message(_with_id(data, msg_id)) == make_query(
+                "api.example.iot", msg_id=msg_id, ecs=EcsOption.for_prefix("198.18.1.0", 24)
+            )
+        info = wire._decode_body.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 99, 1)
+
+    @pytest.mark.parametrize("offset", sorted(POINTER_INTO_ID))
+    def test_pointer_into_the_id_is_never_stored(self, offset):
+        _clear_memos()
+        outcomes = []
+        for msg_id in (0x0161, 0x0162, 0x0000, 0x0001, 0x6100):
+            data = _with_id(POINTER_INTO_ID[offset], msg_id)
+            outcome = _outcome(data, wire._decode)
+            assert _outcome(data) == outcome
+            outcomes.append(outcome)
+        assert len(set(outcomes)) > 2  # the ID decides the outcome
+        if offset == 0:
+            assert [msg.question.qname for msg, _ in outcomes[:2]] == ["a", "b"]
+        assert wire._decode_body.cache_info().currsize == 0
 
     def test_memos_are_bounded(self):
         _clear_memos()
@@ -616,30 +673,68 @@ class TestDecoderMemos:
             assert info.currsize == info.maxsize
 
     @pytest.mark.parametrize(
-        "data, memo, misses, message",
+        "data, memo, misses, error, message",
         [
             pytest.param(
-                _header() + b"\x03a.b\x03com\x00" + QUESTION[-4:], wire._plain_name, 2,
+                _header() + b"\x03a.b\x03com\x00" + QUESTION[-4:], wire._plain_name, 2, Malformed,
                 "'.' inside label b'a.b'", id="dot-inside-label",
             ),
             # longer than any valid name, so walked in the message without a memo lookup
             pytest.param(
-                _header() + (b"\x3f" + b"a" * 63) * 4 + b"\x00" + QUESTION[-4:], wire._plain_name, 0,
+                _header() + (b"\x3f" + b"a" * 63) * 4 + b"\x00" + QUESTION[-4:], wire._plain_name, 0, Malformed,
                 "name exceeds 253 octets", id="name-over-253",
             ),
             pytest.param(
                 _header(ar=1) + QUESTION + _opt(rdata=bytes.fromhex("00080007" "00011700" "6f6f6f")), wire._decode_ecs,
-                2, "client-subnet option: address has nonzero bits past the source prefix length", id="ecs-bits-past-prefix",
+                2, Malformed, "client-subnet option: address has nonzero bits past the source prefix length", id="ecs-bits-past-prefix",
             ),
+            pytest.param(
+                _header() + QUESTION + b"\x00", wire._decode_body, 2, Malformed, "1 trailing octets", id="trailing-octet"
+            ),
+            pytest.param(
+                _header()[:7], wire._decode_body, 2, Truncated, "need 12 octets at offset 0, have 7", id="short-header"
+            ),
+            # too short to hold an ID, so read without a memo lookup
+            pytest.param(b"\x07", wire._decode_body, 0, Truncated, "need 12 octets at offset 0, have 1", id="no-id"),
         ],
     )
-    def test_rejected_input_is_not_stored(self, data, memo, misses, message):
+    def test_rejected_input_is_not_stored(self, data, memo, misses, error, message):
         _clear_memos()
         for _ in range(2):
-            with pytest.raises(Malformed) as info:
+            with pytest.raises(WireError) as info:
                 decode_message(data)
-            assert str(info.value) == message
+            assert (type(info.value), str(info.value)) == (error, message)
         assert (memo.cache_info().currsize, memo.cache_info().misses) == (0, misses)
+        assert wire._decode_body.cache_info().currsize == 0
+
+    def test_threads_share_the_memo(self):
+        """Threads decoding the same bodies under their own IDs each get their own ID back."""
+        _clear_memos()
+        rng = random.Random(19)
+        messages = [rand_message(rng) for _ in range(50)]
+        bodies = [encode_message(msg)[2:] for msg in messages]
+        wrong = []
+
+        def decode_all(worker):
+            for round_ in range(40):
+                for msg, body in zip(messages, bodies):
+                    msg_id = (worker * 40 + round_) & 0xFFFF
+                    if decode_message(msg_id.to_bytes(2, "big") + body) != msg.replace(id=msg_id):
+                        wrong.append((worker, msg_id))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=decode_all, args=(n,)) for n in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert wire._decode_body.cache_info().currsize == 50
 
 
 @settings(max_examples=200, deadline=None)
