@@ -17,7 +17,7 @@ import hashlib
 import json
 import sys
 import traceback
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from pathlib import Path
 
 from . import mud as mudlib
@@ -47,15 +47,7 @@ class RunReport:
         self.inputs[str(path)] = hashlib.sha256(data).hexdigest()
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "command": self.command,
-                "seed": self.seed,
-                "inputs": self.inputs,
-                "outputs": self.outputs,
-                "metrics": self.metrics,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 def _decimal(value) -> str:

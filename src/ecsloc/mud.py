@@ -19,7 +19,7 @@ from . import document
 from .errors import Error
 from .value import Value
 from .wire import InvalidName, canonical_name
-from .zone import is_region_code
+from .zone import region_code
 
 PROTOCOLS = ("tcp", "udp", "icmp", "any")
 DIRECTIONS = ("from-device", "to-device")
@@ -162,11 +162,10 @@ class RegionDomainGroup(Value, fields="canonical_domain regional_variants"):
         canonical_domain = _domain_name(canonical_domain, "canonical domain")
         variants = {}
         for region, name in regional_variants.items():
-            if not is_region_code(region):
-                raise BadVariantRegion(f"bad region code {region!r}")
-            if region.upper() in variants:
-                raise BadVariantRegion(f"region {region.upper()} given twice")
-            variants[region.upper()] = _domain_name(name, f"variant {region.upper()}")
+            region = region_code(region, BadVariantRegion)
+            if region in variants:
+                raise BadVariantRegion(f"region {region} given twice")
+            variants[region] = _domain_name(name, f"variant {region}")
         if len(set(variants.values())) != len(variants):
             raise MudError(f"group {canonical_domain}: duplicate variant names")
         return tuple.__new__(cls, (canonical_domain, variants))

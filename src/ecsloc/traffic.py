@@ -12,16 +12,14 @@ user-defined or the IP-based location, cumulative unique-domain/unique-IP
 series, and pairwise similarity matrices.  Similarities are exact
 fractions; callers render decimals.
 
-Keys may come in any order, any whitespace apart: a line in the layout above
-is read by one regex match, any other by a token loop, and both feed the same
-checks.  `parse_log` reads a log in one walk.  For that call only, it keeps
-three memos of raw values that passed their checks: the `dev=.. ipl=.. udl=..`
-span, the `q=` value and the `a=` field.  A line in the layout whose three are
-all known needs only its timestamp checked, and its record goes straight into
-its selection.  Every other line takes the full line reader, with the checks
-and error texts of a single line: one with a value not seen yet, a timestamp
-that is not an integer or is negative, other key orders or spacing, or
-whitespace around it.  The values of each line it accepts are stored.
+Keys may come in any order, any whitespace apart.  `parse_log` and
+`parse_capture_line` read every line through one `_LineReader`: a line in the
+layout above is split by one regex match, any other by a token loop that gives
+the same raw values.  For one ingest the reader stores each raw value that
+passed its checks, so each distinct value is checked once, and each record goes
+straight into its (device, ipl, udl) selection.  The checks run in one order on
+every line, so a line fails with the same error text whether its values are
+stored or new.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from . import document
 from .errors import Error
 from .value import Value
 from .wire import InvalidName, address_text, canonical_name, pack_address
-from .zone import is_region_code
+from .zone import region_code
 
 DEFAULT_POOL_THRESHOLD = 3
 
@@ -63,6 +61,14 @@ class EmptySelection(TrafficError):
     """A required (device, locations) selection matched no records."""
 
 
+def _capture_qname(name: str) -> str:
+    """*name* by `wire.canonical_name`, the name rule; it may not hold `[` or `]`, which patterns use."""
+    name = canonical_name(name)
+    if "[" in name or "]" in name:
+        raise InvalidName("'[' and ']' are reserved for pool patterns")
+    return name
+
+
 class CaptureRecord(
     Value, fields="timestamp device_id ip_based_location user_defined_location qname resolved_ips"
 ):
@@ -70,9 +76,7 @@ class CaptureRecord(
                 qname: str, resolved_ips: tuple[str, ...]):
         if timestamp < 0:
             raise ValueError(f"negative timestamp {timestamp}")
-        qname = canonical_name(qname)  # the memo's string: records of one spelling share it
-        if "[" in qname or "]" in qname:
-            raise InvalidName("'[' and ']' are reserved for pool patterns")
+        qname = _capture_qname(qname)
         return tuple.__new__(
             cls, (timestamp, device_id, ip_based_location, user_defined_location, qname, resolved_ips)
         )
@@ -112,26 +116,8 @@ class CaptureLog:
         return len(self.records)
 
 
-def _parse_region(token: str) -> str:
-    if not is_region_code(token):
-        raise LogParseError(f"{token!r} is not a two-letter region code")
-    return token.upper()
-
-
-def _line_fields(line: str) -> tuple[str, ...]:
-    """The raw `_LINE_KEYS` values of a line, in that order: one match, else the token loop."""
-    match = _LINE_RE.fullmatch(line)
-    return _match_fields(match) if match else _scan_tokens(line)
-
-
-def _match_fields(match: re.Match) -> tuple[str, ...]:
-    """The raw `_LINE_KEYS` values of a line that `_LINE_RE` matched, in that order."""
-    ts, place, q, a = match.groups()
-    dev, ipl, udl = place.split(" ")  # each "<key>=<value>" with a three-letter key
-    return ts, dev[4:], ipl[4:], udl[4:], q, a
-
-
 def _scan_tokens(line: str) -> tuple[str, ...]:
+    """The raw values `_LINE_RE` gives, of a line in any key order and spacing: ts, span, q and a."""
     fields = {}
     for token in line.split():
         key, sep, value = token.partition("=")
@@ -143,63 +129,79 @@ def _scan_tokens(line: str) -> tuple[str, ...]:
     if len(fields) < len(_LINE_KEYS):
         missing = [k for k in _LINE_KEYS if k not in fields]
         raise LogParseError(f"missing keys {missing}")
-    return tuple(fields[k] for k in _LINE_KEYS)
+    span = f"dev={fields['dev']} ipl={fields['ipl']} udl={fields['udl']}"
+    return fields["ts"], span, fields["q"], fields["a"]
 
 
 class _LineReader:
-    """Reads capture lines for one ingest, checking each distinct raw value once.
+    """Reads the capture lines of one ingest into records, grouped in `selections`.
 
-    It maps raw `ipl=`/`udl=` tokens to upper-cased regions and raw `a=` fields
-    to address text.  Only values that passed are stored, so a bad value raises
-    on the first line that carries it.  Its errors carry no line position:
-    callers prefix one, so it is built only for a line that fails.
+    It stores each raw value that passed its checks: the `dev=.. ipl=.. udl=..`
+    span (with its selection's records), each region token, `q=` and `a=`, so
+    a bad value raises on every line that carries it.  The checks run in one
+    order on every line, stored or not: ts is an integer, dev is not empty, a,
+    ipl, udl, ts is not negative, q.  Errors carry no line position: callers
+    prefix one, so it is built only for a line that fails.
     """
 
     def __init__(self):
+        self.selections: dict[tuple[str, str, str], list[CaptureRecord]] = {}
+        self._places: dict[str, tuple] = {}  # span -> (dev, ipl, udl, that selection's records)
         self._regions: dict[str, str] = {}
+        self._qnames: dict[str, str] = {}
         self._addresses: dict[str, tuple[str, ...]] = {}
 
-    def _region(self, token: str) -> str:
-        region = self._regions.get(token)
-        if region is None:
-            region = self._regions[token] = _parse_region(token)
-        return region
-
-    def _ips(self, field: str) -> tuple[str, ...]:
-        ips = self._addresses.get(field)
-        if ips is None:
-            parts = []
-            for part in field.split(",") if field else ():
-                try:
-                    parts.append(address_text(pack_address(part)))
-                except ValueError:
-                    raise LogParseError(f"bad address {part!r}") from None
-            ips = self._addresses[field] = tuple(parts)
-        return ips
-
-    def parse(self, fields: tuple[str, ...]) -> CaptureRecord:
-        """The record of a line's raw `_LINE_KEYS` values, *fields*, as `_line_fields` gives them."""
-        ts, dev, ipl, udl, q, a = fields
+    def read(self, line: str, match: re.Match | None) -> CaptureRecord:
+        """The record of *line*, given `_LINE_RE`'s *match* of it or None; it joins its selection."""
+        ts, span, q, a = match.groups() if match else _scan_tokens(line)
         try:
             timestamp = int(ts)
         except ValueError:
             raise LogParseError(f"ts={ts!r} is not an integer") from None
-        if not dev:
-            raise LogParseError("empty device id")
-        ips = self._ips(a)
-        ipl = self._region(ipl)
-        udl = self._region(udl)
-        try:
-            return CaptureRecord(timestamp, dev, ipl, udl, q, ips)
-        except InvalidName as exc:
-            raise LogParseError(f"bad qname {q!r}: {exc}") from None
-        except (Error, ValueError) as exc:
-            raise LogParseError(str(exc)) from None
+        place = self._places.get(span)
+        if place is None:
+            dev, ipl, udl = (token[4:] for token in span.split(" "))  # "<key>=<value>", 3-letter keys
+            if not dev:
+                raise LogParseError("empty device id")
+        ips = self._addresses.get(a)
+        if ips is None:
+            ips = self._ips(a)
+        if place is None:
+            key = (dev, self._region(ipl), self._region(udl))
+            place = self._places[span] = (*key, self.selections.setdefault(key, []))
+        if timestamp < 0:
+            raise LogParseError(f"negative timestamp {timestamp}")
+        qname = self._qnames.get(q)
+        if qname is None:
+            try:
+                qname = self._qnames[q] = _capture_qname(q)
+            except InvalidName as exc:
+                raise LogParseError(f"bad qname {q!r}: {exc}") from None
+        dev, ipl, udl, picked = place
+        record = tuple.__new__(CaptureRecord, (timestamp, dev, ipl, udl, qname, ips))
+        picked.append(record)
+        return record
+
+    def _region(self, token: str) -> str:
+        region = self._regions.get(token)
+        if region is None:
+            region = self._regions[token] = region_code(token, LogParseError)
+        return region
+
+    def _ips(self, field: str) -> tuple[str, ...]:
+        parts = []
+        for part in field.split(",") if field else ():
+            try:
+                parts.append(address_text(pack_address(part)))
+            except ValueError:
+                raise LogParseError(f"bad address {part!r}") from None
+        self._addresses[field] = ips = tuple(parts)
+        return ips
 
 
 def parse_capture_line(line: str, where: str = "line") -> CaptureRecord:
     try:
-        return _LineReader().parse(_line_fields(line))
+        return _LineReader().read(line, _LINE_RE.fullmatch(line))
     except LogParseError as exc:
         raise LogParseError(f"{where}: {exc}") from None
 
@@ -212,55 +214,30 @@ def ingest_log(path) -> CaptureLog:
 def parse_log(data: bytes | str, name) -> CaptureLog:
     """Parse a capture log read from *name*; out-of-order timestamps are sorted and flagged."""
     reader = _LineReader()
-    places = {}  # raw "dev=.. ipl=.. udl=.." span -> (dev, ipl, udl, that selection's records)
-    qnames = {}  # raw q= value -> its canonical name
-    known_place, known_qname, known_ips = places.get, qnames.get, reader._addresses.get
-    match_line = _LINE_RE.fullmatch
-    build = tuple.__new__
-    selections: dict[tuple[str, str, str], list[CaptureRecord]] = {}
+    read, match_line = reader.read, _LINE_RE.fullmatch
     records = []
     last, resorted = 0, False
     for lineno, line in enumerate(document.decode(data).splitlines(), start=1):
-        record = None
         match = match_line(line)
-        if match:
-            ts, span, q, a = match.groups()
-            place = known_place(span)
-            qname = known_qname(q)
-            ips = known_ips(a)
-            if place and qname and ips is not None:  # each checked on an earlier line
-                try:
-                    timestamp = int(ts)
-                except ValueError:
-                    timestamp = -1  # the reader below raises its error
-                if timestamp >= 0:
-                    dev, ipl, udl, picked = place
-                    record = build(CaptureRecord, (timestamp, dev, ipl, udl, qname, ips))
-        if record is None:
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
+        if not match:
+            line = line.strip()
+            if not line or line.startswith("#"):
                 continue
-            try:  # a full match has no whitespace around it, so its fields are the stripped line's
-                record = reader.parse(_match_fields(match) if match else _line_fields(stripped))
-            except LogParseError as exc:
-                raise LogParseError(f"{name}:{lineno}: {exc}") from None
-            timestamp = record.timestamp
-            key = record[1:4]
-            picked = selections.setdefault(key, [])
-            if match:
-                places[span] = (*key, picked)
-                qnames[q] = record.qname
-        picked.append(record)
+        try:
+            record = read(line, match)
+        except LogParseError as exc:
+            raise LogParseError(f"{name}:{lineno}: {exc}") from None
         records.append(record)
+        timestamp = record[0]
         if timestamp < last:
             resorted = True
         last = timestamp
     if resorted:
         by_time = itemgetter(0)
         records.sort(key=by_time)
-        for picked in selections.values():
+        for picked in reader.selections.values():
             picked.sort(key=by_time)
-    return CaptureLog._grouped(tuple(records), resorted, selections)
+    return CaptureLog._grouped(tuple(records), resorted, reader.selections)
 
 
 def collapse_pools(names, pool_threshold: int = DEFAULT_POOL_THRESHOLD) -> frozenset[str]:
@@ -272,6 +249,8 @@ def collapse_pools(names, pool_threshold: int = DEFAULT_POOL_THRESHOLD) -> froze
     A name a pattern covers has that pattern's group key, so for names
     without brackets no output member is covered by another's pattern.
     """
+    if pool_threshold < 1:
+        raise ValueError("pool_threshold must be positive")
     names = {str(n).rstrip(".").lower() for n in names}
     groups: dict[tuple, dict[str, int]] = {}
     for name in names:

@@ -47,14 +47,10 @@ class NameNotFound(ZoneError):
     """Qname is not present in the zone (NXDOMAIN at the message layer)."""
 
 
-def is_region_code(code: str) -> bool:
-    """True when *code* is exactly two ASCII letters, such as "UK"."""
-    return _REGION_RE.fullmatch(code) is not None
-
-
-def _check_region_code(code: str) -> str:
-    if not is_region_code(code):
-        raise ZoneParseError(f"region code must be two letters, got {code!r}")
+def region_code(code: str, error: type[Exception]) -> str:
+    """*code* upper-cased if it is exactly two ASCII letters, such as "uk"; otherwise *error* is raised."""
+    if _REGION_RE.fullmatch(code) is None:
+        raise error(f"region code must be two letters, got {code!r}")
     return code.upper()
 
 
@@ -64,7 +60,7 @@ class LocationPrefixMap(Value, fields="entries"):
     def __new__(cls, entries: dict):
         normalized = {}
         for code, prefix in entries.items():
-            code = _check_region_code(code)
+            code = region_code(code, ZoneParseError)
             if not isinstance(prefix, (ipaddress.IPv4Network, ipaddress.IPv6Network)):
                 try:
                     prefix = ipaddress.ip_network(prefix)
@@ -91,7 +87,7 @@ class LocationPrefixMap(Value, fields="entries"):
         Regions are ordered lexicographically so the assignment is stable
         across runs and never touches routable space.
         """
-        codes = sorted({_check_region_code(r) for r in regions})
+        codes = sorted({region_code(r, ZoneParseError) for r in regions})
         if len(codes) > 512:
             raise ZoneParseError("default map supports at most 512 regions")
         base = int(ipaddress.IPv4Address("198.18.0.0"))
@@ -106,9 +102,6 @@ class LocationPrefixMap(Value, fields="entries"):
             return self.entries[region.upper()]
         except KeyError:
             raise UnknownRegion(f"region {region!r} not in prefix map") from None
-
-    def __contains__(self, region: str) -> bool:
-        return region.upper() in self.entries
 
 
 class RegionalAnswer(Value, fields="region prefix addresses ttl"):
@@ -319,7 +312,7 @@ def _cell_region(entry, prefix_map: LocationPrefixMap, known: dict, spot: str) -
     entry = document.obj(entry, spot, ZoneParseError)
     raw = document.field(entry, "region", spot, ZoneParseError, document.text)
     try:
-        region = _check_region_code(raw)
+        region = region_code(raw, ZoneParseError)
     except ZoneParseError as exc:
         raise ZoneParseError(f"{spot}.region: {exc}") from None
     document.field(entry, "addresses", spot, ZoneParseError)

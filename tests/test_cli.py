@@ -22,6 +22,7 @@ from ecsloc.cli import (
     build_parser,
     main,
 )
+from ecsloc.traffic import collapse_pools
 
 YI_LOG = str(FIXTURES / "captures" / "yi_camera.log")
 ECHO_LOG = str(FIXTURES / "captures" / "echo_daily.log")
@@ -240,6 +241,20 @@ class TestAnalyze:
         )
         assert (code, out) == (EXIT_DATA, "")
         assert err == f"ecsloc: error: {log}:501: bad qname 'n1..x': empty label in 'n1..x'\n"
+
+
+def test_pool_threshold_below_one_is_a_data_error(tmp_path, capsys):
+    log = tmp_path / "log"
+    log.write_text("ts=1 dev=d ipl=US udl=UK q=a1.b2.x a=10.0.0.1\n")
+    for threshold in (0, -1):
+        with pytest.raises(ValueError, match="^pool_threshold must be positive$"):
+            collapse_pools({"a1.b2.x"}, threshold)
+        for command in (["analyze", "uds", "--locations", "UK", "UK"], ["mud", "generate", "--udl", "UK"]):
+            code, out, err = run_cli(
+                [*command, "--log", str(log), "--device", "d", "--ipl", "US", "--pool-threshold", str(threshold)],
+                capsys,
+            )
+            assert (code, out, err) == (EXIT_DATA, "", "ecsloc: error: pool_threshold must be positive\n")
 
 
 class TestMud:

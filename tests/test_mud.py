@@ -425,8 +425,8 @@ class TestSerialization:
     "variants, message",
     [
         ({"uk": "uk.svc.x", "UK": "gb.svc.x"}, "region UK given twice"),
-        ({"U K": "uk.svc.x"}, "bad region code 'U K'"),
-        ({"usa": "us.svc.x"}, "bad region code 'usa'"),
+        ({"U K": "uk.svc.x"}, "region code must be two letters, got 'U K'"),
+        ({"usa": "us.svc.x"}, "region code must be two letters, got 'usa'"),
     ],
     ids=["case-variants", "space", "three-letters"],
 )

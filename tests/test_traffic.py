@@ -274,7 +274,7 @@ class TestIngestOnceEachValue:
         assert got.startswith(f"{path}:{at + 1}: ")
 
     def test_each_distinct_value_checked_once(self, tmp_path, monkeypatch):
-        calls = {"pack_address": 0, "_parse_region": 0, "canonical_name": 0}
+        calls = {"pack_address": 0, "region_code": 0, "canonical_name": 0}
 
         def counting(name):
             real = getattr(traffic, name)
@@ -286,7 +286,7 @@ class TestIngestOnceEachValue:
             monkeypatch.setattr(traffic, name, wrapper)
 
         counting("pack_address")
-        counting("_parse_region")
+        counting("region_code")
         counting("canonical_name")
         path = tmp_path / "log"
         path.write_text("".join(
@@ -294,7 +294,33 @@ class TestIngestOnceEachValue:
             for i in range(300)
         ))
         assert len(ingest_log(path)) == 300
-        assert calls == {"pack_address": 3, "_parse_region": 2, "canonical_name": 7}
+        assert calls == {"pack_address": 3, "region_code": 2, "canonical_name": 7}
+
+    def test_each_line_matched_once(self, tmp_path, monkeypatch):
+        """A line goes through `_LINE_RE` once, whether its values are new or seen, whatever its layout."""
+        real = traffic._LINE_RE
+        matched = []
+
+        class Counting:
+            def fullmatch(self, line):
+                matched.append(line)
+                return real.fullmatch(line)
+
+        monkeypatch.setattr(traffic, "_LINE_RE", Counting())
+        layouts = list(SEEN_LINE_LAYOUTS.values())
+        lines = ["# capture", ""] + [
+            layouts[i % len(layouts)](
+                f"ts={i} dev=d{i % 4} ipl=US udl={'UK' if i % 3 else 'uk'} q=n{i % 11}.x a=10.0.0.{i % 7}"
+            )
+            for i in range(300)
+        ]
+        path = tmp_path / "log"
+        path.write_text("\n".join(lines) + "\n")
+        assert len(ingest_log(path)) == 300
+        assert matched == lines
+        matched.clear()
+        parse_capture_line(lines[3])
+        assert matched == [lines[3]]
 
     @pytest.mark.parametrize("ts", ["7", "+7", "1_000", "\u0663", "-5", "1.5", "now", "",
                                     pytest.param("9" * 5000, id="5000-digits")])
