@@ -12,14 +12,18 @@ user-defined or the IP-based location, cumulative unique-domain/unique-IP
 series, and pairwise similarity matrices.  Similarities are exact
 fractions; callers render decimals.
 
-Keys may come in any order, any whitespace apart.  `parse_log` and
-`parse_capture_line` read every line through one `_LineReader`: a line in the
-layout above is split by one regex match, any other by a token loop that gives
-the same raw values.  For one ingest the reader stores each raw value that
-passed its checks, so each distinct value is checked once, and each record goes
-straight into its (device, ipl, udl) selection.  The checks run in one order on
-every line, so a line fails with the same error text whether its values are
-stored or new.
+Keys may come in any order, any whitespace apart.  `parse_log` scans the
+whole document with one regex, `_ROW_RE`: each `\n`-line gives either the four
+raw values of the layout above or, for any other line, its text.  One
+`_LineReader` loop reads those rows.  For one ingest the reader stores each
+raw value that passed its checks, so each distinct value is checked once, a
+line whose values are all stored becomes a record without a call, and each
+record goes straight into its (device, ipl, udl) selection.  A line of text is
+split by `str.splitlines` and each piece read alone, by one regex match or, in
+any other layout, a token loop that gives the same raw values;
+`parse_capture_line` reads its one line the same way.  The checks run in one
+order on every line, so a line fails with the same error text whether its
+values are stored or new.
 """
 
 from __future__ import annotations
@@ -43,6 +47,10 @@ _LINE_KEYS = ("ts", "dev", "ipl", "udl", "q", "a")
 # `\S` excludes just what `str.split()` splits on: a full match is the six tokens in
 # order; its groups are the ts, q and a values and the span of the dev, ipl and udl tokens
 _LINE_RE = re.compile(r"ts=(\S*) (dev=\S* ipl=\S* udl=\S*) q=(\S*) a=(\S*)")
+# One row per `\n`-line of a document: `_LINE_RE`'s four groups, or the line's text in a fifth.
+# `$` splits on `\n` alone, but `\S` matches no other `str.splitlines` separator, so a row in
+# the layout is always one whole line; a `\r` after it is the first half of its `\r\n` break.
+_ROW_RE = re.compile(rf"^(?:{_LINE_RE.pattern}\r?|(.*))$", re.MULTILINE)
 
 
 class TrafficError(Error):
@@ -86,10 +94,13 @@ class CaptureRecord(
 class CaptureLog:
     records: tuple[CaptureRecord, ...]
     resorted: bool = False  # set when input timestamps had to be re-sorted
-    # (device, ipl, udl) -> that selection's records, in timestamp order
-    selections: dict = field(init=False, repr=False, compare=False)
+    # (device, ipl, udl) -> that selection's records, in timestamp order; derived
+    # from *records*, which must then be in order, unless the loader has them
+    selections: dict | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.selections is not None:
+            return
         selections: dict[tuple[str, str, str], list[CaptureRecord]] = {}
         last = 0
         for r in self.records:
@@ -99,15 +110,6 @@ class CaptureLog:
             key = (r.device_id, r.ip_based_location, r.user_defined_location)
             selections.setdefault(key, []).append(r)
         object.__setattr__(self, "selections", selections)
-
-    @classmethod
-    def _grouped(cls, records: tuple[CaptureRecord, ...], resorted: bool, selections: dict) -> CaptureLog:
-        """A log of *records* already in order and grouped into *selections*: no second walk."""
-        log = object.__new__(cls)
-        object.__setattr__(log, "records", records)
-        object.__setattr__(log, "resorted", resorted)
-        object.__setattr__(log, "selections", selections)
-        return log
 
     def devices(self) -> tuple[str, ...]:
         return tuple(sorted({device for device, _, _ in self.selections}))
@@ -134,26 +136,73 @@ def _scan_tokens(line: str) -> tuple[str, ...]:
 
 
 class _LineReader:
-    """Reads the capture lines of one ingest into records, grouped in `selections`.
+    """Reads the capture lines of one ingest into `records`, grouped in `selections`.
 
-    It stores each raw value that passed its checks: the `dev=.. ipl=.. udl=..`
-    span (with its selection's records), each region token, `q=` and `a=`, so
-    a bad value raises on every line that carries it.  The checks run in one
-    order on every line, stored or not: ts is an integer, dev is not empty, a,
-    ipl, udl, ts is not negative, q.  Errors carry no line position: callers
-    prefix one, so it is built only for a line that fails.
+    `read` is its one loop, over the rows `_ROW_RE` gives.  It stores each raw
+    value that passed its checks: the `dev=.. ipl=.. udl=..` span (with its
+    selection's records), each region token, `q=` and `a=`, so a bad value
+    raises on every line that carries it.  A row in the layout whose span,
+    `q=` and `a=` are all stored and whose ts is a non-negative integer
+    becomes a record inline; any other row runs the checks, in one order on
+    every line: ts is an integer, dev is not empty, a, ipl, udl, ts is not
+    negative, q.  Errors carry no line position: `lineno` gives the failing
+    line's, so it is counted only for a line that fails.
     """
 
     def __init__(self):
+        self.records: list[CaptureRecord] = []
+        self.skipped = 0  # blank and comment lines read
         self.selections: dict[tuple[str, str, str], list[CaptureRecord]] = {}
         self._places: dict[str, tuple] = {}  # span -> (dev, ipl, udl, that selection's records)
         self._regions: dict[str, str] = {}
         self._qnames: dict[str, str] = {}
         self._addresses: dict[str, tuple[str, ...]] = {}
 
-    def read(self, line: str, match: re.Match | None) -> CaptureRecord:
-        """The record of *line*, given `_LINE_RE`'s *match* of it or None; it joins its selection."""
-        ts, span, q, a = match.groups() if match else _scan_tokens(line)
+    def lineno(self) -> int:
+        """The number of the line being read: the lines read so far gave a record or were skipped."""
+        return len(self.records) + self.skipped + 1
+
+    def read(self, rows) -> None:
+        """Read *rows*, each (ts, span, q, a, text) for one line; text is read only when span is empty."""
+        places, qnames, addresses = self._places, self._qnames, self._addresses
+        append = self.records.append
+        for ts, span, q, a, text in rows:
+            place = places.get(span)  # never the empty span of a text row
+            qname = qnames.get(q)
+            ips = addresses.get(a)
+            if place is not None and qname is not None and ips is not None:
+                try:
+                    timestamp = int(ts)
+                except ValueError:
+                    timestamp = -1
+                if timestamp >= 0:
+                    dev, ipl, udl, picked = place
+                    record = tuple.__new__(CaptureRecord, (timestamp, dev, ipl, udl, qname, ips))
+                    append(record)
+                    picked.append(record)
+                    continue
+            if span:
+                append(self._check(ts, span, q, a))
+            else:
+                self._text(text)
+
+    def _text(self, text: str) -> None:
+        """Read a row outside the layout: each `str.splitlines` piece of it is one line."""
+        # the row's own end is a `\n`: with it, a separator that ends the row still ends a line
+        for line in (text + "\n").splitlines():
+            match = _LINE_RE.fullmatch(line)
+            if match:
+                values = match.groups()
+            else:
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    self.skipped += 1
+                    continue
+                values = _scan_tokens(line)
+            self.records.append(self._check(*values))
+
+    def _check(self, ts: str, span: str, q: str, a: str) -> CaptureRecord:
+        """The record of one line's raw values, checked in the order above; it joins its selection."""
         try:
             timestamp = int(ts)
         except ValueError:
@@ -200,10 +249,15 @@ class _LineReader:
 
 
 def parse_capture_line(line: str, where: str = "line") -> CaptureRecord:
+    """The record of one capture *line*; an error names it as *where*."""
+    reader = _LineReader()
     try:
-        return _LineReader().read(line, _LINE_RE.fullmatch(line))
+        match = _LINE_RE.fullmatch(line)
+        values = match.groups() if match else _scan_tokens(line)
+        reader.read([(*values, "")])
     except LogParseError as exc:
         raise LogParseError(f"{where}: {exc}") from None
+    return reader.records[0]
 
 
 def ingest_log(path) -> CaptureLog:
@@ -214,30 +268,18 @@ def ingest_log(path) -> CaptureLog:
 def parse_log(data: bytes | str, name) -> CaptureLog:
     """Parse a capture log read from *name*; out-of-order timestamps are sorted and flagged."""
     reader = _LineReader()
-    read, match_line = reader.read, _LINE_RE.fullmatch
-    records = []
-    last, resorted = 0, False
-    for lineno, line in enumerate(document.decode(data).splitlines(), start=1):
-        match = match_line(line)
-        if not match:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-        try:
-            record = read(line, match)
-        except LogParseError as exc:
-            raise LogParseError(f"{name}:{lineno}: {exc}") from None
-        records.append(record)
-        timestamp = record[0]
-        if timestamp < last:
-            resorted = True
-        last = timestamp
+    try:
+        reader.read(_ROW_RE.findall(document.decode(data)))
+    except LogParseError as exc:
+        raise LogParseError(f"{name}:{reader.lineno()}: {exc}") from None
+    records = reader.records
+    by_time = itemgetter(0)
+    ordered = sorted(records, key=by_time)  # stable: the same list when already in order
+    resorted = ordered != records
     if resorted:
-        by_time = itemgetter(0)
-        records.sort(key=by_time)
         for picked in reader.selections.values():
             picked.sort(key=by_time)
-    return CaptureLog._grouped(tuple(records), resorted, reader.selections)
+    return CaptureLog(tuple(ordered), resorted, reader.selections)
 
 
 def collapse_pools(names, pool_threshold: int = DEFAULT_POOL_THRESHOLD) -> frozenset[str]:
@@ -292,7 +334,9 @@ def _select(
     ip_location: str,
     user_location: str,
 ) -> list[CaptureRecord]:
-    picked = log.selections.get((device, ip_location.upper(), user_location.upper()))
+    """*device*'s records at the two locations, region codes that must meet `zone.region_code`."""
+    key = (device, region_code(ip_location, ValueError), region_code(user_location, ValueError))
+    picked = log.selections.get(key)
     if picked is None:
         if not any(dev == device for dev, _, _ in log.selections):
             raise UnknownDevice(f"device {device!r} not in log")
@@ -331,13 +375,11 @@ def stabilization_time(
 
 def _location_sets(log: CaptureLog, device: str, selections, pool_threshold: int) -> list[frozenset[str]]:
     """Pool-collapsed domain set of each (ipl, udl) selection; none may be empty."""
-    sets = []
-    for ipl, udl in selections:
-        picked = _select(log, device, ipl, udl)
+    picks = [_select(log, device, ipl, udl) for ipl, udl in selections]  # a bad code fails before an empty pick
+    for (ipl, udl), picked in zip(selections, picks):
         if not picked:
             raise EmptySelection(f"no records for ({ipl}, {udl})")
-        sets.append(collapse_pools((r.qname for r in picked), pool_threshold))
-    return sets
+    return [collapse_pools((r.qname for r in picked), pool_threshold) for picked in picks]
 
 
 def uds(

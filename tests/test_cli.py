@@ -214,6 +214,20 @@ class TestAnalyze:
         )
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize("command, code", [
+        (["analyze", "uds", "--ipl", "U1", "--locations", "HK", "UK"], "U1"),
+        (["analyze", "stabilize", "--ipl", "u s", "--udl", "HK"], "u s"),
+        (["analyze", "ipbs", "--udl", "UKX", "--locations", "US", "US"], "UKX"),
+        (["analyze", "cumulative", "--ipl", "US", "--udl", "", "--bucket-seconds", "60"], ""),
+        (["analyze", "matrix", "--ipl", "US", "--regions", "HK", "Ü1"], "Ü1"),
+        (["mud", "generate", "--ipl", "US", "--udl", "H"], "H"),
+    ])
+    def test_bad_region_argument_is_data_error(self, command, code, capsys):
+        """A region argument meets the region rule before any selection is empty or printed."""
+        got, out, err = run_cli([*command, "--log", YI_LOG, "--device", "yi-cam"], capsys)
+        assert (got, out) == (EXIT_DATA, "")
+        assert err == f"ecsloc: error: region code must be two letters, got {code!r}\n"
+
     def test_bad_address_names_the_line(self, tmp_path, capsys):
         log = tmp_path / "log"
         log.write_text(

@@ -4,6 +4,7 @@ Every numeric expectation is either trivially forced or computed by a
 brute-force oracle in this module before being asserted.
 """
 
+import io
 import random
 import re
 import time
@@ -183,11 +184,16 @@ class TestIngest:
 
 def ingest_reference(path) -> CaptureLog:
     """Memo-free ingest: every line through parse_capture_line, then one sort if needed."""
+    return reference_log(path.read_text(), path)
+
+
+def reference_log(text: str, name) -> CaptureLog:
+    """`ingest_reference` of a decoded document read from *name*."""
     records = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
-            records.append(parse_capture_line(stripped, where=f"{path}:{lineno}"))
+            records.append(parse_capture_line(stripped, where=f"{name}:{lineno}"))
     try:
         return CaptureLog(tuple(records))
     except ValueError:
@@ -297,30 +303,46 @@ class TestIngestOnceEachValue:
         assert calls == {"pack_address": 3, "region_code": 2, "canonical_name": 7}
 
     def test_each_line_matched_once(self, tmp_path, monkeypatch):
-        """A line goes through `_LINE_RE` once, whether its values are new or seen, whatever its layout."""
-        real = traffic._LINE_RE
-        matched = []
+        """One `_ROW_RE` scan reads the document; a line outside the layout is matched once more, alone."""
+        real_rows, real_line, real_tokens = traffic._ROW_RE, traffic._LINE_RE, traffic._scan_tokens
+        scans, matched, scanned = [], [], []
 
-        class Counting:
+        class CountingRows:
+            def findall(self, text):
+                scans.append(text)
+                return real_rows.findall(text)
+
+        class CountingLine:
             def fullmatch(self, line):
                 matched.append(line)
-                return real.fullmatch(line)
+                return real_line.fullmatch(line)
 
-        monkeypatch.setattr(traffic, "_LINE_RE", Counting())
-        layouts = list(SEEN_LINE_LAYOUTS.values())
-        lines = ["# capture", ""] + [
-            layouts[i % len(layouts)](
+        def tokens(line):
+            scanned.append(line)
+            return real_tokens(line)
+
+        monkeypatch.setattr(traffic, "_ROW_RE", CountingRows())
+        monkeypatch.setattr(traffic, "_LINE_RE", CountingLine())
+        monkeypatch.setattr(traffic, "_scan_tokens", tokens)
+        layouts = [list(SEEN_LINE_LAYOUTS)[i % len(SEEN_LINE_LAYOUTS)] for i in range(300)]
+        lines = [
+            SEEN_LINE_LAYOUTS[layout](
                 f"ts={i} dev=d{i % 4} ipl=US udl={'UK' if i % 3 else 'uk'} q=n{i % 11}.x a=10.0.0.{i % 7}"
             )
-            for i in range(300)
+            for i, layout in enumerate(layouts)
         ]
+        text = "\n".join(["# capture", "", *lines]) + "\n"
         path = tmp_path / "log"
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text(text)
         assert len(ingest_log(path)) == 300
-        assert matched == lines
+        assert scans == [text]
+        outside = [line for layout, line in zip(layouts, lines) if layout != "documented"]
+        assert matched == ["# capture", "", *outside, ""]  # the last is the empty row after the final newline
+        assert scanned == [line.strip() for line in outside]
+        scans.clear()
         matched.clear()
-        parse_capture_line(lines[3])
-        assert matched == [lines[3]]
+        parse_capture_line(lines[1])
+        assert (scans, matched) == ([], [lines[1]])
 
     @pytest.mark.parametrize("ts", ["7", "+7", "1_000", "\u0663", "-5", "1.5", "now", "",
                                     pytest.param("9" * 5000, id="5000-digits")])
@@ -345,6 +367,70 @@ class TestIngestOnceEachValue:
         log = ingest_log(path)
         assert log.resorted is not in_order
         assert log.selections == CaptureLog(log.records).selections
+
+
+# Every separator `str.splitlines` ends a line on; `$` in a regex knows only the first.
+LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+BREAK_PLACES = {
+    # lines 10-19 joined by the break, then a comment and a blank line ended by it
+    "between-lines": lambda lines, sep: [
+        *lines[:10], sep.join(lines[10:20]) + sep + "# note" + sep + sep, *lines[20:]
+    ],
+    # lines 10-19 each end in the break before their newline: one more (blank) line each, but for "\r"
+    "line-end": lambda lines, sep: [*lines[:10], *(line + sep for line in lines[10:20]), *lines[20:]],
+    # line 15 split before its q= token: two pieces, neither a whole line
+    "mid-line": lambda lines, sep: [*lines[:15], lines[15].replace(" q=", sep + "q="), *lines[16:]],
+}
+
+
+def full_outcome(parse):
+    """Records, resorted and the selections in key order, or the error text."""
+    try:
+        log = parse()
+    except LogParseError as exc:
+        return str(exc)
+    return log.records, log.resorted, [(key, tuple(picked)) for key, picked in log.selections.items()]
+
+
+class TestLineBreaks:
+    """Each `str.splitlines` break ends a line, as in a memo-free per-line read of the decoded text."""
+
+    @pytest.mark.parametrize("fault", [False, True], ids=["valid", "fault-after"])
+    @pytest.mark.parametrize("place", BREAK_PLACES)
+    @pytest.mark.parametrize("sep", LINE_BREAKS, ids=ascii)
+    @pytest.mark.parametrize("as_bytes", [False, True], ids=["str", "bytes"])
+    def test_matches_per_line_reference(self, as_bytes, sep, place, fault):
+        lines = capture_lines(random.Random(5), 40)
+        lines.sort(key=lambda line: int(line.split()[0][3:]))  # in order: selections keyed as first seen
+        if fault:
+            lines[30] = FAULTS["negative-ts"](lines[30])  # values all seen: only ts stops the inline record
+        text = "\n".join(BREAK_PLACES[place](lines, sep)) + "\n"
+        data = text.encode() if as_bytes else text
+        decoded = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read() if as_bytes else text
+        got = full_outcome(lambda: parse_log(data, "mem.log"))
+        assert got == full_outcome(lambda: reference_log(decoded, "mem.log"))
+        if place == "mid-line":
+            assert got == "mem.log:16: missing keys ['q', 'a']"
+        elif fault:
+            # "\r" and the newline after it are one break; any other break there ends one more line
+            lineno = {"between-lines": (34, 33), "line-end": (41, 31)}[place][sep == "\r"]
+            assert got == f"mem.log:{lineno}: negative timestamp -5"
+        else:
+            assert len(got[0]) == 40
+
+    def test_crlf_text_in_the_layout_needs_no_line_split(self, monkeypatch):
+        """Text with `\\r\\n` breaks (bytes have them read as `\\n`) is read from the document scan alone."""
+        lines = capture_lines(random.Random(6), 200)
+        expected = parse_log("\n".join(lines) + "\n", "mem.log")
+        monkeypatch.setattr(traffic, "_LINE_RE", None)  # the per-line path would fail on it
+        assert parse_log("\r\n".join(lines), "mem.log") == expected  # no final break: no blank last row
+
+    def test_record_break_inside_a_line(self):
+        """A file separator between two records on one newline-ended line: two records."""
+        text = "ts=1 dev=d ipl=US udl=UK q=a.x a=10.0.0.1\x1cts=2 dev=d ipl=US udl=UK q=b.x a=10.0.0.2\n"
+        for data in (text, text.encode()):
+            log = parse_log(data, "mem.log")
+            assert [(r.timestamp, r.qname) for r in log.records] == [(1, "a.x"), (2, "b.x")]
 
 
 # Valid and invalid raw values per key; int() accepts "+7", "1_000" and "\u0663".
