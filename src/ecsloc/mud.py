@@ -148,9 +148,6 @@ class MudFile(Value, fields="device_id mud_url acl default_action"):
         acl = tuple(sorted(set(acl), key=Ace.sort_key))
         return tuple.__new__(cls, (device_id, mud_url, acl, default_action))
 
-    def endpoints(self) -> tuple[str, ...]:
-        return tuple(sorted({ace.endpoint for ace in self.acl}))
-
 
 class RegionDomainGroup(Value, fields="canonical_domain regional_variants"):
     """Per-region variants of one service domain (region code -> name) and the name replacing them.

@@ -12,24 +12,23 @@ user-defined or the IP-based location, cumulative unique-domain/unique-IP
 series, and pairwise similarity matrices.  Similarities are exact
 fractions; callers render decimals.
 
-Keys may come in any order, any whitespace apart.  `parse_log` scans the
-whole document with one regex, `_ROW_RE`: each `\n`-line gives either the four
-raw values of the layout above or, for any other line, its text.  One
-`_LineReader` loop reads those rows.  For one ingest the reader stores each
-raw value that passed its checks, so each distinct value is checked once, a
-line whose values are all stored becomes a record without a call, and each
-record goes straight into its (device, ipl, udl) selection.  A line of text is
-split by `str.splitlines` and each piece read alone, by one regex match or, in
-any other layout, a token loop that gives the same raw values;
-`parse_capture_line` reads its one line the same way.  The checks run in one
-order on every line, so a line fails with the same error text whether its
-values are stored or new.
+Keys may come in any order, any whitespace apart.  A document holding any
+`str.splitlines` break but `\n` is first re-joined by `\n`.  `parse_log` then
+scans it with one regex, `_ROW_RE`: each line gives either the four raw values
+of the layout above or, for any other line, its text.  One `_LineReader` loop
+reads those rows.  For one ingest the reader stores each raw value that passed
+its checks, so each distinct value is checked once, a line whose values are
+all stored becomes a record without a call, and each record goes straight into
+its (device, ipl, udl) selection.  A line of text is read by a token loop that
+gives the same raw values; `parse_capture_line` reads its one line by one
+regex match or that loop.  The checks run in one order on every line, so a
+line fails with the same error text whether its values are stored or new.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 from pathlib import Path
@@ -48,9 +47,9 @@ _LINE_KEYS = ("ts", "dev", "ipl", "udl", "q", "a")
 # order; its groups are the ts, q and a values and the span of the dev, ipl and udl tokens
 _LINE_RE = re.compile(r"ts=(\S*) (dev=\S* ipl=\S* udl=\S*) q=(\S*) a=(\S*)")
 # One row per `\n`-line of a document: `_LINE_RE`'s four groups, or the line's text in a fifth.
-# `$` splits on `\n` alone, but `\S` matches no other `str.splitlines` separator, so a row in
-# the layout is always one whole line; a `\r` after it is the first half of its `\r\n` break.
-_ROW_RE = re.compile(rf"^(?:{_LINE_RE.pattern}\r?|(.*))$", re.MULTILINE)
+_ROW_RE = re.compile(rf"^(?:{_LINE_RE.pattern}|(.*))$", re.MULTILINE)
+# Every other `str.splitlines` break: `$` knows only `\n`, so a document holding one is re-joined
+_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 class TrafficError(Error):
@@ -94,22 +93,22 @@ class CaptureRecord(
 class CaptureLog:
     records: tuple[CaptureRecord, ...]
     resorted: bool = False  # set when input timestamps had to be re-sorted
-    # (device, ipl, udl) -> that selection's records, in timestamp order; derived
-    # from *records*, which must then be in order, unless the loader has them
-    selections: dict | None = field(default=None, repr=False, compare=False)
+    grouped: InitVar[dict | None] = None  # the loader's selections; derived from *records* if None
+    # (device, ipl, udl) -> that selection's records, in timestamp order; when derived,
+    # *records* must be in that order, so `dataclasses.replace` derives and checks them again
+    selections: dict = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.selections is not None:
-            return
-        selections: dict[tuple[str, str, str], list[CaptureRecord]] = {}
-        last = 0
-        for r in self.records:
-            if r.timestamp < last:
-                raise ValueError("records must be in non-decreasing timestamp order")
-            last = r.timestamp
-            key = (r.device_id, r.ip_based_location, r.user_defined_location)
-            selections.setdefault(key, []).append(r)
-        object.__setattr__(self, "selections", selections)
+    def __post_init__(self, grouped):
+        if grouped is None:
+            grouped = {}
+            last = 0
+            for r in self.records:
+                if r.timestamp < last:
+                    raise ValueError("records must be in non-decreasing timestamp order")
+                last = r.timestamp
+                key = (r.device_id, r.ip_based_location, r.user_defined_location)
+                grouped.setdefault(key, []).append(r)
+        object.__setattr__(self, "selections", grouped)
 
     def devices(self) -> tuple[str, ...]:
         return tuple(sorted({device for device, _, _ in self.selections}))
@@ -186,20 +185,13 @@ class _LineReader:
             else:
                 self._text(text)
 
-    def _text(self, text: str) -> None:
-        """Read a row outside the layout: each `str.splitlines` piece of it is one line."""
-        # the row's own end is a `\n`: with it, a separator that ends the row still ends a line
-        for line in (text + "\n").splitlines():
-            match = _LINE_RE.fullmatch(line)
-            if match:
-                values = match.groups()
-            else:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    self.skipped += 1
-                    continue
-                values = _scan_tokens(line)
-            self.records.append(self._check(*values))
+    def _text(self, line: str) -> None:
+        """Read a line outside the layout: blank and `#` lines are skipped, any other goes to `_scan_tokens`."""
+        line = line.strip()
+        if not line or line.startswith("#"):
+            self.skipped += 1
+        else:
+            self.records.append(self._check(*_scan_tokens(line)))
 
     def _check(self, ts: str, span: str, q: str, a: str) -> CaptureRecord:
         """The record of one line's raw values, checked in the order above; it joins its selection."""
@@ -267,9 +259,12 @@ def ingest_log(path) -> CaptureLog:
 
 def parse_log(data: bytes | str, name) -> CaptureLog:
     """Parse a capture log read from *name*; out-of-order timestamps are sorted and flagged."""
+    text = document.decode(data)
+    if any(brk in text for brk in _OTHER_BREAKS):  # one C scan each, far cheaper than a regex class
+        text = "\n".join(text.splitlines())
     reader = _LineReader()
     try:
-        reader.read(_ROW_RE.findall(document.decode(data)))
+        reader.read(_ROW_RE.findall(text))
     except LogParseError as exc:
         raise LogParseError(f"{name}:{reader.lineno()}: {exc}") from None
     records = reader.records

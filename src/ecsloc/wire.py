@@ -73,6 +73,7 @@ DEFAULT_UDP_PAYLOAD = 1232
 
 MAX_LABEL_OCTETS = 63
 MAX_NAME_OCTETS = 253
+MAX_TTL = 0xFFFFFFFF  # a record's TTL field is 32 bits
 
 # Entries in each memo of checked input: names by text and by wire octets,
 # client-subnet options, and messages by their octets after the ID (none with
@@ -267,13 +268,13 @@ class ResourceRecord(Value, fields="name rtype ttl rdata"):
         expected = 4 if rtype == QTYPE_A else 16
         if len(rdata) != expected:
             raise ValueError(f"rdata must be {expected} octets for this type, got {len(rdata)}")
-        if not 0 <= ttl <= 0xFFFFFFFF:
+        if not 0 <= ttl <= MAX_TTL:
             raise ValueError(f"ttl {ttl} out of range")
         return tuple.__new__(cls, (name, rtype, ttl, rdata))
 
     def with_ttl(self, ttl: int) -> "ResourceRecord":
         """This record with another TTL, the one field checked again."""
-        if not 0 <= ttl <= 0xFFFFFFFF:
+        if not 0 <= ttl <= MAX_TTL:
             raise ValueError(f"ttl {ttl} out of range")
         name, rtype, _, rdata = self
         return tuple.__new__(ResourceRecord, (name, rtype, ttl, rdata))

@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import ipaddress
 import re
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 
 from . import document
 from .errors import Error
 from .value import Value
-from .wire import PREFIX_MASKS, EcsOption, InvalidName, address_text, canonical_name, family_packer, pack_address
+from .wire import (
+    MAX_TTL, PREFIX_MASKS, EcsOption, InvalidName, address_text, canonical_name, family_packer, pack_address,
+)
 
 DEFAULT_TTL = 300
 
@@ -135,34 +137,28 @@ class LookupResult(Value, fields="addresses scope ttl"):
 
 @dataclass(frozen=True)
 class AnswerSet:
-    """Ordered regional answers for one qname plus the all-region default."""
+    """Ordered regional answers for one qname plus the all-region default.
+
+    *tables* holds the answers by `_index_key` when the loader has them;
+    if None they are put there from *answers*, so `dataclasses.replace`
+    derives the index again and runs every check.
+    """
 
     answers: tuple[RegionalAnswer, ...]
-    default: tuple[bytes, ...] | None = None  # their union in text order: computed if None, else checked
+    # text or packed octets, held packed in text order: their union if None, else checked
+    default: tuple[bytes, ...] | None = None
     ttl: int = DEFAULT_TTL
+    tables: InitVar[dict | None] = None
     # client-subnet family -> [(prefix_len, mask, {network int: answer}), ...],
     # most specific first
     index: dict = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        tables = {}
-        for ans in self.answers:
-            slot, network = _index_key(ans.prefix)
-            tables.setdefault(slot, {})[network] = ans
-        self._derive(tables)
-
-    @classmethod
-    def _indexed(cls, answers: tuple[RegionalAnswer, ...], tables: dict, default, ttl: int) -> AnswerSet:
-        """An answer set whose *answers* the caller has already put in *tables*, as `_derive` takes them."""
-        answer_set = object.__new__(cls)
-        object.__setattr__(answer_set, "answers", answers)
-        object.__setattr__(answer_set, "default", default)
-        object.__setattr__(answer_set, "ttl", ttl)
-        answer_set._derive(tables)
-        return answer_set
-
-    def _derive(self, tables: dict) -> None:
-        """Set the index from *tables*, the answers by (family, length) then network, and check the default."""
+    def __post_init__(self, tables):
+        if tables is None:
+            tables = {}
+            for ans in self.answers:
+                slot, network = _index_key(ans.prefix)
+                tables.setdefault(slot, {})[network] = ans
         if sum(map(len, tables.values())) != len(self.answers):
             # equal-length overlapping networks are identical, so rejecting
             # duplicates also rejects every equal-length overlap
@@ -177,7 +173,9 @@ class AnswerSet:
             index.setdefault(family, []).append((plen, PREFIX_MASKS[family][plen], table))
         object.__setattr__(self, "index", index)
         union = {rdata for ans in self.answers for rdata in ans.addresses}
-        stated = union if self.default is None else list(map(pack_address, self.default))
+        stated = union
+        if self.default is not None:
+            stated = [a if type(a) is bytes and len(a) in (4, 16) else pack_address(a) for a in self.default]
         if len(stated) != len(union) or set(stated) != union:
             raise DefaultMismatch(
                 f"default set {sorted(map(address_text, stated))} != union {sorted(map(address_text, union))}"
@@ -239,8 +237,9 @@ class GeoZone(Value, fields="origin regions records"):
             block = document.obj(block, where, ZoneParseError)
             entries = document.field(block, "answers", where, ZoneParseError, document.array)
             ttl = document.integer(block.get("ttl", DEFAULT_TTL), f"{where}.ttl", ZoneParseError)
-            if ttl < 0:
-                raise ZoneParseError(f"{where}.ttl: must be a non-negative integer, got {ttl}")
+            if not 0 <= ttl <= MAX_TTL:  # as ResourceRecord requires, so every answer can be sent
+                bound = "a non-negative integer" if ttl < 0 else f"at most {MAX_TTL}"
+                raise ZoneParseError(f"{where}.ttl: must be {bound}, got {ttl}")
             regional, tables = [], {}
             for i, entry in enumerate(entries):
                 try:
@@ -269,7 +268,7 @@ class GeoZone(Value, fields="origin regions records"):
             if default is not None:
                 document.array(default, f"{where}.default", ZoneParseError)
             try:
-                answer_set = AnswerSet._indexed(tuple(regional), tables, default, ttl)
+                answer_set = AnswerSet(tuple(regional), default, ttl, tables)
             except (OverlapError, DefaultMismatch) as exc:
                 raise type(exc)(f"{where}: {exc}") from None
             except ValueError as exc:

@@ -122,6 +122,17 @@ class TestScenario:
         assert out == ""
         assert err == f"ecsloc: error: {override}: records['api.example.iot'].answers[1].region: {reason}\n"
 
+    @pytest.mark.parametrize("scenario, zone, reason", [
+        ("scenario_standard.json", "zone_with_zone_id.json", "records['api.example.iot'].answers[1].addresses: "
+         "'fe80::1%eth0' does not appear to be an IPv4 or IPv6 address"),
+        ("scenario_duplicate_key.json", None, "duplicate key 'architecture'"),
+    ], ids=["zone-id", "duplicate-key"])
+    def test_bad_document_names_its_field(self, capsys, scenario, zone, reason):
+        override = ["--zone", str(FIXTURES / zone)] if zone else []
+        code, out, err = run_cli(["scenario", "run", str(FIXTURES / scenario), *override], capsys)
+        assert (code, out) == (EXIT_DATA, "")
+        assert err == f"ecsloc: error: {FIXTURES / (zone or scenario)}: {reason}\n"
+
 
 class TestAnalyze:
 
@@ -242,6 +253,28 @@ class TestAnalyze:
         )
         assert (code, out) == (EXIT_DATA, "")
         assert err == f"ecsloc: error: {log}:3: bad address '999.1.1.1'\n"
+
+    def test_negative_timestamp_names_the_line(self, tmp_path, capsys):
+        log = tmp_path / "log"
+        log.write_text("ts=1 dev=d ipl=US udl=UK q=a.x a=10.0.0.1\nts=-5 dev=d ipl=US udl=UK q=a.x a=10.0.0.1\n")
+        code, out, err = run_cli(
+            ["analyze", "matrix", "--log", str(log), "--device", "d", "--ipl", "US", "--regions", "UK", "US"], capsys
+        )
+        assert (code, out) == (EXIT_DATA, "")
+        assert err == f"ecsloc: error: {log}:2: negative timestamp -5\n"
+
+    def test_other_line_breaks_read_as_newlines(self, tmp_path, capsys):
+        lines = [f"ts={i} dev=d ipl=US udl=UK q={q}.x a=10.0.0.{i}" for i, q in enumerate("abc", 1)]
+        runs = []
+        for data in ("\n".join(lines) + "\n", f"{lines[0]}\x1c{lines[1]}\r\n{lines[2]}\n"):
+            log = tmp_path / "log"
+            log.write_bytes(data.encode())
+            code, out, _ = run_cli(
+                ["analyze", "stabilize", "--log", str(log), "--device", "d", "--ipl", "US", "--udl", "UK"], capsys
+            )
+            runs.append((code, out))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == EXIT_OK
 
     def test_bad_qname_on_a_late_line(self, tmp_path, capsys):
         log = tmp_path / "log"

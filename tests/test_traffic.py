@@ -4,6 +4,7 @@ Every numeric expectation is either trivially forced or computed by a
 brute-force oracle in this module before being asserted.
 """
 
+import dataclasses
 import io
 import random
 import re
@@ -303,7 +304,7 @@ class TestIngestOnceEachValue:
         assert calls == {"pack_address": 3, "region_code": 2, "canonical_name": 7}
 
     def test_each_line_matched_once(self, tmp_path, monkeypatch):
-        """One `_ROW_RE` scan reads the document; a line outside the layout is matched once more, alone."""
+        """One `_ROW_RE` scan reads the document, re-joined by `\\n` if it holds another break; nothing else matches."""
         real_rows, real_line, real_tokens = traffic._ROW_RE, traffic._LINE_RE, traffic._scan_tokens
         scans, matched, scanned = [], [], []
 
@@ -332,15 +333,18 @@ class TestIngestOnceEachValue:
             for i, layout in enumerate(layouts)
         ]
         text = "\n".join(["# capture", "", *lines]) + "\n"
-        path = tmp_path / "log"
-        path.write_text(text)
-        assert len(ingest_log(path)) == 300
-        assert scans == [text]
         outside = [line for layout, line in zip(layouts, lines) if layout != "documented"]
-        assert matched == ["# capture", "", *outside, ""]  # the last is the empty row after the final newline
-        assert scanned == [line.strip() for line in outside]
+        path = tmp_path / "log"
+        # a `\u2028`-broken document is scanned as re-joined: no break after the last line
+        for doc, rows in [(text, text), (text.replace("\n", "\u2028"), text[:-1])]:
+            scans.clear()
+            scanned.clear()
+            path.write_text(doc)
+            assert len(ingest_log(path)) == 300
+            assert scans == [rows]
+            assert matched == []
+            assert scanned == [line.strip() for line in outside]
         scans.clear()
-        matched.clear()
         parse_capture_line(lines[1])
         assert (scans, matched) == ([], [lines[1]])
 
@@ -367,6 +371,23 @@ class TestIngestOnceEachValue:
         log = ingest_log(path)
         assert log.resorted is not in_order
         assert log.selections == CaptureLog(log.records).selections
+
+
+class TestReplace:
+    """`dataclasses.replace` on a parsed log derives the selections again and checks the order."""
+
+    TEXT = "ts=1 dev=d ipl=US udl=UK q=a.x a=10.0.0.1\nts=2 dev=d ipl=US udl=UK q=b.x a=10.0.0.2\n"
+
+    def test_fewer_records(self):
+        log = parse_log(self.TEXT, "mem.log")
+        shorter = dataclasses.replace(log, records=log.records[:1])
+        assert shorter.selections == {("d", "US", "UK"): [log.records[0]]}
+        assert domain_set(shorter, "d", "US", "UK") == {"a.x"}
+
+    def test_records_out_of_order(self):
+        log = parse_log(self.TEXT, "mem.log")
+        with pytest.raises(ValueError, match="^records must be in non-decreasing timestamp order$"):
+            dataclasses.replace(log, records=log.records[::-1])
 
 
 # Every separator `str.splitlines` ends a line on; `$` in a regex knows only the first.

@@ -1,6 +1,7 @@
 """Zone loading and client-subnet answer selection, checked against a
 brute-force scan of all entries."""
 
+import dataclasses
 import ipaddress
 import json
 import random
@@ -11,7 +12,7 @@ import time
 import pytest
 from helpers import FIXTURES, zone_qnames
 
-from ecsloc.wire import EcsOption, address_text
+from ecsloc.wire import QTYPE_A, EcsOption, ResourceRecord, address_text
 from ecsloc.zone import (
     AnswerSet,
     DefaultMismatch,
@@ -185,7 +186,8 @@ class TestLoad:
          pytest.param(False, "must be an integer, got False", id="False"),
          pytest.param(-1, "must be a non-negative integer, got -1", id="guard-negative"),
          pytest.param(1.5, "must be an integer, got 1.5", id="guard-float"),
-         pytest.param("300", "must be an integer, got '300'", id="guard-text")],
+         pytest.param("300", "must be an integer, got '300'", id="guard-text"),
+         pytest.param(2**32, "must be at most 4294967295, got 4294967296", id="over-32-bits")],
     )
     def test_ttl_must_be_a_non_negative_integer(self, tmp_path, ttl, reason):
         doc = json.loads(json.dumps(TWO_REGION_DOC))
@@ -194,6 +196,13 @@ class TestLoad:
         with pytest.raises(ZoneParseError) as info:
             GeoZone.load(path)
         assert str(info.value) == f"{path}: records['api.example.iot'].ttl: {reason}"
+
+    def test_ttl_of_32_bits_accepted(self, tmp_path):
+        doc = json.loads(json.dumps(TWO_REGION_DOC))
+        doc["records"]["api.example.iot"]["ttl"] = 0xFFFFFFFF
+        result = GeoZone.load(write_zone(tmp_path, doc)).lookup("api.example.iot")
+        assert result.ttl == 0xFFFFFFFF
+        ResourceRecord("api.example.iot", QTYPE_A, result.ttl, result.addresses[0])  # the answer can be sent
 
     @pytest.mark.parametrize("origin", [5, pytest.param(["x"], id="list"), "a b", "ex..iot"])
     def test_origin_must_be_a_dns_name(self, tmp_path, origin):
@@ -305,6 +314,40 @@ class TestLookup:
         for net in ("198.18.0.0", "198.18.1.0", "198.18.2.0", "192.0.2.0"):
             tailored = set(zone.lookup("api.example.iot", EcsOption.for_prefix(net, 24)).addresses)
             assert tailored <= default
+
+
+class TestReplace:
+    """`dataclasses.replace` on a loaded answer set derives the index again and runs every check."""
+
+    @pytest.fixture
+    def zone(self):
+        return GeoZone.load(FIXTURES / "zone.json")
+
+    def test_new_ttl(self, zone):
+        record = zone.records["api.example.iot"]
+        changed = dataclasses.replace(record, ttl=60)
+        assert (changed.answers, changed.default, changed.ttl) == (record.answers, record.default, 60)
+        assert changed.index == record.index
+
+    def test_fewer_answers(self, zone):
+        record = zone.records["api.example.iot"]
+        kept = record.answers[0]
+        changed = dataclasses.replace(record, answers=record.answers[:1], default=None)
+        assert [table for tables in changed.index.values() for _, _, table in tables] == [
+            {int(kept.prefix.network_address): kept}
+        ]
+        assert changed.default == kept.addresses
+
+    def test_stale_default_rejected(self, zone):
+        record = zone.records["api.example.iot"]
+        with pytest.raises(DefaultMismatch):
+            dataclasses.replace(record, answers=record.answers[:1])
+
+    def test_default_given_packed(self, zone):
+        record = zone.records["api.example.iot"]
+        assert AnswerSet(record.answers, default=record.default[::-1]) == record
+        with pytest.raises(ValueError, match=re.escape("b'\\xcb\\x00q' does not appear to be an IPv4 or IPv6 address")):
+            AnswerSet(record.answers, default=(*record.default[1:], record.default[0][:3]))
 
 
 V4_POOL = [
