@@ -252,12 +252,6 @@ class Resolver:
         key = _cache_key(ecs, scope, address)
         now = self.clock.now
         self._expire(now)
-        for rr in records:
-            if rr.name != qname:
-                records = tuple(
-                    rr if rr.name == qname else ResourceRecord(qname, rr.rtype, rr.ttl, rr.rdata) for rr in records
-                )
-                break
         entry = CacheEntry(scope, records, now + ttl)
         name = (qname, qtype)
         bucket = self._cache.get(name)
@@ -344,9 +338,16 @@ class Resolver:
             self.bad_echoes += 1
             return make_response(query, rcode=RCODE_SERVFAIL, ecs=_echo(effective, 0))  # RFC 7871 section 7.3
         scope = echo.scope_prefix_len if echo is not None else 0
-        ttl = min((rr.ttl for rr in upstream_response.answers), default=DEFAULT_TTL)
-        self._store(question.qname, question.qtype, scope, effective, address, upstream_response.answers, ttl)
-        return make_response(query, upstream_response.answers, ecs=_echo(effective, scope))
+        qname, answers = question.qname, upstream_response.answers
+        for rr in answers:
+            if rr.name != qname:  # sent under the question's name, on this miss and every later hit
+                answers = tuple(
+                    rr if rr.name == qname else ResourceRecord(qname, rr.rtype, rr.ttl, rr.rdata) for rr in answers
+                )
+                break
+        ttl = min((rr.ttl for rr in answers), default=DEFAULT_TTL)
+        self._store(qname, question.qtype, scope, effective, address, answers, ttl)
+        return make_response(query, answers, ecs=_echo(effective, scope))
 
 
 class Hop(Value, fields="sender receiver message"):

@@ -139,13 +139,13 @@ class _LineReader:
 
     `read` is its one loop, over the rows `_ROW_RE` gives.  It stores each raw
     value that passed its checks: the `dev=.. ipl=.. udl=..` span (with its
-    selection's records), each region token, `q=` and `a=`, so a bad value
-    raises on every line that carries it.  A row in the layout whose span,
-    `q=` and `a=` are all stored and whose ts is a non-negative integer
-    becomes a record inline; any other row runs the checks, in one order on
-    every line: ts is an integer, dev is not empty, a, ipl, udl, ts is not
-    negative, q.  Errors carry no line position: `lineno` gives the failing
-    line's, so it is counted only for a line that fails.
+    selection's records), `q=` and `a=`, so a bad value raises on every line
+    that carries it.  A row in the layout whose span, `q=` and `a=` are all
+    stored and whose ts is a non-negative integer becomes a record inline;
+    any other row runs the checks, in one order on every line: ts is an
+    integer, dev is not empty, a, ipl, udl, ts is not negative, q.  Errors
+    carry no line position: `lineno` gives the failing line's, so it is
+    counted only for a line that fails.
     """
 
     def __init__(self):
@@ -153,7 +153,6 @@ class _LineReader:
         self.skipped = 0  # blank and comment lines read
         self.selections: dict[tuple[str, str, str], list[CaptureRecord]] = {}
         self._places: dict[str, tuple] = {}  # span -> (dev, ipl, udl, that selection's records)
-        self._regions: dict[str, str] = {}
         self._qnames: dict[str, str] = {}
         self._addresses: dict[str, tuple[str, ...]] = {}
 
@@ -208,7 +207,7 @@ class _LineReader:
         if ips is None:
             ips = self._ips(a)
         if place is None:
-            key = (dev, self._region(ipl), self._region(udl))
+            key = (dev, region_code(ipl, LogParseError), region_code(udl, LogParseError))
             place = self._places[span] = (*key, self.selections.setdefault(key, []))
         if timestamp < 0:
             raise LogParseError(f"negative timestamp {timestamp}")
@@ -222,12 +221,6 @@ class _LineReader:
         record = tuple.__new__(CaptureRecord, (timestamp, dev, ipl, udl, qname, ips))
         picked.append(record)
         return record
-
-    def _region(self, token: str) -> str:
-        region = self._regions.get(token)
-        if region is None:
-            region = self._regions[token] = region_code(token, LogParseError)
-        return region
 
     def _ips(self, field: str) -> tuple[str, ...]:
         parts = []

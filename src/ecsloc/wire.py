@@ -4,7 +4,10 @@ Covers the 12-octet header, a single A/AAAA question, A/AAAA answer
 records, and one EDNS0 OPT pseudo-record (type 41) whose RDATA may carry
 the client-subnet option (code 8, RFC 7871).  The encoder never emits
 name compression; the decoder accepts compression pointers so responses
-from real resolvers can be read back.
+from real resolvers can be read back.  A pointer must target "a prior
+occurance of the same name" (RFC 1035 section 4.1.4): an offset past the
+12-octet header and before the name, or before the last target followed.
+So the targets of one name strictly decrease, and no decode reads the ID.
 
 Each field is checked once, where a message comes into being, and
 `decode_message` goes through the same constructors as any other caller:
@@ -28,11 +31,9 @@ The encoder trusts a constructed message and checks nothing again.
 is not checked again; it keeps no error, so a bad name raises every time.
 The decoder keeps three more memos of the same kind and bound:
 
-- `_decode_body`, keyed on a whole message's octets after its 2-octet ID:
-  a message seen before under any ID is one lookup, with its own ID patched
-  in.  A message with a compression pointer is never stored, as a pointer
-  may target the ID (offset 0 or 1) and make the decode depend on it; it
-  is decoded in full on every call;
+- `_decode_body`, keyed on a whole message's octets after its 2-octet ID,
+  which every message of 2 or more octets goes through: a message seen
+  before under any ID is one lookup, with its own ID patched in;
 - `_plain_name`, keyed on the octets of an uncompressed wire name, from its
   first length octet to its zero octet (at most 255 octets for a valid
   name); a name with a compression pointer, a reserved label type or an
@@ -76,8 +77,7 @@ MAX_NAME_OCTETS = 253
 MAX_TTL = 0xFFFFFFFF  # a record's TTL field is 32 bits
 
 # Entries in each memo of checked input: names by text and by wire octets,
-# client-subnet options, and messages by their octets after the ID (none with
-# a compression pointer, which may target the ID)
+# client-subnet options, and messages by their octets after the ID
 _MEMO_SIZE = 4096
 
 # Address length in octets per ECS family code.
@@ -404,21 +404,12 @@ def _truncated(n: int, pos: int, end: int) -> Truncated:
     return Truncated(f"need {n} octets at offset {pos}, have {end - pos}")
 
 
-class _Compressed(Exception):
-    """A name followed a compression pointer in a reader told not to."""
-
-
 class _Reader:
-    """Cursor over message bytes; raises Truncated when data runs out.
+    """Cursor over message bytes; raises Truncated when data runs out."""
 
-    Told not to follow compression pointers, it raises `_Compressed` at the
-    first one instead.
-    """
-
-    def __init__(self, data: bytes, follow_pointers: bool = True):
+    def __init__(self, data: bytes):
         self.data = data
         self.pos = 0
-        self.follow_pointers = follow_pointers
 
     def skip(self, n: int) -> int:
         """Move past *n* octets and return the offset they start at."""
@@ -460,10 +451,9 @@ class _Reader:
         first, and each label is sliced once."""
         data = self.data
         end = len(data)
-        pos = self.pos
+        pos = floor = self.pos  # a pointer targets [header size, floor): before the name or the last target
         labels = []
         total = 0
-        jumps = 0
         return_pos = None
         while True:
             if pos >= end:
@@ -474,20 +464,14 @@ class _Reader:
                 break
             kind = length & 0xC0
             if kind == 0xC0:
-                if not self.follow_pointers:
-                    raise _Compressed
                 if pos >= end:
                     raise _truncated(1, pos, end)
                 pointer = ((length & 0x3F) << 8) | data[pos]
-                pos += 1
-                if pointer >= end:
-                    raise Malformed(f"compression pointer {pointer} out of range")
-                jumps += 1
-                if jumps > 64:
-                    raise Malformed("compression pointer loop")
+                if not _HEADER.size <= pointer < floor:
+                    raise Malformed(f"compression pointer {pointer} outside [{_HEADER.size}, {floor})")
                 if return_pos is None:
-                    return_pos = pos
-                pos = pointer
+                    return_pos = pos + 1
+                pos = floor = pointer
                 continue
             if kind != 0:
                 raise Malformed(f"reserved label type {kind >> 6:#04b}")
@@ -560,28 +544,23 @@ def decode_message(data: bytes) -> DnsMessage:
 
     The decode is looked up in the memo `_decode_body`, keyed on the octets
     after the 2-octet ID, and returned with this message's ID patched in.
-    A message with a compression pointer is never stored, as a pointer may
-    target the ID: it is decoded in full on every call.
     """
     data = bytes(data)
     if len(data) < 2:  # no ID to patch: read as is, to raise Truncated
         return _decode(data)
-    try:
-        msg = _decode_body(data[2:])
-    except _Compressed:
-        return _decode(data)
+    msg = _decode_body(data[2:])
     return tuple.__new__(DnsMessage, ((data[0] << 8) | data[1], *msg[1:]))
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _decode_body(body: bytes) -> DnsMessage:
-    """The message with ID 0 and *body* after it; raises _Compressed at a compression pointer."""
-    return _decode(b"\x00\x00" + body, follow_pointers=False)
+    """The message with ID 0 and *body* after it: no decode reads the ID."""
+    return _decode(b"\x00\x00" + body)
 
 
-def _decode(data: bytes, follow_pointers: bool = True) -> DnsMessage:
+def _decode(data: bytes) -> DnsMessage:
     """Decode *data* in full, with no lookup in the message memo."""
-    reader = _Reader(data, follow_pointers)
+    reader = _Reader(data)
     msg_id, flags, qdcount, ancount, nscount, arcount = reader.unpack(_HEADER)
     opcode = (flags >> 11) & 0x0F
     if opcode != 0:

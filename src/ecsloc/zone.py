@@ -106,11 +106,11 @@ class LocationPrefixMap(Value, fields="entries"):
             raise UnknownRegion(f"region {region!r} not in prefix map") from None
 
 
-class RegionalAnswer(Value, fields="region prefix addresses ttl"):
+class RegionalAnswer(Value, fields="region prefix addresses"):
     """One region's answers: *addresses* are given as text or packed octets, and held packed, each once."""
 
     def __new__(cls, region: str, prefix: ipaddress.IPv4Network | ipaddress.IPv6Network,
-                addresses: tuple[str, ...], ttl: int = DEFAULT_TTL):
+                addresses: tuple[str, ...]):
         if not addresses:
             raise ZoneParseError(f"region {region}: empty address list")
         packed = tuple(a if type(a) is bytes else pack_address(a) for a in addresses)
@@ -123,7 +123,7 @@ class RegionalAnswer(Value, fields="region prefix addresses ttl"):
         if len(set(packed)) != len(packed):
             repeat = next(rdata for i, rdata in enumerate(packed) if rdata in packed[:i])
             raise ZoneParseError(f"region {region}: address {address_text(repeat)} listed twice")
-        return tuple.__new__(cls, (region, prefix, packed, ttl))
+        return tuple.__new__(cls, (region, prefix, packed))
 
 
 def _index_key(prefix) -> tuple[tuple[int, int], int]:
@@ -260,7 +260,7 @@ class GeoZone(Value, fields="origin regions records"):
                     # not all text of the region's family, or a repeat: the checking constructor raises why
                     packed = _checked_answer(region, prefix, addresses, f"{where}.answers[{i}]").addresses
                 # every field is checked above, so the checking constructor is skipped
-                answer = build(RegionalAnswer, (region, prefix, packed, ttl))
+                answer = build(RegionalAnswer, (region, prefix, packed))
                 regional.append(answer)
                 tables.setdefault(slot, {})[network] = answer
             entries.clear()  # freed now, the parsed cells and the zone are never both whole in memory
@@ -296,7 +296,7 @@ class GeoZone(Value, fields="origin regions records"):
             if plen <= ecs.source_prefix_len:
                 best = table.get(address & mask)
                 if best is not None:
-                    return LookupResult(best.addresses, plen, best.ttl)
+                    return LookupResult(best.addresses, plen, record.ttl)
         return LookupResult(record.default, 0, record.ttl)
 
 

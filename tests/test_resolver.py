@@ -545,6 +545,18 @@ def test_counters_on_a_scripted_sequence(monkeypatch):
     assert (resolver.bad_echoes, resolver.upstream_errors) == (1, 1)
 
 
+def test_miss_and_hit_send_the_same_answer_names():
+    def upstream(payload, source):
+        query = decode_message(payload)
+        return encode_message(make_response(query, (record_for_address("other.example", "10.0.0.1", 100),)))
+
+    prefix_map = LocationPrefixMap({"HK": "198.19.0.0/16"})
+    resolver = Resolver(Forward(), "HK", InProcessLink(upstream), prefix_map, clock=VirtualClock())
+    miss, hit = (resolver.resolve(make_query("api.example.iot"), "198.18.0.77") for _ in range(2))
+    assert (resolver.misses, resolver.hits) == (1, 1)
+    assert miss.answers == hit.answers == (record_for_address("api.example.iot", "10.0.0.1", 100),)
+
+
 class TestScenarios:
 
     def test_standard_follows_resolver_location(self, zone):

@@ -301,7 +301,7 @@ class TestIngestOnceEachValue:
             for i in range(300)
         ))
         assert len(ingest_log(path)) == 300
-        assert calls == {"pack_address": 3, "region_code": 2, "canonical_name": 7}
+        assert calls == {"pack_address": 3, "region_code": 4, "canonical_name": 7}
 
     def test_each_line_matched_once(self, tmp_path, monkeypatch):
         """One `_ROW_RE` scan reads the document, re-joined by `\\n` if it holds another break; nothing else matches."""

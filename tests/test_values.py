@@ -64,7 +64,7 @@ TABLE = {
                    ValueError, True),
     "CaptureRecord": (lambda: CaptureRecord(1, "cam01", "US", "UK", "api.example.iot", ("203.0.113.10",)),
                       {"timestamp": 2}, {"qname": "svc[1-3].example.iot"}, InvalidName, True),
-    "RegionalAnswer": (lambda: RegionalAnswer("UK", NET, ("203.0.113.10",)), {"ttl": 60},
+    "RegionalAnswer": (lambda: RegionalAnswer("UK", NET, ("203.0.113.10",)), {"addresses": ("203.0.113.11",)},
                        {"addresses": ("2001:db8::1",)}, ZoneParseError, True),
     "LookupResult": (lambda: LookupResult((bytes(4),), 24, 300), {"scope": 16}, None, None, True),
     "LocationPrefixMap": (lambda: LocationPrefixMap({"UK": "198.18.1.0/24"}), {"entries": {"US": "198.18.2.0/24"}},

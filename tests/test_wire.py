@@ -527,6 +527,19 @@ class TestDecodeInterop:
         assert msg.answers[0].address() == "203.0.113.10"
         assert len(head) > 12  # silence linters about the helper slice
 
+    def test_forward_pointer_rejected(self):
+        # the question name points at the answer's name, a later one
+        wire = _header(an=1) + b"\xc0\x12" + QUESTION[-4:] + _rr()
+        assert wire[18:] == _rr()
+        with pytest.raises(Malformed, match=re.escape("compression pointer 18 outside [12, 12)")):
+            decode_message(wire)
+
+    def test_pointer_chain_accepted(self):
+        # www.example.com points at the question name; its twin points at it in turn
+        www = b"\x03www\xc0\x0c"
+        wire = _header(an=2) + QUESTION + _rr(name=www) + _rr(name=b"\xc0" + bytes([12 + len(QUESTION)]))
+        assert [rr.name for rr in decode_message(wire).answers] == ["www.example.com"] * 2
+
     def test_pointer_loop_rejected(self):
         query = make_query("api.example.iot", msg_id=9)
         wire = bytearray(encode_message(query))
@@ -592,10 +605,10 @@ def _flip_one_bit(rng, data):
     return bytes(flipped)
 
 
-# A query with flags 0 whose question name is a pointer to offset 0 or 1,
-# so the name is read from the ID: ID 0x0161 at offset 0 reads as "a".
-POINTER_INTO_ID = {
-    offset: struct.pack("!HHHHHH", 0, 0, 1, 0, 0, 0) + bytes([0xC0, offset]) + QUESTION[-4:] for offset in (0, 1)
+# A query with flags 0 whose question name is a pointer into the 12-octet
+# header: read from the ID, ID 0x0161 at offset 0 would give the name "a".
+POINTER_INTO_HEADER = {
+    offset: struct.pack("!HHHHHH", 0, 0, 1, 0, 0, 0) + bytes([0xC0, offset]) + QUESTION[-4:] for offset in range(12)
 }
 
 
@@ -611,7 +624,7 @@ class TestDecoderMemos:
         for _ in range(300):
             msg = rand_message(rng)
             inputs += [encode_message(msg), encode_message(msg.replace(recursion_desired=not msg.recursion_desired))]
-        inputs += [_with_id(data, 0x0161) for data in POINTER_INTO_ID.values()]
+        inputs += [_with_id(data, 0x0161) for data in POINTER_INTO_HEADER.values()]
         # each input also under a second ID
         others = [_with_id(data, rng.randrange(0x10000)) for data in inputs]
         cold, warm, cold_others, warm_others = [], [], [], []
@@ -648,19 +661,22 @@ class TestDecoderMemos:
         info = wire._decode_body.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 99, 1)
 
-    @pytest.mark.parametrize("offset", sorted(POINTER_INTO_ID))
-    def test_pointer_into_the_id_is_never_stored(self, offset):
+    @pytest.mark.parametrize("offset", sorted(POINTER_INTO_HEADER))
+    def test_pointer_into_the_header_is_malformed(self, offset):
         _clear_memos()
-        outcomes = []
-        for msg_id in (0x0161, 0x0162, 0x0000, 0x0001, 0x6100):
-            data = _with_id(POINTER_INTO_ID[offset], msg_id)
-            outcome = _outcome(data, wire._decode)
-            assert _outcome(data) == outcome
-            outcomes.append(outcome)
-        assert len(set(outcomes)) > 2  # the ID decides the outcome
-        if offset == 0:
-            assert [msg.question.qname for msg, _ in outcomes[:2]] == ["a", "b"]
+        for msg_id in (0x0161, 0x0162, 0x0000, 0x0001, 0x6100):  # at offset 0, 0x0161 is never the name "a"
+            data = _with_id(POINTER_INTO_HEADER[offset], msg_id)
+            expected = (Malformed, f"compression pointer {offset} outside [12, 12)")
+            assert _outcome(data) == _outcome(data, wire._decode) == expected
         assert wire._decode_body.cache_info().currsize == 0
+
+    def test_compressed_response_is_decoded_once(self):
+        _clear_memos()
+        data = _compressed_response(random.Random(23))
+        first, second = decode_message(data), decode_message(_with_id(data, 0x0161))
+        assert second == first.replace(id=0x0161)
+        info = wire._decode_body.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
     def test_memos_are_bounded(self):
         _clear_memos()

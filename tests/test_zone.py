@@ -178,7 +178,6 @@ class TestLoad:
     def test_ttl_defaults_to_300(self, tmp_path):
         zone = GeoZone.load(write_zone(tmp_path, TWO_REGION_DOC))
         assert zone.records["api.example.iot"].ttl == 300
-        assert zone.records["api.example.iot"].answers[0].ttl == 300
 
     @pytest.mark.parametrize(
         "ttl, reason",
@@ -328,6 +327,11 @@ class TestReplace:
         changed = dataclasses.replace(record, ttl=60)
         assert (changed.answers, changed.default, changed.ttl) == (record.answers, record.default, 60)
         assert changed.index == record.index
+
+    def test_new_ttl_reported_for_a_regional_match(self, zone):
+        record = dataclasses.replace(zone.records["api.example.iot"], ttl=60)
+        zone = zone.replace(records={"api.example.iot": record})
+        assert zone.lookup("api.example.iot", EcsOption.for_prefix("198.18.1.0", 24)).ttl == 60
 
     def test_fewer_answers(self, zone):
         record = zone.records["api.example.iot"]
