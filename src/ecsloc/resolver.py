@@ -31,6 +31,7 @@ import heapq
 import ipaddress
 import itertools
 import threading
+from functools import lru_cache
 from pathlib import Path
 
 from . import document
@@ -60,6 +61,10 @@ RCODE_NXDOMAIN = 3
 CACHE_MAX_ENTRIES = 10_000
 
 ARCHITECTURES = ("standard", "ecs_basic", "ecs_user_defined")
+
+# The rewritten option per (client address, prefix length); like the wire
+# memos it keeps no error, so a bad address raises every time
+_rewrite_option = lru_cache(maxsize=4096)(EcsOption.for_prefix)
 
 
 class ScenarioError(Error):
@@ -217,7 +222,7 @@ class Resolver:
             case Strip():
                 return None
             case RewriteClientSubnet(prefix_len=plen):
-                return EcsOption.for_prefix(source, plen)
+                return _rewrite_option(source, plen)
         raise ScenarioError(f"unknown policy {self.policy!r}")
 
     def cache_lookup(

@@ -29,7 +29,7 @@ The encoder trusts a constructed message and checks nothing again.
 
 `canonical_name` keeps up to 4096 checked names in a memo, so a repeated name
 is not checked again; it keeps no error, so a bad name raises every time.
-The decoder keeps three more memos of the same kind and bound:
+Five more memos of the same kind and bound serve the codec.  The decoder's:
 
 - `_decode_body`, keyed on a whole message's octets after its 2-octet ID,
   which every message of 2 or more octets goes through: a message seen
@@ -37,16 +37,24 @@ The decoder keeps three more memos of the same kind and bound:
 - `_plain_name`, keyed on the octets of an uncompressed wire name, from its
   first length octet to its zero octet (at most 255 octets for a valid
   name); a name with a compression pointer, a reserved label type or an
-  end past the message is walked in the message, as before;
+  end past the message is walked in the message by `_walk`;
 - `_decode_ecs`, keyed on the client-subnet option data (at most 20
   octets when valid).
 
 The last two serve a message not in the first.  Only successes are stored,
 so a rejected message, name or option raises the same error class and text
-every time.  The name walk reads by index, with one bounds test before each
-octet or label it reads.  The encoder encodes the question name once and
-reuses those octets for every answer of the same name; it still never
-compresses.
+every time.  The encoder's:
+
+- `_encode_name`, keyed on a canonical name, holds its wire octets;
+- `_encode_opt`, keyed on the payload size and the client-subnet option,
+  holds the whole OPT record.
+
+The encoder joins the header, the memo octets and each record's packed
+tail once; it never compresses.  The decoder is one function, `_decode`,
+that keeps its offset in a local: `_name_at` and `_record_at` read a name
+or a record at an offset and return the offset after it.  The name walk
+reads by index, with one bounds test before each octet or label it reads;
+a record makes one bounds test for its 10-octet tail and one for its rdata.
 
 Each wire layout is defined once, as a `struct.Struct` shared by the
 encoder and the decoder: the header, the (type, class) and (option code,
@@ -76,8 +84,8 @@ MAX_LABEL_OCTETS = 63
 MAX_NAME_OCTETS = 253
 MAX_TTL = 0xFFFFFFFF  # a record's TTL field is 32 bits
 
-# Entries in each memo of checked input: names by text and by wire octets,
-# client-subnet options, and messages by their octets after the ID
+# Entries in each codec memo: names by text and by wire octets, client-subnet
+# options, messages by their octets after the ID, and encoded names and OPT records
 _MEMO_SIZE = 4096
 
 # Address length in octets per ECS family code.
@@ -354,155 +362,137 @@ def make_response(
     )
 
 
-def _encode_name(name: str) -> bytearray:
+@lru_cache(maxsize=_MEMO_SIZE)
+def _encode_name(name: str) -> bytes:
     out = bytearray()
     for label in name.encode("ascii").split(b"."):
         out.append(len(label))
         out += label
     out.append(0)
-    return out
+    return bytes(out)
 
 
 def _encode_ecs_rdata(ecs: EcsOption) -> bytes:
     return _ECS_HEAD.pack(ecs.family, ecs.source_prefix_len, ecs.scope_prefix_len) + ecs.address
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
+def _encode_opt(udp_payload_size: int, ecs: EcsOption | None) -> bytes:
+    """The whole OPT record: root name, record tail with the payload size as class, and options."""
+    rdata = b""
+    if ecs is not None:
+        option = _encode_ecs_rdata(ecs)
+        rdata = _PAIR.pack(ECS_OPTION_CODE, len(option)) + option
+    return b"\x00" + _RR_TAIL.pack(TYPE_OPT, udp_payload_size, 0, len(rdata)) + rdata
+
+
 def encode_message(msg: DnsMessage) -> bytes:
     """Serialize *msg* to standard DNS wire bytes, without name compression."""
-    flags = 0
-    if msg.is_response:
+    msg_id, is_response, recursion_desired, recursion_available, rcode, question, answers, edns = msg
+    flags = rcode & 0x0F
+    if is_response:
         flags |= 0x8000
-    if msg.recursion_desired:
+    if recursion_desired:
         flags |= 0x0100
-    if msg.recursion_available:
+    if recursion_available:
         flags |= 0x0080
-    flags |= msg.rcode & 0x0F
-    question, answers, edns = msg.question, msg.answers, msg.edns
-    out = bytearray(_HEADER.pack(msg.id, flags, 1, len(answers), 0, 0 if edns is None else 1))
-    qname = question.qname
-    qname_octets = _encode_name(qname)
-    out += qname_octets
-    out += _PAIR.pack(question.qtype, question.qclass)
-    for rr in answers:
-        name, rdata = rr.name, rr.rdata
-        out += qname_octets if name == qname else _encode_name(name)
-        out += _RR_TAIL.pack(rr.rtype, CLASS_IN, rr.ttl, len(rdata))
-        out += rdata
+    parts = [
+        _HEADER.pack(msg_id, flags, 1, len(answers), 0, 0 if edns is None else 1),
+        _encode_name(question.qname),
+        _PAIR.pack(question.qtype, question.qclass),
+    ]
+    for name, rtype, ttl, rdata in answers:
+        parts += (_encode_name(name), _RR_TAIL.pack(rtype, CLASS_IN, ttl, len(rdata)), rdata)
     if edns is not None:
-        rdata = b""
-        ecs = edns.ecs
-        if ecs is not None:
-            option = _encode_ecs_rdata(ecs)
-            rdata = _PAIR.pack(ECS_OPTION_CODE, len(option)) + option
-        out += b"\x00"  # root name
-        out += _RR_TAIL.pack(TYPE_OPT, edns.udp_payload_size, 0, len(rdata))
-        out += rdata
-    return bytes(out)
+        parts.append(_encode_opt(*edns))
+    return b"".join(parts)
 
 
 def _truncated(n: int, pos: int, end: int) -> Truncated:
     return Truncated(f"need {n} octets at offset {pos}, have {end - pos}")
 
 
-class _Reader:
-    """Cursor over message bytes; raises Truncated when data runs out."""
+def _walk(data: bytes, pos: int, end: int) -> tuple[str, int]:
+    """Walk the name at *pos* by index: its canonical text and the offset after it.
 
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def skip(self, n: int) -> int:
-        """Move past *n* octets and return the offset they start at."""
-        pos = self.pos
-        if pos + n > len(self.data):
-            raise _truncated(n, pos, len(self.data))
-        self.pos = pos + n
-        return pos
-
-    def take(self, n: int) -> bytes:
-        pos = self.skip(n)
-        return self.data[pos : pos + n]
-
-    def unpack(self, layout: struct.Struct) -> tuple:
-        return layout.unpack_from(self.data, self.skip(layout.size))
-
-    def name(self) -> str:
-        """Read a possibly-compressed name and return its canonical text.
-
-        First steps over the length octets unchecked while each is 1-63: a
-        name that ends on a zero octet within bounds is read from its raw
-        octets by the memo `_plain_name`.  Any other name is walked here.
-        """
-        data = self.data
-        pos = start = self.pos
-        stop = min(len(data), start + MAX_NAME_OCTETS + 2)  # a valid name has at most 255 wire octets
-        while pos < stop:
-            length = data[pos]
-            if not length:
-                self.pos = pos + 1
-                return _plain_name(data[start : self.pos])
-            if length > MAX_LABEL_OCTETS:
-                break
-            pos += length + 1
-        return self._walk()
-
-    def _walk(self) -> str:
-        """Walk the length octets by index: each octet read is bounds-tested
-        first, and each label is sliced once."""
-        data = self.data
-        end = len(data)
-        pos = floor = self.pos  # a pointer targets [header size, floor): before the name or the last target
-        labels = []
-        total = 0
-        return_pos = None
-        while True:
+    Each octet read is bounds-tested first, and each label is sliced once.
+    """
+    floor = pos  # a pointer targets [header size, floor): before the name or the last target
+    labels = []
+    total = 0
+    return_pos = None
+    while True:
+        if pos >= end:
+            raise _truncated(1, pos, end)
+        length = data[pos]
+        pos += 1
+        if length == 0:
+            break
+        kind = length & 0xC0
+        if kind == 0xC0:
             if pos >= end:
                 raise _truncated(1, pos, end)
-            length = data[pos]
-            pos += 1
-            if length == 0:
-                break
-            kind = length & 0xC0
-            if kind == 0xC0:
-                if pos >= end:
-                    raise _truncated(1, pos, end)
-                pointer = ((length & 0x3F) << 8) | data[pos]
-                if not _HEADER.size <= pointer < floor:
-                    raise Malformed(f"compression pointer {pointer} outside [{_HEADER.size}, {floor})")
-                if return_pos is None:
-                    return_pos = pos + 1
-                pos = floor = pointer
-                continue
-            if kind != 0:
-                raise Malformed(f"reserved label type {kind >> 6:#04b}")
-            total += length + 1
-            if total > MAX_NAME_OCTETS + 1:
-                raise Malformed("name exceeds 253 octets")
-            if pos + length > end:
-                raise _truncated(length, pos, end)
-            raw = data[pos : pos + length]
-            pos += length
-            if b"." in raw:
-                raise Malformed(f"'.' inside label {raw!r}")
-            if not raw.isascii():
-                raise Malformed(f"non-ASCII label bytes {raw!r}")
-            labels.append(raw)
-        self.pos = pos if return_pos is None else return_pos
-        if not labels:
-            return ""
-        return b".".join(labels).decode("ascii").lower()
-
-    def record(self) -> tuple[str, int, int, int, bytes]:
-        """Read one resource record: (name, type, class, ttl, rdata)."""
-        name = self.name()
-        rtype, rclass, ttl, rdlen = self.unpack(_RR_TAIL)
-        return name, rtype, rclass, ttl, self.take(rdlen)
+            pointer = ((length & 0x3F) << 8) | data[pos]
+            if not _HEADER.size <= pointer < floor:
+                raise Malformed(f"compression pointer {pointer} outside [{_HEADER.size}, {floor})")
+            if return_pos is None:
+                return_pos = pos + 1
+            pos = floor = pointer
+            continue
+        if kind != 0:
+            raise Malformed(f"reserved label type {kind >> 6:#04b}")
+        total += length + 1
+        if total > MAX_NAME_OCTETS + 1:
+            raise Malformed("name exceeds 253 octets")
+        if pos + length > end:
+            raise _truncated(length, pos, end)
+        raw = data[pos : pos + length]
+        pos += length
+        if b"." in raw:
+            raise Malformed(f"'.' inside label {raw!r}")
+        if not raw.isascii():
+            raise Malformed(f"non-ASCII label bytes {raw!r}")
+        labels.append(raw)
+    name = b".".join(labels).decode("ascii").lower()
+    return name, pos if return_pos is None else return_pos
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _plain_name(raw: bytes) -> str:
     """Canonical text of an uncompressed wire name given as its own octets."""
-    return _Reader(raw)._walk()
+    return _walk(raw, 0, len(raw))[0]
+
+
+def _name_at(data: bytes, pos: int, end: int) -> tuple[str, int]:
+    """The name at *pos*, possibly compressed: its canonical text and the offset after it.
+
+    First steps over the length octets unchecked while each is 1-63: a
+    name that ends on a zero octet within bounds is read from its raw
+    octets by the memo `_plain_name`.  Any other name is walked in *data*.
+    """
+    start = pos
+    stop = min(end, start + MAX_NAME_OCTETS + 2)  # a valid name has at most 255 wire octets
+    while pos < stop:
+        length = data[pos]
+        if not length:
+            pos += 1
+            return _plain_name(data[start:pos]), pos
+        if length > MAX_LABEL_OCTETS:
+            break
+        pos += length + 1
+    return _walk(data, start, end)
+
+
+def _record_at(data: bytes, pos: int, end: int) -> tuple[str, int, int, int, bytes, int]:
+    """The resource record at *pos*: (name, type, class, ttl, rdata, offset after it)."""
+    name, pos = _name_at(data, pos, end)
+    if pos + _RR_TAIL.size > end:
+        raise _truncated(_RR_TAIL.size, pos, end)
+    rtype, rclass, ttl, rdlen = _RR_TAIL.unpack_from(data, pos)
+    pos += _RR_TAIL.size
+    if pos + rdlen > end:
+        raise _truncated(rdlen, pos, end)
+    return name, rtype, rclass, ttl, data[pos : pos + rdlen], pos + rdlen
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -511,7 +501,7 @@ def _decode_ecs(rdata: bytes) -> EcsOption:
         raise Malformed("client-subnet option shorter than 4 octets")
     family, source, scope = _ECS_HEAD.unpack_from(rdata)
     try:
-        return EcsOption(family=family, source_prefix_len=source, scope_prefix_len=scope, address=rdata[4:])
+        return EcsOption(family, source, scope, rdata[_ECS_HEAD.size :])
     except InvalidEcs as exc:
         raise Malformed(f"client-subnet option: {exc}") from None
 
@@ -536,7 +526,7 @@ def _decode_opt(name: str, payload: int, ttl: int, rdata: bytes) -> EdnsOpt:
             ecs = _decode_ecs(rdata[pos : pos + optlen])
         # other option codes are ignored
         pos += optlen
-    return EdnsOpt(udp_payload_size=payload, ecs=ecs)
+    return EdnsOpt(payload, ecs)
 
 
 def decode_message(data: bytes) -> DnsMessage:
@@ -560,55 +550,53 @@ def _decode_body(body: bytes) -> DnsMessage:
 
 def _decode(data: bytes) -> DnsMessage:
     """Decode *data* in full, with no lookup in the message memo."""
-    reader = _Reader(data)
-    msg_id, flags, qdcount, ancount, nscount, arcount = reader.unpack(_HEADER)
+    end = len(data)
+    if end < _HEADER.size:
+        raise _truncated(_HEADER.size, 0, end)
+    msg_id, flags, qdcount, ancount, nscount, arcount = _HEADER.unpack_from(data)
     opcode = (flags >> 11) & 0x0F
     if opcode != 0:
         raise Malformed(f"opcode {opcode} not supported")
     if qdcount != 1:
         raise Malformed(f"expected exactly one question, got {qdcount}")
-    qname = reader.name()
+    qname, pos = _name_at(data, _HEADER.size, end)
     if qname == "":
         raise Malformed("empty question name")
-    question = Question(qname, *reader.unpack(_PAIR))
+    if pos + _PAIR.size > end:
+        raise _truncated(_PAIR.size, pos, end)
+    question = Question(qname, *_PAIR.unpack_from(data, pos))
+    pos += _PAIR.size
 
     answers = []
     for _ in range(ancount):
-        name, rtype, rclass, ttl, rdata = reader.record()
+        name, rtype, rclass, ttl, rdata, pos = _record_at(data, pos, end)
         if rtype == TYPE_OPT:
             raise Malformed("OPT record in answer section")
         if rclass != CLASS_IN:
             raise Malformed(f"answer class {rclass} not supported")
         try:
-            answers.append(ResourceRecord(name=name, rtype=rtype, ttl=ttl, rdata=rdata))
+            answers.append(ResourceRecord(name, rtype, ttl, rdata))
         except ValueError as exc:  # rdata length wrong for the type
             raise Malformed(str(exc)) from None
 
     for _ in range(nscount):
-        reader.record()
+        pos = _record_at(data, pos, end)[-1]
 
     edns = None
     for _ in range(arcount):
-        name, rtype, rclass, ttl, rdata = reader.record()
+        name, rtype, rclass, ttl, rdata, pos = _record_at(data, pos, end)
         if rtype == TYPE_OPT:
             if edns is not None:
                 raise Malformed("more than one OPT record")
             edns = _decode_opt(name, rclass, ttl, rdata)
 
-    if reader.pos != len(reader.data):
-        raise Malformed(f"{len(reader.data) - reader.pos} trailing octets")
+    if pos != end:
+        raise Malformed(f"{end - pos} trailing octets")
 
-    is_response = bool(flags & 0x8000)
     try:
         return DnsMessage(
-            id=msg_id,
-            is_response=is_response,
-            recursion_desired=bool(flags & 0x0100),
-            recursion_available=bool(flags & 0x0080),
-            rcode=flags & 0x0F,
-            question=question,
-            answers=tuple(answers),
-            edns=edns,
+            msg_id, bool(flags & 0x8000), bool(flags & 0x0100), bool(flags & 0x0080), flags & 0x0F,
+            question, tuple(answers), edns,
         )
     except ValueError as exc:
         raise Malformed(str(exc)) from None

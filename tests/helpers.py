@@ -13,7 +13,10 @@ checks, so agreement between the two is meaningful:
 - the package's address rule (`wire.pack_address`, `wire.address_text`)
   is socket.inet_pton/inet_ntop, and the tests check it against the
   ipaddress module, as they check `for_prefix` against
-  `ipaddress.ip_network`, and as `record_for_address` here packs.
+  `ipaddress.ip_network`, and as `record_for_address` here packs;
+- the whole-message reference encoder (`reference_message`) packs each
+  RFC 1035 section 4.1 field with its own `struct` call and takes the
+  option data from `reference_ecs_rdata`, with no part of `wire`'s encoder.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import ipaddress
 import random
 import socket
 import string
+import struct
 from pathlib import Path
 
 from ecsloc.mud import Ace, MudFile
@@ -59,6 +63,31 @@ def reference_ecs_rdata(family: int, source: int, scope: int, address_text: str)
     hexed = f"{family:04x}{source:02x}{scope:02x}"
     hexed += reference_truncate(address_text, source, family).hex()
     return bytes.fromhex(hexed)
+
+
+def reference_name(name: str) -> bytes:
+    """Uncompressed wire name: each label after its length octet, then the zero octet."""
+    return b"".join(struct.pack("!B", len(label)) + label.encode("ascii") for label in name.split(".")) + b"\x00"
+
+
+def reference_message(msg: DnsMessage) -> bytes:
+    """Reference wire encoder: header, question, answers and OPT packed field by field, never compressed."""
+    flags = msg.is_response << 15 | msg.recursion_desired << 8 | msg.recursion_available << 7 | msg.rcode
+    question, edns = msg.question, msg.edns
+    out = struct.pack("!HHHHHH", msg.id, flags, 1, len(msg.answers), 0, int(edns is not None))
+    out += reference_name(question.qname) + struct.pack("!HH", question.qtype, question.qclass)
+    for rr in msg.answers:
+        out += reference_name(rr.name) + struct.pack("!HHIH", rr.rtype, 1, rr.ttl, len(rr.rdata)) + rr.rdata
+    if edns is not None:
+        options = b""
+        if edns.ecs is not None:
+            ecs = edns.ecs
+            padded = ecs.address.ljust(4 if ecs.family == 1 else 16, b"\x00")
+            text = str(ipaddress.ip_address(padded))
+            data = reference_ecs_rdata(ecs.family, ecs.source_prefix_len, ecs.scope_prefix_len, text)
+            options = struct.pack("!HH", 8, len(data)) + data
+        out += b"\x00" + struct.pack("!HHIH", 41, edns.udp_payload_size, 0, len(options)) + options
+    return out
 
 
 def record_for_address(name: str, address, ttl: int) -> ResourceRecord:

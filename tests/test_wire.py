@@ -11,6 +11,7 @@ import threading
 
 import pytest
 from helpers import (
+    FIXTURES,
     rand_ecs,
     rand_message,
     rand_name,
@@ -18,12 +19,14 @@ from helpers import (
     rand_v6,
     record_for_address,
     reference_ecs_rdata,
+    reference_message,
+    reference_name,
     reference_truncate,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecsloc import wire
+from ecsloc import resolver, wire
 from ecsloc.wire import (
     QTYPE_A,
     QTYPE_AAAA,
@@ -48,6 +51,7 @@ from ecsloc.wire import (
     truncate_to_prefix,
 )
 from ecsloc.wire import _encode_ecs_rdata
+from ecsloc.zone import GeoZone
 
 
 class TestTruncateToPrefix:
@@ -349,6 +353,58 @@ class TestRoundtrip:
         assert encode_message(response) == wire
         assert decode_message(wire) == response
 
+    def test_reference_message_is_pinned(self):
+        response = make_response(
+            make_query("q.example", msg_id=5, ecs=EcsOption.for_prefix("198.18.1.0", 24)),
+            (record_for_address("q.example", "203.0.113.10", 300),),
+            ecs=EcsOption.for_prefix("198.18.1.0", 24, scope_prefix_len=16),
+        )
+        wire = (
+            struct.pack("!HHHHHH", 5, 0x8180, 1, 1, 0, 1)
+            + b"\x01q\x07example\x00" + struct.pack("!HH", QTYPE_A, 1)
+            + b"\x01q\x07example\x00" + struct.pack("!HHIH", QTYPE_A, 1, 300, 4) + bytes([203, 0, 113, 10])
+            + b"\x00" + struct.pack("!HHIH", 41, 1232, 0, 11) + bytes.fromhex("0008" "0007" "0001" "18" "10" "c61201")
+        )
+        assert reference_message(response) == wire
+
+    @pytest.mark.parametrize(
+        "msg",
+        [
+            make_response(
+                make_query("api.example.iot", msg_id=1, ecs=EcsOption.for_prefix("198.18.1.7", 24)),
+                (record_for_address("api.example.iot", "203.0.113.10", 60),),
+                ecs=EcsOption.for_prefix("198.18.1.7", 24, scope_prefix_len=20),
+            ),
+            make_response(
+                make_query("api.example.iot", QTYPE_AAAA, msg_id=2, ecs=EcsOption.for_prefix("2001:db8:1::7", 56)),
+                (record_for_address("api.example.iot", "2001:db8::10", 0xFFFFFFFF),),
+                ecs=EcsOption.for_prefix("2001:db8:1::7", 56, scope_prefix_len=48),
+            ),
+            make_query("Example.COM.", msg_id=0xFFFF).replace(edns=EdnsOpt(udp_payload_size=4096)),
+            make_query("example.com", msg_id=3),
+            make_response(
+                make_query("q.example", msg_id=4, ecs=EcsOption(family=1, source_prefix_len=0)),
+                (
+                    record_for_address("q.example", "203.0.113.10", 300),
+                    record_for_address("other.example", "2001:db8::1", 9),
+                ),
+                ecs=EcsOption(family=1, source_prefix_len=0, scope_prefix_len=0),
+            ),
+            make_response(make_query("missing.example", msg_id=6), rcode=3),
+            make_response(make_query("broken.example", msg_id=7).replace(edns=EdnsOpt(512)), rcode=2),
+        ],
+        ids=["v4-scope", "v6-scope", "edns-no-option", "no-edns", "answer-named-apart", "nxdomain", "servfail-edns"],
+    )
+    def test_encoding_matches_reference(self, msg):
+        assert encode_message(msg) == reference_message(msg)
+        assert encode_message(msg) == reference_message(msg)  # again, from the encoder memos
+
+    def test_randomized_encodings_match_reference(self):
+        rng = random.Random(2424)
+        messages = [rand_message(rng) for _ in range(2000)]
+        for msg in messages + messages:  # the second pass reads the encoder memos
+            assert encode_message(msg) == reference_message(msg)
+
     def test_values_frozen_and_hashable(self):
         def build():
             ecs = EcsOption.for_prefix("198.18.1.0", 24, scope_prefix_len=24)
@@ -564,10 +620,12 @@ class TestDecodeInterop:
 
 
 DECODER_MEMOS = (wire._plain_name, wire._decode_ecs, wire._decode_body)
+# on the way out: encoded names and OPT records, and the resolver's rewritten options
+OUTBOUND_MEMOS = (wire._encode_name, wire._encode_opt, resolver._rewrite_option)
 
 
 def _clear_memos():
-    for memo in (wire._canonical_text, *DECODER_MEMOS):
+    for memo in (wire._canonical_text, *DECODER_MEMOS, *OUTBOUND_MEMOS):
         memo.cache_clear()
 
 
@@ -578,6 +636,11 @@ def _outcome(data, decode=decode_message):
     except WireError as exc:
         return type(exc), str(exc)
     return msg, encode_message(msg)
+
+
+def _rewriting_resolver():
+    """A resolver whose policy rewrites the option to the client's /24; it needs no upstream for that."""
+    return resolver.Resolver(resolver.RewriteClientSubnet(24), "UK", None, GeoZone.load(FIXTURES / "zone.json").regions)
 
 
 def _with_id(data, msg_id):
@@ -610,6 +673,60 @@ def _flip_one_bit(rng, data):
 POINTER_INTO_HEADER = {
     offset: struct.pack("!HHHHHH", 0, 0, 1, 0, 0, 0) + bytes([0xC0, offset]) + QUESTION[-4:] for offset in range(12)
 }
+
+
+DECODE_OUTCOMES = FIXTURES / "golden" / "decode_outcomes.txt"
+
+
+def _mutated_messages(rng, count):
+    """Encoded messages mutated for a decoder differential.
+
+    Every second has its answer names compressed to the question name at
+    offset 12, every fifth has a random pointer written in at a random
+    offset past the header, and each has 0-2 bit flips.
+    """
+    out = []
+    for n in range(count):
+        msg = rand_message(rng)
+        if n % 2 == 0:
+            qname = msg.question.qname
+            msg = msg.replace(answers=tuple(rr.replace(name=qname) for rr in msg.answers))
+        data = reference_message(msg)
+        if n % 2 == 0:
+            name = reference_name(msg.question.qname)
+            head = 12 + len(name) + 4
+            data = data[:head] + data[head:].replace(name, b"\xc0\x0c")
+        if n % 5 == 0:
+            at, target = rng.randrange(12, len(data) - 1), rng.randrange(len(data))
+            data = data[:at] + bytes([0xC0 | target >> 8, target & 0xFF]) + data[at + 2 :]
+        for _ in range(rng.randint(0, 2)):
+            data = _flip_one_bit(rng, data)
+        out.append(data)
+    return out
+
+
+def _outcome_line(data, decode):
+    """The re-encoded octets in hex of accepted bytes, or 'ErrorClass: text' of rejected ones."""
+    first, second = _outcome(data, decode)
+    return second.hex() if isinstance(first, DnsMessage) else f"{first.__name__}: {second}"
+
+
+def test_decode_outcomes_are_recorded():
+    """Both decoders, cold and warm, give the recorded outcome of each of 2000 seeded mutated messages.
+
+    Re-record, only when a decode outcome is meant to change, with
+
+        PYTHONPATH=src python tests/test_wire.py
+    """
+    expected = DECODE_OUTCOMES.read_text().splitlines()
+    inputs = _mutated_messages(random.Random(2400), len(expected))
+    _clear_memos()
+    assert [_outcome_line(data, decode_message) for data in inputs] == expected
+    assert [_outcome_line(data, decode_message) for data in inputs] == expected  # warm
+    assert [_outcome_line(data, wire._decode) for data in inputs] == expected
+    rejected = [line.split(": ")[0] for line in expected if ": " in line]
+    assert {"Malformed", "Truncated", "UnsupportedType"} <= set(rejected)
+    assert 500 < len(rejected) < len(expected) - 500
 
 
 class TestDecoderMemos:
@@ -680,10 +797,12 @@ class TestDecoderMemos:
 
     def test_memos_are_bounded(self):
         _clear_memos()
+        rewrite = _rewriting_resolver()
         for n in range(wire._MEMO_SIZE + 500):
-            ecs = EcsOption.for_prefix(f"10.{n >> 8}.{n & 255}.0", 24)
+            ecs = rewrite.effective_ecs(None, f"10.{n >> 8}.{n & 255}.7")
+            assert ecs == EcsOption.for_prefix(f"10.{n >> 8}.{n & 255}.0", 24)
             assert decode_message(encode_message(make_query(f"Host{n}.example", ecs=ecs))).edns.ecs == ecs
-        for memo in DECODER_MEMOS:
+        for memo in (*DECODER_MEMOS, *OUTBOUND_MEMOS):
             info = memo.cache_info()
             assert info.maxsize == 4096
             assert info.currsize == info.maxsize
@@ -722,6 +841,18 @@ class TestDecoderMemos:
             assert (type(info.value), str(info.value)) == (error, message)
         assert (memo.cache_info().currsize, memo.cache_info().misses) == (0, misses)
         assert wire._decode_body.cache_info().currsize == 0
+
+    def test_bad_rewrite_source_is_not_stored(self):
+        _clear_memos()
+        rewrite = _rewriting_resolver()
+        for _ in range(2):
+            with pytest.raises(ValueError) as info:
+                rewrite.effective_ecs(None, "198.18.0.777")
+            assert (type(info.value), str(info.value)) == (
+                ValueError, "'198.18.0.777' does not appear to be an IPv4 or IPv6 address"
+            )
+        info = resolver._rewrite_option.cache_info()
+        assert (info.currsize, info.misses) == (0, 2)
 
     def test_threads_share_the_memo(self):
         """Threads decoding the same bodies under their own IDs each get their own ID back."""
@@ -782,3 +913,7 @@ def test_decode_mutated_encoding_fails_cleanly(rng, data):
         return
     # an accepted mutant is a well-formed message: its encoding reads back as the same value
     assert decode_message(encode_message(msg)) == msg
+
+if __name__ == "__main__":
+    messages = _mutated_messages(random.Random(2400), 2000)
+    DECODE_OUTCOMES.write_text("".join(_outcome_line(data, wire._decode) + "\n" for data in messages))
