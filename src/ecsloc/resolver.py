@@ -23,6 +23,17 @@ At most CACHE_MAX_ENTRIES entries are live: a store beyond that evicts the
 heap top, the entry closest to expiry, oldest store first on a tie.  The
 resolver counts what it does in plain integers: hits, misses,
 stores, expiries, evictions, bad_echoes and upstream_errors.
+
+`Resolver.handle` works in octets.  It decodes the query, then runs the
+policy and the cache lookup once.  A `CacheEntry` holds its answer section
+as `wire.answer_segments`, worked out once at the store: the octets between
+the TTL fields, each record under the question's name.  A hit is the
+header, question and OPT record packed by `wire.pack_reply`, with the
+segments joined at the remaining TTL; no `DnsMessage` is built.  A miss
+packs the upstream query with `wire.pack_query`, and its reply with
+`wire.pack_reply` from `wire.encode_answers`: the same header, question and
+OPT helpers that `encode_message` uses.  `Resolver.resolve` is the typed
+wrapper, `handle` on an encoded message with its reply decoded.
 """
 
 from __future__ import annotations
@@ -45,12 +56,17 @@ from .wire import (
     EcsOption,
     InvalidName,
     ResourceRecord,
+    answer_segments,
+    answers_at_ttl,
     canonical_name,
     decode_message,
+    encode_answers,
     encode_message,
     make_query,
     make_response,
     pack_address,
+    pack_query,
+    pack_reply,
 )
 from .zone import DEFAULT_TTL, GeoZone, LocationPrefixMap, NameNotFound
 
@@ -114,8 +130,9 @@ class VirtualClock:
         self.now += seconds
 
 
-class CacheEntry(Value, fields="scope_prefix_len records expires_at"):
-    """A cached answer: *records* are the upstream's answers under the question's name."""
+class CacheEntry(Value, fields="scope_prefix_len segments expires_at"):
+    """A cached answer: *segments* is the upstream's answer section, renamed to the
+    question's name and cut out around each TTL field by `wire.answer_segments`."""
 
 
 def stub_query(
@@ -212,8 +229,52 @@ class Resolver:
         self._lock = threading.Lock()
 
     def handle(self, payload: bytes, source: str) -> bytes:
+        """The wire reply to the query *payload* from *source*: one policy run and one cache lookup.
+
+        A hit joins the entry's segments at the remaining TTL; a miss asks
+        the upstream, stores the answer and sends it under the upstream's TTLs.
+        """
         with self._lock:
-            return encode_message(self.resolve(decode_message(payload), source))
+            query = decode_message(payload)
+            if query.is_response:
+                raise ScenarioError("resolver got a response instead of a query")
+            question = query.question
+            qname, qtype, _ = question
+            incoming = query.edns.ecs if query.edns else None
+            effective = self.effective_ecs(incoming, source)
+            address = effective.address_int() if effective is not None else 0
+
+            entry = self.cache_lookup(qname, qtype, effective, address)
+            if entry is not None:
+                self.hits += 1
+                scope, segments, expires_at = entry
+                answers = answers_at_ttl(segments, max(1, int(expires_at - self.clock.now)))
+                return pack_reply(query, len(segments) - 1, answers, ecs=_echo(effective, scope))
+            self.misses += 1
+
+            upstream_response = decode_message(
+                self.upstream.exchange(pack_query(query.id, question, effective), self.address)
+            )
+            if upstream_response.rcode != 0:
+                self.upstream_errors += 1
+                return pack_reply(query, 0, b"", rcode=upstream_response.rcode, ecs=_echo(effective, 0))
+            echo = upstream_response.edns.ecs if upstream_response.edns else None
+            sent = effective and (effective.family, effective.source_prefix_len, effective.address)
+            if echo is not None and sent and (echo.family, echo.source_prefix_len, echo.address) != sent:
+                self.bad_echoes += 1
+                return pack_reply(query, 0, b"", rcode=RCODE_SERVFAIL, ecs=_echo(effective, 0))  # RFC 7871 section 7.3
+            scope = echo.scope_prefix_len if echo is not None else 0
+            answers = tuple(  # sent under the question's name, on this miss and every later hit
+                rr if rr.name == qname else ResourceRecord(qname, rr.rtype, rr.ttl, rr.rdata)
+                for rr in upstream_response.answers
+            )
+            ttl = min((rr.ttl for rr in answers), default=DEFAULT_TTL)
+            self._store(qname, qtype, scope, effective, address, answers, ttl)
+            return pack_reply(query, len(answers), encode_answers(answers), ecs=_echo(effective, scope))
+
+    def resolve(self, query: DnsMessage, source: str) -> DnsMessage:
+        """`handle` for a query given as a message: its reply decoded."""
+        return decode_message(self.handle(encode_message(query), source))
 
     def effective_ecs(self, incoming: EcsOption | None, source: str) -> EcsOption | None:
         match self.policy:
@@ -257,7 +318,7 @@ class Resolver:
         key = _cache_key(ecs, scope, address)
         now = self.clock.now
         self._expire(now)
-        entry = CacheEntry(scope, records, now + ttl)
+        entry = CacheEntry(scope, answer_segments(records), now + ttl)
         name = (qname, qtype)
         bucket = self._cache.get(name)
         if bucket is None:
@@ -308,51 +369,6 @@ class Resolver:
         if not entries:
             del self._cache[name]
         return True
-
-    def resolve(self, query: DnsMessage, source: str) -> DnsMessage:
-        if query.is_response:
-            raise ScenarioError("resolver got a response instead of a query")
-        question = query.question
-        incoming = query.edns.ecs if query.edns else None
-        effective = self.effective_ecs(incoming, source)
-        address = effective.address_int() if effective is not None else 0
-
-        entry = self.cache_lookup(question.qname, question.qtype, effective, address)
-        if entry is not None:
-            self.hits += 1
-            remaining = max(1, int(entry.expires_at - self.clock.now))
-            answers = tuple(rr.with_ttl(remaining) for rr in entry.records)
-            return make_response(query, answers, ecs=_echo(effective, entry.scope_prefix_len))
-        self.misses += 1
-
-        upstream_query = make_query(
-            question.qname, question.qtype, msg_id=query.id, ecs=effective
-        )
-        upstream_response = decode_message(
-            self.upstream.exchange(encode_message(upstream_query), self.address)
-        )
-
-        if upstream_response.rcode != 0:
-            self.upstream_errors += 1
-            return make_response(
-                query, rcode=upstream_response.rcode, ecs=_echo(effective, 0)
-            )
-        echo = upstream_response.edns.ecs if upstream_response.edns else None
-        sent = effective and (effective.family, effective.source_prefix_len, effective.address)
-        if echo is not None and sent and (echo.family, echo.source_prefix_len, echo.address) != sent:
-            self.bad_echoes += 1
-            return make_response(query, rcode=RCODE_SERVFAIL, ecs=_echo(effective, 0))  # RFC 7871 section 7.3
-        scope = echo.scope_prefix_len if echo is not None else 0
-        qname, answers = question.qname, upstream_response.answers
-        for rr in answers:
-            if rr.name != qname:  # sent under the question's name, on this miss and every later hit
-                answers = tuple(
-                    rr if rr.name == qname else ResourceRecord(qname, rr.rtype, rr.ttl, rr.rdata) for rr in answers
-                )
-                break
-        ttl = min((rr.ttl for rr in answers), default=DEFAULT_TTL)
-        self._store(qname, question.qtype, scope, effective, address, answers, ttl)
-        return make_response(query, answers, ecs=_echo(effective, scope))
 
 
 class Hop(Value, fields="sender receiver message"):

@@ -25,7 +25,10 @@ checks again.  `EcsOption.with_scope` re-checks only the new scope.
 The decoder itself checks only what no constructor sees: the header's
 opcode and counts, label framing and compression pointers, the answer
 class, and the OPT record's placement, name, version and option framing.
-The encoder trusts a constructed message and checks nothing again.
+A wire name that the name rule rejects (a root-named answer, whitespace or
+a control octet in a label) raises `Malformed` with the rule's text, as
+every other bad wire name does.  The encoder trusts a constructed message
+and checks nothing again.
 
 `canonical_name` keeps up to 4096 checked names in a memo, so a repeated name
 is not checked again; it keeps no error, so a bad name raises every time.
@@ -49,8 +52,14 @@ every time.  The encoder's:
 - `_encode_opt`, keyed on the payload size and the client-subnet option,
   holds the whole OPT record.
 
-The encoder joins the header, the memo octets and each record's packed
-tail once; it never compresses.  The decoder is one function, `_decode`,
+The encoder never compresses.  `pack_message` joins a message from its
+parts once: the header, the question, an encoded answer section and the
+memo OPT record.  `encode_message` gives it the section from
+`encode_answers`; `pack_query` and `pack_reply` give it the parts of
+`make_query` and `make_response` without building a `DnsMessage`, so a
+resolver packs its upstream query and its replies directly.  A reply from
+a packet cache stores its section once as `answer_segments`, the octets
+between the TTL fields, and `answers_at_ttl` joins them at one TTL.  The decoder is one function, `_decode`,
 that keeps its offset in a local: `_name_at` and `_record_at` read a name
 or a record at an offset and return the offset after it.  The name walk
 reads by index, with one bounds test before each octet or label it reads;
@@ -95,6 +104,7 @@ _FAMILY_BITS = {1: 32, 2: 128}
 _HEADER = struct.Struct("!HHHHHH")  # id, flags, qd/an/ns/ar counts
 _PAIR = struct.Struct("!HH")  # qtype, qclass; or option code, option length
 _RR_TAIL = struct.Struct("!HHIH")  # type, class, ttl, rdlength
+_TTL = struct.Struct("!I")  # the record tail's ttl field alone
 _ECS_HEAD = struct.Struct("!HBB")  # family, source and scope prefix lengths
 
 # PREFIX_MASKS[family][n] keeps the first n bits of a family's address as
@@ -156,6 +166,8 @@ def _canonical_text(name: str) -> str:
             raise InvalidName(f"label longer than {MAX_LABEL_OCTETS} octets: {label!r}")
         if label.split() != [label]:
             raise InvalidName(f"whitespace in label: {label!r}")
+        if not label.isprintable():  # for ASCII text: an octet in 0x00-0x1f or 0x7f
+            raise InvalidName(f"control octet in label: {label!r}")
     return name
 
 
@@ -280,13 +292,6 @@ class ResourceRecord(Value, fields="name rtype ttl rdata"):
             raise ValueError(f"ttl {ttl} out of range")
         return tuple.__new__(cls, (name, rtype, ttl, rdata))
 
-    def with_ttl(self, ttl: int) -> "ResourceRecord":
-        """This record with another TTL, the one field checked again."""
-        if not 0 <= ttl <= MAX_TTL:
-            raise ValueError(f"ttl {ttl} out of range")
-        name, rtype, _, rdata = self
-        return tuple.__new__(ResourceRecord, (name, rtype, ttl, rdata))
-
     def address(self) -> str:
         return address_text(self.rdata)
 
@@ -345,11 +350,7 @@ def make_response(
     ecs: EcsOption | None = None,
 ) -> DnsMessage:
     """Build a response echoing the query's id and question."""
-    edns = None
-    if query.edns is not None:
-        edns = EdnsOpt(udp_payload_size=query.edns.udp_payload_size, ecs=ecs)
-    elif ecs is not None:
-        edns = EdnsOpt(ecs=ecs)
+    opt = _reply_opt(query.edns, ecs)
     return DnsMessage(
         id=query.id,
         is_response=True,
@@ -358,8 +359,18 @@ def make_response(
         rcode=rcode,
         question=query.question,
         answers=tuple(answers),
-        edns=edns,
+        edns=None if opt is None else EdnsOpt(*opt),
     )
+
+
+def _reply_opt(edns: EdnsOpt | None, ecs: EcsOption | None) -> tuple | None:
+    """(payload size, option) of a reply's OPT record, or None for no OPT record.
+
+    The size is the query's, or the default when only the reply has EDNS.
+    """
+    if edns is not None:
+        return edns.udp_payload_size, ecs
+    return None if ecs is None else (DEFAULT_UDP_PAYLOAD, ecs)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -396,16 +407,66 @@ def encode_message(msg: DnsMessage) -> bytes:
         flags |= 0x0100
     if recursion_available:
         flags |= 0x0080
-    parts = [
-        _HEADER.pack(msg_id, flags, 1, len(answers), 0, 0 if edns is None else 1),
-        _encode_name(question.qname),
-        _PAIR.pack(question.qtype, question.qclass),
-    ]
-    for name, rtype, ttl, rdata in answers:
-        parts += (_encode_name(name), _RR_TAIL.pack(rtype, CLASS_IN, ttl, len(rdata)), rdata)
-    if edns is not None:
-        parts.append(_encode_opt(*edns))
-    return b"".join(parts)
+    return pack_message(msg_id, flags, question, len(answers), encode_answers(answers), edns)
+
+
+def pack_message(msg_id: int, flags: int, question: Question, ancount: int, answers: bytes, opt) -> bytes:
+    """Wire octets of a message given by its parts, trusted as checked.
+
+    *answers* is an encoded answer section of *ancount* records, and *opt*
+    is None or the (payload size, client-subnet option or None) of the OPT
+    record.
+    """
+    qname, qtype, qclass = question
+    head = _HEADER.pack(msg_id, flags, 1, ancount, 0, opt is not None)
+    tail = b"" if opt is None else _encode_opt(*opt)
+    return b"".join((head, _encode_name(qname), _PAIR.pack(qtype, qclass), answers, tail))
+
+
+def pack_query(msg_id: int, question: Question, ecs: EcsOption | None) -> bytes:
+    """Wire octets of `make_query(qname, qtype, msg_id=msg_id, ecs=ecs)` for *question*'s name and type."""
+    return pack_message(msg_id, 0x0100, question, 0, b"", None if ecs is None else (DEFAULT_UDP_PAYLOAD, ecs))
+
+
+def pack_reply(
+    query: DnsMessage, ancount: int, answers: bytes, *, rcode: int = 0, ecs: EcsOption | None = None
+) -> bytes:
+    """Wire octets of `make_response(query, records, rcode=rcode, ecs=ecs)`.
+
+    *answers* is the encoded answer section of its *ancount* records.
+    """
+    flags = 0x8080 | query.recursion_desired << 8 | rcode  # QR and RA set, RD copied
+    return pack_message(query.id, flags, query.question, ancount, answers, _reply_opt(query.edns, ecs))
+
+
+def encode_answers(answers: tuple[ResourceRecord, ...]) -> bytes:
+    """The answer section of *answers*, each record under its own name and TTL."""
+    return b"".join([
+        part
+        for name, rtype, ttl, rdata in answers
+        for part in (_encode_name(name), _RR_TAIL.pack(rtype, CLASS_IN, ttl, len(rdata)), rdata)
+    ])
+
+
+def answer_segments(answers: tuple[ResourceRecord, ...]) -> tuple[bytes, ...]:
+    """The answer section of *answers* cut out around each record's 4-octet TTL field.
+
+    `answers_at_ttl(segments, ttl)` joins them into the section that
+    `encode_answers` gives with every TTL set to *ttl*.
+    """
+    segments = []
+    cut = b""
+    for name, rtype, _, rdata in answers:
+        tail = _RR_TAIL.pack(rtype, CLASS_IN, 0, len(rdata))
+        segments.append(cut + _encode_name(name) + tail[:4])
+        cut = tail[8:] + rdata
+    segments.append(cut)
+    return tuple(segments)
+
+
+def answers_at_ttl(segments: tuple[bytes, ...], ttl: int) -> bytes:
+    """The answer section cut into *segments* by `answer_segments`, with every TTL *ttl*."""
+    return _TTL.pack(ttl).join(segments)
 
 
 def _truncated(n: int, pos: int, end: int) -> Truncated:
@@ -564,7 +625,10 @@ def _decode(data: bytes) -> DnsMessage:
         raise Malformed("empty question name")
     if pos + _PAIR.size > end:
         raise _truncated(_PAIR.size, pos, end)
-    question = Question(qname, *_PAIR.unpack_from(data, pos))
+    try:
+        question = Question(qname, *_PAIR.unpack_from(data, pos))
+    except InvalidName as exc:  # a label the walk reads but the name rule rejects
+        raise Malformed(str(exc)) from None
     pos += _PAIR.size
 
     answers = []
@@ -576,7 +640,7 @@ def _decode(data: bytes) -> DnsMessage:
             raise Malformed(f"answer class {rclass} not supported")
         try:
             answers.append(ResourceRecord(name, rtype, ttl, rdata))
-        except ValueError as exc:  # rdata length wrong for the type
+        except (ValueError, InvalidName) as exc:  # rdata length wrong for the type, or the name rule
             raise Malformed(str(exc)) from None
 
     for _ in range(nscount):

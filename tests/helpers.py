@@ -16,7 +16,12 @@ checks, so agreement between the two is meaningful:
   `ipaddress.ip_network`, and as `record_for_address` here packs;
 - the whole-message reference encoder (`reference_message`) packs each
   RFC 1035 section 4.1 field with its own `struct` call and takes the
-  option data from `reference_ecs_rdata`, with no part of `wire`'s encoder.
+  option data from `reference_ecs_rdata`, with no part of `wire`'s encoder;
+- the reference resolver (`reference_handle`) answers as `Resolver.handle`
+  did when a hit was a `DnsMessage`: it builds every reply and upstream
+  query with `make_response` or `make_query` and encodes it with
+  `reference_message`, and reads a cache entry's records back from its
+  segments octet by octet (`cached_records`).
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import struct
 from pathlib import Path
 
 from ecsloc.mud import Ace, MudFile
+from ecsloc.resolver import ScenarioError
 from ecsloc.wire import (
     QTYPE_A,
     QTYPE_AAAA,
@@ -37,8 +43,12 @@ from ecsloc.wire import (
     EdnsOpt,
     Question,
     ResourceRecord,
+    decode_message,
+    make_query,
+    make_response,
     truncate_to_prefix,
 )
+from ecsloc.zone import DEFAULT_TTL
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -88,6 +98,64 @@ def reference_message(msg: DnsMessage) -> bytes:
             options = struct.pack("!HH", 8, len(data)) + data
         out += b"\x00" + struct.pack("!HHIH", 41, edns.udp_payload_size, 0, len(options)) + options
     return out
+
+
+def cached_records(entry, ttl: int = 0) -> tuple[ResourceRecord, ...]:
+    """The records of a resolver `CacheEntry` at *ttl*, read from its segments label by label and field by field."""
+    section = struct.pack("!I", ttl).join(entry.segments)
+    records = []
+    pos = 0
+    while pos < len(section):
+        labels = []
+        while section[pos]:
+            labels.append(section[pos + 1 : pos + 1 + section[pos]].decode("ascii"))
+            pos += 1 + section[pos]
+        rtype, rclass, rttl, rdlength = struct.unpack_from("!HHIH", section, pos + 1)
+        assert rclass == 1
+        pos += 11
+        records.append(ResourceRecord(".".join(labels), rtype, rttl, section[pos : pos + rdlength]))
+        pos += rdlength
+    assert len(records) == len(entry.segments) - 1
+    return tuple(records)
+
+
+def reference_handle(resolver, payload: bytes, source: str) -> bytes:
+    """*resolver*'s reply to *payload* from *source*, built as a message and encoded by `reference_message`.
+
+    A hit re-issues the entry's records at the remaining TTL; a miss sends
+    the reference encoding of `make_query` upstream and stores the answer
+    with the resolver's own `_store`.  The counters move as in `handle`.
+    """
+    query = decode_message(payload)
+    if query.is_response:
+        raise ScenarioError("resolver got a response instead of a query")
+    qname, qtype, _ = query.question
+    effective = resolver.effective_ecs(query.edns.ecs if query.edns else None, source)
+
+    def echo(scope):
+        return None if effective is None else effective.replace(scope_prefix_len=scope)
+
+    entry = resolver.cache_lookup(qname, qtype, effective)
+    if entry is not None:
+        resolver.hits += 1
+        remaining = max(1, int(entry.expires_at - resolver.clock.now))
+        return reference_message(make_response(query, cached_records(entry, remaining), ecs=echo(entry.scope_prefix_len)))
+    resolver.misses += 1
+    upstream_query = reference_message(make_query(qname, qtype, msg_id=query.id, ecs=effective))
+    response = decode_message(resolver.upstream.exchange(upstream_query, resolver.address))
+    if response.rcode != 0:
+        resolver.upstream_errors += 1
+        return reference_message(make_response(query, rcode=response.rcode, ecs=echo(0)))
+    got = response.edns.ecs if response.edns else None
+    if got is not None and effective is not None and got.replace(scope_prefix_len=0) != effective:
+        resolver.bad_echoes += 1
+        return reference_message(make_response(query, rcode=2, ecs=echo(0)))
+    scope = 0 if got is None else got.scope_prefix_len
+    answers = tuple(ResourceRecord(qname, rr.rtype, rr.ttl, rr.rdata) for rr in response.answers)
+    address = 0 if effective is None else effective.address_int()
+    ttl = min((rr.ttl for rr in answers), default=DEFAULT_TTL)
+    resolver._store(qname, qtype, scope, effective, address, answers, ttl)
+    return reference_message(make_response(query, answers, ecs=echo(scope)))
 
 
 def record_for_address(name: str, address, ttl: int) -> ResourceRecord:

@@ -1,0 +1,326 @@
+"""A cache hit is answered from stored answer octets: the wire-level
+`Resolver.handle` against the message-level reference of `helpers.reference_handle`.
+
+Each differential runs one resolver and a twin on clocks advanced in
+lockstep: `handle` answers on the first and `reference_handle` on the twin.
+The replies must be equal octet for octet, a rejected payload must raise
+the same class and text on both, and the counters must end equal.
+"""
+
+import dataclasses
+import importlib.util
+import json
+import random
+import sys
+from pathlib import Path
+
+import pytest
+from helpers import rand_name, record_for_address, reference_handle, reference_message
+
+import ecsloc
+import ecsloc.transport  # noqa: F401  (layer_targets reads ecsloc.transport)
+from ecsloc import resolver as resolver_module
+from ecsloc.resolver import (
+    Authoritative,
+    Forward,
+    Resolver,
+    RewriteClientSubnet,
+    ScenarioError,
+    Strip,
+    VirtualClock,
+)
+from ecsloc.transport import InProcessLink
+from ecsloc.wire import (
+    QTYPE_A,
+    QTYPE_AAAA,
+    DnsMessage,
+    EcsOption,
+    EdnsOpt,
+    Question,
+    WireError,
+    decode_message,
+    encode_message,
+    make_query,
+    make_response,
+)
+from ecsloc.zone import GeoZone, LocationPrefixMap
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+COUNTERS = ("hits", "misses", "stores", "expiries", "evictions", "bad_echoes", "upstream_errors")
+POLICIES = {"strip": Strip, "rewrite": lambda: RewriteClientSubnet(24), "forward": Forward}
+
+
+def _load_bench(name):
+    """bench/<name>.py, loaded by path with the bench directory importable for its own imports."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+        module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(BENCH))
+    return module
+
+
+class Twins:
+    """Two sides of resolvers from *build(clock)*, each side on its own clock."""
+
+    def __init__(self, build):
+        self.clocks = (VirtualClock(), VirtualClock())
+        self.sides = tuple(build(clock) for clock in self.clocks)
+        self.replies = 0
+
+    def ask(self, index, payload, source):
+        """Both sides' outcome for *payload*, required equal: reply octets, or (error class, text)."""
+        outcomes = []
+        for side, answer in zip(self.sides, (Resolver.handle, reference_handle)):
+            try:
+                outcomes.append(answer(side[index], payload, source))
+            except Exception as exc:  # a rejected payload: both sides must reject it alike
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1], f"payload {payload.hex()}"
+        self.replies += isinstance(outcomes[0], bytes)
+        return outcomes[0]
+
+    def advance(self, seconds):
+        for clock in self.clocks:
+            clock.advance(seconds)
+
+    def counters(self, side):
+        return [tuple(getattr(resolver, name) for name in COUNTERS) for resolver in self.sides[side]]
+
+    def assert_counters_equal(self):
+        assert self.counters(0) == self.counters(1)
+
+
+def _zone_twins(zone_doc, location):
+    """Twins of a strip, a rewrite and a forward resolver on *zone_doc*'s authoritative."""
+    zone = GeoZone.loads(json.dumps(zone_doc), "zone.json")
+
+    def build(clock):
+        # the standard architecture's authoritative answers an option-less query by the resolver's /24
+        return [
+            Resolver(policy(), location, InProcessLink(Authoritative(zone, legacy_geo=legacy).handle), zone.regions, clock=clock)
+            for policy, legacy in zip(POLICIES.values(), (True, False, False))
+        ]
+
+    return Twins(build)
+
+
+@pytest.fixture(scope="module")
+def gen():
+    return _load_bench("gen")
+
+
+@pytest.mark.parametrize("shape, stream, seed", [("HOT", 4000, 5), ("WIDE", 1500, 6)], ids=["resolve_hot", "resolve_wide"])
+@pytest.mark.parametrize("step", ["shape", 0.37])
+def test_bench_streams_match_the_reference(gen, shape, stream, seed, step):
+    inputs = gen.make_resolve(dataclasses.replace(getattr(gen, shape), stream=stream), seed)
+    step = getattr(gen, shape).clock_step if step == "shape" else step
+    twins = _zone_twins(inputs.zone_doc, inputs.resolver_region)
+    for k, payload in enumerate(inputs.payloads):
+        twins.ask(inputs.arch[k], payload, inputs.source[k])
+        twins.advance(step)
+    twins.assert_counters_equal()
+    hits = sum(resolver.hits for resolver in twins.sides[0])
+    assert twins.replies == stream and 0.2 * stream < hits < stream
+    if step > 0.3:
+        assert sum(resolver.expiries for resolver in twins.sides[0]) > 0
+
+
+class _ScriptedUpstream:
+    """An upstream whose reply is drawn from a generator seeded by the query's own octets.
+
+    Replies mix NXDOMAIN and SERVFAIL, mismatched echoes, answers under other
+    names, A and AAAA records for either question type, empty answers, and
+    TTLs from 0 up, so every branch of a miss and of a store is taken.
+    """
+
+    def exchange(self, payload, source):
+        rng = random.Random(payload)
+        query = decode_message(payload)
+        roll = rng.random()
+        if roll < 0.08:
+            return encode_message(make_response(query, rcode=rng.choice((2, 3))))
+        ecs = query.edns.ecs if query.edns else None
+        if ecs is not None:
+            bits = 32 if ecs.family == 1 else 128
+            if roll < 0.14:
+                other = "203.0.113.0" if ecs.family == 1 else "2001:db8:ffff::"
+                ecs = EcsOption.for_prefix(other, min(ecs.source_prefix_len, 24), 24)
+            else:
+                ecs = ecs.with_scope(rng.choice((0, ecs.source_prefix_len, rng.randint(0, bits))))
+        qname = query.question.qname
+        answers = tuple(
+            record_for_address(
+                qname if rng.random() < 0.8 else "elsewhere.example",
+                f"10.0.{rng.randrange(256)}.{rng.randrange(256)}" if rng.random() < 0.6 else f"2001:db8::{rng.randrange(65536):x}",
+                rng.choice((0, 1, 5, 30, 300, rng.randint(0, 1000))),
+            )
+            for _ in range(rng.choice((0, 1, 1, 2, 3)))
+        )
+        return encode_message(make_response(query, answers, ecs=ecs))
+
+
+def _random_query(rng, qnames):
+    ecs = None
+    roll = rng.random()
+    if roll < 0.45:
+        ecs = EcsOption.for_prefix(f"198.18.{rng.randrange(4)}.{rng.randrange(256)}", rng.choice((16, 20, 24, 32)))
+    elif roll < 0.65:
+        ecs = EcsOption.for_prefix(f"2001:db8:{rng.randrange(3):x}::{rng.randrange(9)}", rng.choice((32, 48, 56, 64)))
+    edns = None
+    if ecs is not None or rng.random() < 0.5:
+        edns = EdnsOpt(rng.choice((512, 1232, 1232, 4096)), ecs)
+    question = Question(rng.choice(qnames), rng.choice((QTYPE_A, QTYPE_A, QTYPE_AAAA)))
+    return DnsMessage(rng.randrange(0x10000), False, rng.random() < 0.9, False, 0, question, (), edns)
+
+
+@pytest.mark.parametrize("bound", [None, 6], ids=["default", "evicting"])
+def test_scripted_upstream_matches_the_reference(bound, monkeypatch):
+    if bound is not None:
+        monkeypatch.setattr(resolver_module, "CACHE_MAX_ENTRIES", bound)
+    rng = random.Random(2501)
+    qnames = [rand_name(rng, 3) for _ in range(6)]
+    prefix_map = LocationPrefixMap({"HK": "198.19.0.0/16"})
+    twins = Twins(lambda clock: [
+        Resolver(policy(), "HK", _ScriptedUpstream(), prefix_map, clock=clock) for policy in POLICIES.values()
+    ])
+    for _ in range(3000):
+        query = _random_query(rng, qnames)
+        twins.ask(rng.randrange(3), reference_message(query), f"198.18.{rng.randrange(4)}.{rng.randrange(256)}")
+        twins.advance(rng.choice((0, 0.25, 1, 7.5)))
+    twins.assert_counters_equal()
+    totals = dict(zip(COUNTERS, map(sum, zip(*twins.counters(0)))))
+    evictions = totals.pop("evictions")
+    assert all(totals.values()), totals
+    assert (evictions > 0) == (bound is not None)
+
+
+# IPv4 and IPv6 regions, a 10 s answer and an IPv4-only name
+ZONE_DOC = {
+    "origin": "t",
+    "regions": {"AA": "198.18.0.0/24", "BB": "198.18.1.0/24", "CC": "2001:db8:1::/48"},
+    "records": {
+        "q.t": {
+            "ttl": 10,
+            "answers": [
+                {"region": "AA", "addresses": ["10.0.0.1", "10.0.0.2"]},
+                {"region": "BB", "addresses": ["10.0.1.1"]},
+                {"region": "CC", "addresses": ["2001:db8:1::1", "2001:db8:1::2"]},
+            ],
+        },
+        "v4.t": {"answers": [{"region": "AA", "addresses": ["10.0.0.4"]}]},
+    },
+}
+
+
+@pytest.fixture
+def zone_twins():
+    return _zone_twins(ZONE_DOC, "AA")
+
+
+V4 = EcsOption.for_prefix("198.18.1.0", 24)
+V6 = EcsOption.for_prefix("2001:db8:1::", 48)
+
+
+def _query(qname="q.t", qtype=QTYPE_A, *, msg_id=7, rd=True, edns=None):
+    return reference_message(DnsMessage(msg_id, False, rd, False, 0, Question(qname, qtype), (), edns))
+
+
+HAND_MADE = {
+    "rd-clear": [_query(rd=False, edns=EdnsOpt(1232, V4))] * 2,
+    "no-edns": [_query(), _query(msg_id=8)],
+    "edns-without-option": [_query(edns=EdnsOpt(1232, None))] * 2,
+    "payload-size-4096": [_query(edns=EdnsOpt(4096, V4)), _query(edns=EdnsOpt(512, V4))],
+    "ipv6-option": [_query(qtype=QTYPE_AAAA, edns=EdnsOpt(1232, V6)), _query(edns=EdnsOpt(1232, V6))] * 2,
+    "aaaa-nodata": [_query("v4.t", QTYPE_AAAA, edns=EdnsOpt(1232, EcsOption.for_prefix("198.18.0.0", 24)))] * 2,
+    "nxdomain": [_query("none.t", edns=EdnsOpt(1232, V4))] * 2,
+    # a network outside every region: the default set at scope 0, then hit without an option
+    "scope-0-hit-without-option": [_query(edns=EdnsOpt(1232, EcsOption.for_prefix("192.0.2.0", 24))), _query()],
+}
+
+
+@pytest.mark.parametrize("index", range(3), ids=("strip", "rewrite", "forward"))
+@pytest.mark.parametrize("case", HAND_MADE)
+def test_hand_made_queries_match_the_reference(zone_twins, case, index):
+    resolver = zone_twins.sides[0][index]
+    for payload in HAND_MADE[case]:
+        hits = resolver.hits
+        reply = decode_message(zone_twins.ask(index, payload, "198.18.0.77"))
+        zone_twins.advance(1)
+    zone_twins.assert_counters_equal()
+    assert resolver.hits == hits + (case != "nxdomain")  # the last query of a case is a hit
+    if case == "aaaa-nodata":
+        assert reply.rcode == 0 and reply.answers == ()
+    if case == "payload-size-4096":  # the hit echoes its own query's payload size
+        assert reply.edns.udp_payload_size == 512
+
+
+def test_remaining_ttl_is_clamped_to_one(zone_twins):
+    payload = _query(edns=EdnsOpt(1232, V4))
+    zone_twins.ask(2, payload, "198.18.0.77")
+    zone_twins.advance(9.5)
+    reply = decode_message(zone_twins.ask(2, payload, "198.18.0.77"))
+    assert [rr.ttl for rr in reply.answers] == [1]
+    zone_twins.advance(0.4)
+    assert [rr.ttl for rr in decode_message(zone_twins.ask(2, payload, "198.18.0.77")).answers] == [1]
+    assert zone_twins.counters(0)[2][:3] == (2, 1, 1)
+    zone_twins.assert_counters_equal()
+
+
+def test_rejected_payloads_raise_alike(zone_twins):
+    response = encode_message(make_response(make_query("q.t", msg_id=3)))
+    assert zone_twins.ask(2, response, "198.18.0.77") == (ScenarioError, "resolver got a response instead of a query")
+    rng = random.Random(77)
+    rejected = 0
+    for _ in range(400):
+        data = bytearray(_query(msg_id=rng.randrange(0x10000), edns=EdnsOpt(1232, rng.choice((V4, V6, None)))))
+        for _ in range(rng.randint(1, 2)):
+            data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+        outcome = zone_twins.ask(rng.randrange(3), bytes(data), "198.18.0.77")
+        rejected += not isinstance(outcome, bytes)
+        if not isinstance(outcome, bytes):
+            assert issubclass(outcome[0], (WireError, ScenarioError))
+    assert 50 < rejected < 400
+    zone_twins.assert_counters_equal()
+
+
+def test_one_cache_lookup_per_query_through_the_traced_names():
+    tracing = _load_bench("tracing")
+    tracer = tracing.Tracer()
+    payload = _query(edns=EdnsOpt(1232, V4))
+    with tracer.installed(tracing.layer_targets(ecsloc)):
+        resolvers = _zone_twins(ZONE_DOC, "AA").sides[0]  # built with the patched names, as the bench does
+        for policy, resolver in zip(POLICIES, resolvers):
+            for request in ("miss", "hit"):
+                tracer.request = policy, request
+                resolver.handle(payload, "198.18.0.77")
+    spans = tracer.take()
+    for policy in POLICIES:
+        def calls(name, request):
+            return sum(span.name == name and span.request == (policy, request) for span in spans)
+
+        assert (calls("resolver.cache_lookup", "miss"), calls("resolver.cache_lookup", "hit")) == (1, 1)
+        assert (calls("resolver.authoritative", "miss"), calls("resolver.authoritative", "hit")) == (1, 0)
+        # on a miss, only the authoritative's reply is encoded: the upstream query is packed
+        assert (calls("wire.encode_message", "miss"), calls("wire.encode_message", "hit")) == (1, 0)
+    metrics = tracing.pass_metrics(spans)
+    assert metrics["resolver.cache_hit_ratio"] == 0.5 and metrics["resolver.handle.hit_us"] > 0
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("sent", [V4, V6, None], ids=["ipv4", "ipv6", "none"])
+def test_upstream_query_is_packed_as_make_query(policy, sent):
+    seen = []
+
+    def upstream(payload, source):
+        seen.append(payload)
+        return encode_message(make_response(decode_message(payload)))
+
+    resolver = Resolver(POLICIES[policy](), "HK", InProcessLink(upstream), LocationPrefixMap({"HK": "198.19.0.0/16"}))
+    for qtype, msg_id in ((QTYPE_A, 0), (QTYPE_AAAA, 0xBEEF)):
+        query = make_query("api.example.iot", qtype, msg_id=msg_id, ecs=sent)
+        resolver.handle(reference_message(query.replace(recursion_desired=False)), "198.18.0.77")
+        effective = resolver.effective_ecs(sent, "198.18.0.77")
+        assert seen.pop() == reference_message(make_query("api.example.iot", qtype, msg_id=msg_id, ecs=effective))

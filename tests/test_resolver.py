@@ -6,7 +6,7 @@ import random
 import time
 
 import pytest
-from helpers import FIXTURES, network_at, record_for_address, region_codes
+from helpers import FIXTURES, cached_records, network_at, record_for_address, region_codes
 
 from ecsloc import resolver as resolver_module
 from ecsloc.resolver import (
@@ -143,7 +143,7 @@ class TestCache:
             "api.example.iot", 1, EcsOption.for_prefix("198.18.1.200", 24)
         )
         assert entry is not None
-        assert [rr.address() for rr in entry.records] == [rr.address() for rr in first.answers]
+        assert [rr.address() for rr in cached_records(entry)] == [rr.address() for rr in first.answers]
 
     def test_cross_prefix_misses(self, zone):
         resolver = make_resolver(zone, Forward(), "HK")
@@ -385,7 +385,7 @@ def test_cache_lookup_against_linear_scan(bound, monkeypatch):
                 assert entry is None
             else:
                 assert entry is not None
-                assert (entry.scope_prefix_len, [rr.address() for rr in entry.records], entry.expires_at) == (
+                assert (entry.scope_prefix_len, [rr.address() for rr in cached_records(entry)], entry.expires_at) == (
                     expected[1], [expected[3]], expected[4],
                 )
             expired_checks += any(e[4] <= clock.now for e in store)
@@ -413,7 +413,7 @@ def test_cache_hit_cost_does_not_grow_with_entries():
             ecs = EcsOption.for_prefix(f"10.{i >> 8}.{i & 255}.0", 24)
             resolver.resolve(make_query("q.t", ecs=ecs), "198.18.0.77")
         # the last client network stored: a scan in store order reaches it last
-        assert [rr.address() for rr in resolver.cache_lookup("q.t", 1, ecs).records] == [upstream.address]
+        assert [rr.address() for rr in cached_records(resolver.cache_lookup("q.t", 1, ecs))] == [upstream.address]
         resolvers[count] = (resolver, ecs)
     best = {1: float("inf"), 500: float("inf")}
     for _ in range(7):

@@ -181,11 +181,3 @@ def test_with_scope_checks_only_the_scope():
     with pytest.raises(InvalidEcs):
         EcsOption.for_prefix("198.18.1.0", 24).with_scope(33)
 
-
-def test_with_ttl_checks_only_the_ttl():
-    assert RECORD.with_ttl(5) == RECORD.replace(ttl=5)
-    assert type(RECORD.with_ttl(5)) is ResourceRecord
-    assert RECORD.with_ttl(0xFFFFFFFF).ttl == 0xFFFFFFFF
-    for bad in (-1, 0x1_0000_0000):
-        with pytest.raises(ValueError, match=f"ttl {bad} out of range"):
-            RECORD.with_ttl(bad)

@@ -256,6 +256,9 @@ class TestValidation:
             ("a b.com", "whitespace in label: 'a b'"),
             ("a\tb.com", "whitespace in label: 'a\\tb'"),
             ("a\x1cb.com", "whitespace in label: 'a\\x1cb'"),
+            ("a\x00b.example", "control octet in label: 'a\\x00b'"),
+            ("a\x1bb.com", "control octet in label: 'a\\x1bb'"),
+            ("x.a\x7fb", "control octet in label: 'a\\x7fb'"),
             ("\u00e4.com", "non-ASCII name: '\u00e4.com'"),
         ],
     )
@@ -405,6 +408,25 @@ class TestRoundtrip:
         for msg in messages + messages:  # the second pass reads the encoder memos
             assert encode_message(msg) == reference_message(msg)
 
+    def test_packed_parts_match_reference(self):
+        # a reply from its answer section at one TTL, and a query, each packed without a DnsMessage
+        rng = random.Random(2525)
+        for _ in range(1000):
+            edns = rng.choice((None, EdnsOpt(rng.randint(512, 4096), rng.choice((None, rand_ecs(rng))))))
+            question = Question(rand_name(rng), rng.choice((QTYPE_A, QTYPE_AAAA)))
+            query = DnsMessage(rng.randrange(0x10000), False, rng.random() < 0.8, False, 0, question, (), edns)
+            answers = rand_message(rng).answers
+            ttl = rng.choice((0, 1, 300, 0xFFFFFFFF))
+            rcode = rng.choice((0, 0, 2, 3))
+            ecs = rng.choice((None, rand_ecs(rng, scope_allowed=True)))
+            section = wire.answers_at_ttl(wire.answer_segments(answers), ttl)
+            assert section == wire.encode_answers(tuple(rr.replace(ttl=ttl) for rr in answers))
+            reply = make_response(query, tuple(rr.replace(ttl=ttl) for rr in answers), rcode=rcode, ecs=ecs)
+            assert wire.pack_reply(query, len(answers), section, rcode=rcode, ecs=ecs) == reference_message(reply)
+            ecs = rng.choice((None, rand_ecs(rng)))
+            packed = wire.pack_query(query.id, query.question, ecs)
+            assert packed == reference_message(make_query(query.question.qname, query.question.qtype, msg_id=query.id, ecs=ecs))
+
     def test_values_frozen_and_hashable(self):
         def build():
             ecs = EcsOption.for_prefix("198.18.1.0", 24, scope_prefix_len=24)
@@ -543,7 +565,23 @@ SINGLE_FAULTS = [
     ("option-header-truncated", _header(ar=1) + QUESTION + _opt(rdata=b"\x00\x08"), Malformed),
     ("option-data-truncated", _header(ar=1) + QUESTION + _opt(rdata=b"\x00\x08\x00\x07\x00\x01"), Malformed),
     ("record-tail-truncated", _header(an=1) + QUESTION + _rr()[: len(QNAME) + 5], Truncated),
+    ("root-named-answer", _header(an=1) + QUESTION + _rr(name=b"\x00"), Malformed),
+    ("whitespace-in-question", _header() + b"\x03a\tb\x00" + QUESTION[-4:], Malformed),
+    ("whitespace-in-answer", _header(an=1) + QUESTION + _rr(name=b"\x03a b\x00"), Malformed),
+    ("nul-in-question", _header() + b"\x03a\x00b\x00" + QUESTION[-4:], Malformed),
+    ("nul-in-answer", _header(an=1) + QUESTION + _rr(name=b"\x03a\x00b\x00"), Malformed),
+    ("del-in-answer", _header(an=1) + QUESTION + _rr(name=b"\x03a\x7fb\x00"), Malformed),
 ]
+
+# each bad wire name of SINGLE_FAULTS that the name rule, not the walk, rejects, and its text
+NAME_RULE_FAULTS = {
+    "root-named-answer": "empty domain name",
+    "whitespace-in-question": "whitespace in label: 'a\\tb'",
+    "whitespace-in-answer": "whitespace in label: 'a b'",
+    "nul-in-question": "control octet in label: 'a\\x00b'",
+    "nul-in-answer": "control octet in label: 'a\\x00b'",
+    "del-in-answer": "control octet in label: 'a\\x7fb'",
+}
 
 
 class TestSingleFaults:
@@ -560,6 +598,15 @@ class TestSingleFaults:
         with pytest.raises(WireError) as info:
             decode_message(wire)
         assert type(info.value) is error
+
+    @pytest.mark.parametrize("case", NAME_RULE_FAULTS)
+    def test_name_rule_fault_is_malformed_with_its_text(self, case):
+        data = {name: data for name, data, _ in SINGLE_FAULTS}[case]
+        _clear_memos()
+        for decode in (decode_message, decode_message, wire._decode):  # cold, warm, memo-free
+            with pytest.raises(WireError) as info:
+                decode(data)
+            assert (type(info.value), str(info.value)) == (Malformed, NAME_RULE_FAULTS[case])
 
 
 class TestDecodeInterop:
