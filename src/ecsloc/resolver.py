@@ -32,8 +32,11 @@ header, question and OPT record packed by `wire.pack_reply`, with the
 segments joined at the remaining TTL; no `DnsMessage` is built.  A miss
 packs the upstream query with `wire.pack_query`, and its reply with
 `wire.pack_reply` from `wire.encode_answers`: the same header, question and
-OPT helpers that `encode_message` uses.  `Resolver.resolve` is the typed
-wrapper, `handle` on an encoded message with its reply decoded.
+OPT helpers that `encode_message` uses.  `Authoritative.handle`, the far end
+of a miss, packs its reply as the resolver does: the zone's answer as
+checked records, encoded by `wire.encode_answers` into `wire.pack_reply`.
+Neither side of a miss builds a response message.  `Resolver.resolve` is
+the typed wrapper, `handle` on an encoded message with its reply decoded.
 """
 
 from __future__ import annotations
@@ -63,7 +66,6 @@ from .wire import (
     encode_answers,
     encode_message,
     make_query,
-    make_response,
     pack_address,
     pack_query,
     pack_reply,
@@ -149,9 +151,9 @@ class Authoritative:
     """Zone-backed authoritative endpoint.
 
     With legacy_geo set, a query that carries no client-subnet option is
-    answered by the querying source's /24, which models classic
-    resolver-location answering; the flag is explicit per scenario, never
-    ambient.
+    answered by the querying source's /24, an option taken from the rewrite
+    policy's memo; this models classic resolver-location answering.  The
+    flag is explicit per scenario, never ambient.
     """
 
     def __init__(self, zone: GeoZone, *, legacy_geo: bool = False):
@@ -159,25 +161,22 @@ class Authoritative:
         self.legacy_geo = legacy_geo
 
     def handle(self, payload: bytes, source: str) -> bytes:
-        return encode_message(self.respond(decode_message(payload), source))
-
-    def respond(self, query: DnsMessage, source: str = "") -> DnsMessage:
-        question = query.question
+        """The wire reply to the query *payload* from *source*, packed by `wire.pack_reply`."""
+        query = decode_message(payload)
+        qname, qtype, _ = query.question
         ecs = query.edns.ecs if query.edns else None
         lookup_ecs = ecs
         if ecs is None and self.legacy_geo and source:
-            lookup_ecs = EcsOption.for_prefix(source, 24)
+            lookup_ecs = _rewrite_option(source, 24)
         try:
-            result = self.zone.lookup(question.qname, lookup_ecs)
+            result = self.zone.lookup(qname, lookup_ecs)
         except NameNotFound:
-            return make_response(query, rcode=RCODE_NXDOMAIN, ecs=_echo(ecs, 0))
-        octets = 4 if question.qtype == QTYPE_A else 16
-        answers = tuple(
-            ResourceRecord(question.qname, question.qtype, result.ttl, rdata)
-            for rdata in result.addresses
-            if len(rdata) == octets
+            return pack_reply(query, 0, b"", rcode=RCODE_NXDOMAIN, ecs=_echo(ecs, 0))
+        octets = 4 if qtype == QTYPE_A else 16
+        answers = tuple(  # checked records: a TTL out of range raises ValueError
+            ResourceRecord(qname, qtype, result.ttl, rdata) for rdata in result.addresses if len(rdata) == octets
         )
-        return make_response(query, answers, ecs=_echo(ecs, result.scope))
+        return pack_reply(query, len(answers), encode_answers(answers), ecs=_echo(ecs, result.scope))
 
 
 def _cache_key(ecs: EcsOption | None, scope: int, address: int) -> tuple:

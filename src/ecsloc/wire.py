@@ -55,15 +55,18 @@ every time.  The encoder's:
 The encoder never compresses.  `pack_message` joins a message from its
 parts once: the header, the question, an encoded answer section and the
 memo OPT record.  `encode_message` gives it the section from
-`encode_answers`; `pack_query` and `pack_reply` give it the parts of
-`make_query` and `make_response` without building a `DnsMessage`, so a
-resolver packs its upstream query and its replies directly.  A reply from
-a packet cache stores its section once as `answer_segments`, the octets
-between the TTL fields, and `answers_at_ttl` joins them at one TTL.  The decoder is one function, `_decode`,
-that keeps its offset in a local: `_name_at` and `_record_at` read a name
-or a record at an offset and return the offset after it.  The name walk
-reads by index, with one bounds test before each octet or label it reads;
-a record makes one bounds test for its 10-octet tail and one for its rdata.
+`encode_answers`.  `pack_query` gives it the parts of `make_query`, and
+`pack_reply` those of a reply to a decoded query, with no `DnsMessage`
+built: the resolver packs its upstream query and its replies, and the
+authoritative its replies, directly.  A reply from a packet cache stores
+its section once as `answer_segments`, the octets between the TTL fields,
+and `answers_at_ttl` joins them at one TTL.
+
+The decoder is one function, `_decode`, that keeps its offset in a local:
+`_name_at` and `_record_at` read a name or a record at an offset and
+return the offset after it.  The name walk reads by index, with one bounds
+test before each octet or label it reads; a record makes one bounds test
+for its 10-octet tail and one for its rdata.
 
 Each wire layout is defined once, as a `struct.Struct` shared by the
 encoder and the decoder: the header, the (type, class) and (option code,
@@ -342,37 +345,6 @@ def make_query(
     )
 
 
-def make_response(
-    query: DnsMessage,
-    answers: tuple[ResourceRecord, ...] = (),
-    *,
-    rcode: int = 0,
-    ecs: EcsOption | None = None,
-) -> DnsMessage:
-    """Build a response echoing the query's id and question."""
-    opt = _reply_opt(query.edns, ecs)
-    return DnsMessage(
-        id=query.id,
-        is_response=True,
-        recursion_desired=query.recursion_desired,
-        recursion_available=True,
-        rcode=rcode,
-        question=query.question,
-        answers=tuple(answers),
-        edns=None if opt is None else EdnsOpt(*opt),
-    )
-
-
-def _reply_opt(edns: EdnsOpt | None, ecs: EcsOption | None) -> tuple | None:
-    """(payload size, option) of a reply's OPT record, or None for no OPT record.
-
-    The size is the query's, or the default when only the reply has EDNS.
-    """
-    if edns is not None:
-        return edns.udp_payload_size, ecs
-    return None if ecs is None else (DEFAULT_UDP_PAYLOAD, ecs)
-
-
 @lru_cache(maxsize=_MEMO_SIZE)
 def _encode_name(name: str) -> bytes:
     out = bytearray()
@@ -431,12 +403,20 @@ def pack_query(msg_id: int, question: Question, ecs: EcsOption | None) -> bytes:
 def pack_reply(
     query: DnsMessage, ancount: int, answers: bytes, *, rcode: int = 0, ecs: EcsOption | None = None
 ) -> bytes:
-    """Wire octets of `make_response(query, records, rcode=rcode, ecs=ecs)`.
+    """Wire octets of the reply to *query*: its ID and question, *rcode*, and *ancount* records.
 
-    *answers* is the encoded answer section of its *ancount* records.
+    *answers* is the encoded answer section of those records.  The reply
+    has an OPT record, carrying *ecs*, when the query has one or *ecs* is
+    given: of the query's payload size, or the default when only the reply
+    has EDNS.
     """
     flags = 0x8080 | query.recursion_desired << 8 | rcode  # QR and RA set, RD copied
-    return pack_message(query.id, flags, query.question, ancount, answers, _reply_opt(query.edns, ecs))
+    edns = query.edns
+    if edns is not None:
+        opt = edns.udp_payload_size, ecs
+    else:
+        opt = None if ecs is None else (DEFAULT_UDP_PAYLOAD, ecs)
+    return pack_message(query.id, flags, query.question, ancount, answers, opt)
 
 
 def encode_answers(answers: tuple[ResourceRecord, ...]) -> bytes:

@@ -21,7 +21,11 @@ checks, so agreement between the two is meaningful:
   did when a hit was a `DnsMessage`: it builds every reply and upstream
   query with `make_response` or `make_query` and encodes it with
   `reference_message`, and reads a cache entry's records back from its
-  segments octet by octet (`cached_records`).
+  segments octet by octet (`cached_records`);
+- the reference authoritative (`reference_respond`) answers as
+  `Authoritative.handle` did before it packed its reply: a `DnsMessage`
+  built by `make_response`, with the legacy-geo option built afresh by
+  `EcsOption.for_prefix` on every call.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from pathlib import Path
 from ecsloc.mud import Ace, MudFile
 from ecsloc.resolver import ScenarioError
 from ecsloc.wire import (
+    DEFAULT_UDP_PAYLOAD,
     QTYPE_A,
     QTYPE_AAAA,
     DnsMessage,
@@ -45,10 +50,9 @@ from ecsloc.wire import (
     ResourceRecord,
     decode_message,
     make_query,
-    make_response,
     truncate_to_prefix,
 )
-from ecsloc.zone import DEFAULT_TTL
+from ecsloc.zone import DEFAULT_TTL, NameNotFound
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -98,6 +102,61 @@ def reference_message(msg: DnsMessage) -> bytes:
             options = struct.pack("!HH", 8, len(data)) + data
         out += b"\x00" + struct.pack("!HHIH", 41, edns.udp_payload_size, 0, len(options)) + options
     return out
+
+
+def make_response(
+    query: DnsMessage,
+    answers: tuple[ResourceRecord, ...] = (),
+    *,
+    rcode: int = 0,
+    ecs: EcsOption | None = None,
+) -> DnsMessage:
+    """A response echoing the query's id and question, as a checked message.
+
+    It has an OPT record, carrying *ecs*, when the query has one or *ecs* is
+    given: of the query's payload size, or the default when only the
+    response has EDNS.
+    """
+    edns = query.edns
+    if edns is not None or ecs is not None:
+        edns = EdnsOpt(edns.udp_payload_size if edns is not None else DEFAULT_UDP_PAYLOAD, ecs)
+    return DnsMessage(
+        id=query.id,
+        is_response=True,
+        recursion_desired=query.recursion_desired,
+        recursion_available=True,
+        rcode=rcode,
+        question=query.question,
+        answers=tuple(answers),
+        edns=edns,
+    )
+
+
+def reference_respond(zone, legacy_geo: bool, query: DnsMessage, source: str = "") -> DnsMessage:
+    """The authoritative's answer to *query* from *source*, built as a message.
+
+    With *legacy_geo* set, an option-less query is looked up by *source*'s /24.
+    """
+    question = query.question
+    ecs = query.edns.ecs if query.edns else None
+
+    def echo(scope):
+        return None if ecs is None else ecs.replace(scope_prefix_len=scope)
+
+    lookup_ecs = ecs
+    if ecs is None and legacy_geo and source:
+        lookup_ecs = EcsOption.for_prefix(source, 24)
+    try:
+        result = zone.lookup(question.qname, lookup_ecs)
+    except NameNotFound:
+        return make_response(query, rcode=3, ecs=echo(0))
+    octets = 4 if question.qtype == QTYPE_A else 16
+    answers = tuple(
+        ResourceRecord(question.qname, question.qtype, result.ttl, rdata)
+        for rdata in result.addresses
+        if len(rdata) == octets
+    )
+    return make_response(query, answers, ecs=echo(result.scope))
 
 
 def cached_records(entry, ttl: int = 0) -> tuple[ResourceRecord, ...]:

@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from helpers import FIXTURES, rand_message, rand_mud, reference_ecs_rdata
+from helpers import FIXTURES, rand_message, rand_mud, reference_ecs_rdata, reference_respond
 
 from ecsloc import cli
 from ecsloc import resolver as resolver_module
@@ -304,9 +304,8 @@ def test_criterion_8_cache_semantics(five_region_zone):
             query, source = pick_query()
             got = resolver.resolve(query, source)
             effective = resolver.effective_ecs(query.edns.ecs if query.edns else None, source)
-            cold = authoritative.respond(
-                make_query(query.question.qname, query.question.qtype, ecs=effective),
-                resolver.address,
+            cold = reference_respond(
+                zone, False, make_query(query.question.qname, query.question.qtype, ecs=effective), resolver.address
             )
             assert got.rcode == cold.rcode
             assert {rr.address() for rr in got.answers} == {rr.address() for rr in cold.answers}

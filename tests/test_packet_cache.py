@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from helpers import rand_name, record_for_address, reference_handle, reference_message
+from helpers import make_response, rand_name, record_for_address, reference_handle, reference_message
 
 import ecsloc
 import ecsloc.transport  # noqa: F401  (layer_targets reads ecsloc.transport)
@@ -41,7 +41,6 @@ from ecsloc.wire import (
     decode_message,
     encode_message,
     make_query,
-    make_response,
 )
 from ecsloc.zone import GeoZone, LocationPrefixMap
 
@@ -303,8 +302,8 @@ def test_one_cache_lookup_per_query_through_the_traced_names():
 
         assert (calls("resolver.cache_lookup", "miss"), calls("resolver.cache_lookup", "hit")) == (1, 1)
         assert (calls("resolver.authoritative", "miss"), calls("resolver.authoritative", "hit")) == (1, 0)
-        # on a miss, only the authoritative's reply is encoded: the upstream query is packed
-        assert (calls("wire.encode_message", "miss"), calls("wire.encode_message", "hit")) == (1, 0)
+        # neither side encodes a message: the upstream query and both replies are packed
+        assert (calls("wire.encode_message", "miss"), calls("wire.encode_message", "hit")) == (0, 0)
     metrics = tracing.pass_metrics(spans)
     assert metrics["resolver.cache_hit_ratio"] == 0.5 and metrics["resolver.handle.hit_us"] > 0
 

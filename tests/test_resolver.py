@@ -6,7 +6,15 @@ import random
 import time
 
 import pytest
-from helpers import FIXTURES, cached_records, network_at, record_for_address, region_codes
+from helpers import (
+    FIXTURES,
+    cached_records,
+    make_response,
+    network_at,
+    record_for_address,
+    reference_respond,
+    region_codes,
+)
 
 from ecsloc import resolver as resolver_module
 from ecsloc.resolver import (
@@ -32,7 +40,6 @@ from ecsloc.wire import (
     decode_message,
     encode_message,
     make_query,
-    make_response,
 )
 from ecsloc.zone import GeoZone, LocationPrefixMap, UnknownRegion
 
@@ -115,8 +122,7 @@ class TestResolvePolicies:
         assert response.answers == ()
 
     def test_legacy_geo_answers_by_source_prefix(self, zone):
-        authoritative = Authoritative(zone, legacy_geo=True)
-        response = authoritative.respond(make_query("api.example.iot"), "198.18.1.1")
+        response = reference_respond(zone, True, make_query("api.example.iot"), "198.18.1.1")
         assert {rr.address() for rr in response.answers} == {UK}
         assert response.edns is None
 
@@ -201,7 +207,7 @@ class TestCache:
             address = rng.choice(homed[qname]) + str(rng.randint(0, 255))
             ecs = EcsOption.for_prefix(address, 24)
             got = resolver.resolve(make_query(qname, ecs=ecs), "198.18.0.77")
-            cold = authoritative.respond(make_query(qname, ecs=ecs), resolver.address)
+            cold = reference_respond(zone, False, make_query(qname, ecs=ecs), resolver.address)
             assert {rr.address() for rr in got.answers} == {rr.address() for rr in cold.answers}
             assert got.edns.ecs.scope_prefix_len == cold.edns.ecs.scope_prefix_len
 

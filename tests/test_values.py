@@ -15,6 +15,7 @@ from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
+from helpers import make_response
 
 from ecsloc.mud import Ace, AceTemplate, BadVariantRegion, CollapseResult, MudError, MudFile, RegionDomainGroup
 from ecsloc.resolver import (
@@ -41,7 +42,6 @@ from ecsloc.wire import (
     ResourceRecord,
     UnsupportedType,
     make_query,
-    make_response,
 )
 from ecsloc.zone import GeoZone, LocationPrefixMap, LookupResult, OverlapError, RegionalAnswer, ZoneParseError
 

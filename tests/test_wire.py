@@ -12,6 +12,7 @@ import threading
 import pytest
 from helpers import (
     FIXTURES,
+    make_response,
     rand_ecs,
     rand_message,
     rand_name,
@@ -46,7 +47,6 @@ from ecsloc.wire import (
     decode_message,
     encode_message,
     make_query,
-    make_response,
     pack_address,
     truncate_to_prefix,
 )
