@@ -7,12 +7,21 @@ the command that reads that document.  No mutant may end in an internal
 error (exit 70).  A replaced value may give exit 0 only when it has the
 original's JSON type (an integer is not a float, and a bool is neither), or
 when `ALLOWED` lists it: anything else must be refused as bad data.
+
+Each mutant's exit code and `ecsloc:` stderr line, with the directory it
+was written to shown as `{tmp}`, must equal its line in
+fixtures/golden/document_mutants.txt.  Re-record the file, only when an
+error's wording is meant to change, with
+
+    PYTHONPATH=src python tests/test_documents.py
 """
 
 import contextlib
 import copy
 import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from helpers import FIXTURES
@@ -20,6 +29,7 @@ from helpers import FIXTURES
 from ecsloc.cli import EXIT_INTERNAL, EXIT_OK, main
 
 GOLDEN = FIXTURES / "golden"
+MUTANT_LINES = GOLDEN / "document_mutants.txt"
 REPLACEMENTS = [None, True, False, 0, -1, 1.5, "", "x", "A..B", [], {}, [1], {"k": 1}]
 _DELETED = object()
 
@@ -76,6 +86,40 @@ def run(argv) -> tuple[int, str]:
     return code, err.getvalue()
 
 
+def mutant_runs(name, directory):
+    """(path, original, value, exit code, stderr) of each mutant of document *name*, written in *directory*."""
+    source, file_name, argv = DOCUMENTS[name]
+    doc = json.loads(source.read_text())
+    (directory / "zone.json").write_text((FIXTURES / "zone.json").read_text())  # a scenario mutant's zone
+    mutant_path = directory / file_name
+    args = [arg.format(mutant=mutant_path) for arg in argv]
+    mutant_path.write_text(json.dumps(doc))
+    assert run(args)[0] == EXIT_OK  # the unmutated document
+    for path, original in fields(doc):
+        for value in [*REPLACEMENTS, _DELETED]:
+            mutant_path.write_text(json.dumps(mutant(doc, path, value)))
+            yield (path, original, value, *run(args))
+
+
+def mutant_line(name, path, value, code, err, directory) -> str:
+    """One mutant's recorded outcome: document, field path, value, exit code and `ecsloc:` stderr line."""
+    message = next((line for line in err.splitlines() if line.startswith("ecsloc:")), "-")
+    change = "deleted" if value is _DELETED else f"= {value!r}"
+    return f"{name} {list(path)!r} {change}: exit {code}: {message.replace(str(directory), '{tmp}')}"
+
+
+def mutant_lines(directory) -> list[str]:
+    """The recorded outcome of every mutant of every document, each document's written in its own subdirectory."""
+    lines = []
+    for name in DOCUMENTS:
+        (directory / name).mkdir()
+        lines += [
+            mutant_line(name, path, value, code, err, directory / name)
+            for path, _, value, code, err in mutant_runs(name, directory / name)
+        ]
+    return lines
+
+
 def test_fields_cover_every_value():
     doc = {"a": [1, {"b": None}], "c": "x"}
     assert [path for path, _ in fields(doc)] == [("a",), ("a", 0), ("a", 1), ("a", 1, "b"), ("c",)]
@@ -83,24 +127,25 @@ def test_fields_cover_every_value():
 
 @pytest.mark.parametrize("name", list(DOCUMENTS))
 def test_no_mutant_is_an_internal_error_or_accepted_as_another_type(name, tmp_path):
-    source, file_name, argv = DOCUMENTS[name]
-    doc = json.loads(source.read_text())
-    (tmp_path / "zone.json").write_text((FIXTURES / "zone.json").read_text())  # a scenario mutant's zone
-    mutant_path = tmp_path / file_name
-    args = [arg.format(mutant=mutant_path) for arg in argv]
-    mutant_path.write_text(json.dumps(doc))
-    assert run(args)[0] == EXIT_OK  # the unmutated document
     faults, count = [], 0
-    for path, original in fields(doc):
-        allowed = ALLOWED.get(name, {}).get(path[-1], lambda value: False)
-        for value in [*REPLACEMENTS, _DELETED]:
-            mutant_path.write_text(json.dumps(mutant(doc, path, value)))
-            code, err = run(args)
-            count += 1
-            if code == EXIT_INTERNAL:
-                faults.append(f"{path} = {value!r}: internal error\n{err}")
-            elif code == EXIT_OK and value is not _DELETED and type(value) is not type(original) \
-                    and not allowed(value):
-                faults.append(f"{path} = {value!r}: accepted in place of {original!r}")
+    allowed_by_key = ALLOWED.get(name, {})
+    for path, original, value, code, err in mutant_runs(name, tmp_path):
+        allowed = allowed_by_key.get(path[-1], lambda value: False)
+        count += 1
+        if code == EXIT_INTERNAL:
+            faults.append(f"{path} = {value!r}: internal error\n{err}")
+        elif code == EXIT_OK and value is not _DELETED and type(value) is not type(original) \
+                and not allowed(value):
+            faults.append(f"{path} = {value!r}: accepted in place of {original!r}")
     assert count > 100
     assert faults == []
+
+
+def test_mutant_errors_are_recorded(tmp_path):
+    """Every mutant exits with the recorded code and the recorded error text, byte for byte."""
+    assert mutant_lines(tmp_path) == MUTANT_LINES.read_text().splitlines()
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as scratch:
+        MUTANT_LINES.write_text("".join(line + "\n" for line in mutant_lines(Path(scratch))))
