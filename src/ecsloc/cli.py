@@ -54,6 +54,13 @@ def _decimal(value) -> str:
     return str(float(value))
 
 
+def _read(path, report: RunReport) -> bytes:
+    """The bytes of the file at *path*, their digest recorded in *report*."""
+    data = Path(path).read_bytes()
+    report.note_input(path, data)
+    return data
+
+
 def _emit(payload: str, out_path, report: RunReport) -> None:
     if out_path:
         Path(out_path).write_text(payload)
@@ -63,13 +70,9 @@ def _emit(payload: str, out_path, report: RunReport) -> None:
 
 
 def cmd_scenario_run(args, report: RunReport) -> None:
-    data = Path(args.scenario).read_bytes()
-    spec = parse_scenario(data, args.scenario)
-    report.note_input(args.scenario, data)
+    spec = parse_scenario(_read(args.scenario, report), args.scenario)
     zone_path = Path(args.zone) if args.zone else spec.zone_path
-    zone_data = zone_path.read_bytes()
-    zone = GeoZone.loads(zone_data, zone_path)
-    report.note_input(zone_path, zone_data)
+    zone = GeoZone.loads(_read(zone_path, report), zone_path)
     transcript = run_scenario(
         spec.architecture,
         spec.device,
@@ -85,36 +88,21 @@ def cmd_scenario_run(args, report: RunReport) -> None:
 
 
 def _load_log(args, report: RunReport) -> traffic.CaptureLog:
-    data = Path(args.log).read_bytes()
-    log = traffic.parse_log(data, args.log)
-    report.note_input(args.log, data)
+    log = traffic.parse_log(_read(args.log, report), args.log)
     if log.resorted:
         print(f"warning: {args.log}: timestamps were out of order; records re-sorted", file=sys.stderr)
     return log
 
 
-def cmd_analyze_uds(args, report: RunReport) -> None:
+def cmd_analyze_pair(args, report: RunReport) -> None:
+    """`analyze uds` or `analyze ipbs`: *args.measure*, a `traffic` function, at the *args.fixed* location."""
     log = _load_log(args, report)
     a, b = args.locations
-    value = traffic.uds(log, args.device, args.ipl, a, b, args.pool_threshold)
-    payload = (
-        "device,fixed_ip_location,user_location_a,user_location_b,uds\n"
-        f"{args.device},{args.ipl.upper()},{a.upper()},{b.upper()},{_decimal(value)}\n"
-    )
+    fixed = getattr(args, args.fixed)
+    value = _decimal(getattr(traffic, args.measure)(log, args.device, fixed, a, b, args.pool_threshold))
+    payload = f"{args.header},{args.measure}\n{args.device},{fixed.upper()},{a.upper()},{b.upper()},{value}\n"
     _emit(payload, args.out, report)
-    report.metrics["uds"] = _decimal(value)
-
-
-def cmd_analyze_ipbs(args, report: RunReport) -> None:
-    log = _load_log(args, report)
-    a, b = args.locations
-    value = traffic.ipbs(log, args.device, args.udl, a, b, args.pool_threshold)
-    payload = (
-        "device,fixed_user_location,ip_location_a,ip_location_b,ipbs\n"
-        f"{args.device},{args.udl.upper()},{a.upper()},{b.upper()},{_decimal(value)}\n"
-    )
-    _emit(payload, args.out, report)
-    report.metrics["ipbs"] = _decimal(value)
+    report.metrics[args.measure] = value
 
 
 def cmd_analyze_stabilize(args, report: RunReport) -> None:
@@ -169,31 +157,15 @@ def cmd_mud_generate(args, report: RunReport) -> None:
     report.metrics["domains"] = mudlib.domain_count(mud)
 
 
-def _read_muds(paths, report: RunReport) -> list[mudlib.MudFile]:
-    muds = []
-    for path in paths:
-        data = Path(path).read_bytes()
-        muds.append(mudlib.parse_mud(data))
-        report.note_input(path, data)
-    return muds
-
-
-def _read_groups(path, report: RunReport) -> list[mudlib.RegionDomainGroup]:
-    data = Path(path).read_bytes()
-    report.note_input(path, data)
-    return mudlib.load_groups(data)
-
-
 def cmd_mud_unify(args, report: RunReport) -> None:
-    unified = mudlib.unify(_read_muds(args.inputs, report))
+    unified = mudlib.unify([mudlib.parse_mud(_read(path, report)) for path in args.inputs])
     _emit(mudlib.serialize_mud(unified).decode(), args.out, report)
     report.metrics["domains"] = mudlib.domain_count(unified)
 
 
 def cmd_mud_collapse(args, report: RunReport) -> None:
-    (mud,) = _read_muds([args.input], report)
-    groups = _read_groups(args.groups, report)
-    result = mudlib.ecs_collapse(mud, groups)
+    mud = mudlib.parse_mud(_read(args.input, report))
+    result = mudlib.ecs_collapse(mud, mudlib.load_groups(_read(args.groups, report)))
     _emit(mudlib.serialize_mud(result.mud).decode(), args.out, report)
     report.metrics["domains"] = mudlib.domain_count(result.mud)
     report.metrics["unmatched_variants"] = list(result.unmatched_variants)
@@ -201,9 +173,8 @@ def cmd_mud_collapse(args, report: RunReport) -> None:
 
 
 def cmd_mud_compare(args, report: RunReport) -> None:
-    muds = _read_muds(args.inputs, report)
-    groups = _read_groups(args.groups, report)
-    rows = mudlib.sweep_table(muds, groups)
+    muds = [mudlib.parse_mud(_read(path, report)) for path in args.inputs]
+    rows = mudlib.sweep_table(muds, mudlib.load_groups(_read(args.groups, report)))
     lines = ["locations_included,unified_domains,ecs_domains,ratio"]
     lines += [f"{k},{u},{e},{_decimal(r)}" for k, u, e, r in rows]
     _emit("\n".join(lines) + "\n", args.out, report)
@@ -232,23 +203,25 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = commands.add_parser("analyze", help="capture-log measurements")
     analyze_sub = analyze.add_subparsers(dest="subcommand", required=True)
 
-    def analyze_common(sub):
+    def analyze_common(sub, payload="table"):
         sub.add_argument("--log", required=True, help="capture log file")
         sub.add_argument("--device", required=True, help="device id")
         sub.add_argument("--pool-threshold", type=int, default=traffic.DEFAULT_POOL_THRESHOLD)
-        sub.add_argument("--out", help="write the table here instead of stdout")
+        sub.add_argument("--out", help=f"write the {payload} here instead of stdout")
 
     uds_p = analyze_sub.add_parser("uds", help="similarity across user-defined locations")
     analyze_common(uds_p)
     uds_p.add_argument("--ipl", required=True, help="fixed IP-based location")
     uds_p.add_argument("--locations", nargs=2, required=True, metavar=("A", "B"))
-    uds_p.set_defaults(func=cmd_analyze_uds)
+    uds_p.set_defaults(func=cmd_analyze_pair, fixed="ipl", measure="uds",
+                       header="device,fixed_ip_location,user_location_a,user_location_b")
 
     ipbs_p = analyze_sub.add_parser("ipbs", help="similarity across IP-based locations")
     analyze_common(ipbs_p)
     ipbs_p.add_argument("--udl", required=True, help="fixed user-defined location")
     ipbs_p.add_argument("--locations", nargs=2, required=True, metavar=("A", "B"))
-    ipbs_p.set_defaults(func=cmd_analyze_ipbs)
+    ipbs_p.set_defaults(func=cmd_analyze_pair, fixed="udl", measure="ipbs",
+                        header="device,fixed_user_location,ip_location_a,ip_location_b")
 
     stab_p = analyze_sub.add_parser("stabilize", help="domain-set stabilization time")
     analyze_common(stab_p)
@@ -273,17 +246,14 @@ def build_parser() -> argparse.ArgumentParser:
     mud_sub = mud.add_subparsers(dest="subcommand", required=True)
 
     gen = mud_sub.add_parser("generate", help="build an allowlist from a capture selection")
-    gen.add_argument("--log", required=True)
-    gen.add_argument("--device", required=True)
+    analyze_common(gen, payload="document")
     gen.add_argument("--ipl", required=True)
     gen.add_argument("--udl", required=True)
-    gen.add_argument("--pool-threshold", type=int, default=traffic.DEFAULT_POOL_THRESHOLD)
     gen.add_argument("--mud-url", default=None)
     gen.add_argument("--protocol", default="tcp", choices=mudlib.PROTOCOLS)
     gen.add_argument("--direction", default="from-device", choices=mudlib.DIRECTIONS)
     gen.add_argument("--src-port", default="any")
     gen.add_argument("--dst-port", default="443")
-    gen.add_argument("--out", help="write the document here instead of stdout")
     gen.set_defaults(func=cmd_mud_generate)
 
     uni = mud_sub.add_parser("unify", help="set-union several allowlists")

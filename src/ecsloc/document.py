@@ -1,8 +1,9 @@
 """The one reader of the package's JSON documents: zone, scenario, MUD allowlist and region groups.
 
 A loader hands `parse` the bytes it was given and its own error class,
-then checks each field it reads with the typed getters.  Every getter
-raises the loader's error class with the field's path, in one wording:
+then checks each field it reads with the typed getters.  Every getter,
+and a block of `at` round a check made elsewhere, raises the loader's
+error class with the field's path, in one wording:
 
     records['a.t'].answers[0].region: must be text, got 12
     device: missing field 'device_id'
@@ -40,10 +41,29 @@ def parse(data: bytes | str, document, error: type[Exception]):
                 seen.add(key)
         return obj
 
-    try:
+    with at(document, error, json.JSONDecodeError):
         return json.loads(decode(data), object_pairs_hook=unique)
-    except json.JSONDecodeError as exc:
-        raise error(f"{document}: {exc}") from None
+
+
+class at:
+    """A block in which an exception of a *catch* class is raised again as ``error(f"{path}: {exc}")``.
+
+    With *error* None the new exception has the caught one's class.  An
+    exception of any other class leaves the block unchanged, so a block
+    nested in another must not raise a class the outer one catches: the
+    outer would put its path in front again.
+    """
+
+    def __init__(self, path, error: type[Exception] | None, catch):
+        self.path, self.error, self.catch = path, error, catch
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, traceback):
+        if isinstance(exc, self.catch):
+            raise (self.error or kind)(f"{self.path}: {exc}") from None
+        return False
 
 
 def _typed(value, path, error: type[Exception], kind: type, name: str):

@@ -57,10 +57,8 @@ class DivisionGuard(MudError):
 
 def _domain_name(name: str, what: str) -> str:
     """*name* under the package's one name rule; a name that breaks it raises MudError naming *what*."""
-    try:
+    with document.at(what, MudError, InvalidName):
         return canonical_name(name)
-    except InvalidName as exc:
-        raise MudError(f"{what}: {exc}") from None
 
 
 def _endpoint_kind(endpoint: str) -> str:
@@ -119,17 +117,7 @@ class Ace(Value, fields="endpoint protocol direction source_port destination_por
 
 class AceTemplate(Value, fields="protocol direction source_port destination_port action",
                   defaults=("tcp", "from-device", None, 443, "accept")):
-    """Everything but the endpoint; stamped onto each domain by generate_mud."""
-
-    def make(self, endpoint: str) -> Ace:
-        return Ace(
-            endpoint=endpoint,
-            protocol=self.protocol,
-            direction=self.direction,
-            source_port=self.source_port,
-            destination_port=self.destination_port,
-            action=self.action,
-        )
+    """Every `Ace` field after the endpoint, in `Ace`'s order; generate_mud stamps it onto each domain."""
 
 
 DEFAULT_TEMPLATE = AceTemplate()
@@ -183,7 +171,7 @@ def generate_mud(
     return MudFile(
         device_id=device_id,
         mud_url=mud_url,
-        acl=tuple(template.make(name) for name in members),
+        acl=tuple(Ace(name, *template) for name in members),
     )
 
 
@@ -358,19 +346,15 @@ def parse_mud(data: bytes | str) -> MudFile:
                 for key in ("source-port", "destination-port")
             )
             action = document.field(raw, "action", where, SchemaError, document.text)
-            try:
+            with document.at(where, SchemaError, MudError):
                 aces.append(Ace(endpoint, protocol, direction, source_port, destination_port, action))
-            except MudError as exc:
-                raise SchemaError(f"{where}: {exc}") from None
-    try:
+    with document.at("document", SchemaError, MudError):
         return MudFile(
             device_id=device_id,
             mud_url=mud_url,
             acl=tuple(aces),
             default_action=default_action,
         )
-    except MudError as exc:
-        raise SchemaError(f"document: {exc}") from None
 
 
 def load_groups(data: bytes | str) -> list[RegionDomainGroup]:

@@ -10,33 +10,10 @@ ecs_user_defined  the device's stub fills the option with the prefix mapped
                   to its user-chosen region and the resolver forwards it
                   untouched, so answers follow the registration choice.
 
-The resolver caches under client-subnet scope semantics with an injected
-virtual clock; a single resolver instance expects serialized calls.  Each
-(qname, qtype) has a bucket: one dict keyed by (family, scope, network)
-and its scopes, most specific first.  A store writes its entry into the
-bucket in place, so it costs the same at any bucket size.  One heap orders
-every stored entry by expiry time, then store order; each store or lookup
-first pops the heap's dead records, dropping their entries and any bucket
-left empty.  A record left stale by an overwritten or dropped entry is
-skipped, and the heap is compacted past twice CACHE_MAX_ENTRIES records.
-At most CACHE_MAX_ENTRIES entries are live: a store beyond that evicts the
-heap top, the entry closest to expiry, oldest store first on a tie.  The
-resolver counts what it does in plain integers: hits, misses,
-stores, expiries, evictions, bad_echoes and upstream_errors.
-
-`Resolver.handle` works in octets.  It decodes the query, then runs the
-policy and the cache lookup once.  A `CacheEntry` holds its answer section
-as `wire.answer_segments`, worked out once at the store: the octets between
-the TTL fields, each record under the question's name.  A hit is the
-header, question and OPT record packed by `wire.pack_reply`, with the
-segments joined at the remaining TTL; no `DnsMessage` is built.  A miss
-packs the upstream query with `wire.pack_query`, and its reply with
-`wire.pack_reply` from `wire.encode_answers`: the same header, question and
-OPT helpers that `encode_message` uses.  `Authoritative.handle`, the far end
-of a miss, packs its reply as the resolver does: the zone's answer as
-checked records, encoded by `wire.encode_answers` into `wire.pack_reply`.
-Neither side of a miss builds a response message.  `Resolver.resolve` is
-the typed wrapper, `handle` on an encoded message with its reply decoded.
+`Resolver` caches under client-subnet scope semantics on an injected
+virtual clock.  `Resolver.handle` and `Authoritative.handle` work in
+octets: each decodes the query and packs its reply with `wire.pack_reply`,
+so no response message is built.  `Resolver.resolve` is the typed wrapper.
 """
 
 from __future__ import annotations
@@ -137,6 +114,14 @@ class CacheEntry(Value, fields="scope_prefix_len segments expires_at"):
     question's name and cut out around each TTL field by `wire.answer_segments`."""
 
 
+def _decode_query(payload: bytes, receiver: str) -> DnsMessage:
+    """The query *payload* decoded; a response raises ScenarioError naming *receiver*."""
+    query = decode_message(payload)
+    if query.is_response:
+        raise ScenarioError(f"{receiver} got a response instead of a query")
+    return query
+
+
 def stub_query(
     cfg: DeviceConfig,
     qname: str,
@@ -162,7 +147,7 @@ class Authoritative:
 
     def handle(self, payload: bytes, source: str) -> bytes:
         """The wire reply to the query *payload* from *source*, packed by `wire.pack_reply`."""
-        query = decode_message(payload)
+        query = _decode_query(payload, "authoritative")
         qname, qtype, _ = query.question
         ecs = query.edns.ecs if query.edns else None
         lookup_ecs = ecs
@@ -198,7 +183,10 @@ class Resolver:
     """Recursive resolver applying one policy, with a scope-aware cache.
 
     Calls must be serialized per instance; handle() takes a lock so the UDP
-    front end satisfies that automatically.
+    front end satisfies that automatically.  At most CACHE_MAX_ENTRIES
+    entries are live: a store beyond that evicts the entry closest to
+    expiry, oldest store first on a tie.  The counters are hits, misses,
+    stores, expiries, evictions, bad_echoes and upstream_errors.
     """
 
     def __init__(
@@ -234,9 +222,7 @@ class Resolver:
         the upstream, stores the answer and sends it under the upstream's TTLs.
         """
         with self._lock:
-            query = decode_message(payload)
-            if query.is_response:
-                raise ScenarioError("resolver got a response instead of a query")
+            query = _decode_query(payload, "resolver")
             question = query.question
             qname, qtype, _ = question
             incoming = query.edns.ecs if query.edns else None
@@ -455,11 +441,6 @@ class ScenarioSpec(
     """A scenario document: its DeviceConfig, canonical qname, resolved zone Path and Policy override."""
 
 
-def load_scenario(path) -> ScenarioSpec:
-    """Read the scenario document at *path*; see `parse_scenario`."""
-    return parse_scenario(Path(path).read_bytes(), path)
-
-
 def parse_scenario(data: bytes | str, path) -> ScenarioSpec:
     """Parse a scenario document read from *path*; its zone path is resolved relative to *path*'s directory."""
     path = Path(path)
@@ -479,10 +460,8 @@ def parse_scenario(data: bytes | str, path) -> ScenarioSpec:
     resolver_location = document.field(
         resolver_doc, "location", f"{path}: resolver", ScenarioError, document.text
     )
-    try:
+    with document.at(f"{path}: qname", ScenarioError, InvalidName):
         qname = canonical_name(qname)
-    except InvalidName as exc:
-        raise ScenarioError(f"{path}: qname: {exc}") from None
     policy = None
     if "policy" in resolver_doc:
         policy = _parse_policy(resolver_doc["policy"], path)
@@ -506,8 +485,6 @@ def _parse_policy(raw, path) -> Policy:
         prefix_len = document.integer(
             raw["rewrite_client_subnet"], f"{path}: policy.rewrite_client_subnet", ScenarioError
         )
-        try:
+        with document.at(f"{path}: policy", ScenarioError, ScenarioError):
             return RewriteClientSubnet(prefix_len)
-        except ScenarioError as exc:
-            raise ScenarioError(f"{path}: policy: {exc}") from None
     raise ScenarioError(f"{path}: unknown policy {raw!r}")

@@ -12,17 +12,9 @@ user-defined or the IP-based location, cumulative unique-domain/unique-IP
 series, and pairwise similarity matrices.  Similarities are exact
 fractions; callers render decimals.
 
-Keys may come in any order, any whitespace apart.  A document holding any
-`str.splitlines` break but `\n` is first re-joined by `\n`.  `parse_log` then
-scans it with one regex, `_ROW_RE`: each line gives either the four raw values
-of the layout above or, for any other line, its text.  One `_LineReader` loop
-reads those rows.  For one ingest the reader stores each raw value that passed
-its checks, so each distinct value is checked once, a line whose values are
-all stored becomes a record without a call, and each record goes straight into
-its (device, ipl, udl) selection.  A line of text is read by a token loop that
-gives the same raw values; `parse_capture_line` reads its one line by one
-regex match or that loop.  The checks run in one order on every line, so a
-line fails with the same error text whether its values are stored or new.
+Keys may come in any order, any whitespace apart.  `parse_log` reads a
+document in one scan, by `_ROW_RE` and one `_LineReader`, which checks
+each distinct raw value once.
 """
 
 from __future__ import annotations
@@ -236,12 +228,10 @@ class _LineReader:
 def parse_capture_line(line: str, where: str = "line") -> CaptureRecord:
     """The record of one capture *line*; an error names it as *where*."""
     reader = _LineReader()
-    try:
+    with document.at(where, LogParseError, LogParseError):
         match = _LINE_RE.fullmatch(line)
         values = match.groups() if match else _scan_tokens(line)
         reader.read([(*values, "")])
-    except LogParseError as exc:
-        raise LogParseError(f"{where}: {exc}") from None
     return reader.records[0]
 
 

@@ -2,77 +2,22 @@
 
 Covers the 12-octet header, a single A/AAAA question, A/AAAA answer
 records, and one EDNS0 OPT pseudo-record (type 41) whose RDATA may carry
-the client-subnet option (code 8, RFC 7871).  The encoder never emits
-name compression; the decoder accepts compression pointers so responses
-from real resolvers can be read back.  A pointer must target "a prior
-occurance of the same name" (RFC 1035 section 4.1.4): an offset past the
-12-octet header and before the name, or before the last target followed.
-So the targets of one name strictly decrease, and no decode reads the ID.
+the client-subnet option (code 8, RFC 7871).  The encoder never compresses
+names.  The decoder follows compression pointers, and a pointer must
+target "a prior occurance of the same name" (RFC 1035 section 4.1.4): an
+offset past the 12-octet header and before the name, or before the last
+target followed.  So the targets of one name strictly decrease, and no
+decode reads the ID.
 
-Each field is checked once, where a message comes into being, and
-`decode_message` goes through the same constructors as any other caller:
-
-- `Question` owns the question name, qtype and qclass;
-- `ResourceRecord` owns an answer's name, type, TTL and rdata length;
-- `EcsOption` owns the client-subnet family, prefix lengths and address;
-- `EdnsOpt` and `DnsMessage` own the payload size, id, rcode and the
-  query-only rules (no answers, scope 0).
-
-The five are `value.Value` types: each checks its fields in its one `__new__`,
-equals only a value of its own type, never a bare tuple, and its `replace`
-checks again.  `EcsOption.with_scope` re-checks only the new scope.
-
-The decoder itself checks only what no constructor sees: the header's
-opcode and counts, label framing and compression pointers, the answer
-class, and the OPT record's placement, name, version and option framing.
-A wire name that the name rule rejects (a root-named answer, whitespace or
-a control octet in a label) raises `Malformed` with the rule's text, as
-every other bad wire name does.  The encoder trusts a constructed message
-and checks nothing again.
-
-`canonical_name` keeps up to 4096 checked names in a memo, so a repeated name
-is not checked again; it keeps no error, so a bad name raises every time.
-Five more memos of the same kind and bound serve the codec.  The decoder's:
-
-- `_decode_body`, keyed on a whole message's octets after its 2-octet ID,
-  which every message of 2 or more octets goes through: a message seen
-  before under any ID is one lookup, with its own ID patched in;
-- `_plain_name`, keyed on the octets of an uncompressed wire name, from its
-  first length octet to its zero octet (at most 255 octets for a valid
-  name); a name with a compression pointer, a reserved label type or an
-  end past the message is walked in the message by `_walk`;
-- `_decode_ecs`, keyed on the client-subnet option data (at most 20
-  octets when valid).
-
-The last two serve a message not in the first.  Only successes are stored,
-so a rejected message, name or option raises the same error class and text
-every time.  The encoder's:
-
-- `_encode_name`, keyed on a canonical name, holds its wire octets;
-- `_encode_opt`, keyed on the payload size and the client-subnet option,
-  holds the whole OPT record.
-
-The encoder never compresses.  `pack_message` joins a message from its
-parts once: the header, the question, an encoded answer section and the
-memo OPT record.  `encode_message` gives it the section from
-`encode_answers`.  `pack_query` gives it the parts of `make_query`, and
-`pack_reply` those of a reply to a decoded query, with no `DnsMessage`
-built: the resolver packs its upstream query and its replies, and the
-authoritative its replies, directly.  A reply from a packet cache stores
-its section once as `answer_segments`, the octets between the TTL fields,
-and `answers_at_ttl` joins them at one TTL.
-
-The decoder is one function, `_decode`, that keeps its offset in a local:
-`_name_at` and `_record_at` read a name or a record at an offset and
-return the offset after it.  The name walk reads by index, with one bounds
-test before each octet or label it reads; a record makes one bounds test
-for its 10-octet tail and one for its rdata.
-
-Each wire layout is defined once, as a `struct.Struct` shared by the
-encoder and the decoder: the header, the (type, class) and (option code,
-length) pair, the record tail after the owner name (RFC 1035 section
-4.1.3, the same in all three record sections), and the client-subnet
-head.
+Each field is checked once, where a message comes into being.  `Question`,
+`ResourceRecord`, `EcsOption`, `EdnsOpt` and `DnsMessage` each check their
+fields in their one constructor, and `decode_message` builds through them
+as any other caller does.  The decoder itself checks only what no
+constructor sees: the header's opcode and counts, label framing and
+compression pointers, the answer class, and the OPT record's placement,
+name, version and option framing.  A wire name the name rule rejects
+raises `Malformed`, as every other bad wire name does.  The encoder trusts
+a constructed message and checks nothing again.
 """
 
 from __future__ import annotations
@@ -96,14 +41,15 @@ MAX_LABEL_OCTETS = 63
 MAX_NAME_OCTETS = 253
 MAX_TTL = 0xFFFFFFFF  # a record's TTL field is 32 bits
 
-# Entries in each codec memo: names by text and by wire octets, client-subnet
-# options, messages by their octets after the ID, and encoded names and OPT records
+# Entries in each codec memo, an lru_cache keyed as its function's docstring says.  A memo
+# stores only results, so a rejected input raises the same error class and text every time.
 _MEMO_SIZE = 4096
 
 # Address length in octets per ECS family code.
 _FAMILY_OCTETS = {1: 4, 2: 16}
 _FAMILY_BITS = {1: 32, 2: 128}
 
+# Each wire layout, shared by the encoder and the decoder
 _HEADER = struct.Struct("!HHHHHH")  # id, flags, qd/an/ns/ar counts
 _PAIR = struct.Struct("!HH")  # qtype, qclass; or option code, option length
 _RR_TAIL = struct.Struct("!HHIH")  # type, class, ttl, rdlength
@@ -151,6 +97,7 @@ def canonical_name(name: str) -> str:
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _canonical_text(name: str) -> str:
+    """`canonical_name` of *name*, known to be text: the memo keyed on it."""
     if name.endswith("."):
         name = name[:-1]
     name = name.lower()
@@ -347,6 +294,7 @@ def make_query(
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _encode_name(name: str) -> bytes:
+    """The wire octets of a canonical *name*: the memo keyed on it."""
     out = bytearray()
     for label in name.encode("ascii").split(b"."):
         out.append(len(label))
@@ -361,7 +309,7 @@ def _encode_ecs_rdata(ecs: EcsOption) -> bytes:
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _encode_opt(udp_payload_size: int, ecs: EcsOption | None) -> bytes:
-    """The whole OPT record: root name, record tail with the payload size as class, and options."""
+    """The whole OPT record, root name, tail with the payload size as class and options: the memo keyed on both."""
     rdata = b""
     if ecs is not None:
         option = _encode_ecs_rdata(ecs)
@@ -500,7 +448,7 @@ def _walk(data: bytes, pos: int, end: int) -> tuple[str, int]:
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _plain_name(raw: bytes) -> str:
-    """Canonical text of an uncompressed wire name given as its own octets."""
+    """Canonical text of an uncompressed wire name: the memo keyed on its octets, at most 255 when valid."""
     return _walk(raw, 0, len(raw))[0]
 
 
@@ -538,6 +486,7 @@ def _record_at(data: bytes, pos: int, end: int) -> tuple[str, int, int, int, byt
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _decode_ecs(rdata: bytes) -> EcsOption:
+    """The client-subnet option of *rdata*: the memo keyed on the option data, at most 20 octets when valid."""
     if len(rdata) < _ECS_HEAD.size:
         raise Malformed("client-subnet option shorter than 4 octets")
     family, source, scope = _ECS_HEAD.unpack_from(rdata)
@@ -573,8 +522,8 @@ def _decode_opt(name: str, payload: int, ttl: int, rdata: bytes) -> EdnsOpt:
 def decode_message(data: bytes) -> DnsMessage:
     """Parse wire bytes into a DnsMessage; inverse of encode_message on its image.
 
-    The decode is looked up in the memo `_decode_body`, keyed on the octets
-    after the 2-octet ID, and returned with this message's ID patched in.
+    The decode is looked up in the memo `_decode_body` and returned with
+    this message's ID patched in.
     """
     data = bytes(data)
     if len(data) < 2:  # no ID to patch: read as is, to raise Truncated
@@ -585,7 +534,7 @@ def decode_message(data: bytes) -> DnsMessage:
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _decode_body(body: bytes) -> DnsMessage:
-    """The message with ID 0 and *body* after it: no decode reads the ID."""
+    """The message with ID 0 and *body* after it: the memo keyed on a message's octets after the ID."""
     return _decode(b"\x00\x00" + body)
 
 

@@ -64,10 +64,8 @@ class LocationPrefixMap(Value, fields="entries"):
         for code, prefix in entries.items():
             code = region_code(code, ZoneParseError)
             if not isinstance(prefix, (ipaddress.IPv4Network, ipaddress.IPv6Network)):
-                try:
+                with document.at(f"region {code}", ZoneParseError, ValueError):
                     prefix = ipaddress.ip_network(prefix)
-                except ValueError as exc:
-                    raise ZoneParseError(f"region {code}: {exc}") from None
             normalized[code] = prefix
         # sorted by start, ranges overlap somewhere only if two neighbours do
         spans = []
@@ -210,17 +208,13 @@ class GeoZone(Value, fields="origin regions records"):
         doc = document.obj(document.parse(text, name, ZoneParseError), name, ZoneParseError)
         origin = doc.get("origin", "")
         if origin != "":
-            try:
+            with document.at(f"{name}: origin", ZoneParseError, InvalidName):
                 origin = canonical_name(origin)
-            except InvalidName as exc:
-                raise ZoneParseError(f"{name}: origin: {exc}") from None
         regions_raw = document.obj(doc.get("regions", {}), f"{name}: regions", ZoneParseError)
         for code, prefix in regions_raw.items():  # ipaddress would read a number, or a bool, as an address
             document.text(prefix, f"{name}: regions.{code}", ZoneParseError)
-        try:
+        with document.at(f"{name}: regions", None, ZoneError):
             prefix_map = LocationPrefixMap(regions_raw)
-        except ZoneError as exc:
-            raise type(exc)(f"{name}: regions: {exc}") from None
 
         known = {}  # a cell's raw region text -> that region's facts, see _cell_region
         build = tuple.__new__
@@ -228,10 +222,8 @@ class GeoZone(Value, fields="origin regions records"):
         records_raw = document.obj(doc.get("records", {}), f"{name}: records", ZoneParseError)
         for key, block in records_raw.items():
             where = f"{name}: records[{key!r}]"
-            try:
+            with document.at(where, ZoneParseError, InvalidName):
                 qname = canonical_name(key)
-            except InvalidName as exc:
-                raise ZoneParseError(f"{where}: {exc}") from None
             if qname in records:
                 raise ZoneParseError(f"{where}: names the same record as an earlier key, {qname!r}")
             block = document.obj(block, where, ZoneParseError)
@@ -258,7 +250,10 @@ class GeoZone(Value, fields="origin regions records"):
                     packed = None
                 if packed is None or len(set(packed)) != len(packed):
                     # not all text of the region's family, or a repeat: the checking constructor raises why
-                    packed = _checked_answer(region, prefix, addresses, f"{where}.answers[{i}]").addresses
+                    spot = f"{where}.answers[{i}]"
+                    with document.at(f"{spot}.addresses", ZoneParseError, ValueError), \
+                            document.at(spot, ZoneParseError, ZoneParseError):
+                        packed = RegionalAnswer(region, prefix, tuple(addresses)).addresses
                 # every field is checked above, so the checking constructor is skipped
                 answer = build(RegionalAnswer, (region, prefix, packed))
                 regional.append(answer)
@@ -267,13 +262,9 @@ class GeoZone(Value, fields="origin regions records"):
             default = block.get("default")
             if default is not None:
                 document.array(default, f"{where}.default", ZoneParseError)
-            try:
-                answer_set = AnswerSet(tuple(regional), default, ttl, tables)
-            except (OverlapError, DefaultMismatch) as exc:
-                raise type(exc)(f"{where}: {exc}") from None
-            except ValueError as exc:
-                raise ZoneParseError(f"{where}.default: {exc}") from None
-            records[qname] = answer_set
+            with document.at(where, None, (OverlapError, DefaultMismatch)), \
+                    document.at(f"{where}.default", ZoneParseError, ValueError):
+                records[qname] = AnswerSet(tuple(regional), default, ttl, tables)
         return cls(origin=origin, regions=prefix_map, records=records)
 
     def lookup(self, qname: str, ecs: EcsOption | None = None) -> LookupResult:
@@ -310,24 +301,12 @@ def _cell_region(entry, prefix_map: LocationPrefixMap, known: dict, spot: str) -
     """
     entry = document.obj(entry, spot, ZoneParseError)
     raw = document.field(entry, "region", spot, ZoneParseError, document.text)
-    try:
+    with document.at(f"{spot}.region", ZoneParseError, ZoneParseError):
         region = region_code(raw, ZoneParseError)
-    except ZoneParseError as exc:
-        raise ZoneParseError(f"{spot}.region: {exc}") from None
     document.field(entry, "addresses", spot, ZoneParseError)
     prefix = prefix_map.entries.get(region)
     if prefix is None:
         raise ZoneParseError(f"{spot}.region: {region!r} not in regions table")
     facts = known[raw] = (region, prefix, family_packer(prefix.version), *_index_key(prefix))
     return facts
-
-
-def _checked_answer(region: str, prefix, addresses: list, spot: str) -> RegionalAnswer:
-    """*addresses* of a cell at *spot* through the checking constructor, its errors given *spot*."""
-    try:
-        return RegionalAnswer(region, prefix, tuple(addresses))
-    except ZoneParseError as exc:
-        raise ZoneParseError(f"{spot}: {exc}") from None
-    except ValueError as exc:
-        raise ZoneParseError(f"{spot}.addresses: {exc}") from None
 

@@ -38,7 +38,7 @@ import struct
 from pathlib import Path
 
 from ecsloc.mud import Ace, MudFile
-from ecsloc.resolver import ScenarioError
+from ecsloc.resolver import ScenarioError, parse_scenario
 from ecsloc.wire import (
     DEFAULT_UDP_PAYLOAD,
     QTYPE_A,
@@ -215,6 +215,11 @@ def reference_handle(resolver, payload: bytes, source: str) -> bytes:
     ttl = min((rr.ttl for rr in answers), default=DEFAULT_TTL)
     resolver._store(qname, qtype, scope, effective, address, answers, ttl)
     return reference_message(make_response(query, answers, ecs=echo(scope)))
+
+
+def load_scenario(path):
+    """The scenario document at *path*, read by `resolver.parse_scenario`."""
+    return parse_scenario(Path(path).read_bytes(), path)
 
 
 def record_for_address(name: str, address, ttl: int) -> ResourceRecord:

@@ -12,10 +12,12 @@ import ipaddress
 import json
 
 import pytest
-from helpers import reference_message, reference_respond
+from helpers import FIXTURES, reference_message, reference_respond
 from test_packet_cache import V4, V6, ZONE_DOC, _load_bench
 
-from ecsloc.resolver import Authoritative, Forward, Resolver, RewriteClientSubnet, Strip, VirtualClock
+from ecsloc.resolver import (
+    Authoritative, Forward, Resolver, RewriteClientSubnet, ScenarioError, Strip, VirtualClock,
+)
 from ecsloc.transport import InProcessLink
 from ecsloc.wire import (
     MAX_TTL,
@@ -26,6 +28,8 @@ from ecsloc.wire import (
     EdnsOpt,
     Question,
     decode_message,
+    encode_message,
+    make_query,
 )
 from ecsloc.zone import AnswerSet, GeoZone, LocationPrefixMap, RegionalAnswer
 
@@ -125,3 +129,12 @@ def test_ttl_above_the_field_still_raises(legacy_geo):
     with pytest.raises(ValueError) as expected:
         reference_respond(zone, legacy_geo, decode_message(payload), "198.18.0.9")
     assert str(got.value) == str(expected.value)
+
+
+@LEGACY_GEO
+def test_own_reply_is_refused(legacy_geo):
+    authoritative = Authoritative(GeoZone.load(FIXTURES / "zone.json"), legacy_geo=legacy_geo)
+    reply = authoritative.handle(encode_message(make_query("api.example.iot", msg_id=9)), "198.18.0.9")
+    assert len(decode_message(reply).answers) > 0
+    with pytest.raises(ScenarioError, match="^authoritative got a response instead of a query$"):
+        authoritative.handle(reply, "198.18.0.9")

@@ -26,6 +26,7 @@ from pathlib import Path
 import pytest
 from helpers import FIXTURES
 
+from ecsloc import document
 from ecsloc.cli import EXIT_INTERNAL, EXIT_OK, main
 
 GOLDEN = FIXTURES / "golden"
@@ -118,6 +119,24 @@ def mutant_lines(directory) -> list[str]:
             for path, _, value, code, err in mutant_runs(name, directory / name)
         ]
     return lines
+
+
+def test_at_words_a_caught_error_at_its_path():
+    with pytest.raises(IndexError, match="^where: boom$") as got:
+        with document.at("where", None, LookupError):
+            raise IndexError("boom")
+    assert type(got.value) is IndexError and got.value.__suppress_context__
+    with pytest.raises(TypeError, match="^where: boom$"):
+        with document.at("where", TypeError, (KeyError, ValueError)):
+            raise ValueError("boom")
+
+
+def test_at_passes_an_uncaught_error_through_unchanged():
+    error = RuntimeError("internal")
+    with pytest.raises(RuntimeError) as got:
+        with document.at("where", ValueError, (KeyError, ValueError)):
+            raise error
+    assert got.value is error and str(error) == "internal"
 
 
 def test_fields_cover_every_value():

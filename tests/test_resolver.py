@@ -9,6 +9,7 @@ import pytest
 from helpers import (
     FIXTURES,
     cached_records,
+    load_scenario,
     make_response,
     network_at,
     record_for_address,
@@ -28,7 +29,6 @@ from ecsloc.resolver import (
     ScenarioTranscript,
     Strip,
     VirtualClock,
-    load_scenario,
     parse_scenario,
     run_scenario,
     stub_query,

@@ -91,6 +91,21 @@ def test_udp_server_drops_garbage_and_keeps_serving():
     assert (server.received, server.answered, server.dropped) == (2, 1, 1)
 
 
+def test_udp_server_drops_a_response_sent_to_the_authoritative():
+    authoritative = Authoritative(GeoZone.load(FIXTURES / "zone.json"))
+    own_reply = authoritative.handle(QUERY, "198.18.0.9")
+    try:
+        with UdpServer(authoritative.handle) as server:
+            with UdpClient(*server.address, timeout=0.3) as client:
+                with pytest.raises(OSError):
+                    client.exchange(own_reply)  # refused: no reply
+                response = decode_message(client.exchange(QUERY))
+    except OSError as exc:
+        pytest.skip(f"UDP loopback unavailable: {exc}")
+    assert response.id == 7
+    assert (server.received, server.answered, server.dropped) == (2, 1, 1)
+
+
 def test_udp_server_counts_a_reply_it_cannot_send_as_dropped():
     try:
         with UdpServer(lambda payload, source: b"x" * 70_000) as server:  # too long for a datagram
