@@ -1,19 +1,20 @@
-"""Executable model of the three resolution architectures.
+"""Executable model of the three resolution architectures, `ARCHITECTURES`.
 
 standard          device sends a plain query; the resolver strips any
                   client-subnet data and the authoritative answers by the
                   resolver's own source prefix (legacy geo mode).
 ecs_basic         the resolver rewrites the client-subnet option to the
-                  querying device's address, so answers follow the device's
-                  network location.
+                  querying device's address, truncated to /24, so answers
+                  follow the device's network location.
 ecs_user_defined  the device's stub fills the option with the prefix mapped
                   to its user-chosen region and the resolver forwards it
                   untouched, so answers follow the registration choice.
 
-`Resolver` caches under client-subnet scope semantics on an injected
-virtual clock.  `Resolver.handle` and `Authoritative.handle` work in
-octets: each decodes the query and packs its reply with `wire.pack_reply`,
-so no response message is built.  `Resolver.resolve` is the typed wrapper.
+`Resolver` caches each answer in the table of its client-subnet scope, on
+an injected virtual clock.  `Resolver.handle` and `Authoritative.handle`
+work in octets: each decodes the query and packs its reply with
+`wire.pack_reply`, so no response message is built.  `Resolver.resolve`
+is the typed wrapper.
 """
 
 from __future__ import annotations
@@ -55,8 +56,6 @@ RCODE_NXDOMAIN = 3
 # RFC 7871's security considerations: client-subnet caching multiplies the entries per name
 CACHE_MAX_ENTRIES = 10_000
 
-ARCHITECTURES = ("standard", "ecs_basic", "ecs_user_defined")
-
 # The rewritten option per (client address, prefix length); like the wire
 # memos it keeps no error, so a bad address raises every time
 _rewrite_option = lru_cache(maxsize=4096)(EcsOption.for_prefix)
@@ -84,6 +83,9 @@ class RewriteClientSubnet(Value, fields="prefix_len"):
 
 
 Policy = Forward | Strip | RewriteClientSubnet
+
+# Each architecture of the module docstring to its resolver's policy
+ARCHITECTURES = {"standard": Strip(), "ecs_basic": RewriteClientSubnet(24), "ecs_user_defined": Forward()}
 
 
 class DeviceConfig(Value, fields="device_id ip_based_location user_defined_location client_address"):
@@ -165,14 +167,14 @@ class Authoritative:
 
 
 def _cache_key(ecs: EcsOption | None, scope: int, address: int) -> tuple:
-    """Cache key of the network *address* (the option's, as an integer) at *scope*.
+    """Key in the *scope* table of the network *address* (the option's, as an integer).
 
     Scope 0 answers every client, with or without an option (RFC 7871
-    section 7.3.1), so it has one key for every family.
+    section 7.3.1), so its table has one key for every family.
     """
     if scope == 0:
-        return (0, 0, 0)
-    return (ecs.family, scope, address & PREFIX_MASKS[ecs.family][scope])
+        return (0, 0)
+    return (ecs.family, address & PREFIX_MASKS[ecs.family][scope])
 
 
 def _echo(ecs: EcsOption | None, scope: int) -> EcsOption | None:
@@ -182,10 +184,13 @@ def _echo(ecs: EcsOption | None, scope: int) -> EcsOption | None:
 class Resolver:
     """Recursive resolver applying one policy, with a scope-aware cache.
 
-    Calls must be serialized per instance; handle() takes a lock so the UDP
-    front end satisfies that automatically.  At most CACHE_MAX_ENTRIES
-    entries are live: a store beyond that evicts the entry closest to
-    expiry, oldest store first on a tie.  The counters are hits, misses,
+    The cache holds one bucket per question: a table per answer scope,
+    most specific first, each mapping a client network (`_cache_key`) to
+    its entry.  No table or bucket is left empty.  Calls must be
+    serialized per instance; handle() takes a lock so the UDP front end
+    satisfies that automatically.  At most CACHE_MAX_ENTRIES entries are
+    live: a store beyond that evicts the entry closest to expiry, oldest
+    store first on a tie.  The counters are hits, misses,
     stores, expiries, evictions, bad_echoes and upstream_errors.
     """
 
@@ -199,13 +204,11 @@ class Resolver:
         clock: VirtualClock | None = None,
     ):
         self.policy = policy
-        self.location = location
         self.upstream = upstream
-        self.prefix_map = prefix_map
         self.clock = clock if clock is not None else VirtualClock()
         self.address = str(prefix_map.prefix_for(location).network_address + 1)
-        # (qname, qtype) -> ({(family, scope, network int): entry}, {scope: entry count}, most specific first)
-        self._cache: dict[tuple[str, int], tuple[dict, dict[int, int]]] = {}
+        # (qname, qtype) -> {scope: {_cache_key: entry}}
+        self._cache: dict[tuple[str, int], dict[int, dict[tuple, CacheEntry]]] = {}
         # (expires_at, store order, (qname, qtype), key, entry), one per store;
         # the entry itself tells a live record from a stale one
         self._heap: list[tuple] = []
@@ -286,13 +289,12 @@ class Resolver:
         bucket = self._cache.get((qname, qtype))
         if bucket is None:
             return None
-        entries, scopes = bucket
         if address is None:
             address = ecs.address_int() if ecs is not None else 0
-        for scope in scopes:
+        for scope, table in bucket.items():
             if scope and (ecs is None or ecs.source_prefix_len < scope):
                 continue
-            entry = entries.get(_cache_key(ecs, scope, address))
+            entry = table.get(_cache_key(ecs, scope, address))
             if entry is not None:
                 return entry
         return None
@@ -305,18 +307,15 @@ class Resolver:
         self._expire(now)
         entry = CacheEntry(scope, answer_segments(records), now + ttl)
         name = (qname, qtype)
-        bucket = self._cache.get(name)
-        if bucket is None:
-            bucket = self._cache[name] = ({}, {})
-        entries, scopes = bucket
-        if key not in entries:
+        bucket = self._cache.setdefault(name, {})
+        table = bucket.get(scope)
+        if table is None:
+            table = bucket[scope] = {}
+            for known in sorted(bucket, reverse=True):  # re-insert, most specific first
+                bucket[known] = bucket.pop(known)
+        if key not in table:
             self._size += 1
-            if scope not in scopes:
-                scopes[scope] = 0
-                for known in sorted(scopes, reverse=True):  # re-insert, most specific first
-                    scopes[known] = scopes.pop(known)
-            scopes[scope] += 1
-        entries[key] = entry
+        table[key] = entry
         heap = self._heap
         heapq.heappush(heap, (entry.expires_at, next(self._order), name, key, entry))
         self.stores += 1
@@ -337,22 +336,24 @@ class Resolver:
 
     def _holds(self, record: tuple) -> bool:
         """Whether the entry of heap *record* is still cached, not overwritten or dropped."""
-        bucket = self._cache.get(record[2])
-        return bucket is not None and bucket[0].get(record[3]) is record[4]
+        _, _, name, key, entry = record
+        bucket = self._cache.get(name)
+        table = bucket and bucket.get(entry.scope_prefix_len)
+        return table is not None and table.get(key) is entry
 
     def _drop(self, record: tuple) -> bool:
-        """Drop the entry of heap *record*, its scope and bucket if left empty; False for a stale record."""
+        """Drop the entry of heap *record*, its table and bucket if left empty; False for a stale record."""
         if not self._holds(record):
             return False
         _, _, name, key, entry = record
-        entries, scopes = self._cache[name]
-        del entries[key]
+        bucket = self._cache[name]
+        table = bucket[entry.scope_prefix_len]
+        del table[key]
         self._size -= 1
-        scopes[entry.scope_prefix_len] -= 1
-        if not scopes[entry.scope_prefix_len]:
-            del scopes[entry.scope_prefix_len]
-        if not entries:
-            del self._cache[name]
+        if not table:
+            del bucket[entry.scope_prefix_len]
+            if not bucket:
+                del self._cache[name]
         return True
 
 
@@ -391,16 +392,6 @@ class ScenarioTranscript(Value, fields="architecture hops"):
         return "\n".join(lines) + "\n"
 
 
-def policy_for_architecture(arch: str) -> Policy:
-    if arch == "standard":
-        return Strip()
-    if arch == "ecs_basic":
-        return RewriteClientSubnet(24)
-    if arch == "ecs_user_defined":
-        return Forward()
-    raise ScenarioError(f"unknown architecture {arch!r}; expected one of {ARCHITECTURES}")
-
-
 def run_scenario(
     arch: str,
     cfg: DeviceConfig,
@@ -411,9 +402,10 @@ def run_scenario(
     policy: Policy | None = None,
 ) -> ScenarioTranscript:
     """Run one query through the chosen architecture and record every hop."""
-    arch_policy = policy_for_architecture(arch)  # raises for an unknown architecture
+    if not isinstance(arch, str) or arch not in ARCHITECTURES:  # a list or dict cannot be hashed
+        raise ScenarioError(f"unknown architecture {arch!r}; expected one of {tuple(ARCHITECTURES)}")
     if policy is None:
-        policy = arch_policy
+        policy = ARCHITECTURES[arch]
     prefix_map = zone.regions
     cfg.validate_against(prefix_map)
     if arch == "ecs_user_defined":
@@ -449,7 +441,7 @@ def parse_scenario(data: bytes | str, path) -> ScenarioSpec:
         document.field(doc, key, path, ScenarioError)
         for key in ("architecture", "device", "qname", "zone", "resolver")
     )
-    if arch not in ARCHITECTURES:
+    if not isinstance(arch, str) or arch not in ARCHITECTURES:
         raise ScenarioError(f"{path}: unknown architecture {arch!r}")
     device_doc = document.obj(device_doc, f"{path}: device", ScenarioError)
     cfg = DeviceConfig(*(

@@ -403,22 +403,17 @@ def cumulative_counts(
     picked = _select(log, device, ip_location, user_location)
     if not picked:
         return []
-    t0 = picked[0].timestamp
-    last = picked[-1].timestamp
     series = []
     domains: set[str] = set()
     ips: set[str] = set()
-    idx = 0
-    bucket_end = t0 + bucket_seconds
-    while True:
-        while idx < len(picked) and picked[idx].timestamp < bucket_end:
-            domains.add(picked[idx].qname)
-            ips.update(picked[idx].resolved_ips)
-            idx += 1
-        series.append((bucket_end, len(domains), len(ips)))
-        if bucket_end > last:
-            break
-        bucket_end += bucket_seconds
+    bucket_end = picked[0].timestamp + bucket_seconds
+    for record in picked:
+        while record.timestamp >= bucket_end:  # close every bucket this record is past
+            series.append((bucket_end, len(domains), len(ips)))
+            bucket_end += bucket_seconds
+        domains.add(record.qname)
+        ips.update(record.resolved_ips)
+    series.append((bucket_end, len(domains), len(ips)))
     return series
 
 

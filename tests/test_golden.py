@@ -2,9 +2,11 @@
 
 Each case runs the CLI in-process on the fixtures.  Its stdout must equal
 fixtures/golden/<case>.out byte for byte, and its exit code must equal the
-one recorded in fixtures/golden/exit_codes.json.  Some cases read earlier
-cases' recorded outputs as input documents.  When a payload change is
-intended, re-record every case with
+one recorded in fixtures/golden/exit_codes.json.  A case that exits
+non-zero must also write the `ecsloc:` stderr lines recorded in
+fixtures/golden/error_lines.json, with the fixtures directory shown as
+{fixtures}.  Some cases read earlier cases' recorded outputs as input
+documents.  When a payload change is intended, re-record every case with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -68,6 +70,11 @@ CASES = {
         "analyze", "uds", "--log", "{fixtures}/captures/yi_camera.log", "--device", "ghost",
         "--ipl", "US", "--locations", "HK", "UK",
     ],
+    "analyze_uds_bad_capture_line": [
+        "analyze", "uds", "--log", "{fixtures}/captures/bad_line.log", "--device", "yi-cam",
+        "--ipl", "US", "--locations", "HK", "UK",
+    ],
+    "analyze_uds_bad_region": ["analyze", "uds", *YI, "--ipl", "U1", "--locations", "HK", "UK"],
     "analyze_ipbs_pools": ["analyze", "ipbs", *POOLS, "--udl", "US", "--locations", "US", "UK"],
     "analyze_stabilize_yi": ["analyze", "stabilize", *YI, "--ipl", "US", "--udl", "HK"],
     "analyze_stabilize_empty_selection": ["analyze", "stabilize", *YI, "--ipl", "US", "--udl", "US"],
@@ -112,15 +119,24 @@ CASES = {
 }
 
 
-def run(argv) -> tuple[int, bytes]:
+ERRORS = GOLDEN / "error_lines.json"
+
+
+def run(argv, err=None) -> tuple[int, bytes]:
+    """The CLI's exit code and stdout on *argv*; its stderr goes to the text stream *err*, if given."""
     args = [arg.format(fixtures=FIXTURES, golden=GOLDEN) for arg in argv]
     out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err if err is not None else io.StringIO()):
         try:
             code = main(args)
         except SystemExit as exc:  # argparse usage errors
             code = exc.code
     return code, out.getvalue().encode()
+
+
+def error_lines(err: str) -> list[str]:
+    """The `ecsloc:` lines of the stderr text *err*, each fixtures path shown as {fixtures}."""
+    return [line.replace(str(FIXTURES), "{fixtures}") for line in err.splitlines() if line.startswith("ecsloc:")]
 
 
 @pytest.mark.parametrize("name", list(CASES))
@@ -129,6 +145,15 @@ def test_cli_matches_golden(name):
     expected_codes = json.loads((GOLDEN / "exit_codes.json").read_text())
     assert code == expected_codes[name]
     assert payload == (GOLDEN / f"{name}.out").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name", [name for name, code in json.loads((GOLDEN / "exit_codes.json").read_text()).items() if code]
+)
+def test_cli_error_lines_match_golden(name):
+    err = io.StringIO()
+    run(CASES[name], err)
+    assert error_lines(err.getvalue()) == json.loads(ERRORS.read_text())[name]
 
 
 def test_reordered_log_reads_like_documented_layout():
@@ -144,9 +169,15 @@ if __name__ == "__main__":
         sys.exit(f"unknown golden cases: {', '.join(unknown)}")
     codes_path = GOLDEN / "exit_codes.json"
     codes = json.loads(codes_path.read_text()) if sys.argv[1:] else {}
+    errors = json.loads(ERRORS.read_text()) if sys.argv[1:] else {}
     for name in CASES:
         if name in names:
-            codes[name], payload = run(CASES[name])
+            err = io.StringIO()
+            codes[name], payload = run(CASES[name], err)
             (GOLDEN / f"{name}.out").write_bytes(payload)
-    ordered = {name: codes[name] for name in CASES if name in codes}
-    codes_path.write_text(json.dumps(ordered, indent=2) + "\n")
+            errors.pop(name, None)
+            if codes[name]:
+                errors[name] = error_lines(err.getvalue())
+    for path, recorded in ((codes_path, codes), (ERRORS, errors)):
+        ordered = {name: recorded[name] for name in CASES if name in recorded}
+        path.write_text(json.dumps(ordered, indent=2) + "\n")

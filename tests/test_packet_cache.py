@@ -79,6 +79,7 @@ class Twins:
                 outcomes.append((type(exc), str(exc)))
         assert outcomes[0] == outcomes[1], f"payload {payload.hex()}"
         self.replies += isinstance(outcomes[0], bytes)
+        assert_cache_shape(self.sides[0][index])  # the reference side stores through the same code
         return outcomes[0]
 
     def advance(self, seconds):
@@ -90,6 +91,21 @@ class Twins:
 
     def assert_counters_equal(self):
         assert self.counters(0) == self.counters(1)
+
+
+def assert_cache_shape(resolver):
+    """The invariants of *resolver*'s cache: each bucket's scopes strictly decrease, no
+    table or bucket is empty, `_size` is the tables' total, every entry has a heap record."""
+    recorded = {id(record[4]) for record in resolver._heap}
+    size = 0
+    for name, bucket in resolver._cache.items():
+        scopes = list(bucket)
+        assert scopes and all(a > b for a, b in zip(scopes, scopes[1:])), (name, scopes)
+        for scope, table in bucket.items():
+            assert table, (name, scope)
+            size += len(table)
+            assert all(entry.scope_prefix_len == scope and id(entry) in recorded for entry in table.values())
+    assert resolver._size == size
 
 
 def _zone_twins(zone_doc, location):

@@ -446,7 +446,7 @@ def test_cache_store_cost_does_not_grow_with_entries():
         for i in range(count):
             ecs = EcsOption.for_prefix(f"10.{i >> 8}.{i & 255}.0", 24)
             resolver._store("q.t", 1, 24, ecs, ecs.address_int(), records, 300)
-        assert len(resolver._cache[("q.t", 1)][0]) == count
+        assert len(resolver._cache[("q.t", 1)][24]) == count
         resolvers[count] = (resolver, ecs)
     best = {40: float("inf"), 4000: float("inf")}
     for _ in range(7):
@@ -456,7 +456,7 @@ def test_cache_store_cost_does_not_grow_with_entries():
 
 
 def _live_entries(resolver):
-    return sum(len(entries) for entries, _ in resolver._cache.values())
+    return sum(len(table) for bucket in resolver._cache.values() for table in bucket.values())
 
 
 def test_cache_memory_is_bounded(monkeypatch):
@@ -611,6 +611,12 @@ class TestScenarios:
     def test_unknown_architecture_rejected(self, zone):
         with pytest.raises(ScenarioError):
             run_scenario("anycast", device(), "api.example.iot", zone, "HK")
+
+    @pytest.mark.parametrize("arch", [[], {}, ["standard"], {"standard": 1}, None, 1])
+    def test_architecture_of_another_type_rejected(self, zone, arch):
+        # a list or dict cannot be a key of ARCHITECTURES, and must not raise TypeError
+        with pytest.raises(ScenarioError, match=r"^unknown architecture "):
+            run_scenario(arch, device(), "api.example.iot", zone, "HK")
 
 
 class TestDominance:

@@ -720,7 +720,43 @@ def test_collapse_cost_does_not_grow_with_pools():
     assert best[1000] <= 3 * best[10], f"1000 pools {best[1000]:.6f}s vs 10 pools {best[10]:.6f}s"
 
 
+def cumulative_oracle(records, bucket_seconds):
+    """For each bucket end, the distinct qnames and IPs of the records before it."""
+    if not records:
+        return []
+    first = min(r.timestamp for r in records)
+    last = max(r.timestamp for r in records)
+    ends = [first + k * bucket_seconds for k in range(1, (last - first) // bucket_seconds + 2)]
+    return [
+        (
+            end,
+            len({r.qname for r in records if r.timestamp < end}),
+            len({ip for r in records if r.timestamp < end for ip in r.resolved_ips}),
+        )
+        for end in ends
+    ]
+
+
 class TestCumulative:
+
+    @settings(max_examples=300)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 40),  # few values, so timestamps repeat
+                st.sampled_from(["UK", "US"]),
+                st.sampled_from(["a.x", "b.x", "c.y", "d.y"]),
+                st.lists(st.sampled_from([f"10.0.0.{i}" for i in range(6)]), max_size=3),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        st.integers(1, 6),
+    )
+    def test_matches_brute_force(self, rows, bucket_seconds):
+        log = log_of([(ts, "d", "UK", udl, qname, ips) for ts, udl, qname, ips in rows])
+        picked = [r for r in log.records if r.user_defined_location == "UK"]
+        assert cumulative_counts(log, "d", "UK", "UK", bucket_seconds) == cumulative_oracle(picked, bucket_seconds)
 
     def test_daily_fixture_shape(self):
         log = ingest_log(FIXTURES / "captures" / "echo_daily.log")
