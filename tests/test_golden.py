@@ -5,7 +5,10 @@ fixtures/golden/<case>.out byte for byte, and its exit code must equal the
 one recorded in fixtures/golden/exit_codes.json.  A case that exits
 non-zero must also write the `ecsloc:` stderr lines recorded in
 fixtures/golden/error_lines.json, with the fixtures directory shown as
-{fixtures}.  Some cases read earlier cases' recorded outputs as input
+{fixtures}.  A case that exits 0 must end its stderr with the run report
+recorded in fixtures/golden/run_reports.json, paths shown as {golden},
+then {fixtures}; run again with `--out`, it must write the same payload
+to that file and nothing to stdout, and report the file.  Some cases read earlier cases' recorded outputs as input
 documents.  When a payload change is intended, re-record every case with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -120,6 +123,7 @@ CASES = {
 
 
 ERRORS = GOLDEN / "error_lines.json"
+REPORTS = GOLDEN / "run_reports.json"
 
 
 def run(argv, err=None) -> tuple[int, bytes]:
@@ -139,6 +143,11 @@ def error_lines(err: str) -> list[str]:
     return [line.replace(str(FIXTURES), "{fixtures}") for line in err.splitlines() if line.startswith("ecsloc:")]
 
 
+def report_line(err: str) -> str:
+    """The last line of the stderr text *err*, the run report, with paths shown as {golden}, then {fixtures}."""
+    return err.splitlines()[-1].replace(str(GOLDEN), "{golden}").replace(str(FIXTURES), "{fixtures}")
+
+
 @pytest.mark.parametrize("name", list(CASES))
 def test_cli_matches_golden(name):
     code, payload = run(CASES[name])
@@ -156,6 +165,25 @@ def test_cli_error_lines_match_golden(name):
     assert error_lines(err.getvalue()) == json.loads(ERRORS.read_text())[name]
 
 
+@pytest.mark.parametrize(
+    "name", [name for name, code in json.loads((GOLDEN / "exit_codes.json").read_text()).items() if not code]
+)
+def test_cli_run_report_matches_golden(name, tmp_path):
+    recorded = json.loads(REPORTS.read_text())[name]
+    err = io.StringIO()
+    run(CASES[name], err)
+    assert report_line(err.getvalue()) == json.dumps(recorded)
+
+    out = tmp_path / "payload"
+    err = io.StringIO()
+    code, stdout = run([*CASES[name], "--out", str(out)], err)
+    assert (code, stdout) == (0, b"")
+    assert out.read_bytes() == (GOLDEN / f"{name}.out").read_bytes()
+    recorded["command"] += ["--out", "{tmp}/payload"]
+    recorded["outputs"] = ["{tmp}/payload"]
+    assert report_line(err.getvalue()).replace(str(tmp_path), "{tmp}") == json.dumps(recorded)
+
+
 def test_reordered_log_reads_like_documented_layout():
     """Keys in any order, with any whitespace, give the same payload."""
     reordered = (GOLDEN / "analyze_uds_yi_reordered.out").read_bytes()
@@ -170,14 +198,18 @@ if __name__ == "__main__":
     codes_path = GOLDEN / "exit_codes.json"
     codes = json.loads(codes_path.read_text()) if sys.argv[1:] else {}
     errors = json.loads(ERRORS.read_text()) if sys.argv[1:] else {}
+    reports = json.loads(REPORTS.read_text()) if sys.argv[1:] else {}
     for name in CASES:
         if name in names:
             err = io.StringIO()
             codes[name], payload = run(CASES[name], err)
             (GOLDEN / f"{name}.out").write_bytes(payload)
             errors.pop(name, None)
+            reports.pop(name, None)
             if codes[name]:
                 errors[name] = error_lines(err.getvalue())
-    for path, recorded in ((codes_path, codes), (ERRORS, errors)):
+            else:
+                reports[name] = json.loads(report_line(err.getvalue()))
+    for path, recorded in ((codes_path, codes), (ERRORS, errors), (REPORTS, reports)):
         ordered = {name: recorded[name] for name in CASES if name in recorded}
         path.write_text(json.dumps(ordered, indent=2) + "\n")
