@@ -1,9 +1,13 @@
 """Command-line front end.
 
 Subcommands: `scenario run`, `analyze {uds|ipbs|stabilize|cumulative|matrix}`,
-`mud {generate|unify|collapse|compare}`.  Payload output (transcripts and
-comma-separated tables) goes to --out or stdout and is byte-deterministic;
-a run report with input digests goes to stderr.
+`mud {generate|unify|collapse|compare}`.  Each command is a function
+``(args, read) -> (payload, metrics)``: it reads its files only through
+``read(path)``, which returns their bytes and records their digests, and
+returns its payload text (a transcript, a comma-separated table or an
+allowlist document) with a dict of result values.  `main` alone writes the
+payload, byte-deterministic, to --out or stdout, then prints the run report
+to stderr as one JSON line: command, seed, input digests, outputs, metrics.
 
 Exit codes: 0 success, 2 usage, 3 data error, 4 empty selection,
 70 internal error.
@@ -17,7 +21,6 @@ import hashlib
 import json
 import sys
 import traceback
-from dataclasses import asdict, dataclass, field as dc_field
 from pathlib import Path
 
 from . import mud as mudlib
@@ -34,45 +37,24 @@ EXIT_EMPTY_SELECTION = 4
 EXIT_INTERNAL = 70
 
 
-@dataclass
-class RunReport:
-    command: list[str]
-    seed: int
-    inputs: dict = dc_field(default_factory=dict)
-    outputs: list = dc_field(default_factory=list)
-    metrics: dict = dc_field(default_factory=dict)
-
-    def note_input(self, path, data: bytes) -> None:
-        """Record the digest of *data*, the bytes the command read from *path*."""
-        self.inputs[str(path)] = hashlib.sha256(data).hexdigest()
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
-
-
 def _decimal(value) -> str:
     return str(float(value))
 
 
-def _read(path, report: RunReport) -> bytes:
-    """The bytes of the file at *path*, their digest recorded in *report*."""
-    data = Path(path).read_bytes()
-    report.note_input(path, data)
-    return data
+def _table(header: str, rows) -> str:
+    """A comma-separated payload: the *header* line, then one line per row."""
+    return "".join(f"{line}\n" for line in [header, *(",".join(map(str, row)) for row in rows)])
 
 
-def _emit(payload: str, out_path, report: RunReport) -> None:
-    if out_path:
-        Path(out_path).write_text(payload)
-        report.outputs.append(str(out_path))
-    else:
-        sys.stdout.write(payload)
+def _document(mud: mudlib.MudFile, **metrics):
+    """The allowlist *mud* as a payload, and *metrics* after its domain count."""
+    return mudlib.serialize_mud(mud).decode(), {"domains": mudlib.domain_count(mud), **metrics}
 
 
-def cmd_scenario_run(args, report: RunReport) -> None:
-    spec = parse_scenario(_read(args.scenario, report), args.scenario)
+def cmd_scenario_run(args, read):
+    spec = parse_scenario(read(args.scenario), args.scenario)
     zone_path = Path(args.zone) if args.zone else spec.zone_path
-    zone = GeoZone.loads(_read(zone_path, report), zone_path)
+    zone = GeoZone.loads(read(zone_path), zone_path)
     transcript = run_scenario(
         spec.architecture,
         spec.device,
@@ -81,60 +63,49 @@ def cmd_scenario_run(args, report: RunReport) -> None:
         spec.resolver_location,
         policy=spec.policy,
     )
-    _emit(transcript.render(), args.out, report)
-    report.metrics["architecture"] = spec.architecture
-    report.metrics["final_answers"] = list(transcript.final_answers())
-    report.metrics["hops"] = len(transcript.hops)
+    return transcript.render(), {
+        "architecture": spec.architecture,
+        "final_answers": list(transcript.final_answers()),
+        "hops": len(transcript.hops),
+    }
 
 
-def _load_log(args, report: RunReport) -> traffic.CaptureLog:
-    log = traffic.parse_log(_read(args.log, report), args.log)
+def _load_log(args, read) -> traffic.CaptureLog:
+    log = traffic.parse_log(read(args.log), args.log)
     if log.resorted:
         print(f"warning: {args.log}: timestamps were out of order; records re-sorted", file=sys.stderr)
     return log
 
 
-def cmd_analyze_pair(args, report: RunReport) -> None:
+def cmd_analyze_pair(args, read):
     """`analyze uds` or `analyze ipbs`: *args.measure*, a `traffic` function, at the *args.fixed* location."""
-    log = _load_log(args, report)
+    log = _load_log(args, read)
     a, b = args.locations
     fixed = getattr(args, args.fixed)
     value = _decimal(getattr(traffic, args.measure)(log, args.device, fixed, a, b, args.pool_threshold))
-    payload = f"{args.header},{args.measure}\n{args.device},{fixed.upper()},{a.upper()},{b.upper()},{value}\n"
-    _emit(payload, args.out, report)
-    report.metrics[args.measure] = value
+    row = (args.device, fixed.upper(), a.upper(), b.upper(), value)
+    return _table(f"{args.header},{args.measure}", [row]), {args.measure: value}
 
 
-def cmd_analyze_stabilize(args, report: RunReport) -> None:
-    log = _load_log(args, report)
-    value = traffic.stabilization_time(log, args.device, args.ipl, args.udl)
+def cmd_analyze_stabilize(args, read):
+    value = traffic.stabilization_time(_load_log(args, read), args.device, args.ipl, args.udl)
     cell = "-" if value is None else str(value)
-    payload = (
-        "device,ip_location,user_location,stabilized_at\n"
-        f"{args.device},{args.ipl.upper()},{args.udl.upper()},{cell}\n"
-    )
-    _emit(payload, args.out, report)
-    report.metrics["stabilized_at"] = cell
+    row = (args.device, args.ipl.upper(), args.udl.upper(), cell)
+    return _table("device,ip_location,user_location,stabilized_at", [row]), {"stabilized_at": cell}
 
 
-def cmd_analyze_cumulative(args, report: RunReport) -> None:
-    log = _load_log(args, report)
+def cmd_analyze_cumulative(args, read):
+    log = _load_log(args, read)
     series = traffic.cumulative_counts(log, args.device, args.ipl, args.udl, args.bucket_seconds)
-    lines = ["bucket_end,unique_domains,unique_ips"]
-    lines += [f"{end},{domains},{ips}" for end, domains, ips in series]
-    _emit("\n".join(lines) + "\n", args.out, report)
-    report.metrics["buckets"] = len(series)
+    return _table("bucket_end,unique_domains,unique_ips", series), {"buckets": len(series)}
 
 
-def cmd_analyze_matrix(args, report: RunReport) -> None:
-    log = _load_log(args, report)
+def cmd_analyze_matrix(args, read):
+    log = _load_log(args, read)
     regions = [r.upper() for r in args.regions]
     matrix = traffic.similarity_matrix(log, args.device, args.ipl, regions, args.pool_threshold)
-    lines = ["region," + ",".join(regions)]
-    for region, row in zip(regions, matrix):
-        lines.append(region + "," + ",".join(_decimal(v) for v in row))
-    _emit("\n".join(lines) + "\n", args.out, report)
-    report.metrics["regions"] = regions
+    rows = [(region, *map(_decimal, row)) for region, row in zip(regions, matrix)]
+    return _table(",".join(["region", *regions]), rows), {"regions": regions}
 
 
 def _template_from_args(args) -> mudlib.AceTemplate:
@@ -149,37 +120,28 @@ def _template_from_args(args) -> mudlib.AceTemplate:
     )
 
 
-def cmd_mud_generate(args, report: RunReport) -> None:
-    log = _load_log(args, report)
+def cmd_mud_generate(args, read):
+    log = _load_log(args, read)
     ds = traffic.domain_set(log, args.device, args.ipl, args.udl, pool_threshold=args.pool_threshold)
-    mud = mudlib.generate_mud(ds, args.device, _template_from_args(args), mud_url=args.mud_url)
-    _emit(mudlib.serialize_mud(mud).decode(), args.out, report)
-    report.metrics["domains"] = mudlib.domain_count(mud)
+    return _document(mudlib.generate_mud(ds, args.device, _template_from_args(args), mud_url=args.mud_url))
 
 
-def cmd_mud_unify(args, report: RunReport) -> None:
-    unified = mudlib.unify([mudlib.parse_mud(_read(path, report)) for path in args.inputs])
-    _emit(mudlib.serialize_mud(unified).decode(), args.out, report)
-    report.metrics["domains"] = mudlib.domain_count(unified)
+def cmd_mud_unify(args, read):
+    return _document(mudlib.unify([mudlib.parse_mud(read(path)) for path in args.inputs]))
 
 
-def cmd_mud_collapse(args, report: RunReport) -> None:
-    mud = mudlib.parse_mud(_read(args.input, report))
-    result = mudlib.ecs_collapse(mud, mudlib.load_groups(_read(args.groups, report)))
-    _emit(mudlib.serialize_mud(result.mud).decode(), args.out, report)
-    report.metrics["domains"] = mudlib.domain_count(result.mud)
-    report.metrics["unmatched_variants"] = list(result.unmatched_variants)
-    report.metrics["tuple_splits"] = list(result.tuple_splits)
+def cmd_mud_collapse(args, read):
+    mud = mudlib.parse_mud(read(args.input))
+    result = mudlib.ecs_collapse(mud, mudlib.load_groups(read(args.groups)))
+    return _document(
+        result.mud, unmatched_variants=list(result.unmatched_variants), tuple_splits=list(result.tuple_splits)
+    )
 
 
-def cmd_mud_compare(args, report: RunReport) -> None:
-    muds = [mudlib.parse_mud(_read(path, report)) for path in args.inputs]
-    rows = mudlib.sweep_table(muds, mudlib.load_groups(_read(args.groups, report)))
-    lines = ["locations_included,unified_domains,ecs_domains,ratio"]
-    lines += [f"{k},{u},{e},{_decimal(r)}" for k, u, e, r in rows]
-    _emit("\n".join(lines) + "\n", args.out, report)
-    if rows:
-        report.metrics["final_ratio"] = _decimal(rows[-1][3])
+def cmd_mud_compare(args, read):
+    muds = [mudlib.parse_mud(read(path)) for path in args.inputs]
+    rows = [(k, u, e, _decimal(r)) for k, u, e, r in mudlib.sweep_table(muds, mudlib.load_groups(read(args.groups)))]
+    return _table("locations_included,unified_domains,ecs_domains,ratio", rows), {"final_ratio": rows[-1][3]}
 
 
 @functools.cache
@@ -279,11 +241,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    report = RunReport(command=["ecsloc", *argv], seed=args.seed)
+    args = build_parser().parse_args(argv)
+    report = {"command": ["ecsloc", *argv], "seed": args.seed, "inputs": {}, "outputs": []}
+
+    def read(path) -> bytes:
+        """The bytes of the file at *path*, their digest recorded in the report."""
+        data = Path(path).read_bytes()
+        report["inputs"][str(path)] = hashlib.sha256(data).hexdigest()
+        return data
+
     try:
-        args.func(args, report)
+        payload, report["metrics"] = args.func(args, read)
+        if args.out:
+            Path(args.out).write_text(payload)
+            report["outputs"].append(str(args.out))
+        else:
+            sys.stdout.write(payload)
     except EmptySelection as exc:
         print(f"ecsloc: empty selection: {exc}", file=sys.stderr)
         return EXIT_EMPTY_SELECTION
@@ -293,7 +266,7 @@ def main(argv=None) -> int:
     except Exception:
         traceback.print_exc()
         return EXIT_INTERNAL
-    print(report.to_json(), file=sys.stderr)
+    print(json.dumps(report), file=sys.stderr)
     return EXIT_OK
 
 
