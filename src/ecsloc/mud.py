@@ -175,14 +175,17 @@ def generate_mud(
     )
 
 
+def _one_device(device_ids: set) -> None:
+    if len(device_ids) != 1:
+        raise MixedDevices(f"inputs describe several devices: {sorted(device_ids)}")
+
+
 def unify(muds) -> MudFile:
     """Set-union of entries across allowlists for the same device."""
     muds = list(muds)
     if not muds:
         raise MudError("nothing to unify")
-    device_ids = {m.device_id for m in muds}
-    if len(device_ids) != 1:
-        raise MixedDevices(f"inputs describe several devices: {sorted(device_ids)}")
+    _one_device({m.device_id for m in muds})
     aces = set()
     for mud in muds:
         aces.update(mud.acl)
@@ -191,6 +194,11 @@ def unify(muds) -> MudFile:
         mud_url=min(m.mud_url for m in muds),
         acl=tuple(aces),
     )
+
+
+def _canonical_names(groups) -> dict[str, str]:
+    """Each regional variant in *groups* -> its group's canonical domain; a later group wins a variant named twice."""
+    return {variant: group.canonical_domain for group in groups for variant in group.regional_variants.values()}
 
 
 class CollapseResult(Value, fields="mud unmatched_variants tuple_splits"):
@@ -204,10 +212,7 @@ def ecs_collapse(unified: MudFile, groups) -> CollapseResult:
     tuples each keep their own canonical entry and the group is reported as
     split.  Variants named but absent from the input are reported, not fatal.
     """
-    variant_to_canonical = {}
-    for group in groups:
-        for variant in group.regional_variants.values():
-            variant_to_canonical[variant] = group.canonical_domain
+    variant_to_canonical = _canonical_names(groups)
     present = {ace.endpoint for ace in unified.acl}
     unmatched = tuple(sorted(v for v in variant_to_canonical if v not in present))
 
@@ -270,10 +275,13 @@ def domain_count(mud: MudFile) -> int:
 
 def reduction_ratio(unified: MudFile, ecs: MudFile) -> Fraction:
     """Fraction of the unified allowlist's domains the collapsed one saves."""
-    total = domain_count(unified)
+    return _ratio(domain_count(unified), domain_count(ecs))
+
+
+def _ratio(total: int, kept: int) -> Fraction:
     if total == 0:
         raise DivisionGuard("both allowlists have zero domain endpoints")
-    return Fraction(total - domain_count(ecs), total)
+    return Fraction(total - kept, total)
 
 
 def _port_json(port: int | None):
@@ -381,12 +389,21 @@ def sweep_table(location_muds, groups) -> list[tuple[int, int, int, Fraction]]:
     """Unified-versus-collapsed domain counts as locations accumulate.
 
     Row k covers the first k inputs: (k, unified domains, collapsed domains,
-    reduction ratio).
+    reduction ratio), as `unify` and `ecs_collapse` count them.  Each input's
+    endpoints are read once, into running sets of the device ids, the domain
+    endpoints and the domains their collapsed names are.
     """
-    muds = list(location_muds)
+    canonical = _canonical_names(groups)
+    device_ids, unified, collapsed = set(), set(), set()
     rows = []
-    for k in range(1, len(muds) + 1):
-        unified = unify(muds[:k])
-        collapsed = ecs_collapse(unified, groups).mud
-        rows.append((k, domain_count(unified), domain_count(collapsed), reduction_ratio(unified, collapsed)))
+    for k, mud in enumerate(location_muds, 1):
+        device_ids.add(mud.device_id)
+        _one_device(device_ids)
+        for endpoint in {ace.endpoint for ace in mud.acl}:
+            if _endpoint_kind(endpoint) == "domain":
+                unified.add(endpoint)
+            name = canonical.get(endpoint, endpoint)
+            if _endpoint_kind(name) == "domain":  # a variant may be address text, and so may a canonical name
+                collapsed.add(name)
+        rows.append((k, len(unified), len(collapsed), _ratio(len(unified), len(collapsed))))
     return rows

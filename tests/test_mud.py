@@ -6,6 +6,7 @@ import itertools
 import json
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -306,6 +307,94 @@ class TestCounting:
             assert ratio == Fraction(k - 1, k)
             if k >= 3:
                 assert ratio >= Fraction(66, 100)
+
+
+def sweep_oracle(location_muds, groups):
+    """`sweep_table` as first written: row k unifies and collapses the first k inputs afresh."""
+    muds = list(location_muds)
+    rows = []
+    for k in range(1, len(muds) + 1):
+        unified = unify(muds[:k])
+        collapsed = ecs_collapse(unified, groups).mud
+        rows.append((k, domain_count(unified), domain_count(collapsed), reduction_ratio(unified, collapsed)))
+    return rows
+
+
+def _outcome(sweep, muds, groups):
+    """The repr of *sweep*'s rows, so a ratio's type counts too, or the class and text of what it raised."""
+    try:
+        return repr(sweep(muds, groups))
+    except MudError as exc:
+        return type(exc), str(exc)
+
+
+def _sweep_case(rng: random.Random):
+    """A few MUDs and groups over one small endpoint pool: domain, IPv4, IPv6 and MAC text alike."""
+    regions = rng.sample(REGIONS, 4)
+    names = [f"{r.lower()}.svc{i}.example" for r in regions for i in range(2)]
+    names += ["shared.example", "10.0.0.1", "10.0.0.2", "fe80::1", "00:11:22:33:44:55"]
+    endpoints = [*names, "Shared.Example.", "other.example"]
+    groups = []
+    for i in range(rng.randint(0, 3)):
+        variants = rng.sample(names, rng.randint(1, 3))
+        canonical = rng.choice([f"svc{i}.example", "shared.example", "10.9.9.9", "fe80::9", "svc.example"])
+        groups.append(RegionDomainGroup(canonical, dict(zip(regions, variants))))
+    muds = []
+    for _ in range(rng.randint(0, 6)):
+        device_id = "d1" if rng.random() < 0.9 else rng.choice(["d2", "d3"])
+        aces = [Ace(rng.choice(endpoints), rng.choice(["tcp", "udp"])) for _ in range(rng.randint(0, 5))]
+        muds.append(MudFile(device_id=device_id, mud_url=f"urn:mud:{device_id}", acl=tuple(aces)))
+    return muds, groups
+
+
+def _sweep_seconds(muds, groups):
+    start = time.perf_counter()
+    sweep_table(muds, groups)
+    return time.perf_counter() - start
+
+
+class TestSweep:
+
+    def test_matches_oracle_on_seeded_cases(self):
+        rng = random.Random(41)
+        kinds = set()
+        for _ in range(2000):
+            muds, groups = _sweep_case(rng)
+            expected = _outcome(sweep_oracle, muds, groups)
+            assert _outcome(sweep_table, muds, groups) == expected, (muds, groups)
+            kinds.add(expected[0] if isinstance(expected, tuple) else "rows")
+        assert kinds == {"rows", MixedDevices, DivisionGuard}
+
+    def test_mixed_devices_named_at_first_mixed_row(self):
+        muds = [generate_mud({"a.x"}, "d2"), MudFile("d2", "urn:mud:d2"), generate_mud({"b.x"}, "d1")]
+        with pytest.raises(MixedDevices, match=re.escape("inputs describe several devices: ['d1', 'd2']")):
+            sweep_table([*muds, generate_mud({"c.x"}, "d3")], [])
+
+    def test_address_variant_collapses_onto_a_domain(self):
+        # the address endpoint is no domain, but the name it collapses onto is one
+        mud = MudFile("d", "urn:mud:d", (Ace("10.0.0.1"), Ace("b.x")))
+        groups = [RegionDomainGroup("svc.x", {"UK": "10.0.0.1"})]
+        assert sweep_table([mud], groups) == sweep_oracle([mud], groups) == [(1, 1, 2, Fraction(-1))]
+
+    def test_cost_grows_linearly_with_locations(self):
+        # timing ratio, not absolute time: best of interleaved repeats; 60 entries per MUD,
+        # 30 of them regional variants; linear is 8x, re-unifying every prefix about 30x or more
+        codes = [a + b for a in "ABCDEFGHIJKLMNOP" for b in "ABCDEFGHIJKLMNOP"][:200]
+        inputs = {}
+        for n in (25, 200):
+            variants = [{c: f"{c}.svc{g}.example" for c in codes[:n]} for g in range(30)]
+            groups = [RegionDomainGroup(f"svc{g}.example", named) for g, named in enumerate(variants)]
+            muds = [
+                generate_mud([*(named[c] for named in variants), *(f"own{j}.{c}.example" for j in range(30))], "d")
+                for c in codes[:n]
+            ]
+            assert sweep_table(muds, groups)[-1][1:3] == (60 * n, 30 + 30 * n)
+            inputs[n] = muds, groups
+        best = {n: float("inf") for n in inputs}
+        for _ in range(5):
+            for n, (muds, groups) in inputs.items():
+                best[n] = min(best[n], _sweep_seconds(muds, groups))
+        assert best[200] <= 16 * best[25], f"200 locations {best[200]:.6f}s vs 25 locations {best[25]:.6f}s"
 
 
 class TestSerialization:
