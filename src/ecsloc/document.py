@@ -19,10 +19,14 @@ import functools
 import json
 
 
-def decode(data: bytes | str) -> str:
-    """*data* as text; bytes are decoded as a file read in text mode is: UTF-8, universal newlines."""
+def decode(data: bytes | str, document, error: type[Exception]) -> str:
+    """*data* as text; bytes are decoded as a file read in text mode is: UTF-8, universal newlines.
+
+    Bytes that are not UTF-8 raise *error* naming *document*.
+    """
     if isinstance(data, bytes):
-        data = data.decode()
+        with at(document, error, UnicodeDecodeError):
+            data = data.decode()
         if "\r" in data:
             data = data.replace("\r\n", "\n").replace("\r", "\n")
     return data
@@ -42,7 +46,7 @@ def parse(data: bytes | str, document, error: type[Exception]):
         return obj
 
     with at(document, error, json.JSONDecodeError):
-        return json.loads(decode(data), object_pairs_hook=unique)
+        return json.loads(decode(data, document, error), object_pairs_hook=unique)
 
 
 class at:

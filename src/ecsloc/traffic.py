@@ -242,7 +242,7 @@ def ingest_log(path) -> CaptureLog:
 
 def parse_log(data: bytes | str, name) -> CaptureLog:
     """Parse a capture log read from *name*; out-of-order timestamps are sorted and flagged."""
-    text = document.decode(data)
+    text = document.decode(data, name, LogParseError)
     if any(brk in text for brk in _OTHER_BREAKS):  # one C scan each, far cheaper than a regex class
         text = "\n".join(text.splitlines())
     reader = _LineReader()

@@ -202,7 +202,7 @@ class GeoZone(Value, fields="origin regions records"):
         on the first answer cell that names it; each cell then only packs
         its addresses by its region's family.
         """
-        text = document.decode(data)
+        text = document.decode(data, name, ZoneParseError)
         if not text.strip():
             return cls(origin="", regions=LocationPrefixMap({}), records={})
         doc = document.obj(document.parse(text, name, ZoneParseError), name, ZoneParseError)

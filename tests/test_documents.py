@@ -58,6 +58,12 @@ DOCUMENTS = {
 }
 
 
+# document -> the name its error gives to bytes that are not UTF-8; the MUD and group loaders take no file name
+NOT_UTF8_NAMES = {
+    "zone": "{tmp}/zone.json", "scenario": "{tmp}/scenario.json", "mud": "document", "groups": "groups document",
+}
+
+
 def fields(value, path=()):
     """(path, value) of every value below the root of a JSON document, parents first."""
     children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
@@ -142,6 +148,15 @@ def test_at_passes_an_uncaught_error_through_unchanged():
 def test_fields_cover_every_value():
     doc = {"a": [1, {"b": None}], "c": "x"}
     assert [path for path, _ in fields(doc)] == [("a",), ("a", 0), ("a", 1), ("a", 1, "b"), ("c",)]
+
+
+@pytest.mark.parametrize("name", list(DOCUMENTS))
+def test_bytes_not_utf8_are_bad_data_naming_the_document(name, tmp_path):
+    source, file_name, argv = DOCUMENTS[name]
+    (tmp_path / file_name).write_bytes(b"\xff" + source.read_bytes())
+    code, err = run([arg.format(mutant=tmp_path / file_name) for arg in argv])
+    message = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    assert (code, err.replace(str(tmp_path), "{tmp}")) == (3, f"ecsloc: error: {NOT_UTF8_NAMES[name]}: {message}\n")
 
 
 @pytest.mark.parametrize("name", list(DOCUMENTS))

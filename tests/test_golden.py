@@ -48,6 +48,9 @@ CASES = {
     "scenario_zone_with_zone_id": [
         "scenario", "run", "{fixtures}/scenario_standard.json", "--zone", "{fixtures}/zone_with_zone_id.json",
     ],
+    "scenario_zone_not_utf8": [
+        "scenario", "run", "{fixtures}/scenario_standard.json", "--zone", "{fixtures}/zone_not_utf8.json",
+    ],
     "scenario_qname_not_text": ["scenario", "run", "{fixtures}/scenario_qname_not_text.json"],
     "scenario_zone_origin_not_text": [
         "scenario", "run", "{fixtures}/scenario_standard.json", "--zone", "{fixtures}/zone_origin_not_text.json",
@@ -75,6 +78,10 @@ CASES = {
     ],
     "analyze_uds_bad_capture_line": [
         "analyze", "uds", "--log", "{fixtures}/captures/bad_line.log", "--device", "yi-cam",
+        "--ipl", "US", "--locations", "HK", "UK",
+    ],
+    "analyze_uds_not_utf8": [
+        "analyze", "uds", "--log", "{fixtures}/captures/not_utf8.log", "--device", "yi-cam",
         "--ipl", "US", "--locations", "HK", "UK",
     ],
     "analyze_uds_bad_region": ["analyze", "uds", *YI, "--ipl", "U1", "--locations", "HK", "UK"],
