@@ -389,9 +389,9 @@ def sweep_table(location_muds, groups) -> list[tuple[int, int, int, Fraction]]:
     """Unified-versus-collapsed domain counts as locations accumulate.
 
     Row k covers the first k inputs: (k, unified domains, collapsed domains,
-    reduction ratio), as `unify` and `ecs_collapse` count them.  Each input's
-    endpoints are read once, into running sets of the device ids, the domain
-    endpoints and the domains their collapsed names are.
+    reduction ratio), as `unify` and `ecs_collapse` count them.  Each input is
+    read once, into running sets: its device id, its domain endpoints, and
+    each endpoint's collapsed name when that name is a domain.
     """
     canonical = _canonical_names(groups)
     device_ids, unified, collapsed = set(), set(), set()

@@ -8,8 +8,9 @@ fixtures/golden/error_lines.json, with the fixtures directory shown as
 {fixtures}.  A case that exits 0 must end its stderr with the run report
 recorded in fixtures/golden/run_reports.json, paths shown as {golden},
 then {fixtures}; run again with `--out`, it must write the same payload
-to that file and nothing to stdout, and report the file.  Some cases read earlier cases' recorded outputs as input
-documents.  When a payload change is intended, re-record every case with
+to that file and nothing to stdout, and report the file.  Some cases
+read earlier cases' recorded outputs as input documents.  When a payload
+change is intended, re-record every case with
 
     PYTHONPATH=src python tests/test_golden.py
 
