@@ -18,6 +18,17 @@ compression pointers, the answer class, and the OPT record's placement,
 name, version and option framing.  A wire name the name rule rejects
 raises `Malformed`, as every other bad wire name does.  The encoder trusts
 a constructed message and checks nothing again.
+
+Besides the name rule's memo, the codec has six, each keyed as its
+function's docstring says: the encoder's `_encode_name` and `_encode_opt`,
+and four in the decoder.  `_decode_body` is keyed on a whole message's
+octets after the ID, so a message seen before under any ID is one lookup.
+A reply echoes its query's client-subnet option, so with many regions
+whole messages rarely repeat while their parts do, and a message that
+misses `_decode_body` takes those parts from their own memos:
+`_plain_name` keyed on an uncompressed name's octets, `_question` on the
+question's octets (such a name, its type and class), and `_decode_opt`
+on the OPT record's name, class, TTL and rdata.
 """
 
 from __future__ import annotations
@@ -452,29 +463,47 @@ def _plain_name(raw: bytes) -> str:
     return _walk(raw, 0, len(raw))[0]
 
 
-def _name_at(data: bytes, pos: int, end: int) -> tuple[str, int]:
-    """The name at *pos*, possibly compressed: its canonical text and the offset after it.
+def _name_at(data: bytes, pos: int, end: int, read, tail: int) -> tuple:
+    """The name at *pos*, possibly compressed: what is read of it and the offset after it.
 
     First steps over the length octets unchecked while each is 1-63: a
-    name that ends on a zero octet within bounds is read from its raw
-    octets by the memo `_plain_name`.  Any other name is walked in *data*.
+    name that ends on a zero octet with *tail* more octets within bounds
+    is read, with that tail, from its raw octets by the memo *read*, and
+    the offset is after the tail.  Any other name is walked in *data*,
+    giving its canonical text and the offset after the name.
     """
     start = pos
-    stop = min(end, start + MAX_NAME_OCTETS + 2)  # a valid name has at most 255 wire octets
+    stop = min(end - tail, start + MAX_NAME_OCTETS + 2)  # a valid name has at most 255 wire octets
     while pos < stop:
         length = data[pos]
         if not length:
-            pos += 1
-            return _plain_name(data[start:pos]), pos
+            pos += 1 + tail
+            return read(data[start:pos]), pos
         if length > MAX_LABEL_OCTETS:
             break
         pos += length + 1
     return _walk(data, start, end)
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
+def _question(raw: bytes) -> Question:
+    """The question of an uncompressed name and its type and class: the memo keyed on their octets.
+
+    A valid question name holds no pointer: no offset lies after the
+    header and before it.
+    """
+    qname = _plain_name(raw[: -_PAIR.size])
+    if qname == "":
+        raise Malformed("empty question name")
+    try:
+        return Question(qname, *_PAIR.unpack_from(raw, len(raw) - _PAIR.size))
+    except InvalidName as exc:  # a label the walk reads but the name rule rejects
+        raise Malformed(str(exc)) from None
+
+
 def _record_at(data: bytes, pos: int, end: int) -> tuple[str, int, int, int, bytes, int]:
     """The resource record at *pos*: (name, type, class, ttl, rdata, offset after it)."""
-    name, pos = _name_at(data, pos, end)
+    name, pos = _name_at(data, pos, end, _plain_name, 0)
     if pos + _RR_TAIL.size > end:
         raise _truncated(_RR_TAIL.size, pos, end)
     rtype, rclass, ttl, rdlen = _RR_TAIL.unpack_from(data, pos)
@@ -484,9 +513,8 @@ def _record_at(data: bytes, pos: int, end: int) -> tuple[str, int, int, int, byt
     return name, rtype, rclass, ttl, data[pos : pos + rdlen], pos + rdlen
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
 def _decode_ecs(rdata: bytes) -> EcsOption:
-    """The client-subnet option of *rdata*: the memo keyed on the option data, at most 20 octets when valid."""
+    """The client-subnet option of its option data *rdata*."""
     if len(rdata) < _ECS_HEAD.size:
         raise Malformed("client-subnet option shorter than 4 octets")
     family, source, scope = _ECS_HEAD.unpack_from(rdata)
@@ -496,8 +524,9 @@ def _decode_ecs(rdata: bytes) -> EcsOption:
         raise Malformed(f"client-subnet option: {exc}") from None
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def _decode_opt(name: str, payload: int, ttl: int, rdata: bytes) -> EdnsOpt:
-    """Build the OPT pseudo-record from its fields: class is the payload size."""
+    """The OPT pseudo-record of its fields, class the payload size: the memo keyed on its name, class, TTL and rdata."""
     if name != "":
         raise Malformed("OPT record name must be root")
     version = (ttl >> 16) & 0xFF
@@ -549,16 +578,9 @@ def _decode(data: bytes) -> DnsMessage:
         raise Malformed(f"opcode {opcode} not supported")
     if qdcount != 1:
         raise Malformed(f"expected exactly one question, got {qdcount}")
-    qname, pos = _name_at(data, _HEADER.size, end)
-    if qname == "":
-        raise Malformed("empty question name")
-    if pos + _PAIR.size > end:
-        raise _truncated(_PAIR.size, pos, end)
-    try:
-        question = Question(qname, *_PAIR.unpack_from(data, pos))
-    except InvalidName as exc:  # a label the walk reads but the name rule rejects
-        raise Malformed(str(exc)) from None
-    pos += _PAIR.size
+    question, pos = _name_at(data, _HEADER.size, end, _question, _PAIR.size)
+    if type(question) is str:  # walked: a valid name comes back only when no type and class follow it
+        raise _truncated(_PAIR.size, pos, end) if question else Malformed("empty question name")
 
     answers = []
     for _ in range(ancount):

@@ -666,7 +666,7 @@ class TestDecodeInterop:
         assert msg.edns.ecs is None
 
 
-DECODER_MEMOS = (wire._plain_name, wire._decode_ecs, wire._decode_body)
+DECODER_MEMOS = (wire._plain_name, wire._question, wire._decode_opt, wire._decode_body)
 # on the way out: encoded names and OPT records, and the resolver's rewritten options
 OUTBOUND_MEMOS = (wire._encode_name, wire._encode_opt, resolver._rewrite_option)
 
@@ -825,6 +825,17 @@ class TestDecoderMemos:
         info = wire._decode_body.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 99, 1)
 
+    def test_shared_sections_are_decoded_once(self):
+        _clear_memos()
+        ecs = EcsOption.for_prefix("198.18.1.0", 24)
+        query = make_query("api.example.iot", ecs=ecs)
+        for n in range(100):  # one question and one OPT record, each reply with its own answer address
+            answer = ResourceRecord("api.example.iot", QTYPE_A, 60, bytes((10, 0, 0, n)))
+            reply = make_response(query, (answer,), ecs=ecs.with_scope(24))
+            assert decode_message(encode_message(reply)) == reply
+        assert [wire._decode_body.cache_info().misses, wire._question.cache_info().misses,
+                wire._decode_opt.cache_info().misses] == [100, 1, 1]
+
     @pytest.mark.parametrize("offset", sorted(POINTER_INTO_HEADER))
     def test_pointer_into_the_header_is_malformed(self, offset):
         _clear_memos()
@@ -867,7 +878,11 @@ class TestDecoderMemos:
                 "name exceeds 253 octets", id="name-over-253",
             ),
             pytest.param(
-                _header(ar=1) + QUESTION + _opt(rdata=bytes.fromhex("00080007" "00011700" "6f6f6f")), wire._decode_ecs,
+                _header() + QNAME + struct.pack("!HH", 16, 1), wire._question, 2, UnsupportedType,
+                "qtype 16 not supported", id="question-type",
+            ),
+            pytest.param(
+                _header(ar=1) + QUESTION + _opt(rdata=bytes.fromhex("00080007" "00011700" "6f6f6f")), wire._decode_opt,
                 2, Malformed, "client-subnet option: address has nonzero bits past the source prefix length", id="ecs-bits-past-prefix",
             ),
             pytest.param(
