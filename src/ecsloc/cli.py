@@ -127,20 +127,21 @@ def cmd_mud_generate(args, read):
 
 
 def cmd_mud_unify(args, read):
-    return _document(mudlib.unify([mudlib.parse_mud(read(path)) for path in args.inputs]))
+    return _document(mudlib.unify([mudlib.parse_mud(read(path), path) for path in args.inputs]))
 
 
 def cmd_mud_collapse(args, read):
-    mud = mudlib.parse_mud(read(args.input))
-    result = mudlib.ecs_collapse(mud, mudlib.load_groups(read(args.groups)))
+    mud = mudlib.parse_mud(read(args.input), args.input)
+    result = mudlib.ecs_collapse(mud, mudlib.load_groups(read(args.groups), args.groups))
     return _document(
         result.mud, unmatched_variants=list(result.unmatched_variants), tuple_splits=list(result.tuple_splits)
     )
 
 
 def cmd_mud_compare(args, read):
-    muds = [mudlib.parse_mud(read(path)) for path in args.inputs]
-    rows = [(k, u, e, _decimal(r)) for k, u, e, r in mudlib.sweep_table(muds, mudlib.load_groups(read(args.groups)))]
+    muds = [mudlib.parse_mud(read(path), path) for path in args.inputs]
+    groups = mudlib.load_groups(read(args.groups), args.groups)
+    rows = [(k, u, e, _decimal(r)) for k, u, e, r in mudlib.sweep_table(muds, groups)]
     return _table("locations_included,unified_domains,ecs_domains,ratio", rows), {"final_ratio": rows[-1][3]}
 
 

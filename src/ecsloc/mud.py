@@ -61,6 +61,14 @@ def _domain_name(name: str, what: str) -> str:
         return canonical_name(name)
 
 
+def _group_name(name: str, what: str) -> str:
+    """*name* as `_domain_name` gives it, for a region group; address text is no domain name and raises MudError."""
+    name = _domain_name(name, what)
+    if _endpoint_kind(name) != "domain":
+        raise MudError(f"{what}: {name!r} is an address, not a domain name")
+    return name
+
+
 def _endpoint_kind(endpoint: str) -> str:
     if ":" not in endpoint and endpoint.strip("0123456789."):
         return "domain"  # MAC and IPv6 addresses hold a ':', IPv4 ones only digits and dots
@@ -140,17 +148,18 @@ class MudFile(Value, fields="device_id mud_url acl default_action"):
 class RegionDomainGroup(Value, fields="canonical_domain regional_variants"):
     """Per-region variants of one service domain (region code -> name) and the name replacing them.
 
-    Every name is kept in canonical form, so a variant matches the endpoint it names however it is spelled.
+    Every name is kept in canonical form, so a variant matches the endpoint it names however it is spelled,
+    and none may be address text.
     """
 
     def __new__(cls, canonical_domain: str, regional_variants: dict):
-        canonical_domain = _domain_name(canonical_domain, "canonical domain")
+        canonical_domain = _group_name(canonical_domain, "canonical domain")
         variants = {}
         for region, name in regional_variants.items():
             region = region_code(region, BadVariantRegion)
             if region in variants:
                 raise BadVariantRegion(f"region {region} given twice")
-            variants[region] = _domain_name(name, f"variant {region}")
+            variants[region] = _group_name(name, f"variant {region}")
         if len(set(variants.values())) != len(variants):
             raise MudError(f"group {canonical_domain}: duplicate variant names")
         return tuple.__new__(cls, (canonical_domain, variants))
@@ -261,9 +270,9 @@ def suggest_groups(domains, regions) -> list[RegionDomainGroup]:
         if len(variants) < 2:
             continue
         i, before, after = key
-        if not (before or after):
-            continue  # single-label names: no name is left to replace them
         canonical = ".".join([*before, *after])
+        if not (before or after) or _endpoint_kind(canonical) != "domain":
+            continue  # single-label names, or an address left: no domain name is left to replace them
         out.append(RegionDomainGroup(canonical_domain=canonical, regional_variants=variants))
     return out
 
@@ -330,20 +339,24 @@ def serialize_mud(mud: MudFile) -> bytes:
     return (json.dumps(doc, indent=2) + "\n").encode()
 
 
-def parse_mud(data: bytes | str) -> MudFile:
-    """Inverse of serialize_mud; schema violations name the offending path."""
-    doc = document.obj(document.parse(data, "document", SchemaError), "document", SchemaError)
-    head = document.obj(document.field(doc, "mud", "document", SchemaError), "mud", SchemaError)
+def parse_mud(data: bytes | str, name="document") -> MudFile:
+    """Inverse of serialize_mud, for a document read from *name*.
+
+    Each error text starts with *name* and the path of the field at fault.
+    """
+    doc = document.obj(document.parse(data, name, SchemaError), name, SchemaError)
+    head = document.obj(document.field(doc, "mud", name, SchemaError), f"{name}: mud", SchemaError)
     device_id, mud_url, default_action = (
-        document.field(head, key, "mud", SchemaError, document.text)
+        document.field(head, key, f"{name}: mud", SchemaError, document.text)
         for key in ("device-id", "mud-url", "default-action")
     )
     aces = []
-    for i, acl in enumerate(document.field(doc, "acls", "document", SchemaError, document.array)):
-        acl = document.obj(acl, f"acls[{i}]", SchemaError)
-        document.field(acl, "name", f"acls[{i}]", SchemaError, document.text)  # not kept: named by direction
-        for j, raw in enumerate(document.field(acl, "aces", f"acls[{i}]", SchemaError, document.array)):
-            where = f"acls[{i}].aces[{j}]"
+    acls = document.array(document.field(doc, "acls", name, SchemaError), f"{name}: acls", SchemaError)
+    for i, acl in enumerate(acls):
+        acl = document.obj(acl, f"{name}: acls[{i}]", SchemaError)
+        document.field(acl, "name", f"{name}: acls[{i}]", SchemaError, document.text)  # not kept: named by direction
+        for j, raw in enumerate(document.field(acl, "aces", f"{name}: acls[{i}]", SchemaError, document.array)):
+            where = f"{name}: acls[{i}].aces[{j}]"
             raw = document.obj(raw, where, SchemaError)
             endpoint, protocol, direction = (
                 document.field(raw, key, where, SchemaError, document.text)
@@ -356,7 +369,7 @@ def parse_mud(data: bytes | str) -> MudFile:
             action = document.field(raw, "action", where, SchemaError, document.text)
             with document.at(where, SchemaError, MudError):
                 aces.append(Ace(endpoint, protocol, direction, source_port, destination_port, action))
-    with document.at("document", SchemaError, MudError):
+    with document.at(name, SchemaError, MudError):
         return MudFile(
             device_id=device_id,
             mud_url=mud_url,
@@ -365,17 +378,20 @@ def parse_mud(data: bytes | str) -> MudFile:
         )
 
 
-def load_groups(data: bytes | str) -> list[RegionDomainGroup]:
-    """Parse a region-group document: [{"canonical": ..., "variants": {REGION: name}}]."""
-    doc = document.array(document.parse(data, "groups document", SchemaError), "groups document", SchemaError)
+def load_groups(data: bytes | str, name="groups document") -> list[RegionDomainGroup]:
+    """Parse a region-group document read from *name*: [{"canonical": ..., "variants": {REGION: name}}].
+
+    Each error text starts with *name* and the path of the field at fault.
+    """
+    doc = document.array(document.parse(data, name, SchemaError), name, SchemaError)
     groups = []
     for i, raw in enumerate(doc):
-        where = f"groups[{i}]"
+        where = f"{name}: groups[{i}]"
         raw = document.obj(raw, where, SchemaError)
         canonical = document.field(raw, "canonical", where, SchemaError, document.text)
         variants = document.field(raw, "variants", where, SchemaError, document.obj)
-        for region, name in variants.items():
-            document.text(name, f"{where}.variants.{region}", SchemaError)
+        for region, variant in variants.items():
+            document.text(variant, f"{where}.variants.{region}", SchemaError)
         try:
             groups.append(RegionDomainGroup(canonical_domain=canonical, regional_variants=variants))
         except BadVariantRegion as exc:
@@ -391,7 +407,7 @@ def sweep_table(location_muds, groups) -> list[tuple[int, int, int, Fraction]]:
     Row k covers the first k inputs: (k, unified domains, collapsed domains,
     reduction ratio), as `unify` and `ecs_collapse` count them.  Each input is
     read once, into running sets: its device id, its domain endpoints, and
-    each endpoint's collapsed name when that name is a domain.
+    each one's collapsed name, a domain too, as no group names an address.
     """
     canonical = _canonical_names(groups)
     device_ids, unified, collapsed = set(), set(), set()
@@ -402,8 +418,6 @@ def sweep_table(location_muds, groups) -> list[tuple[int, int, int, Fraction]]:
         for endpoint in {ace.endpoint for ace in mud.acl}:
             if _endpoint_kind(endpoint) == "domain":
                 unified.add(endpoint)
-            name = canonical.get(endpoint, endpoint)
-            if _endpoint_kind(name) == "domain":  # a variant may be address text, and so may a canonical name
-                collapsed.add(name)
+                collapsed.add(canonical.get(endpoint, endpoint))
         rows.append((k, len(unified), len(collapsed), _ratio(len(unified), len(collapsed))))
     return rows

@@ -245,6 +245,9 @@ class TestSuggestGroups:
     def test_single_label_names_suggest_nothing(self):
         assert suggest_groups({"uk", "us"}, ["UK", "US"]) == []
 
+    def test_names_leaving_an_address_suggest_nothing(self):
+        assert suggest_groups({"uk.10.0.0.1", "us.10.0.0.1"}, ["UK", "US"]) == []
+
     def test_no_region_label_no_groups(self):
         assert suggest_groups({"a.x", "b.x"}, ["UK", "US"]) == []
 
@@ -329,15 +332,17 @@ def _outcome(sweep, muds, groups):
 
 
 def _sweep_case(rng: random.Random):
-    """A few MUDs and groups over one small endpoint pool: domain, IPv4, IPv6 and MAC text alike."""
+    """A few MUDs and groups over one small endpoint pool: domain, IPv4, IPv6 and MAC text alike.
+
+    The groups name domains only, as a group naming an address is refused.
+    """
     regions = rng.sample(REGIONS, 4)
-    names = [f"{r.lower()}.svc{i}.example" for r in regions for i in range(2)]
-    names += ["shared.example", "10.0.0.1", "10.0.0.2", "fe80::1", "00:11:22:33:44:55"]
-    endpoints = [*names, "Shared.Example.", "other.example"]
+    domains = [f"{r.lower()}.svc{i}.example" for r in regions for i in range(2)] + ["shared.example"]
+    endpoints = [*domains, "10.0.0.1", "10.0.0.2", "fe80::1", "00:11:22:33:44:55", "Shared.Example.", "other.example"]
     groups = []
     for i in range(rng.randint(0, 3)):
-        variants = rng.sample(names, rng.randint(1, 3))
-        canonical = rng.choice([f"svc{i}.example", "shared.example", "10.9.9.9", "fe80::9", "svc.example"])
+        variants = rng.sample(domains, rng.randint(1, 3))
+        canonical = rng.choice([f"svc{i}.example", "shared.example", "svc.example"])
         groups.append(RegionDomainGroup(canonical, dict(zip(regions, variants))))
     muds = []
     for _ in range(rng.randint(0, 6)):
@@ -370,11 +375,21 @@ class TestSweep:
         with pytest.raises(MixedDevices, match=re.escape("inputs describe several devices: ['d1', 'd2']")):
             sweep_table([*muds, generate_mud({"c.x"}, "d3")], [])
 
-    def test_address_variant_collapses_onto_a_domain(self):
-        # the address endpoint is no domain, but the name it collapses onto is one
-        mud = MudFile("d", "urn:mud:d", (Ace("10.0.0.1"), Ace("b.x")))
-        groups = [RegionDomainGroup("svc.x", {"UK": "10.0.0.1"})]
-        assert sweep_table([mud], groups) == sweep_oracle([mud], groups) == [(1, 1, 2, Fraction(-1))]
+    @pytest.mark.parametrize(
+        "canonical, variant, what, address",
+        [("svc.x", "10.0.0.1", "variant UK", "10.0.0.1"), ("svc.x", "FE80::1", "variant UK", "fe80::1"),
+         ("svc.x", "00:11:22:33:44:55", "variant UK", "00:11:22:33:44:55"),
+         ("10.9.9.9", "uk.svc.x", "canonical domain", "10.9.9.9"), ("fe80::9", "uk.svc.x", "canonical domain", "fe80::9")],
+    )
+    def test_address_group_name_rejected(self, canonical, variant, what, address):
+        # an address variant would collapse an address endpoint onto a domain, and the ratio go negative
+        message = f"{what}: {address!r} is an address, not a domain name"
+        with pytest.raises(MudError) as info:
+            RegionDomainGroup(canonical, {"UK": variant})
+        assert str(info.value) == message
+        with pytest.raises(SchemaError) as info:
+            load_groups(json.dumps([{"canonical": canonical, "variants": {"UK": variant}}]), "g.json")
+        assert str(info.value) == f"g.json: groups[0]: {message}"
 
     def test_cost_grows_linearly_with_locations(self):
         # timing ratio, not absolute time: best of interleaved repeats; 60 entries per MUD,
@@ -420,7 +435,7 @@ class TestSerialization:
         data = (FIXTURES / "mud_yi_uk.json").read_text().replace('"direction": "from-device",\n', "", 1)
         with pytest.raises(SchemaError) as info:
             parse_mud(data)
-        assert str(info.value) == "acls[0].aces[0]: missing field 'direction'"
+        assert str(info.value) == "document: acls[0].aces[0]: missing field 'direction'"
 
     def test_duplicate_key_rejected(self):
         data = (FIXTURES / "mud_yi_uk.json").read_text().replace(
@@ -436,13 +451,13 @@ class TestSerialization:
         doc["acls"][0]["name"] = name
         with pytest.raises(SchemaError) as info:
             parse_mud(json.dumps(doc))
-        assert str(info.value) == f"acls[0].name: must be text, got {name!r}"
+        assert str(info.value) == f"document: acls[0].name: must be text, got {name!r}"
 
     def test_bad_port_names_path(self):
         data = (FIXTURES / "mud_yi_uk.json").read_text().replace("443", '"https"')
         with pytest.raises(SchemaError) as info:
             parse_mud(data)
-        assert str(info.value) == "acls[0].aces[0].destination-port: must be a port number or 'any', got 'https'"
+        assert str(info.value) == "document: acls[0].aces[0].destination-port: must be a port number or 'any', got 'https'"
 
     def test_randomized_roundtrips(self):
         rng = random.Random(31)
@@ -460,7 +475,7 @@ class TestSerialization:
                                        "direction", "action"])
     def test_text_field_given_other_json_rejected(self, field):
         data = re.sub(f'"{field}": "[^"]*"', f'"{field}": true', (FIXTURES / "mud_yi_uk.json").read_text(), count=1)
-        where = "mud" if field in ("device-id", "mud-url", "default-action") else "acls[0].aces[0]"
+        where = "document: mud" if field in ("device-id", "mud-url", "default-action") else "document: acls[0].aces[0]"
         with pytest.raises(SchemaError, match=rf"^{re.escape(where)}\.{field}: must be text, got True$"):
             parse_mud(data)
 
@@ -478,11 +493,13 @@ class TestSerialization:
         assert group == RegionDomainGroup("svc.x", {"UK": "uk.svc.x"})
 
     @pytest.mark.parametrize("doc, message", [
-        ('[{"canonical": 1, "variants": {}}]', "groups[0].canonical: must be text, got 1"),
-        ('[{"canonical": "svc.x", "variants": {"UK": null}}]', "groups[0].variants.UK: must be text, got None"),
-        ('[{"canonical": "svc..x", "variants": {}}]', "groups[0]: canonical domain: empty label in 'svc..x'"),
+        ('[{"canonical": 1, "variants": {}}]', "groups document: groups[0].canonical: must be text, got 1"),
+        ('[{"canonical": "svc.x", "variants": {"UK": null}}]',
+         "groups document: groups[0].variants.UK: must be text, got None"),
+        ('[{"canonical": "svc..x", "variants": {}}]',
+         "groups document: groups[0]: canonical domain: empty label in 'svc..x'"),
         ('[{"canonical": "svc.x", "variants": {"UK": "uk..svc.x"}}]',
-         "groups[0]: variant UK: empty label in 'uk..svc.x'"),
+         "groups document: groups[0]: variant UK: empty label in 'uk..svc.x'"),
     ])
     def test_groups_bad_name_rejected(self, doc, message):
         with pytest.raises(SchemaError) as info:
@@ -499,7 +516,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize(
         "variants, message",
-        [('{"uk": "uk.svc.x", "UK": "gb.svc.x"}', "groups[1].variants: region UK given twice"),
+        [('{"uk": "uk.svc.x", "UK": "gb.svc.x"}', "groups document: groups[1].variants: region UK given twice"),
          ('{"UK": "uk.svc.x", "UK": "gb.svc.x"}', "groups document: duplicate key 'UK'")],
         ids=["case", "verbatim"],
     )
