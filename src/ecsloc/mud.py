@@ -56,14 +56,9 @@ class DivisionGuard(MudError):
 
 
 def _domain_name(name: str, what: str) -> str:
-    """*name* under the package's one name rule; a name that breaks it raises MudError naming *what*."""
+    """*name* under the package's one name rule, not address text; else a MudError naming *what* is raised."""
     with document.at(what, MudError, InvalidName):
-        return canonical_name(name)
-
-
-def _group_name(name: str, what: str) -> str:
-    """*name* as `_domain_name` gives it, for a region group; address text is no domain name and raises MudError."""
-    name = _domain_name(name, what)
+        name = canonical_name(name)
     if _endpoint_kind(name) != "domain":
         raise MudError(f"{what}: {name!r} is an address, not a domain name")
     return name
@@ -153,13 +148,13 @@ class RegionDomainGroup(Value, fields="canonical_domain regional_variants"):
     """
 
     def __new__(cls, canonical_domain: str, regional_variants: dict):
-        canonical_domain = _group_name(canonical_domain, "canonical domain")
+        canonical_domain = _domain_name(canonical_domain, "canonical domain")
         variants = {}
         for region, name in regional_variants.items():
             region = region_code(region, BadVariantRegion)
             if region in variants:
                 raise BadVariantRegion(f"region {region} given twice")
-            variants[region] = _group_name(name, f"variant {region}")
+            variants[region] = _domain_name(name, f"variant {region}")
         if len(set(variants.values())) != len(variants):
             raise MudError(f"group {canonical_domain}: duplicate variant names")
         return tuple.__new__(cls, (canonical_domain, variants))

@@ -20,7 +20,6 @@ each distinct raw value once.
 from __future__ import annotations
 
 import re
-from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 from pathlib import Path
@@ -81,26 +80,27 @@ class CaptureRecord(
         )
 
 
-@dataclass(frozen=True)
-class CaptureLog:
-    records: tuple[CaptureRecord, ...]
-    resorted: bool = False  # set when input timestamps had to be re-sorted
-    grouped: InitVar[dict | None] = None  # the loader's selections; derived from *records* if None
-    # (device, ipl, udl) -> that selection's records, in timestamp order; when derived,
-    # *records* must be in that order, so `dataclasses.replace` derives and checks them again
-    selections: dict = field(init=False, repr=False, compare=False)
+class CaptureLog(Value, fields="records resorted selections"):
+    """*resorted* is set when input timestamps had to be re-sorted.  *selections* maps (device, ipl,
+    udl) to its records in timestamp order; if None it is derived from *records*, which must be in order."""
 
-    def __post_init__(self, grouped):
-        if grouped is None:
-            grouped = {}
+    def __new__(cls, records: tuple[CaptureRecord, ...], resorted: bool = False, selections: dict | None = None):
+        if selections is None:
+            selections = {}
             last = 0
-            for r in self.records:
+            for r in records:
                 if r.timestamp < last:
                     raise ValueError("records must be in non-decreasing timestamp order")
                 last = r.timestamp
-                key = (r.device_id, r.ip_based_location, r.user_defined_location)
-                grouped.setdefault(key, []).append(r)
-        object.__setattr__(self, "selections", grouped)
+                selections.setdefault((r.device_id, r.ip_based_location, r.user_defined_location), []).append(r)
+        return tuple.__new__(cls, (records, resorted, selections))
+
+    def replace(self, **changes):
+        return Value.replace(self, **{"selections": None, **changes})
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*tuple(iterable)[:-1])
 
     def devices(self) -> tuple[str, ...]:
         return tuple(sorted({device for device, _, _ in self.selections}))

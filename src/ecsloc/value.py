@@ -12,23 +12,26 @@ checks every field in its one `__new__`, which ends in
 
 A type with nothing to check needs no `__new__` (``defaults=(...)`` in the
 class line sets defaults).  The class is built on `collections.namedtuple`
-with no instance dict, so a build is one call, with no per-field
-`object.__setattr__`.  A field read costs about twice a slotted attribute's
-on CPython 3.11, so hot code reads a field it uses twice into a local.
+with no instance dict, so a build is one call.  A field read costs about
+twice a slotted attribute's on CPython 3.11, so hot code reads a field it
+uses twice into a local.
 
 A value equals only a value of its own type with equal fields, never a
 bare tuple, and hashes by its fields; values are not ordered.  Setting or
-deleting an attribute raises `dataclasses.FrozenInstanceError`.
-`replace`, namedtuple's `_replace` and `_make`, copies and pickles all
-build through `__new__`, so no path skips the checks.  A value is still a
-tuple: it unpacks, indexes and has a length, and one with no fields is
+deleting an attribute raises `dataclasses.FrozenInstanceError`, imported
+only then, as `dataclasses` loads `inspect`.  `replace`, namedtuple's
+`_replace` and `_make`, copies and pickles all build through `__new__`, so
+no path skips the checks.  A derived field, such as an index, is the last:
+the constructor derives it when it is None, its default, and the type
+overrides `replace` and `_make` (which `_replace` calls) to pass None, so
+a change derives it again and a copy or pickle keeps it.  A value is still
+a tuple: it unpacks, indexes and has a length, and one with no fields is
 false in a truth test.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import FrozenInstanceError
 
 
 class _ValueType(type):
@@ -56,9 +59,11 @@ class Value(tuple, metaclass=_ValueType):
     __le__ = __gt__ = __ge__ = __lt__
 
     def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def replace(self, **changes):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import ipaddress
 import re
-from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 
 from . import document
@@ -133,52 +132,53 @@ class LookupResult(Value, fields="addresses scope ttl"):
     """*addresses* are packed, 4 octets for A and 16 for AAAA rdata."""
 
 
-@dataclass(frozen=True)
-class AnswerSet:
+def _answer_index(tables: dict) -> dict:
+    """*tables* (`_index_key` slot -> {network: answer}) as family -> [(prefix_len, mask, table)], longest first."""
+    index = {}
+    for (family, plen), table in sorted(tables.items(), key=lambda item: -item[0][1]):
+        index.setdefault(family, []).append((plen, PREFIX_MASKS[family][plen], table))
+    return index
+
+
+class AnswerSet(Value, fields="answers default ttl index"):
     """Ordered regional answers for one qname plus the all-region default.
 
-    *tables* holds the answers by `_index_key` when the loader has them;
-    if None they are put there from *answers*, so `dataclasses.replace`
-    derives the index again and runs every check.
+    *default* is text or packed octets, held packed in text order: their union if None, else checked.
     """
 
-    answers: tuple[RegionalAnswer, ...]
-    # text or packed octets, held packed in text order: their union if None, else checked
-    default: tuple[bytes, ...] | None = None
-    ttl: int = DEFAULT_TTL
-    tables: InitVar[dict | None] = None
-    # client-subnet family -> [(prefix_len, mask, {network int: answer}), ...],
-    # most specific first
-    index: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self, tables):
-        if tables is None:
+    def __new__(cls, answers: tuple[RegionalAnswer, ...], default: tuple | None = None, ttl: int = DEFAULT_TTL,
+                index: dict | None = None):
+        if index is None:
             tables = {}
-            for ans in self.answers:
+            for ans in answers:
                 slot, network = _index_key(ans.prefix)
                 tables.setdefault(slot, {})[network] = ans
-        if sum(map(len, tables.values())) != len(self.answers):
+            index = _answer_index(tables)
+        if sum(len(table) for entries in index.values() for _, _, table in entries) != len(answers):
             # equal-length overlapping networks are identical, so rejecting
             # duplicates also rejects every equal-length overlap
             seen = set()
-            for ans in self.answers:
+            for ans in answers:
                 key = _index_key(ans.prefix)
                 if key in seen:
                     raise OverlapError(f"prefix {ans.prefix} listed twice for one qname")
                 seen.add(key)
-        index = {}
-        for (family, plen), table in sorted(tables.items(), key=lambda item: -item[0][1]):
-            index.setdefault(family, []).append((plen, PREFIX_MASKS[family][plen], table))
-        object.__setattr__(self, "index", index)
-        union = {rdata for ans in self.answers for rdata in ans.addresses}
+        union = {rdata for ans in answers for rdata in ans.addresses}
         stated = union
-        if self.default is not None:
-            stated = [a if type(a) is bytes and len(a) in (4, 16) else pack_address(a) for a in self.default]
+        if default is not None:
+            stated = [a if type(a) is bytes and len(a) in (4, 16) else pack_address(a) for a in default]
         if len(stated) != len(union) or set(stated) != union:
             raise DefaultMismatch(
                 f"default set {sorted(map(address_text, stated))} != union {sorted(map(address_text, union))}"
             )
-        object.__setattr__(self, "default", tuple(sorted(stated, key=address_text)))
+        return tuple.__new__(cls, (answers, tuple(sorted(stated, key=address_text)), ttl, index))
+
+    def replace(self, **changes):
+        return Value.replace(self, **{"index": None, **changes})
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*tuple(iterable)[:-1])
 
 
 class GeoZone(Value, fields="origin regions records"):
@@ -264,7 +264,7 @@ class GeoZone(Value, fields="origin regions records"):
                 document.array(default, f"{where}.default", ZoneParseError)
             with document.at(where, None, (OverlapError, DefaultMismatch)), \
                     document.at(f"{where}.default", ZoneParseError, ValueError):
-                records[qname] = AnswerSet(tuple(regional), default, ttl, tables)
+                records[qname] = AnswerSet(tuple(regional), default, ttl, _answer_index(tables))
         return cls(origin=origin, regions=prefix_map, records=records)
 
     def lookup(self, qname: str, ecs: EcsOption | None = None) -> LookupResult:

@@ -465,3 +465,15 @@ def test_console_script_runs():
     )
     assert result.returncode == 0
     assert result.stdout.splitlines()[-1].endswith("203.0.113.10,24")
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # dataclasses brings inspect, ast, dis and tokenize, which nothing else at start-up needs
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, ecsloc.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

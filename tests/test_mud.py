@@ -88,6 +88,15 @@ class TestAce:
         with pytest.raises(MudError, match=r"^endpoint: empty label in 'a\.\.b'$"):
             Ace(endpoint="a..b")
 
+    @pytest.mark.parametrize("text, address", [("10.0.0.1.", "10.0.0.1"), ("FE80::1.", "fe80::1")])
+    def test_address_text_judged_on_canonical_form(self, text, address):
+        # the name rule drops the trailing dot, which would leave an address stored as a domain endpoint
+        with pytest.raises(MudError) as info:
+            Ace(endpoint=text)
+        assert str(info.value) == f"endpoint: {address!r} is an address, not a domain name"
+        assert Ace(endpoint="api.example.iot.") == Ace(endpoint="api.example.iot")
+        assert Ace(endpoint="api.example.iot.").endpoint_kind == "domain"
+
     def test_default_action_must_be_drop(self):
         with pytest.raises(MudError):
             MudFile(device_id="d", mud_url="urn:mud:d", default_action="accept")

@@ -4,7 +4,6 @@ Every numeric expectation is either trivially forced or computed by a
 brute-force oracle in this module before being asserted.
 """
 
-import dataclasses
 import io
 import random
 import re
@@ -374,20 +373,21 @@ class TestIngestOnceEachValue:
 
 
 class TestReplace:
-    """`dataclasses.replace` on a parsed log derives the selections again and checks the order."""
+    """`replace` and `_replace` on a parsed log derive the selections again and check the order."""
 
     TEXT = "ts=1 dev=d ipl=US udl=UK q=a.x a=10.0.0.1\nts=2 dev=d ipl=US udl=UK q=b.x a=10.0.0.2\n"
 
     def test_fewer_records(self):
         log = parse_log(self.TEXT, "mem.log")
-        shorter = dataclasses.replace(log, records=log.records[:1])
-        assert shorter.selections == {("d", "US", "UK"): [log.records[0]]}
-        assert domain_set(shorter, "d", "US", "UK") == {"a.x"}
+        for shorter in (log.replace(records=log.records[:1]), log._replace(records=log.records[:1])):
+            assert shorter.selections == {("d", "US", "UK"): [log.records[0]]}
+            assert domain_set(shorter, "d", "US", "UK") == {"a.x"}
 
     def test_records_out_of_order(self):
         log = parse_log(self.TEXT, "mem.log")
-        with pytest.raises(ValueError, match="^records must be in non-decreasing timestamp order$"):
-            dataclasses.replace(log, records=log.records[::-1])
+        for replace in (log.replace, log._replace):
+            with pytest.raises(ValueError, match="^records must be in non-decreasing timestamp order$"):
+                replace(records=log.records[::-1])
 
 
 # Every separator `str.splitlines` ends a line on; `$` in a regex knows only the first.

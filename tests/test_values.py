@@ -29,7 +29,7 @@ from ecsloc.resolver import (
     ScenarioTranscript,
     Strip,
 )
-from ecsloc.traffic import CaptureRecord
+from ecsloc.traffic import CaptureLog, CaptureRecord
 from ecsloc.value import Value
 from ecsloc.wire import (
     QTYPE_A,
@@ -43,7 +43,9 @@ from ecsloc.wire import (
     UnsupportedType,
     make_query,
 )
-from ecsloc.zone import GeoZone, LocationPrefixMap, LookupResult, OverlapError, RegionalAnswer, ZoneParseError
+from ecsloc.zone import (
+    AnswerSet, GeoZone, LocationPrefixMap, LookupResult, OverlapError, RegionalAnswer, ZoneParseError,
+)
 
 NET = ipaddress.ip_network("198.18.1.0/24")
 RECORD = ResourceRecord("api.example.iot", QTYPE_A, 300, bytes([203, 0, 113, 10]))
@@ -51,6 +53,8 @@ QUERY = make_query("api.example.iot", msg_id=7)
 HOPS = (Hop("device", "resolver", QUERY), Hop("resolver", "device", make_response(QUERY, (RECORD,))))
 DEVICE = DeviceConfig("cam01", "HK", "UK", "198.18.0.77")
 MUD = MudFile("bulb01", "urn:mud:bulb01", (Ace("api.example.iot"),))
+ANSWER = RegionalAnswer("UK", NET, ("203.0.113.10",))
+CAPTURES = tuple(CaptureRecord(ts, "cam01", "US", "UK", "api.example.iot", ("203.0.113.10",)) for ts in (1, 2))
 
 # id -> (build, accepted change, rejected change or None, its error, hashable)
 TABLE = {
@@ -69,6 +73,9 @@ TABLE = {
     "LookupResult": (lambda: LookupResult((bytes(4),), 24, 300), {"scope": 16}, None, None, True),
     "LocationPrefixMap": (lambda: LocationPrefixMap({"UK": "198.18.1.0/24"}), {"entries": {"US": "198.18.2.0/24"}},
                           {"entries": {"UK": "198.18.0.0/16", "US": "198.18.1.0/24"}}, OverlapError, False),
+    "AnswerSet": (lambda: AnswerSet((ANSWER,)), {"ttl": 60}, {"answers": (ANSWER, ANSWER)}, OverlapError, False),
+    # the selections are derived again, so records out of order are refused through every path
+    "CaptureLog": (lambda: CaptureLog(CAPTURES), {"resorted": True}, {"records": CAPTURES[::-1]}, ValueError, False),
     "GeoZone": (lambda: GeoZone("example.iot", LocationPrefixMap({"UK": NET}), {}), {"origin": "x.iot"},
                 None, None, False),
     "Ace": (lambda: Ace("api.example.iot"), {"destination_port": 443}, {"protocol": "sctp"}, MudError, True),
