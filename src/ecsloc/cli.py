@@ -20,7 +20,6 @@ import functools
 import hashlib
 import json
 import sys
-import traceback
 from pathlib import Path
 
 from . import mud as mudlib
@@ -265,6 +264,7 @@ def main(argv=None) -> int:
         print(f"ecsloc: error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception:
+        import traceback
         traceback.print_exc()
         return EXIT_INTERNAL
     print(json.dumps(report), file=sys.stderr)

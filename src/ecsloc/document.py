@@ -16,7 +16,31 @@ repeat.
 from __future__ import annotations
 
 import functools
+import gc
 import json
+
+
+def bulk(function):
+    """*function*, run with the cyclic garbage collector paused, if it was running, until it returns or raises.
+
+    A loaded value has no reference cycles (the tests check it), so the
+    collector's passes over its many new objects would find nothing.  An
+    error path may leave traceback cycles, which the collector reclaims
+    once the pause ends.  The pause is process-wide: a thread that loads
+    pauses collection for all threads until it returns.
+    """
+
+    @functools.wraps(function)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():  # paused by the caller or an outer loader, which resumes it
+            return function(*args, **kwargs)
+        gc.disable()
+        try:
+            return function(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 def decode(data: bytes | str, document, error: type[Exception]) -> str:

@@ -334,6 +334,7 @@ def serialize_mud(mud: MudFile) -> bytes:
     return (json.dumps(doc, indent=2) + "\n").encode()
 
 
+@document.bulk
 def parse_mud(data: bytes | str, name="document") -> MudFile:
     """Inverse of serialize_mud, for a document read from *name*.
 
@@ -373,6 +374,7 @@ def parse_mud(data: bytes | str, name="document") -> MudFile:
         )
 
 
+@document.bulk
 def load_groups(data: bytes | str, name="groups document") -> list[RegionDomainGroup]:
     """Parse a region-group document read from *name*: [{"canonical": ..., "variants": {REGION: name}}].
 

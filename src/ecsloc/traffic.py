@@ -240,6 +240,7 @@ def ingest_log(path) -> CaptureLog:
     return parse_log(Path(path).read_bytes(), path)
 
 
+@document.bulk
 def parse_log(data: bytes | str, name) -> CaptureLog:
     """Parse a capture log read from *name*; out-of-order timestamps are sorted and flagged."""
     text = document.decode(data, name, LogParseError)

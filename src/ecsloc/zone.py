@@ -194,6 +194,7 @@ class GeoZone(Value, fields="origin regions records"):
         return cls.loads(path.read_bytes(), path)
 
     @classmethod
+    @document.bulk
     def loads(cls, data: bytes | str, name) -> "GeoZone":
         """Parse and validate a zone document read from *name*; invariant violations are load errors.
 

@@ -31,6 +31,7 @@ checks, so agreement between the two is meaningful:
 from __future__ import annotations
 
 import ipaddress
+import json
 import random
 import socket
 import string
@@ -335,3 +336,54 @@ def rand_mud(rng: random.Random, device_id: str | None = None) -> MudFile:
         mud_url=f"urn:mud:{device_id}",
         acl=tuple(rand_ace(rng) for _ in range(rng.randint(0, 8))),
     )
+
+
+# every region code a zone accepts
+TWO_LETTER_CODES = [a + b for a in string.ascii_uppercase for b in string.ascii_uppercase]
+
+
+def wide_zone_text(seed: int, regions: int = 512, qnames: int = 8) -> str:
+    """A seeded zone document: *regions* regions, every fourth an IPv6 one, each qname answering in all of them.
+
+    IPv4 regions are /16, /20 or /24 in distinct /16 blocks and IPv6 ones
+    /48 or /56 in distinct /48 blocks, so no two overlap.
+    """
+    rng = random.Random(seed)
+    codes = rng.sample(TWO_LETTER_CODES, regions)
+    prefixes = {
+        code: f"2001:db8:{i:x}::/{rng.choice((48, 56))}" if i % 4 == 3
+        else f"{10 + i // 256}.{i % 256}.0.0/{rng.choice((16, 20, 24))}"
+        for i, code in enumerate(codes)
+    }
+    records = {
+        f"svc{q}.bench.example": {
+            "ttl": 60,
+            "answers": [
+                {
+                    "region": code,
+                    "addresses": [
+                        f"2001:db8:ffff::{q:x}:{i:x}:{j}" if ":" in prefixes[code] else f"100.{64 + q}.{i // 4}.{j + 1}"
+                        for j in range(rng.randint(1, 2))
+                    ],
+                }
+                for i, code in enumerate(codes)
+            ],
+        }
+        for q in range(qnames)
+    }
+    return json.dumps({"origin": "bench.example", "regions": prefixes, "records": records})
+
+
+def capture_log_text(seed: int, lines: int = 4000) -> str:
+    """A seeded capture log of *lines* lines: two devices, ten user-defined locations, some lines out of order."""
+    rng = random.Random(seed)
+    regions = rng.sample(TWO_LETTER_CODES, 10)
+    stamps = [1_600_000_000 + 7 * i for i in range(lines)]
+    for i in rng.sample(range(0, lines - 1, 2), lines // 100):
+        stamps[i], stamps[i + 1] = stamps[i + 1], stamps[i]
+    out = ["# generated capture log"]
+    for ts in stamps:
+        dev, udl = rng.choice(("cam01", "plug02")), rng.choice(regions)
+        name = f"n{rng.randint(1, 300)}.{udl.lower()}.{dev}.example"
+        out.append(f"ts={ts} dev={dev} ipl=US udl={udl} q={name} a=198.51.100.{rng.randint(1, 254)}")
+    return "\n".join(out) + "\n"

@@ -452,8 +452,9 @@ class TestExitCodes:
             ["analyze", "uds", "--log", YI_LOG, "--device", "yi-cam",
              "--ipl", "US", "--locations", "UK", "HK"]
         )
-        capsys.readouterr()
+        err = capsys.readouterr().err
         assert code == EXIT_INTERNAL
+        assert err.startswith("Traceback (most recent call last):") and err.endswith("RuntimeError: wires crossed\n")
 
 
 def test_console_script_runs():
@@ -468,9 +469,11 @@ def test_console_script_runs():
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
-    # dataclasses brings inspect, ast, dis and tokenize, which nothing else at start-up needs
+    # dataclasses brings inspect, ast, dis and tokenize, and traceback linecache and tokenize,
+    # which nothing else at start-up needs
     result = subprocess.run(
-        [sys.executable, "-c", "import sys, ecsloc.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        [sys.executable, "-c",
+         "import sys, ecsloc.cli; print(sorted({'dataclasses', 'inspect', 'traceback'} & set(sys.modules)))"],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
