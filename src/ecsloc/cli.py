@@ -165,10 +165,11 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = commands.add_parser("analyze", help="capture-log measurements")
     analyze_sub = analyze.add_subparsers(dest="subcommand", required=True)
 
-    def analyze_common(sub, payload="table"):
+    def analyze_common(sub, payload="table", pooled=True):
         sub.add_argument("--log", required=True, help="capture log file")
         sub.add_argument("--device", required=True, help="device id")
-        sub.add_argument("--pool-threshold", type=int, default=traffic.DEFAULT_POOL_THRESHOLD)
+        if pooled:  # only the commands that collapse server pools take a threshold
+            sub.add_argument("--pool-threshold", type=int, default=traffic.DEFAULT_POOL_THRESHOLD)
         sub.add_argument("--out", help=f"write the {payload} here instead of stdout")
 
     uds_p = analyze_sub.add_parser("uds", help="similarity across user-defined locations")
@@ -186,13 +187,13 @@ def build_parser() -> argparse.ArgumentParser:
                         header="device,fixed_user_location,ip_location_a,ip_location_b")
 
     stab_p = analyze_sub.add_parser("stabilize", help="domain-set stabilization time")
-    analyze_common(stab_p)
+    analyze_common(stab_p, pooled=False)
     stab_p.add_argument("--ipl", required=True)
     stab_p.add_argument("--udl", required=True)
     stab_p.set_defaults(func=cmd_analyze_stabilize)
 
     cum_p = analyze_sub.add_parser("cumulative", help="cumulative unique domains and IPs")
-    analyze_common(cum_p)
+    analyze_common(cum_p, pooled=False)
     cum_p.add_argument("--ipl", required=True)
     cum_p.add_argument("--udl", required=True)
     cum_p.add_argument("--bucket-seconds", type=int, default=86400)

@@ -26,7 +26,7 @@ from pathlib import Path
 
 from . import document
 from .errors import Error
-from .value import Value
+from .value import Indexed, Value
 from .wire import InvalidName, address_text, canonical_name, pack_address
 from .zone import region_code
 
@@ -80,7 +80,7 @@ class CaptureRecord(
         )
 
 
-class CaptureLog(Value, fields="records resorted selections"):
+class CaptureLog(Indexed, Value, fields="records resorted selections"):
     """*resorted* is set when input timestamps had to be re-sorted.  *selections* maps (device, ipl,
     udl) to its records in timestamp order; if None it is derived from *records*, which must be in order."""
 
@@ -94,13 +94,6 @@ class CaptureLog(Value, fields="records resorted selections"):
                 last = r.timestamp
                 selections.setdefault((r.device_id, r.ip_based_location, r.user_defined_location), []).append(r)
         return tuple.__new__(cls, (records, resorted, selections))
-
-    def replace(self, **changes):
-        return Value.replace(self, **{"selections": None, **changes})
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*tuple(iterable)[:-1])
 
     def devices(self) -> tuple[str, ...]:
         return tuple(sorted({device for device, _, _ in self.selections}))

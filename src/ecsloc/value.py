@@ -23,10 +23,9 @@ only then, as `dataclasses` loads `inspect`.  `replace`, namedtuple's
 `_replace` and `_make`, copies and pickles all build through `__new__`, so
 no path skips the checks.  A derived field, such as an index, is the last:
 the constructor derives it when it is None, its default, and the type
-overrides `replace` and `_make` (which `_replace` calls) to pass None, so
-a change derives it again and a copy or pickle keeps it.  A value is still
-a tuple: it unpacks, indexes and has a length, and one with no fields is
-false in a truth test.
+mixes in `Indexed`, so a change derives it again and a copy or pickle keeps
+it.  A value is still a tuple: it unpacks, indexes and has a length, and
+one with no fields is false in a truth test.
 """
 
 from __future__ import annotations
@@ -73,3 +72,16 @@ class Value(tuple, metaclass=_ValueType):
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
+
+
+class Indexed:
+    """Mixin, listed before `Value`: `replace` and `_make` (which `_replace` calls) pass None for the last field."""
+
+    __slots__ = ()
+
+    def replace(self, **changes):
+        return super().replace(**{self._fields[-1]: None, **changes})
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*tuple(iterable)[:-1])

@@ -15,9 +15,10 @@ fields in their one constructor, and `decode_message` builds through them
 as any other caller does.  The decoder itself checks only what no
 constructor sees: the header's opcode and counts, label framing and
 compression pointers, the answer class, and the OPT record's placement,
-name, version and option framing.  A wire name the name rule rejects
-raises `Malformed`, as every other bad wire name does.  The encoder trusts
-a constructed message and checks nothing again.
+name, version and option framing.  A constructor's refusal, a `ValueError`
+or the name rule's `InvalidName`, is raised as `Malformed` with its text,
+by one handler in `_decode`; other wire errors pass through.  The encoder
+trusts a constructed message and checks nothing again.
 
 Besides the name rule's memo, the codec has six, each keyed as its
 function's docstring says: the encoder's `_encode_name` and `_encode_opt`,
@@ -495,10 +496,7 @@ def _question(raw: bytes) -> Question:
     qname = _plain_name(raw[: -_PAIR.size])
     if qname == "":
         raise Malformed("empty question name")
-    try:
-        return Question(qname, *_PAIR.unpack_from(raw, len(raw) - _PAIR.size))
-    except InvalidName as exc:  # a label the walk reads but the name rule rejects
-        raise Malformed(str(exc)) from None
+    return Question(qname, *_PAIR.unpack_from(raw, len(raw) - _PAIR.size))
 
 
 def _record_at(data: bytes, pos: int, end: int) -> tuple[str, int, int, int, bytes, int]:
@@ -569,49 +567,46 @@ def _decode_body(body: bytes) -> DnsMessage:
 
 def _decode(data: bytes) -> DnsMessage:
     """Decode *data* in full, with no lookup in the message memo."""
-    end = len(data)
-    if end < _HEADER.size:
-        raise _truncated(_HEADER.size, 0, end)
-    msg_id, flags, qdcount, ancount, nscount, arcount = _HEADER.unpack_from(data)
-    opcode = (flags >> 11) & 0x0F
-    if opcode != 0:
-        raise Malformed(f"opcode {opcode} not supported")
-    if qdcount != 1:
-        raise Malformed(f"expected exactly one question, got {qdcount}")
-    question, pos = _name_at(data, _HEADER.size, end, _question, _PAIR.size)
-    if type(question) is str:  # walked: a valid name comes back only when no type and class follow it
-        raise _truncated(_PAIR.size, pos, end) if question else Malformed("empty question name")
-
-    answers = []
-    for _ in range(ancount):
-        name, rtype, rclass, ttl, rdata, pos = _record_at(data, pos, end)
-        if rtype == TYPE_OPT:
-            raise Malformed("OPT record in answer section")
-        if rclass != CLASS_IN:
-            raise Malformed(f"answer class {rclass} not supported")
-        try:
-            answers.append(ResourceRecord(name, rtype, ttl, rdata))
-        except (ValueError, InvalidName) as exc:  # rdata length wrong for the type, or the name rule
-            raise Malformed(str(exc)) from None
-
-    for _ in range(nscount):
-        pos = _record_at(data, pos, end)[-1]
-
-    edns = None
-    for _ in range(arcount):
-        name, rtype, rclass, ttl, rdata, pos = _record_at(data, pos, end)
-        if rtype == TYPE_OPT:
-            if edns is not None:
-                raise Malformed("more than one OPT record")
-            edns = _decode_opt(name, rclass, ttl, rdata)
-
-    if pos != end:
-        raise Malformed(f"{end - pos} trailing octets")
-
     try:
+        end = len(data)
+        if end < _HEADER.size:
+            raise _truncated(_HEADER.size, 0, end)
+        msg_id, flags, qdcount, ancount, nscount, arcount = _HEADER.unpack_from(data)
+        opcode = (flags >> 11) & 0x0F
+        if opcode != 0:
+            raise Malformed(f"opcode {opcode} not supported")
+        if qdcount != 1:
+            raise Malformed(f"expected exactly one question, got {qdcount}")
+        question, pos = _name_at(data, _HEADER.size, end, _question, _PAIR.size)
+        if type(question) is str:  # walked: a valid name comes back only when no type and class follow it
+            raise _truncated(_PAIR.size, pos, end) if question else Malformed("empty question name")
+
+        answers = []
+        for _ in range(ancount):
+            name, rtype, rclass, ttl, rdata, pos = _record_at(data, pos, end)
+            if rtype == TYPE_OPT:
+                raise Malformed("OPT record in answer section")
+            if rclass != CLASS_IN:
+                raise Malformed(f"answer class {rclass} not supported")
+            answers.append(ResourceRecord(name, rtype, ttl, rdata))
+
+        for _ in range(nscount):
+            pos = _record_at(data, pos, end)[-1]
+
+        edns = None
+        for _ in range(arcount):
+            name, rtype, rclass, ttl, rdata, pos = _record_at(data, pos, end)
+            if rtype == TYPE_OPT:
+                if edns is not None:
+                    raise Malformed("more than one OPT record")
+                edns = _decode_opt(name, rclass, ttl, rdata)
+
+        if pos != end:
+            raise Malformed(f"{end - pos} trailing octets")
+
         return DnsMessage(
             msg_id, bool(flags & 0x8000), bool(flags & 0x0100), bool(flags & 0x0080), flags & 0x0F,
             question, tuple(answers), edns,
         )
-    except ValueError as exc:
+    except (ValueError, InvalidName) as exc:  # a constructor's refusal of a decoded field
         raise Malformed(str(exc)) from None

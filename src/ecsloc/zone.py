@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import document
 from .errors import Error
-from .value import Value
+from .value import Indexed, Value
 from .wire import (
     MAX_TTL, PREFIX_MASKS, EcsOption, InvalidName, address_text, canonical_name, family_packer, pack_address,
 )
@@ -62,6 +62,8 @@ class LocationPrefixMap(Value, fields="entries"):
         normalized = {}
         for code, prefix in entries.items():
             code = region_code(code, ZoneParseError)
+            if code in normalized:
+                raise ZoneParseError(f"region {code} given twice")
             if not isinstance(prefix, (ipaddress.IPv4Network, ipaddress.IPv6Network)):
                 with document.at(f"region {code}", ZoneParseError, ValueError):
                     prefix = ipaddress.ip_network(prefix)
@@ -110,7 +112,7 @@ class RegionalAnswer(Value, fields="region prefix addresses"):
                 addresses: tuple[str, ...]):
         if not addresses:
             raise ZoneParseError(f"region {region}: empty address list")
-        packed = tuple(a if type(a) is bytes else pack_address(a) for a in addresses)
+        packed = tuple(a if type(a) is bytes and len(a) in (4, 16) else pack_address(a) for a in addresses)
         octets = 4 if prefix.version == 4 else 16
         for rdata in packed:
             if len(rdata) != octets:
@@ -140,7 +142,7 @@ def _answer_index(tables: dict) -> dict:
     return index
 
 
-class AnswerSet(Value, fields="answers default ttl index"):
+class AnswerSet(Indexed, Value, fields="answers default ttl index"):
     """Ordered regional answers for one qname plus the all-region default.
 
     *default* is text or packed octets, held packed in text order: their union if None, else checked.
@@ -172,13 +174,6 @@ class AnswerSet(Value, fields="answers default ttl index"):
                 f"default set {sorted(map(address_text, stated))} != union {sorted(map(address_text, union))}"
             )
         return tuple.__new__(cls, (answers, tuple(sorted(stated, key=address_text)), ttl, index))
-
-    def replace(self, **changes):
-        return Value.replace(self, **{"index": None, **changes})
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*tuple(iterable)[:-1])
 
 
 class GeoZone(Value, fields="origin regions records"):

@@ -217,6 +217,13 @@ class TestAnalyze:
         assert code == EXIT_OK
         assert out.splitlines() == ["region,HK,UK", "HK,1.0,1.0", "UK,1.0,1.0"]
 
+    def test_matrix_of_one_region_is_data_error(self, capsys):
+        code, out, err = run_cli(
+            ["analyze", "matrix", "--log", BULB_LOG, "--device", "bulb01", "--ipl", "US", "--regions", "UK"],
+            capsys,
+        )
+        assert (code, out, err) == (EXIT_DATA, "", "ecsloc: error: need at least two regions\n")
+
     def test_unknown_device_is_data_error(self, capsys):
         code, _, _ = run_cli(
             ["analyze", "stabilize", "--log", YI_LOG, "--device", "ghost",
@@ -302,6 +309,19 @@ def test_pool_threshold_below_one_is_a_data_error(tmp_path, capsys):
                 capsys,
             )
             assert (code, out, err) == (EXIT_DATA, "", "ecsloc: error: pool_threshold must be positive\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "stabilize", "--log", YI_LOG, "--device", "yi-cam", "--ipl", "US", "--udl", "UK"],
+    ["analyze", "cumulative", "--log", ECHO_LOG, "--device", "echo", "--ipl", "UK", "--udl", "UK"],
+])
+def test_pool_threshold_is_refused_where_no_pool_is_collapsed(command, capsys):
+    assert run_cli(command, capsys)[0] == EXIT_OK
+    for threshold in ("3", "0"):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--pool-threshold", threshold])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --pool-threshold" in capsys.readouterr().err
 
 
 class TestMud:

@@ -163,6 +163,11 @@ class TestUnify:
         with pytest.raises(MixedDevices):
             unify([generate_mud({"a.x"}, "d1"), generate_mud({"a.x"}, "d2")])
 
+    @pytest.mark.parametrize("muds", [[], iter(())], ids=["list", "iterator"])
+    def test_nothing_to_unify(self, muds):
+        with pytest.raises(MudError, match="^nothing to unify$"):
+            unify(muds)
+
     def test_algebra_on_randomized_triples(self):
         rng = random.Random(17)
         for _ in range(60):
@@ -264,6 +269,10 @@ class TestSuggestGroups:
         groups = suggest_groups({"eu.svc.x", "us.svc.x"}, ["US"])
         assert len(groups) == 1
         assert set(groups[0].regional_variants) == {"EU", "US"}
+
+    def test_pool_patterns_suggest_nothing(self):
+        assert len(suggest_groups({"uk.svc1.x", "us.svc1.x"}, ["UK", "US"])) == 1
+        assert suggest_groups({"uk.svc[1-3].x", "us.svc[1-3].x"}, ["UK", "US"]) == []
 
 
 class TestCounting:
@@ -542,8 +551,10 @@ class TestSerialization:
         ({"uk": "uk.svc.x", "UK": "gb.svc.x"}, "region UK given twice"),
         ({"U K": "uk.svc.x"}, "region code must be two letters, got 'U K'"),
         ({"usa": "us.svc.x"}, "region code must be two letters, got 'usa'"),
+        ({"UK": "svc.x", "US": "svc.x"}, "group svc.x: duplicate variant names"),
+        ({"UK": "Svc.X.", "US": "svc.x"}, "group svc.x: duplicate variant names"),
     ],
-    ids=["case-variants", "space", "three-letters"],
+    ids=["case-variants", "space", "three-letters", "same-variant", "same-variant-once-folded"],
 )
 def test_group_built_directly_checks_regions(variants, message):
     with pytest.raises(MudError) as info:

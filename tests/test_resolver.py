@@ -94,6 +94,11 @@ class TestStubQuery:
 
 class TestResolvePolicies:
 
+    def test_unknown_policy_rejected_when_applied(self):
+        resolver = Resolver("sideways", "HK", None, LocationPrefixMap({"HK": "198.19.0.0/16"}))
+        with pytest.raises(ScenarioError, match="^unknown policy 'sideways'$"):
+            resolver.effective_ecs(None, "198.18.0.77")
+
     def test_forward_delivers_user_region(self, zone):
         resolver = make_resolver(zone, Forward(), "HK")
         query = stub_query(device(), "api.example.iot", zone.regions)
@@ -138,6 +143,13 @@ class TestResolvePolicies:
 
 
 class TestCache:
+
+    def test_clock_cannot_go_backwards(self):
+        clock = VirtualClock(5.0)
+        clock.advance(0)
+        with pytest.raises(ValueError, match="^clock cannot go backwards$"):
+            clock.advance(-0.5)
+        assert clock.now == 5.0
 
     def test_same_network_hits(self, zone):
         resolver = make_resolver(zone, Forward(), "HK")
@@ -301,6 +313,26 @@ class TestUpstreamEchoChecked:
         assert reply.rcode == 0
         assert reply.edns.ecs == self.SENT.with_scope(24)
         assert resolver.cache_lookup("q.t", 1, self.SENT).scope_prefix_len == 24
+
+    def test_scoped_echo_to_an_optionless_query_is_not_cached(self):
+        sent = []
+
+        def upstream(payload, source):
+            query = decode_message(payload)
+            sent.append(query.edns)
+            answer = record_for_address(query.question.qname, "10.0.0.1", 300)
+            return encode_message(make_response(query, (answer,), ecs=self.SENT.with_scope(24)))
+
+        prefix_map = LocationPrefixMap({"HK": "198.19.0.0/16"})
+        resolver = Resolver(Forward(), "HK", InProcessLink(upstream), prefix_map)
+        query = encode_message(make_query("q.t", msg_id=7))
+        for _ in range(2):  # no later query could match the scoped answer, so each one asks again
+            reply = decode_message(resolver.handle(query, "198.18.0.77"))
+            assert (reply.rcode, [rr.address() for rr in reply.answers], reply.edns) == (0, ["10.0.0.1"], None)
+        assert sent == [None, None]
+        assert (resolver.misses, resolver.hits, resolver.stores) == (2, 0, 0)
+        assert resolver.cache_lookup("q.t", 1, None) is None
+        assert resolver.cache_lookup("q.t", 1, self.SENT) is None
 
 
 def _reference_lookup(store, now, ecs):
@@ -596,6 +628,8 @@ class TestScenarios:
         query = make_query("api.example.iot")
         with pytest.raises(ScenarioError):
             ScenarioTranscript("standard", (Hop("resolver", "device", query),))
+        with pytest.raises(ScenarioError, match="^transcript has no hops$"):
+            ScenarioTranscript("standard", ())
 
     def test_device_address_outside_region_rejected(self, zone):
         bad = device(ip="HK", address="198.18.1.50")
@@ -706,6 +740,18 @@ class TestScenarioFiles:
         (tmp_path / "zone.json").write_text((FIXTURES / "zone.json").read_text())
         spec = load_scenario(path)
         assert spec.policy == RewriteClientSubnet(16)
+
+    @pytest.mark.parametrize("raw, policy", [("forward", Forward()), ("strip", Strip())])
+    def test_named_policy_parses(self, tmp_path, raw, policy):
+        path = self._write(tmp_path, lambda doc: doc["resolver"].update(policy=raw))
+        assert load_scenario(path).policy == policy
+
+    @pytest.mark.parametrize("raw", ["sideways", "Forward", {"rewrite": 24}, None])
+    def test_unknown_policy_rejected(self, tmp_path, raw):
+        path = self._write(tmp_path, lambda doc: doc["resolver"].update(policy=raw))
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(path)
+        assert str(info.value) == f"{path}: unknown policy {raw!r}"
 
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "s.json"

@@ -141,6 +141,11 @@ class TestIngest:
         with pytest.raises(LogParseError, match="line 3"):
             parse_capture_line("ts=-5 dev=d ipl=UK udl=UK q=a.x a=", where="line 3")
 
+    def test_negative_timestamp_rejected_by_the_constructor(self):
+        assert CaptureRecord(0, "d", "UK", "UK", "a.x", ()).timestamp == 0
+        with pytest.raises(ValueError, match="^negative timestamp -5$"):
+            CaptureRecord(-5, "d", "UK", "UK", "a.x", ())
+
     def test_bad_address_rejected(self):
         with pytest.raises(LogParseError):
             parse_capture_line("ts=1 dev=d ipl=UK udl=UK q=a.x a=999.1.1.1")

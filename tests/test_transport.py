@@ -3,10 +3,12 @@
 import socket
 import threading
 import time
+import types
 
 import pytest
 from helpers import FIXTURES
 
+from ecsloc import transport
 from ecsloc.resolver import Authoritative, Forward, Resolver
 from ecsloc.transport import InProcessLink, UdpClient, UdpServer
 from ecsloc.wire import EcsOption, decode_message, encode_message, make_query
@@ -180,6 +182,34 @@ def test_client_wrong_ids_cannot_stretch_the_timeout(peer):
     finally:
         done.set()
     assert joined(thread)
+
+
+def test_client_wrong_id_after_the_deadline_times_out(peer, monkeypatch):
+    clock = iter([0.0, 5.0])  # at the send, then when the wrong-ID reply is read: past the 2 s timeout
+    monkeypatch.setattr(transport, "time", types.SimpleNamespace(monotonic=lambda: next(clock)))
+    thread = answer(peer, lambda query: (other_id(query), query))
+    with UdpClient(*peer.getsockname()) as client:
+        with pytest.raises(TimeoutError, match="^timed out$"):
+            client.exchange(QUERY)
+        assert client._sock.gettimeout() == 2.0
+    assert joined(thread)
+
+
+def test_client_closes_its_socket_when_connect_fails(monkeypatch):
+    made = []
+
+    def recorded(*args):
+        made.append(socket.socket(*args))
+        return made[-1]
+
+    monkeypatch.setattr(transport, "socket", types.SimpleNamespace(
+        socket=recorded, AF_INET=socket.AF_INET, SOCK_DGRAM=socket.SOCK_DGRAM,
+    ))
+    with UdpClient("127.0.0.1", 65536) as client:  # a port out of range: refused before any datagram
+        with pytest.raises(OverflowError):
+            client.exchange(QUERY)
+        assert client._sock is None
+    assert len(made) == 1 and made[0].fileno() == -1
 
 
 def test_client_refused_port_raises_at_once():

@@ -75,6 +75,14 @@ class TestTruncateToPrefix:
         with pytest.raises(ValueError):
             truncate_to_prefix("10.0.0.1", 33)
 
+    @pytest.mark.parametrize("octets", [0, 3, 5, 15, 17])
+    def test_packed_address_of_a_wrong_length_rejected(self, octets):
+        message = f"^packed address must be 4 or 16 octets, got {octets}$"
+        with pytest.raises(ValueError, match=message):
+            truncate_to_prefix(bytes(octets), 0)
+        with pytest.raises(ValueError, match=message):
+            EcsOption.for_prefix(bytearray(octets), 0)
+
     @given(st.integers(0, 0xFFFFFFFF), st.integers(0, 32))
     def test_matches_bitmask_oracle(self, value, prefix_len):
         address = ".".join(str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0))
@@ -308,6 +316,18 @@ class TestValidation:
         ecs = EcsOption(family=1, source_prefix_len=0, scope_prefix_len=8)
         with pytest.raises(ValueError):
             make_query("example.com", ecs=ecs)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("id", -1, "message id -1 out of range"),
+        ("id", 0x10000, "message id 65536 out of range"),
+        ("rcode", -1, "rcode -1 out of range"),
+        ("rcode", 16, "rcode 16 out of range"),
+    ])
+    def test_header_fields_range_checked(self, field, value, message):
+        query = make_query("example.com", msg_id=0xFFFF)
+        assert query.replace(rcode=15).rcode == 15
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            query.replace(**{field: value})
 
 
 class TestRoundtrip:

@@ -9,7 +9,7 @@ import string
 import time
 
 import pytest
-from helpers import FIXTURES, zone_qnames
+from helpers import FIXTURES, TWO_LETTER_CODES, zone_qnames
 
 from ecsloc.wire import QTYPE_A, EcsOption, ResourceRecord, address_text
 from ecsloc.zone import (
@@ -76,6 +76,15 @@ class TestPrefixMap:
     def test_bad_region_code_rejected(self):
         with pytest.raises(ZoneParseError):
             LocationPrefixMap({"UKX": "198.18.1.0/24"})
+
+    def test_region_given_twice_rejected(self):
+        with pytest.raises(ZoneParseError, match="^region UK given twice$"):
+            LocationPrefixMap({"uk": "10.0.0.0/24", "UK": "10.1.0.0/24"})
+
+    def test_default_map_holds_at_most_512_regions(self):
+        assert len(LocationPrefixMap.default(TWO_LETTER_CODES[:512]).entries) == 512
+        with pytest.raises(ZoneParseError, match="^default map supports at most 512 regions$"):
+            LocationPrefixMap.default(TWO_LETTER_CODES[:513])
 
 
 class TestLoad:
@@ -164,6 +173,24 @@ class TestLoad:
         with pytest.raises(ZoneParseError) as info:
             GeoZone.loads(json.dumps(doc), "zone.json")
         assert str(info.value) == f"zone.json: regions.HK: must be text, got {prefix!r}"
+
+    def test_region_given_twice_rejected(self):
+        doc = {**TWO_REGION_DOC, "regions": {"uk": "10.0.0.0/24", "UK": "10.1.0.0/24"}}
+        with pytest.raises(ZoneParseError) as info:
+            GeoZone.loads(json.dumps(doc), "zone.json")
+        assert str(info.value) == "zone.json: regions: region UK given twice"
+
+    def test_empty_address_list_rejected_by_the_constructor(self):
+        with pytest.raises(ZoneParseError, match="^region UK: empty address list$"):
+            RegionalAnswer("UK", ipaddress.ip_network("198.18.1.0/24"), ())
+
+    def test_packed_address_of_a_wrong_length_is_named(self):
+        net = ipaddress.ip_network("10.0.0.0/24")
+        assert RegionalAnswer("UK", net, (b"\x0a\x00\x00\x01",)).addresses == (b"\x0a\x00\x00\x01",)
+        for rdata in (b"\x01\x02\x03\x04\x05", b"", b"\x01" * 15):
+            with pytest.raises(ValueError) as info:
+                RegionalAnswer("UK", net, (rdata,))
+            assert str(info.value) == f"{rdata!r} does not appear to be an IPv4 or IPv6 address"
 
     def test_repeated_address_rejected_by_the_constructor(self):
         net = ipaddress.ip_network("198.18.1.0/24")
