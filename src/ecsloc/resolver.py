@@ -203,6 +203,8 @@ class Resolver:
         *,
         clock: VirtualClock | None = None,
     ):
+        if not isinstance(policy, Policy):
+            raise ScenarioError(f"unknown policy {policy!r}")
         self.policy = policy
         self.upstream = upstream
         self.clock = clock if clock is not None else VirtualClock()
@@ -222,7 +224,8 @@ class Resolver:
         """The wire reply to the query *payload* from *source*: one policy run and one cache lookup.
 
         A hit joins the entry's segments at the remaining TTL; a miss asks
-        the upstream, stores the answer and sends it under the upstream's TTLs.
+        the upstream, stores the answer and joins the same segments at the
+        lowest upstream TTL, the entry's (RFC 2181 section 5.2).
         """
         with self._lock:
             query = _decode_query(payload, "resolver")
@@ -230,9 +233,8 @@ class Resolver:
             qname, qtype, _ = question
             incoming = query.edns.ecs if query.edns else None
             effective = self.effective_ecs(incoming, source)
-            address = effective.address_int() if effective is not None else 0
 
-            entry = self.cache_lookup(qname, qtype, effective, address)
+            entry = self.cache_lookup(qname, qtype, effective)
             if entry is not None:
                 self.hits += 1
                 scope, segments, expires_at = entry
@@ -247,18 +249,14 @@ class Resolver:
                 self.upstream_errors += 1
                 return pack_reply(query, 0, b"", rcode=upstream_response.rcode, ecs=_echo(effective, 0))
             echo = upstream_response.edns.ecs if upstream_response.edns else None
-            sent = effective and (effective.family, effective.source_prefix_len, effective.address)
-            if echo is not None and sent and (echo.family, echo.source_prefix_len, echo.address) != sent:
+            if echo is not None and effective is not None and echo.with_scope(0) != effective:
                 self.bad_echoes += 1
                 return pack_reply(query, 0, b"", rcode=RCODE_SERVFAIL, ecs=_echo(effective, 0))  # RFC 7871 section 7.3
             scope = echo.scope_prefix_len if echo is not None else 0
-            answers = tuple(  # sent under the question's name, on this miss and every later hit
-                rr if rr.name == qname else ResourceRecord(qname, rr.rtype, rr.ttl, rr.rdata)
-                for rr in upstream_response.answers
-            )
+            answers = upstream_response.answers
             ttl = min((rr.ttl for rr in answers), default=DEFAULT_TTL)
-            self._store(qname, qtype, scope, effective, address, answers, ttl)
-            return pack_reply(query, len(answers), encode_answers(answers), ecs=_echo(effective, scope))
+            segments = self._store(qname, qtype, scope, effective, answers, ttl)
+            return pack_reply(query, len(answers), answers_at_ttl(segments, ttl), ecs=_echo(effective, scope))
 
     def resolve(self, query: DnsMessage, source: str) -> DnsMessage:
         """`handle` for a query given as a message: its reply decoded."""
@@ -272,25 +270,20 @@ class Resolver:
                 return None
             case RewriteClientSubnet(prefix_len=plen):
                 return _rewrite_option(source, plen)
-        raise ScenarioError(f"unknown policy {self.policy!r}")
 
-    def cache_lookup(
-        self, qname: str, qtype: int, ecs: EcsOption | None, address: int | None = None
-    ) -> CacheEntry | None:
+    def cache_lookup(self, qname: str, qtype: int, ecs: EcsOption | None) -> CacheEntry | None:
         """Most specific unexpired entry matching under scope semantics, if any.
 
         A scope-0 entry matches any (and absent) option; an entry with
         positive scope needs an option of its family, at least that
         specific, whose address truncated to the scope equals the stored
-        network.  Expired entries are dropped first.  *address* is the
-        option's `address_int()`, worked out here when not given.
+        network.  Expired entries are dropped first.
         """
         self._expire(self.clock.now)
         bucket = self._cache.get((qname, qtype))
         if bucket is None:
             return None
-        if address is None:
-            address = ecs.address_int() if ecs is not None else 0
+        address = ecs.address_int() if ecs is not None else 0
         for scope, table in bucket.items():
             if scope and (ecs is None or ecs.source_prefix_len < scope):
                 continue
@@ -299,13 +292,15 @@ class Resolver:
                 return entry
         return None
 
-    def _store(self, qname, qtype, scope, ecs, address, records, ttl):
+    def _store(self, qname, qtype, scope, ecs, records, ttl):
+        """The segments of *records* under *qname*, cached for *ttl* unless no later query could match them."""
+        segments = answer_segments(qname, records)
         if ecs is None and scope:
-            return  # no later query could match a scoped answer to an option-less one
-        key = _cache_key(ecs, scope, address)
+            return segments  # a scoped answer to an option-less query
+        key = _cache_key(ecs, scope, ecs.address_int() if scope else 0)
         now = self.clock.now
         self._expire(now)
-        entry = CacheEntry(scope, answer_segments(records), now + ttl)
+        entry = CacheEntry(scope, segments, now + ttl)
         name = (qname, qtype)
         bucket = self._cache.setdefault(name, {})
         table = bucket.get(scope)
@@ -326,6 +321,7 @@ class Resolver:
         if len(heap) > 2 * CACHE_MAX_ENTRIES:
             self._heap = [record for record in heap if self._holds(record)]
             heapq.heapify(self._heap)
+        return segments
 
     def _expire(self, now: float) -> None:
         """Drop every entry whose expiry time has come."""
@@ -422,8 +418,7 @@ def run_scenario(
         return reply
 
     resolver = Resolver(policy, resolver_location, InProcessLink(recorded_link), prefix_map)
-    response = decode_message(resolver.handle(encode_message(query), cfg.client_address))
-    hops.append(Hop("resolver", "device", response))
+    hops.append(Hop("resolver", "device", resolver.resolve(query, cfg.client_address)))
     return ScenarioTranscript(architecture=arch, hops=tuple(hops))
 
 

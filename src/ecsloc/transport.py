@@ -32,6 +32,8 @@ class UdpClient:
     """
 
     def __init__(self, host: str, port: int, timeout: float = 2.0):
+        if not 0 <= port <= 65535:
+            raise ValueError(f"port {port} out of range")
         self.remote = (host, port)
         self.timeout = timeout
         self._sock = None

@@ -388,17 +388,18 @@ def encode_answers(answers: tuple[ResourceRecord, ...]) -> bytes:
     ])
 
 
-def answer_segments(answers: tuple[ResourceRecord, ...]) -> tuple[bytes, ...]:
-    """The answer section of *answers* cut out around each record's 4-octet TTL field.
+def answer_segments(name: str, answers: tuple[ResourceRecord, ...]) -> tuple[bytes, ...]:
+    """The answer section of *answers*, every record under *name*, cut out around each 4-octet TTL field.
 
     `answers_at_ttl(segments, ttl)` joins them into the section that
-    `encode_answers` gives with every TTL set to *ttl*.
+    `encode_answers` gives with every record renamed to *name* and every TTL set to *ttl*.
     """
+    owner = _encode_name(name)
     segments = []
     cut = b""
-    for name, rtype, _, rdata in answers:
+    for _, rtype, _, rdata in answers:
         tail = _RR_TAIL.pack(rtype, CLASS_IN, 0, len(rdata))
-        segments.append(cut + _encode_name(name) + tail[:4])
+        segments.append(cut + owner + tail[:4])
         cut = tail[8:] + rdata
     segments.append(cut)
     return tuple(segments)

@@ -183,8 +183,9 @@ def reference_handle(resolver, payload: bytes, source: str) -> bytes:
     """*resolver*'s reply to *payload* from *source*, built as a message and encoded by `reference_message`.
 
     A hit re-issues the entry's records at the remaining TTL; a miss sends
-    the reference encoding of `make_query` upstream and stores the answer
-    with the resolver's own `_store`.  The counters move as in `handle`.
+    the reference encoding of `make_query` upstream, stores the answer with
+    the resolver's own `_store` and sends its records under the question's
+    name at their lowest TTL.  The counters move as in `handle`.
     """
     query = decode_message(payload)
     if query.is_response:
@@ -211,10 +212,10 @@ def reference_handle(resolver, payload: bytes, source: str) -> bytes:
         resolver.bad_echoes += 1
         return reference_message(make_response(query, rcode=2, ecs=echo(0)))
     scope = 0 if got is None else got.scope_prefix_len
-    answers = tuple(ResourceRecord(qname, rr.rtype, rr.ttl, rr.rdata) for rr in response.answers)
-    address = 0 if effective is None else effective.address_int()
-    ttl = min((rr.ttl for rr in answers), default=DEFAULT_TTL)
-    resolver._store(qname, qtype, scope, effective, address, answers, ttl)
+    # RFC 2181 section 5.2: records whose TTLs differ are treated as if all had the lowest
+    ttl = min((rr.ttl for rr in response.answers), default=DEFAULT_TTL)
+    answers = tuple(ResourceRecord(qname, rr.rtype, ttl, rr.rdata) for rr in response.answers)
+    resolver._store(qname, qtype, scope, effective, answers, ttl)
     return reference_message(make_response(query, answers, ecs=echo(scope)))
 
 

@@ -4,7 +4,9 @@
 Each differential runs one resolver and a twin on clocks advanced in
 lockstep: `handle` answers on the first and `reference_handle` on the twin.
 The replies must be equal octet for octet, a rejected payload must raise
-the same class and text on both, and the counters must end equal.
+the same class and text on both, and the counters must end equal.  One
+more differential holds a miss against the hit that follows it at the
+same virtual time: the two replies must be equal octet for octet.
 """
 
 import dataclasses
@@ -15,7 +17,14 @@ import sys
 from pathlib import Path
 
 import pytest
-from helpers import make_response, rand_name, record_for_address, reference_handle, reference_message
+from helpers import (
+    cached_records,
+    make_response,
+    rand_name,
+    record_for_address,
+    reference_handle,
+    reference_message,
+)
 
 import ecsloc
 import ecsloc.transport  # noqa: F401  (layer_targets reads ecsloc.transport)
@@ -42,7 +51,7 @@ from ecsloc.wire import (
     encode_message,
     make_query,
 )
-from ecsloc.zone import GeoZone, LocationPrefixMap
+from ecsloc.zone import DEFAULT_TTL, GeoZone, LocationPrefixMap
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 COUNTERS = ("hits", "misses", "stores", "expiries", "evictions", "bad_echoes", "upstream_errors")
@@ -210,6 +219,77 @@ def test_scripted_upstream_matches_the_reference(bound, monkeypatch):
     evictions = totals.pop("evictions")
     assert all(totals.values()), totals
     assert (evictions > 0) == (bound is not None)
+
+
+def _section_reply(payload):
+    """A reply whose answer section is drawn from a generator seeded by the query's own octets.
+
+    Zero to four A and AAAA records for either question type, some under
+    another name than the question's, each with its own TTL, some of them
+    0.  The echo repeats the sent option at a scope no longer than its
+    source, so the answer is cached for the query that asked it.
+    """
+    rng = random.Random(payload)
+    query = decode_message(payload)
+    ecs = query.edns.ecs if query.edns else None
+    if ecs is not None:
+        ecs = ecs.with_scope(rng.randint(0, ecs.source_prefix_len))
+    answers = tuple(
+        record_for_address(
+            query.question.qname if rng.random() < 0.6 else rand_name(rng, 2),
+            f"10.0.{rng.randrange(256)}.{rng.randrange(256)}" if rng.random() < 0.5 else f"2001:db8::{rng.randrange(65536):x}",
+            0 if rng.random() < 0.06 else rng.choice((1, 30, 300, rng.randint(1, 86400))),
+        )
+        for _ in range(rng.randint(0, 4))
+    )
+    return encode_message(make_response(query, answers, ecs=ecs))
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_a_miss_is_sent_exactly_as_a_hit(policy):
+    sections = []
+
+    def upstream(payload, source):
+        reply = _section_reply(payload)
+        sections.append(decode_message(reply).answers)
+        return reply
+
+    clock = VirtualClock()
+    prefix_map = LocationPrefixMap({"HK": "198.19.0.0/16"})
+    resolver = Resolver(POLICIES[policy](), "HK", InProcessLink(upstream), prefix_map, clock=clock)
+    rng = random.Random(3401)
+    seen = dict.fromkeys(("unequal", "zero", "renamed", "mixed", "empty"), 0)
+    for i in range(800):
+        query = _random_query(rng, [f"n{i}.example"])  # a new question: the first ask is a miss
+        payload = reference_message(query)
+        qname, qtype, _ = query.question
+        source = f"198.18.{rng.randrange(4)}.{rng.randrange(256)}"
+        miss = resolver.handle(payload, source)
+        (upstream_answers,) = sections
+        sections.clear()
+        ttls = {rr.ttl for rr in upstream_answers}
+        ttl = min(ttls, default=DEFAULT_TTL)
+        sent = decode_message(miss).answers
+        assert [(rr.rtype, rr.rdata) for rr in sent] == [(rr.rtype, rr.rdata) for rr in upstream_answers]
+        assert all(rr.name == qname and rr.ttl == ttl for rr in sent), (upstream_answers, sent)
+        effective = resolver.effective_ecs(query.edns.ecs if query.edns else None, source)
+        entry = resolver.cache_lookup(qname, qtype, effective)
+        if ttl == 0:  # expired as it was stored
+            assert entry is None
+        else:
+            assert cached_records(entry, ttl) == sent
+            hits = resolver.hits
+            assert resolver.handle(payload, source) == miss  # the same virtual time
+            assert resolver.hits == hits + 1 and not sections
+        seen["unequal"] += len(ttls) > 1
+        seen["zero"] += 0 in ttls
+        seen["renamed"] += any(rr.name != qname for rr in upstream_answers)
+        seen["mixed"] += len({rr.rtype for rr in upstream_answers}) > 1
+        seen["empty"] += not upstream_answers
+        # binary fractions: `expires_at - now` is then exact, and a hit's floor of it is the stored TTL
+        clock.advance(rng.choice((0, 0.25, 1, 7.5)))
+    assert min(seen.values()) > 20, seen
+    assert resolver.misses == 800
 
 
 # IPv4 and IPv6 regions, a 10 s answer and an IPv4-only name

@@ -94,10 +94,9 @@ class TestStubQuery:
 
 class TestResolvePolicies:
 
-    def test_unknown_policy_rejected_when_applied(self):
-        resolver = Resolver("sideways", "HK", None, LocationPrefixMap({"HK": "198.19.0.0/16"}))
+    def test_unknown_policy_rejected_at_construction(self):
         with pytest.raises(ScenarioError, match="^unknown policy 'sideways'$"):
-            resolver.effective_ecs(None, "198.18.0.77")
+            Resolver("sideways", "HK", None, LocationPrefixMap({"HK": "198.19.0.0/16"}))
 
     def test_forward_delivers_user_region(self, zone):
         resolver = make_resolver(zone, Forward(), "HK")
@@ -463,7 +462,7 @@ def test_cache_hit_cost_does_not_grow_with_entries():
 def _store_seconds(resolver, ecs, records, calls):
     start = time.perf_counter()
     for _ in range(calls):
-        resolver._store("q.t", 1, 24, ecs, ecs.address_int(), records, 300)
+        resolver._store("q.t", 1, 24, ecs, records, 300)
     return time.perf_counter() - start
 
 
@@ -477,7 +476,7 @@ def test_cache_store_cost_does_not_grow_with_entries():
         resolver = Resolver(Forward(), "HK", _ScriptedUpstream(), LocationPrefixMap.default(["HK"]))
         for i in range(count):
             ecs = EcsOption.for_prefix(f"10.{i >> 8}.{i & 255}.0", 24)
-            resolver._store("q.t", 1, 24, ecs, ecs.address_int(), records, 300)
+            resolver._store("q.t", 1, 24, ecs, records, 300)
         assert len(resolver._cache[("q.t", 1)][24]) == count
         resolvers[count] = (resolver, ecs)
     best = {40: float("inf"), 4000: float("inf")}
@@ -500,7 +499,7 @@ def test_cache_memory_is_bounded(monkeypatch):
     ecs = EcsOption.for_prefix("10.0.0.0", 24)
     for i in range(50_000):
         qname = f"n{i}.t"
-        resolver._store(qname, 1, 24, ecs, ecs.address_int(), (record_for_address(qname, "10.0.0.1", 300),), 300)
+        resolver._store(qname, 1, 24, ecs, (record_for_address(qname, "10.0.0.1", 300),), 300)
     assert _live_entries(resolver) == len(resolver._cache) == 1000
     # equal TTLs on a still clock: the oldest stores were evicted
     assert set(resolver._cache) == {(f"n{i}.t", 1) for i in range(49_000, 50_000)}

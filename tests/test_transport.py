@@ -195,21 +195,34 @@ def test_client_wrong_id_after_the_deadline_times_out(peer, monkeypatch):
     assert joined(thread)
 
 
+class _RefusingSocket(socket.socket):
+    """A real UDP socket whose connect fails before any datagram is sent."""
+
+    def connect(self, address):
+        raise OSError("connect refused by the test")
+
+
 def test_client_closes_its_socket_when_connect_fails(monkeypatch):
     made = []
 
     def recorded(*args):
-        made.append(socket.socket(*args))
+        made.append(_RefusingSocket(*args))
         return made[-1]
 
     monkeypatch.setattr(transport, "socket", types.SimpleNamespace(
         socket=recorded, AF_INET=socket.AF_INET, SOCK_DGRAM=socket.SOCK_DGRAM,
     ))
-    with UdpClient("127.0.0.1", 65536) as client:  # a port out of range: refused before any datagram
-        with pytest.raises(OverflowError):
+    with UdpClient("127.0.0.1", 53) as client:
+        with pytest.raises(OSError, match="^connect refused by the test$"):
             client.exchange(QUERY)
         assert client._sock is None
     assert len(made) == 1 and made[0].fileno() == -1
+
+
+@pytest.mark.parametrize("port", [-1, 65536])
+def test_client_refuses_a_port_out_of_range(port):
+    with pytest.raises(ValueError, match=f"^port {port} out of range$"):
+        UdpClient("127.0.0.1", port)
 
 
 def test_client_refused_port_raises_at_once():
