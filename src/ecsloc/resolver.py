@@ -13,8 +13,8 @@ ecs_user_defined  the device's stub fills the option with the prefix mapped
 `Resolver` caches each answer in the table of its client-subnet scope, on
 an injected virtual clock.  `Resolver.handle` and `Authoritative.handle`
 work in octets: each decodes the query and packs its reply with
-`wire.pack_reply`, so no response message is built.  `Resolver.resolve`
-is the typed wrapper.
+`wire.pack_reply`, its answer section written by `wire.answer_segments`,
+so no response message is built.  `Resolver.resolve` is the typed wrapper.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import ipaddress
 import itertools
 import threading
 from functools import lru_cache
+from math import ceil, isfinite
 from pathlib import Path
 
 from . import document
@@ -33,15 +34,14 @@ from .value import Value
 from .wire import (
     PREFIX_MASKS,
     QTYPE_A,
+    _MEMO_SIZE,
     DnsMessage,
     EcsOption,
     InvalidName,
-    ResourceRecord,
     answer_segments,
     answers_at_ttl,
     canonical_name,
     decode_message,
-    encode_answers,
     encode_message,
     make_query,
     pack_address,
@@ -58,7 +58,7 @@ CACHE_MAX_ENTRIES = 10_000
 
 # The rewritten option per (client address, prefix length); like the wire
 # memos it keeps no error, so a bad address raises every time
-_rewrite_option = lru_cache(maxsize=4096)(EcsOption.for_prefix)
+_rewrite_option = lru_cache(maxsize=_MEMO_SIZE)(EcsOption.for_prefix)
 
 
 class ScenarioError(Error):
@@ -100,20 +100,25 @@ class DeviceConfig(Value, fields="device_id ip_based_location user_defined_locat
 
 
 class VirtualClock:
-    """Injected monotonic time so TTL expiry is testable."""
+    """Injected monotonic time so TTL expiry is testable.  It starts at a finite time and takes
+    no NaN step, so it never reads NaN, a time at which no entry would expire."""
 
     def __init__(self, now: float = 0.0):
+        if not isfinite(now):
+            raise ValueError(f"clock time must be finite, got {now}")
         self.now = now
 
     def advance(self, seconds: float) -> None:
+        if seconds != seconds:
+            raise ValueError("clock step cannot be NaN")
         if seconds < 0:
             raise ValueError("clock cannot go backwards")
         self.now += seconds
 
 
-class CacheEntry(Value, fields="scope_prefix_len segments expires_at"):
-    """A cached answer: *segments* is the upstream's answer section, renamed to the
-    question's name and cut out around each TTL field by `wire.answer_segments`."""
+class CacheEntry(Value, fields="scope_prefix_len segments stored_at ttl"):
+    """A cached answer: *segments* is the upstream's answer section under the question's name,
+    cut out around each TTL field, stored at virtual time *stored_at* for *ttl* whole seconds."""
 
 
 def _decode_query(payload: bytes, receiver: str) -> DnsMessage:
@@ -160,10 +165,8 @@ class Authoritative:
         except NameNotFound:
             return pack_reply(query, 0, b"", rcode=RCODE_NXDOMAIN, ecs=_echo(ecs, 0))
         octets = 4 if qtype == QTYPE_A else 16
-        answers = tuple(  # checked records: a TTL out of range raises ValueError
-            ResourceRecord(qname, qtype, result.ttl, rdata) for rdata in result.addresses if len(rdata) == octets
-        )
-        return pack_reply(query, len(answers), encode_answers(answers), ecs=_echo(ecs, result.scope))
+        segments = answer_segments(qname, [rdata for rdata in result.addresses if len(rdata) == octets])
+        return pack_reply(query, len(segments) - 1, answers_at_ttl(segments, result.ttl), ecs=_echo(ecs, result.scope))
 
 
 def _cache_key(ecs: EcsOption | None, scope: int, address: int) -> tuple:
@@ -211,7 +214,7 @@ class Resolver:
         self.address = str(prefix_map.prefix_for(location).network_address + 1)
         # (qname, qtype) -> {scope: {_cache_key: entry}}
         self._cache: dict[tuple[str, int], dict[int, dict[tuple, CacheEntry]]] = {}
-        # (expires_at, store order, (qname, qtype), key, entry), one per store;
+        # (expiry time, store order, (qname, qtype), key, entry), one per store;
         # the entry itself tells a live record from a stale one
         self._heap: list[tuple] = []
         self._order = itertools.count()
@@ -223,9 +226,9 @@ class Resolver:
     def handle(self, payload: bytes, source: str) -> bytes:
         """The wire reply to the query *payload* from *source*: one policy run and one cache lookup.
 
-        A hit joins the entry's segments at the remaining TTL; a miss asks
-        the upstream, stores the answer and joins the same segments at the
-        lowest upstream TTL, the entry's (RFC 2181 section 5.2).
+        A miss asks the upstream and stores its answer, then is answered as a
+        hit is: the entry's segments joined at its TTL less the seconds begun
+        since the store, but at least 1 once one has begun.
         """
         with self._lock:
             query = _decode_query(payload, "resolver")
@@ -235,28 +238,27 @@ class Resolver:
             effective = self.effective_ecs(incoming, source)
 
             entry = self.cache_lookup(qname, qtype, effective)
-            if entry is not None:
+            if entry is None:
+                self.misses += 1
+                sent = pack_query(query.id, question, effective)
+                response = decode_message(self.upstream.exchange(sent, self.address))
+                if response.rcode != 0:
+                    self.upstream_errors += 1
+                    return pack_reply(query, 0, b"", rcode=response.rcode, ecs=_echo(effective, 0))
+                echo = response.edns.ecs if response.edns else None
+                if echo is not None and effective is not None and echo.with_scope(0) != effective:
+                    self.bad_echoes += 1  # RFC 7871 section 7.3
+                    return pack_reply(query, 0, b"", rcode=RCODE_SERVFAIL, ecs=_echo(effective, 0))
+                scope = echo.scope_prefix_len if echo is not None else 0
+                ttl = min((rr.ttl for rr in response.answers), default=DEFAULT_TTL)  # RFC 2181 section 5.2
+                entry = self._store(qname, qtype, scope, effective, response.answers, ttl)
+            else:
                 self.hits += 1
-                scope, segments, expires_at = entry
-                answers = answers_at_ttl(segments, max(1, int(expires_at - self.clock.now)))
-                return pack_reply(query, len(segments) - 1, answers, ecs=_echo(effective, scope))
-            self.misses += 1
-
-            upstream_response = decode_message(
-                self.upstream.exchange(pack_query(query.id, question, effective), self.address)
-            )
-            if upstream_response.rcode != 0:
-                self.upstream_errors += 1
-                return pack_reply(query, 0, b"", rcode=upstream_response.rcode, ecs=_echo(effective, 0))
-            echo = upstream_response.edns.ecs if upstream_response.edns else None
-            if echo is not None and effective is not None and echo.with_scope(0) != effective:
-                self.bad_echoes += 1
-                return pack_reply(query, 0, b"", rcode=RCODE_SERVFAIL, ecs=_echo(effective, 0))  # RFC 7871 section 7.3
-            scope = echo.scope_prefix_len if echo is not None else 0
-            answers = upstream_response.answers
-            ttl = min((rr.ttl for rr in answers), default=DEFAULT_TTL)
-            segments = self._store(qname, qtype, scope, effective, answers, ttl)
-            return pack_reply(query, len(answers), answers_at_ttl(segments, ttl), ecs=_echo(effective, scope))
+            scope, segments, stored_at, ttl = entry
+            now = self.clock.now
+            if now != stored_at:
+                ttl = max(1, ttl - ceil(now - stored_at))
+            return pack_reply(query, len(segments) - 1, answers_at_ttl(segments, ttl), ecs=_echo(effective, scope))
 
     def resolve(self, query: DnsMessage, source: str) -> DnsMessage:
         """`handle` for a query given as a message: its reply decoded."""
@@ -293,14 +295,13 @@ class Resolver:
         return None
 
     def _store(self, qname, qtype, scope, ecs, records, ttl):
-        """The segments of *records* under *qname*, cached for *ttl* unless no later query could match them."""
-        segments = answer_segments(qname, records)
-        if ecs is None and scope:
-            return segments  # a scoped answer to an option-less query
-        key = _cache_key(ecs, scope, ecs.address_int() if scope else 0)
+        """The entry of *records* under *qname* for *ttl*, cached unless no later query could match it."""
         now = self.clock.now
+        entry = CacheEntry(scope, answer_segments(qname, [rr.rdata for rr in records]), now, ttl)
+        if ecs is None and scope:
+            return entry  # a scoped answer to an option-less query
+        key = _cache_key(ecs, scope, ecs.address_int() if scope else 0)
         self._expire(now)
-        entry = CacheEntry(scope, segments, now + ttl)
         name = (qname, qtype)
         bucket = self._cache.setdefault(name, {})
         table = bucket.get(scope)
@@ -312,7 +313,7 @@ class Resolver:
             self._size += 1
         table[key] = entry
         heap = self._heap
-        heapq.heappush(heap, (entry.expires_at, next(self._order), name, key, entry))
+        heapq.heappush(heap, (now + ttl, next(self._order), name, key, entry))
         self.stores += 1
         if self._size > CACHE_MAX_ENTRIES:
             while not self._drop(heapq.heappop(heap)):
@@ -321,7 +322,7 @@ class Resolver:
         if len(heap) > 2 * CACHE_MAX_ENTRIES:
             self._heap = [record for record in heap if self._holds(record)]
             heapq.heapify(self._heap)
-        return segments
+        return entry
 
     def _expire(self, now: float) -> None:
         """Drop every entry whose expiry time has come."""

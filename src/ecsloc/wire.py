@@ -18,7 +18,8 @@ compression pointers, the answer class, and the OPT record's placement,
 name, version and option framing.  A constructor's refusal, a `ValueError`
 or the name rule's `InvalidName`, is raised as `Malformed` with its text,
 by one handler in `_decode`; other wire errors pass through.  The encoder
-trusts a constructed message and checks nothing again.
+trusts a constructed message, checks nothing again, and writes every
+answer section, a message's or a packed reply's, by `answer_segments`.
 
 Besides the name rule's memo, the codec has six, each keyed as its
 function's docstring says: the encoder's `_encode_name` and `_encode_opt`,
@@ -339,7 +340,8 @@ def encode_message(msg: DnsMessage) -> bytes:
         flags |= 0x0100
     if recursion_available:
         flags |= 0x0080
-    return pack_message(msg_id, flags, question, len(answers), encode_answers(answers), edns)
+    section = b"".join([answers_at_ttl(answer_segments(name, (rdata,)), ttl) for name, _, ttl, rdata in answers])
+    return pack_message(msg_id, flags, question, len(answers), section, edns)
 
 
 def pack_message(msg_id: int, flags: int, question: Question, ancount: int, answers: bytes, opt) -> bytes:
@@ -379,26 +381,18 @@ def pack_reply(
     return pack_message(query.id, flags, query.question, ancount, answers, opt)
 
 
-def encode_answers(answers: tuple[ResourceRecord, ...]) -> bytes:
-    """The answer section of *answers*, each record under its own name and TTL."""
-    return b"".join([
-        part
-        for name, rtype, ttl, rdata in answers
-        for part in (_encode_name(name), _RR_TAIL.pack(rtype, CLASS_IN, ttl, len(rdata)), rdata)
-    ])
+def answer_segments(name: str, addresses) -> tuple[bytes, ...]:
+    """The answer section of one record per packed address in *addresses*, cut out around each 4-octet TTL field.
 
-
-def answer_segments(name: str, answers: tuple[ResourceRecord, ...]) -> tuple[bytes, ...]:
-    """The answer section of *answers*, every record under *name*, cut out around each 4-octet TTL field.
-
-    `answers_at_ttl(segments, ttl)` joins them into the section that
-    `encode_answers` gives with every record renamed to *name* and every TTL set to *ttl*.
+    Every record is under *name*: an A record for 4 octets, an AAAA record
+    for 16.  `answers_at_ttl(segments, ttl)` joins the segments into the
+    section with every TTL *ttl*.
     """
     owner = _encode_name(name)
     segments = []
     cut = b""
-    for _, rtype, _, rdata in answers:
-        tail = _RR_TAIL.pack(rtype, CLASS_IN, 0, len(rdata))
+    for rdata in addresses:
+        tail = _RR_TAIL.pack(QTYPE_A if len(rdata) == 4 else QTYPE_AAAA, CLASS_IN, 0, len(rdata))
         segments.append(cut + owner + tail[:4])
         cut = tail[8:] + rdata
     segments.append(cut)

@@ -146,10 +146,13 @@ class AnswerSet(Indexed, Value, fields="answers default ttl index"):
     """Ordered regional answers for one qname plus the all-region default.
 
     *default* is text or packed octets, held packed in text order: their union if None, else checked.
+    *ttl* must fit a record's TTL field, so every answer can be sent.
     """
 
     def __new__(cls, answers: tuple[RegionalAnswer, ...], default: tuple | None = None, ttl: int = DEFAULT_TTL,
                 index: dict | None = None):
+        if not 0 <= ttl <= MAX_TTL:
+            raise ValueError(f"ttl {ttl} out of range")
         if index is None:
             tables = {}
             for ans in answers:
@@ -225,7 +228,7 @@ class GeoZone(Value, fields="origin regions records"):
             block = document.obj(block, where, ZoneParseError)
             entries = document.field(block, "answers", where, ZoneParseError, document.array)
             ttl = document.integer(block.get("ttl", DEFAULT_TTL), f"{where}.ttl", ZoneParseError)
-            if not 0 <= ttl <= MAX_TTL:  # as ResourceRecord requires, so every answer can be sent
+            if not 0 <= ttl <= MAX_TTL:  # as AnswerSet requires, refused here with the field's path
                 bound = "a non-negative integer" if ttl < 0 else f"at most {MAX_TTL}"
                 raise ZoneParseError(f"{where}.ttl: must be {bound}, got {ttl}")
             regional, tables = [], {}

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import ipaddress
 import json
+import math
 import random
 import socket
 import string
@@ -182,7 +183,8 @@ def cached_records(entry, ttl: int = 0) -> tuple[ResourceRecord, ...]:
 def reference_handle(resolver, payload: bytes, source: str) -> bytes:
     """*resolver*'s reply to *payload* from *source*, built as a message and encoded by `reference_message`.
 
-    A hit re-issues the entry's records at the remaining TTL; a miss sends
+    A hit re-issues the entry's records at the whole TTL at its store
+    instant and at the whole seconds left, at least 1, after it; a miss sends
     the reference encoding of `make_query` upstream, stores the answer with
     the resolver's own `_store` and sends its records under the question's
     name at their lowest TTL.  The counters move as in `handle`.
@@ -199,7 +201,8 @@ def reference_handle(resolver, payload: bytes, source: str) -> bytes:
     entry = resolver.cache_lookup(qname, qtype, effective)
     if entry is not None:
         resolver.hits += 1
-        remaining = max(1, int(entry.expires_at - resolver.clock.now))
+        elapsed = resolver.clock.now - entry.stored_at
+        remaining = entry.ttl if elapsed == 0 else max(1, entry.ttl - math.ceil(elapsed))
         return reference_message(make_response(query, cached_records(entry, remaining), ecs=echo(entry.scope_prefix_len)))
     resolver.misses += 1
     upstream_query = reference_message(make_query(qname, qtype, msg_id=query.id, ecs=effective))

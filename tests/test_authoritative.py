@@ -120,15 +120,19 @@ def test_scripted_queries_match_the_reference(case, legacy_geo):
 
 
 @LEGACY_GEO
-def test_ttl_above_the_field_still_raises(legacy_geo):
+def test_ttl_outside_the_field_is_refused_when_built(legacy_geo):
     answer = RegionalAnswer("AA", ipaddress.ip_network("198.18.0.0/24"), ("10.0.0.1",))
-    zone = GeoZone("t", LocationPrefixMap({"AA": "198.18.0.0/24"}), {"q.t": AnswerSet((answer,), ttl=MAX_TTL + 1)})
+    for ttl in (MAX_TTL + 1, -1):
+        with pytest.raises(ValueError, match=f"^ttl {ttl} out of range$"):
+            AnswerSet((answer,), ttl=ttl)
+    record = AnswerSet((answer,), ttl=MAX_TTL)
+    with pytest.raises(ValueError, match="^ttl 4294967296 out of range$"):
+        record.replace(ttl=MAX_TTL + 1)
+    # the top of the field is sent as it is
+    zone = GeoZone("t", LocationPrefixMap({"AA": "198.18.0.0/24"}), {"q.t": record})
     payload = reference_message(_query(edns=EdnsOpt(1232, EcsOption.for_prefix("198.18.0.0", 24))))
-    with pytest.raises(ValueError, match="out of range") as got:
-        Authoritative(zone, legacy_geo=legacy_geo).handle(payload, "198.18.0.9")
-    with pytest.raises(ValueError) as expected:
-        reference_respond(zone, legacy_geo, decode_message(payload), "198.18.0.9")
-    assert str(got.value) == str(expected.value)
+    reply = CheckedAuthoritative(zone, legacy_geo).handle(payload, "198.18.0.9")
+    assert [rr.ttl for rr in decode_message(reply).answers] == [MAX_TTL]
 
 
 @LEGACY_GEO

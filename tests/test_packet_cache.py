@@ -254,7 +254,7 @@ def test_a_miss_is_sent_exactly_as_a_hit(policy):
         sections.append(decode_message(reply).answers)
         return reply
 
-    clock = VirtualClock()
+    clock = VirtualClock(256.25000000002393)  # no binary fraction, as a clock stepped by 0.05 s soon is
     prefix_map = LocationPrefixMap({"HK": "198.19.0.0/16"})
     resolver = Resolver(POLICIES[policy](), "HK", InProcessLink(upstream), prefix_map, clock=clock)
     rng = random.Random(3401)
@@ -286,8 +286,7 @@ def test_a_miss_is_sent_exactly_as_a_hit(policy):
         seen["renamed"] += any(rr.name != qname for rr in upstream_answers)
         seen["mixed"] += len({rr.rtype for rr in upstream_answers}) > 1
         seen["empty"] += not upstream_answers
-        # binary fractions: `expires_at - now` is then exact, and a hit's floor of it is the stored TTL
-        clock.advance(rng.choice((0, 0.25, 1, 7.5)))
+        clock.advance(rng.choice((0, 0.05, 0.1, 0.25, 1, 7.5)))
     assert min(seen.values()) > 20, seen
     assert resolver.misses == 800
 

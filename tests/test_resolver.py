@@ -150,6 +150,15 @@ class TestCache:
             clock.advance(-0.5)
         assert clock.now == 5.0
 
+    def test_clock_refuses_nan(self):
+        for start in ("nan", "-inf", "inf"):  # -inf advanced by inf would read NaN
+            with pytest.raises(ValueError, match=f"^clock time must be finite, got {start}$"):
+                VirtualClock(float(start))
+        clock = VirtualClock(5.0)
+        with pytest.raises(ValueError, match="^clock step cannot be NaN$"):
+            clock.advance(float("nan"))
+        assert clock.now == 5.0
+
     def test_same_network_hits(self, zone):
         resolver = make_resolver(zone, Forward(), "HK")
         first = resolver.resolve(
@@ -422,7 +431,7 @@ def test_cache_lookup_against_linear_scan(bound, monkeypatch):
                 assert entry is None
             else:
                 assert entry is not None
-                assert (entry.scope_prefix_len, [rr.address() for rr in cached_records(entry)], entry.expires_at) == (
+                assert (entry.scope_prefix_len, [rr.address() for rr in cached_records(entry)], entry.stored_at + entry.ttl) == (
                     expected[1], [expected[3]], expected[4],
                 )
             expired_checks += any(e[4] <= clock.now for e in store)
@@ -533,7 +542,7 @@ def test_overwritten_entry_outlives_its_stale_heap_record():
         resolver.resolve(make_query("q.t", ecs=ecs), "198.18.0.77")
     clock.advance(20)
     entry = resolver.cache_lookup("q.t", 1, EcsOption.for_prefix("10.0.0.0", 28))
-    assert entry is not None and entry.expires_at == 100
+    assert entry is not None and (entry.stored_at, entry.ttl) == (0, 100)
     assert (resolver.stores, resolver.expiries, len(resolver._heap)) == (2, 0, 1)
 
 

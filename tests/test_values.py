@@ -92,7 +92,7 @@ TABLE = {
                             ScenarioError, True),
     "DeviceConfig": (lambda: DeviceConfig("cam01", "HK", "UK", "198.18.0.77"), {"device_id": "cam02"},
                      None, None, True),
-    "CacheEntry": (lambda: CacheEntry(24, (RECORD,), 300.0), {"expires_at": 60.0}, None, None, True),
+    "CacheEntry": (lambda: CacheEntry(24, (RECORD,), 0.0, 300), {"ttl": 60}, None, None, True),
     "Hop": (lambda: Hop("device", "resolver", QUERY), {"receiver": "authoritative"}, None, None, True),
     "ScenarioTranscript": (lambda: ScenarioTranscript("standard", HOPS), {"architecture": "ecs_basic"},
                            {"hops": HOPS[::-1]}, ScenarioError, True),

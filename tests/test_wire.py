@@ -439,9 +439,8 @@ class TestRoundtrip:
             ttl = rng.choice((0, 1, 300, 0xFFFFFFFF))
             rcode = rng.choice((0, 0, 2, 3))
             ecs = rng.choice((None, rand_ecs(rng, scope_allowed=True)))
-            section = wire.answers_at_ttl(wire.answer_segments(question.qname, answers), ttl)
+            section = wire.answers_at_ttl(wire.answer_segments(question.qname, [rr.rdata for rr in answers]), ttl)
             answers = tuple(rr.replace(name=question.qname, ttl=ttl) for rr in answers)
-            assert section == wire.encode_answers(answers)
             reply = make_response(query, answers, rcode=rcode, ecs=ecs)
             assert wire.pack_reply(query, len(answers), section, rcode=rcode, ecs=ecs) == reference_message(reply)
             ecs = rng.choice((None, rand_ecs(rng)))
