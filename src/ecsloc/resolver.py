@@ -12,9 +12,9 @@ ecs_user_defined  the device's stub fills the option with the prefix mapped
 
 `Resolver` caches each answer in the table of its client-subnet scope, on
 an injected virtual clock.  `Resolver.handle` and `Authoritative.handle`
-work in octets: each decodes the query and packs its reply with
-`wire.pack_reply`, its answer section written by `wire.answer_segments`,
-so no response message is built.  `Resolver.resolve` is the typed wrapper.
+work in octets: each decodes the query and its option, and packs every
+reply, echo and OPT record included, by one `wire.pack_reply` call, so
+no response message is built.  `Resolver.resolve` is the typed wrapper.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .wire import (
     EcsOption,
     InvalidName,
     answer_segments,
-    answers_at_ttl,
     canonical_name,
     decode_message,
     encode_message,
@@ -100,20 +99,28 @@ class DeviceConfig(Value, fields="device_id ip_based_location user_defined_locat
 
 
 class VirtualClock:
-    """Injected monotonic time so TTL expiry is testable.  It starts at a finite time and takes
-    no NaN step, so it never reads NaN, a time at which no entry would expire."""
+    """Injected monotonic time so TTL expiry is testable.  Only `advance` moves `now`, and never to
+    NaN, at which no entry would expire, nor to infinity, at which each would expire once stored."""
+
+    __slots__ = ("now",)  # a plain attribute read on the hit path
 
     def __init__(self, now: float = 0.0):
-        if not isfinite(now):
-            raise ValueError(f"clock time must be finite, got {now}")
-        self.now = now
+        self._move(now)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot set VirtualClock.{name}: the clock moves only by advance()")
 
     def advance(self, seconds: float) -> None:
         if seconds != seconds:
             raise ValueError("clock step cannot be NaN")
         if seconds < 0:
             raise ValueError("clock cannot go backwards")
-        self.now += seconds
+        self._move(self.now + seconds)
+
+    def _move(self, now: float) -> None:
+        if not isfinite(now):
+            raise ValueError(f"clock time must be finite, got {now}")
+        object.__setattr__(self, "now", now)
 
 
 class CacheEntry(Value, fields="scope_prefix_len segments stored_at ttl"):
@@ -121,12 +128,12 @@ class CacheEntry(Value, fields="scope_prefix_len segments stored_at ttl"):
     cut out around each TTL field, stored at virtual time *stored_at* for *ttl* whole seconds."""
 
 
-def _decode_query(payload: bytes, receiver: str) -> DnsMessage:
-    """The query *payload* decoded; a response raises ScenarioError naming *receiver*."""
+def _decode_query(payload: bytes, receiver: str) -> tuple[DnsMessage, EcsOption | None]:
+    """The query *payload* decoded, and its option or None; a response raises ScenarioError naming *receiver*."""
     query = decode_message(payload)
     if query.is_response:
         raise ScenarioError(f"{receiver} got a response instead of a query")
-    return query
+    return query, query.edns.ecs if query.edns else None
 
 
 def stub_query(
@@ -154,19 +161,18 @@ class Authoritative:
 
     def handle(self, payload: bytes, source: str) -> bytes:
         """The wire reply to the query *payload* from *source*, packed by `wire.pack_reply`."""
-        query = _decode_query(payload, "authoritative")
+        query, ecs = _decode_query(payload, "authoritative")
         qname, qtype, _ = query.question
-        ecs = query.edns.ecs if query.edns else None
         lookup_ecs = ecs
         if ecs is None and self.legacy_geo and source:
             lookup_ecs = _rewrite_option(source, 24)
         try:
             result = self.zone.lookup(qname, lookup_ecs)
         except NameNotFound:
-            return pack_reply(query, 0, b"", rcode=RCODE_NXDOMAIN, ecs=_echo(ecs, 0))
+            return pack_reply(query, ecs, 0, rcode=RCODE_NXDOMAIN)
         octets = 4 if qtype == QTYPE_A else 16
         segments = answer_segments(qname, [rdata for rdata in result.addresses if len(rdata) == octets])
-        return pack_reply(query, len(segments) - 1, answers_at_ttl(segments, result.ttl), ecs=_echo(ecs, result.scope))
+        return pack_reply(query, ecs, result.scope, segments, result.ttl)
 
 
 def _cache_key(ecs: EcsOption | None, scope: int, address: int) -> tuple:
@@ -178,10 +184,6 @@ def _cache_key(ecs: EcsOption | None, scope: int, address: int) -> tuple:
     if scope == 0:
         return (0, 0)
     return (ecs.family, address & PREFIX_MASKS[ecs.family][scope])
-
-
-def _echo(ecs: EcsOption | None, scope: int) -> EcsOption | None:
-    return None if ecs is None else ecs.with_scope(scope)
 
 
 class Resolver:
@@ -231,24 +233,22 @@ class Resolver:
         since the store, but at least 1 once one has begun.
         """
         with self._lock:
-            query = _decode_query(payload, "resolver")
-            question = query.question
-            qname, qtype, _ = question
-            incoming = query.edns.ecs if query.edns else None
+            query, incoming = _decode_query(payload, "resolver")
+            qname, qtype, _ = query.question
             effective = self.effective_ecs(incoming, source)
 
             entry = self.cache_lookup(qname, qtype, effective)
             if entry is None:
                 self.misses += 1
-                sent = pack_query(query.id, question, effective)
+                sent = pack_query(query.id, query.question, effective)
                 response = decode_message(self.upstream.exchange(sent, self.address))
                 if response.rcode != 0:
                     self.upstream_errors += 1
-                    return pack_reply(query, 0, b"", rcode=response.rcode, ecs=_echo(effective, 0))
+                    return pack_reply(query, effective, 0, rcode=response.rcode)
                 echo = response.edns.ecs if response.edns else None
                 if echo is not None and effective is not None and echo.with_scope(0) != effective:
                     self.bad_echoes += 1  # RFC 7871 section 7.3
-                    return pack_reply(query, 0, b"", rcode=RCODE_SERVFAIL, ecs=_echo(effective, 0))
+                    return pack_reply(query, effective, 0, rcode=RCODE_SERVFAIL)
                 scope = echo.scope_prefix_len if echo is not None else 0
                 ttl = min((rr.ttl for rr in response.answers), default=DEFAULT_TTL)  # RFC 2181 section 5.2
                 entry = self._store(qname, qtype, scope, effective, response.answers, ttl)
@@ -258,7 +258,7 @@ class Resolver:
             now = self.clock.now
             if now != stored_at:
                 ttl = max(1, ttl - ceil(now - stored_at))
-            return pack_reply(query, len(segments) - 1, answers_at_ttl(segments, ttl), ecs=_echo(effective, scope))
+            return pack_reply(query, effective, scope, segments, ttl)
 
     def resolve(self, query: DnsMessage, source: str) -> DnsMessage:
         """`handle` for a query given as a message: its reply decoded."""

@@ -20,17 +20,13 @@ or the name rule's `InvalidName`, is raised as `Malformed` with its text,
 by one handler in `_decode`; other wire errors pass through.  The encoder
 trusts a constructed message, checks nothing again, and writes every
 answer section, a message's or a packed reply's, by `answer_segments`.
+What a reply carries of its query's option is `pack_reply`'s rule.
 
 Besides the name rule's memo, the codec has six, each keyed as its
 function's docstring says: the encoder's `_encode_name` and `_encode_opt`,
-and four in the decoder.  `_decode_body` is keyed on a whole message's
-octets after the ID, so a message seen before under any ID is one lookup.
-A reply echoes its query's client-subnet option, so with many regions
-whole messages rarely repeat while their parts do, and a message that
-misses `_decode_body` takes those parts from their own memos:
-`_plain_name` keyed on an uncompressed name's octets, `_question` on the
-question's octets (such a name, its type and class), and `_decode_opt`
-on the OPT record's name, class, TTL and rdata.
+and the decoder's `_decode_body`, on a whole message, and `_plain_name`,
+`_question` and `_decode_opt`, on its parts.  With many regions whole
+messages rarely repeat while their parts do.
 """
 
 from __future__ import annotations
@@ -363,22 +359,21 @@ def pack_query(msg_id: int, question: Question, ecs: EcsOption | None) -> bytes:
 
 
 def pack_reply(
-    query: DnsMessage, ancount: int, answers: bytes, *, rcode: int = 0, ecs: EcsOption | None = None
+    query: DnsMessage, ecs: EcsOption | None, scope: int, segments: tuple = (b"",), ttl: int = 0, rcode: int = 0
 ) -> bytes:
-    """Wire octets of the reply to *query*: its ID and question, *rcode*, and *ancount* records.
+    """Wire octets of the reply to *query*: its ID and question, *rcode*, and `answers_at_ttl(segments, ttl)`.
 
-    *answers* is the encoded answer section of those records.  The reply
-    has an OPT record, carrying *ecs*, when the query has one or *ecs* is
-    given: of the query's payload size, or the default when only the reply
-    has EDNS.
+    This is the one reply rule.  *ecs* is the client-subnet option the
+    query was answered for, or None.  The reply has an OPT record when the
+    query has one or *ecs* is given: of the query's payload size, or the
+    default when only the reply has EDNS.  It carries *ecs* at scope
+    *scope* (RFC 7871 section 7.2, RFC 6891 section 7).
     """
     flags = 0x8080 | query.recursion_desired << 8 | rcode  # QR and RA set, RD copied
+    echo = None if ecs is None else ecs.with_scope(scope)
     edns = query.edns
-    if edns is not None:
-        opt = edns.udp_payload_size, ecs
-    else:
-        opt = None if ecs is None else (DEFAULT_UDP_PAYLOAD, ecs)
-    return pack_message(query.id, flags, query.question, ancount, answers, opt)
+    opt = None if edns is None and echo is None else (edns.udp_payload_size if edns else DEFAULT_UDP_PAYLOAD, echo)
+    return pack_message(query.id, flags, query.question, len(segments) - 1, answers_at_ttl(segments, ttl), opt)
 
 
 def answer_segments(name: str, addresses) -> tuple[bytes, ...]:

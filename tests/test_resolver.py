@@ -159,6 +159,35 @@ class TestCache:
             clock.advance(float("nan"))
         assert clock.now == 5.0
 
+    def test_clock_refuses_assignment(self, zone):
+        # NaN set from outside would get past every check and fail the next miss after its store
+        clock = VirtualClock(5.0)
+        with pytest.raises(AttributeError, match="^cannot set VirtualClock.now: the clock moves only by advance"):
+            clock.now = float("nan")
+        assert clock.now == 5.0
+        resolver = make_resolver(zone, Forward(), "UK", clock=clock)
+        query = make_query("api.example.iot", ecs=EcsOption.for_prefix("198.18.1.0", 24))
+        reply = resolver.resolve(query, "198.18.1.7")
+        assert [rr.ttl for rr in reply.answers] == [300]
+        assert (resolver.misses, resolver.stores) == (1, 1)
+
+    def test_clock_refuses_an_infinite_time(self, zone):
+        # at infinity every entry would expire at the lookup after its store
+        clock = VirtualClock()
+        resolver = make_resolver(zone, Forward(), "UK", clock=clock)
+        query = make_query("api.example.iot", ecs=EcsOption.for_prefix("198.18.1.0", 24))
+        resolver.resolve(query, "198.18.1.7")
+        with pytest.raises(ValueError, match="^clock time must be finite, got inf$"):
+            clock.advance(float("inf"))
+        assert clock.now == 0.0
+        for _ in range(2):
+            resolver.resolve(query, "198.18.1.7")
+        assert (resolver.hits, resolver.misses, resolver.expiries) == (2, 1, 0)
+        late = VirtualClock(1e308)
+        with pytest.raises(ValueError, match="^clock time must be finite, got inf$"):
+            late.advance(1e308)  # finite, but the sum overflows
+        assert late.now == 1e308
+
     def test_same_network_hits(self, zone):
         resolver = make_resolver(zone, Forward(), "HK")
         first = resolver.resolve(
@@ -601,6 +630,27 @@ def test_miss_and_hit_send_the_same_answer_names():
     miss, hit = (resolver.resolve(make_query("api.example.iot"), "198.18.0.77") for _ in range(2))
     assert (resolver.misses, resolver.hits) == (1, 1)
     assert miss.answers == hit.answers == (record_for_address("api.example.iot", "10.0.0.1", 100),)
+
+
+@pytest.mark.parametrize(
+    "back_policy, legacy_geo, counts",
+    [(Forward(), False, (3, 3, 3, 0)), (Strip(), True, (5, 1, 1, 0))],
+    ids=["forward", "strip"],
+)
+def test_resolver_behind_a_resolver(zone, back_policy, legacy_geo, counts):
+    # a Forward front whose upstream is a back resolver answers as the back resolver alone
+    queries = [
+        make_query("api.example.iot", ecs=EcsOption.for_prefix(zone.regions.prefix_for(code).network_address, 24))
+        for code in region_codes(zone.regions)
+    ]
+    back = make_resolver(zone, back_policy, "HK", legacy_geo=legacy_geo)
+    front = Resolver(Forward(), "UK", InProcessLink(back.handle), zone.regions)
+    alone = make_resolver(zone, back_policy, "HK", legacy_geo=legacy_geo)
+    for query in queries + queries:
+        reply, direct = (resolver.resolve(query, "198.18.1.77") for resolver in (front, alone))
+        assert reply.rcode == 0 and reply.answers
+        assert [rr.address() for rr in reply.answers] == [rr.address() for rr in direct.answers]
+    assert (front.hits, front.misses, front.stores, front.bad_echoes) == counts
 
 
 class TestScenarios:

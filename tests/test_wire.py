@@ -438,11 +438,13 @@ class TestRoundtrip:
             answers = rand_message(rng).answers
             ttl = rng.choice((0, 1, 300, 0xFFFFFFFF))
             rcode = rng.choice((0, 0, 2, 3))
-            ecs = rng.choice((None, rand_ecs(rng, scope_allowed=True)))
-            section = wire.answers_at_ttl(wire.answer_segments(question.qname, [rr.rdata for rr in answers]), ttl)
+            echo = rng.choice((None, rand_ecs(rng, scope_allowed=True)))
+            ecs, scope = (None, rng.randint(0, 128)) if echo is None else (echo.with_scope(0), echo.scope_prefix_len)
+            segments = wire.answer_segments(question.qname, [rr.rdata for rr in answers])
+            parts = (segments, ttl) if answers or rng.random() < 0.5 else ()  # no records: the default too
             answers = tuple(rr.replace(name=question.qname, ttl=ttl) for rr in answers)
-            reply = make_response(query, answers, rcode=rcode, ecs=ecs)
-            assert wire.pack_reply(query, len(answers), section, rcode=rcode, ecs=ecs) == reference_message(reply)
+            reply = make_response(query, answers, rcode=rcode, ecs=echo)
+            assert wire.pack_reply(query, ecs, scope, *parts, rcode=rcode) == reference_message(reply)
             ecs = rng.choice((None, rand_ecs(rng)))
             packed = wire.pack_query(query.id, query.question, ecs)
             assert packed == reference_message(make_query(query.question.qname, query.question.qtype, msg_id=query.id, ecs=ecs))
