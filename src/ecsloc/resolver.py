@@ -46,6 +46,7 @@ from .wire import (
     pack_address,
     pack_query,
     pack_reply,
+    scan_reply,
 )
 from .zone import DEFAULT_TTL, GeoZone, LocationPrefixMap, NameNotFound
 
@@ -58,6 +59,19 @@ CACHE_MAX_ENTRIES = 10_000
 # The rewritten option per (client address, prefix length); like the wire
 # memos it keeps no error, so a bad address raises every time
 _rewrite_option = lru_cache(maxsize=_MEMO_SIZE)(EcsOption.for_prefix)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _upstream_answer(body: bytes, qname: str) -> tuple:
+    """(rcode, echoed option or None, TTL, answer segments) of an upstream reply: the memo keyed on its
+    octets after the ID and on the question's name, which every answer is stored under.
+
+    The TTL is the answers' lowest, as RFC 2181 section 5.2 treats records
+    whose TTLs differ, or DEFAULT_TTL when there is no answer.
+    """
+    flags, answers, edns = scan_reply(b"\x00\x00" + body)
+    ttl = min((rr.ttl for rr in answers), default=DEFAULT_TTL)
+    return flags & 0x0F, edns.ecs if edns else None, ttl, answer_segments(qname, [rr.rdata for rr in answers])
 
 
 class ScenarioError(Error):
@@ -196,7 +210,8 @@ class Resolver:
     satisfies that automatically.  At most CACHE_MAX_ENTRIES entries are
     live: a store beyond that evicts the entry closest to expiry, oldest
     store first on a tie.  The counters are hits, misses,
-    stores, expiries, evictions, bad_echoes and upstream_errors.
+    stores, expiries, evictions, bad_echoes, nxdomains (an upstream
+    NXDOMAIN, an answer) and upstream_errors (any other nonzero rcode).
     """
 
     def __init__(
@@ -222,7 +237,7 @@ class Resolver:
         self._order = itertools.count()
         self._size = 0
         self.hits = self.misses = self.stores = self.expiries = self.evictions = 0
-        self.bad_echoes = self.upstream_errors = 0
+        self.bad_echoes = self.nxdomains = self.upstream_errors = 0
         self._lock = threading.Lock()
 
     def handle(self, payload: bytes, source: str) -> bytes:
@@ -240,18 +255,18 @@ class Resolver:
             entry = self.cache_lookup(qname, qtype, effective)
             if entry is None:
                 self.misses += 1
-                sent = pack_query(query.id, query.question, effective)
-                response = decode_message(self.upstream.exchange(sent, self.address))
-                if response.rcode != 0:
-                    self.upstream_errors += 1
-                    return pack_reply(query, effective, 0, rcode=response.rcode)
-                echo = response.edns.ecs if response.edns else None
+                reply = bytes(self.upstream.exchange(pack_query(query.id, query.question, effective), self.address))
+                # a reply too short to hold an ID is scanned as it is, which raises Truncated
+                rcode, echo, ttl, segments = _upstream_answer(reply[2:], qname) if len(reply) > 1 else scan_reply(reply)
+                if rcode:
+                    self.nxdomains += rcode == RCODE_NXDOMAIN  # an answer, not an error
+                    self.upstream_errors += rcode != RCODE_NXDOMAIN
+                    return pack_reply(query, effective, 0, rcode=rcode)
                 if echo is not None and effective is not None and echo.with_scope(0) != effective:
                     self.bad_echoes += 1  # RFC 7871 section 7.3
                     return pack_reply(query, effective, 0, rcode=RCODE_SERVFAIL)
                 scope = echo.scope_prefix_len if echo is not None else 0
-                ttl = min((rr.ttl for rr in response.answers), default=DEFAULT_TTL)  # RFC 2181 section 5.2
-                entry = self._store(qname, qtype, scope, effective, response.answers, ttl)
+                entry = self._store(qname, qtype, scope, effective, segments, ttl)
             else:
                 self.hits += 1
             scope, segments, stored_at, ttl = entry
@@ -294,10 +309,10 @@ class Resolver:
                 return entry
         return None
 
-    def _store(self, qname, qtype, scope, ecs, records, ttl):
-        """The entry of *records* under *qname* for *ttl*, cached unless no later query could match it."""
+    def _store(self, qname, qtype, scope, ecs, segments, ttl):
+        """The entry of answer *segments* for *ttl*, cached unless no later query could match it."""
         now = self.clock.now
-        entry = CacheEntry(scope, answer_segments(qname, [rr.rdata for rr in records]), now, ttl)
+        entry = CacheEntry(scope, segments, now, ttl)
         if ecs is None and scope:
             return entry  # a scoped answer to an option-less query
         key = _cache_key(ecs, scope, ecs.address_int() if scope else 0)

@@ -11,22 +11,26 @@ decode reads the ID.
 
 Each field is checked once, where a message comes into being.  `Question`,
 `ResourceRecord`, `EcsOption`, `EdnsOpt` and `DnsMessage` each check their
-fields in their one constructor, and `decode_message` builds through them
-as any other caller does.  The decoder itself checks only what no
-constructor sees: the header's opcode and counts, label framing and
-compression pointers, the answer class, and the OPT record's placement,
-name, version and option framing.  A constructor's refusal, a `ValueError`
-or the name rule's `InvalidName`, is raised as `Malformed` with its text,
-by one handler in `_decode`; other wire errors pass through.  The encoder
-trusts a constructed message, checks nothing again, and writes every
-answer section, a message's or a packed reply's, by `answer_segments`.
-What a reply carries of its query's option is `pack_reply`'s rule.
+fields in their one constructor.  A decode is a scan and a build: `_scan`,
+the one walker of message octets, checks what no constructor sees (the
+header's opcode and counts, label framing and compression pointers, the
+answer class, and the OPT record's placement, name, version and option
+framing) and builds the question, the records and the OPT record through
+their constructors; `decode_message` builds the `DnsMessage` from its
+fields, and `scan_reply` builds a response into no message.  A
+constructor's refusal, a `ValueError` or the name rule's `InvalidName`, is
+raised as `Malformed` with its text by one handler, `_read`, around both;
+other wire errors pass through.  The encoder trusts a constructed message,
+checks nothing again, and writes every answer section, a message's or a
+packed reply's, by `answer_segments`.  What a reply carries of its query's
+option is `pack_reply`'s rule.
 
 Besides the name rule's memo, the codec has six, each keyed as its
 function's docstring says: the encoder's `_encode_name` and `_encode_opt`,
 and the decoder's `_decode_body`, on a whole message, and `_plain_name`,
 `_question` and `_decode_opt`, on its parts.  With many regions whole
-messages rarely repeat while their parts do.
+messages rarely repeat while their parts do.  `scan_reply` has no memo of
+its own: its one caller, the resolver, keeps one.
 """
 
 from __future__ import annotations
@@ -555,48 +559,74 @@ def _decode_body(body: bytes) -> DnsMessage:
     return _decode(b"\x00\x00" + body)
 
 
+def scan_reply(data: bytes) -> tuple:
+    """(flags, answers, edns) of the reply *data*, refused exactly as `decode_message` refuses it.
+
+    A response, QR set, is built into no message.  A query is built, as
+    only its constructor holds a query's rules: no answers and scope 0.
+    """
+    return _read(data, _reply_fields)
+
+
+def _reply_fields(msg_id, flags, question, answers, edns) -> tuple:
+    if not flags & 0x8000:
+        _message(msg_id, flags, question, answers, edns)
+    return flags, answers, edns
+
+
 def _decode(data: bytes) -> DnsMessage:
     """Decode *data* in full, with no lookup in the message memo."""
+    return _read(data, _message)
+
+
+def _message(msg_id, flags, question, answers, edns) -> DnsMessage:
+    qr, rd, ra = bool(flags & 0x8000), bool(flags & 0x0100), bool(flags & 0x0080)
+    return DnsMessage(msg_id, qr, rd, ra, flags & 0x0F, question, answers, edns)
+
+
+def _read(data: bytes, build):
+    """*build* applied to the fields `_scan` reads of *data*: the one refusal handler around both."""
     try:
-        end = len(data)
-        if end < _HEADER.size:
-            raise _truncated(_HEADER.size, 0, end)
-        msg_id, flags, qdcount, ancount, nscount, arcount = _HEADER.unpack_from(data)
-        opcode = (flags >> 11) & 0x0F
-        if opcode != 0:
-            raise Malformed(f"opcode {opcode} not supported")
-        if qdcount != 1:
-            raise Malformed(f"expected exactly one question, got {qdcount}")
-        question, pos = _name_at(data, _HEADER.size, end, _question, _PAIR.size)
-        if type(question) is str:  # walked: a valid name comes back only when no type and class follow it
-            raise _truncated(_PAIR.size, pos, end) if question else Malformed("empty question name")
-
-        answers = []
-        for _ in range(ancount):
-            name, rtype, rclass, ttl, rdata, pos = _record_at(data, pos, end)
-            if rtype == TYPE_OPT:
-                raise Malformed("OPT record in answer section")
-            if rclass != CLASS_IN:
-                raise Malformed(f"answer class {rclass} not supported")
-            answers.append(ResourceRecord(name, rtype, ttl, rdata))
-
-        for _ in range(nscount):
-            pos = _record_at(data, pos, end)[-1]
-
-        edns = None
-        for _ in range(arcount):
-            name, rtype, rclass, ttl, rdata, pos = _record_at(data, pos, end)
-            if rtype == TYPE_OPT:
-                if edns is not None:
-                    raise Malformed("more than one OPT record")
-                edns = _decode_opt(name, rclass, ttl, rdata)
-
-        if pos != end:
-            raise Malformed(f"{end - pos} trailing octets")
-
-        return DnsMessage(
-            msg_id, bool(flags & 0x8000), bool(flags & 0x0100), bool(flags & 0x0080), flags & 0x0F,
-            question, tuple(answers), edns,
-        )
+        return build(*_scan(data))
     except (ValueError, InvalidName) as exc:  # a constructor's refusal of a decoded field
         raise Malformed(str(exc)) from None
+
+
+def _scan(data: bytes) -> tuple:
+    """(id, flags, question, answers, edns) of the message *data*: the one walker of message octets."""
+    end = len(data)
+    if end < _HEADER.size:
+        raise _truncated(_HEADER.size, 0, end)
+    msg_id, flags, qdcount, ancount, nscount, arcount = _HEADER.unpack_from(data)
+    opcode = (flags >> 11) & 0x0F
+    if opcode != 0:
+        raise Malformed(f"opcode {opcode} not supported")
+    if qdcount != 1:
+        raise Malformed(f"expected exactly one question, got {qdcount}")
+    question, pos = _name_at(data, _HEADER.size, end, _question, _PAIR.size)
+    if type(question) is str:  # walked: a valid name comes back only when no type and class follow it
+        raise _truncated(_PAIR.size, pos, end) if question else Malformed("empty question name")
+
+    answers = []
+    for _ in range(ancount):
+        name, rtype, rclass, ttl, rdata, pos = _record_at(data, pos, end)
+        if rtype == TYPE_OPT:
+            raise Malformed("OPT record in answer section")
+        if rclass != CLASS_IN:
+            raise Malformed(f"answer class {rclass} not supported")
+        answers.append(ResourceRecord(name, rtype, ttl, rdata))
+
+    for _ in range(nscount):
+        pos = _record_at(data, pos, end)[-1]
+
+    edns = None
+    for _ in range(arcount):
+        name, rtype, rclass, ttl, rdata, pos = _record_at(data, pos, end)
+        if rtype == TYPE_OPT:
+            if edns is not None:
+                raise Malformed("more than one OPT record")
+            edns = _decode_opt(name, rclass, ttl, rdata)
+
+    if pos != end:
+        raise Malformed(f"{end - pos} trailing octets")
+    return msg_id, flags, question, tuple(answers), edns

@@ -50,6 +50,7 @@ from ecsloc.wire import (
     EdnsOpt,
     Question,
     ResourceRecord,
+    answer_segments,
     decode_message,
     make_query,
     truncate_to_prefix,
@@ -185,9 +186,10 @@ def reference_handle(resolver, payload: bytes, source: str) -> bytes:
 
     A hit re-issues the entry's records at the whole TTL at its store
     instant and at the whole seconds left, at least 1, after it; a miss sends
-    the reference encoding of `make_query` upstream, stores the answer with
-    the resolver's own `_store` and sends its records under the question's
-    name at their lowest TTL.  The counters move as in `handle`.
+    the reference encoding of `make_query` upstream, stores the answer, cut
+    by `wire.answer_segments`, with the resolver's own `_store` and sends its
+    records under the question's name at their lowest TTL.  The counters
+    move as in `handle`.
     """
     query = decode_message(payload)
     if query.is_response:
@@ -208,7 +210,10 @@ def reference_handle(resolver, payload: bytes, source: str) -> bytes:
     upstream_query = reference_message(make_query(qname, qtype, msg_id=query.id, ecs=effective))
     response = decode_message(resolver.upstream.exchange(upstream_query, resolver.address))
     if response.rcode != 0:
-        resolver.upstream_errors += 1
+        if response.rcode == 3:  # NXDOMAIN, an answer
+            resolver.nxdomains += 1
+        else:
+            resolver.upstream_errors += 1
         return reference_message(make_response(query, rcode=response.rcode, ecs=echo(0)))
     got = response.edns.ecs if response.edns else None
     if got is not None and effective is not None and got.replace(scope_prefix_len=0) != effective:
@@ -218,7 +223,7 @@ def reference_handle(resolver, payload: bytes, source: str) -> bytes:
     # RFC 2181 section 5.2: records whose TTLs differ are treated as if all had the lowest
     ttl = min((rr.ttl for rr in response.answers), default=DEFAULT_TTL)
     answers = tuple(ResourceRecord(qname, rr.rtype, ttl, rr.rdata) for rr in response.answers)
-    resolver._store(qname, qtype, scope, effective, answers, ttl)
+    resolver._store(qname, qtype, scope, effective, answer_segments(qname, [rr.rdata for rr in answers]), ttl)
     return reference_message(make_response(query, answers, ecs=echo(scope)))
 
 

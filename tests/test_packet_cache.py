@@ -11,6 +11,7 @@ same virtual time: the two replies must be equal octet for octet.
 
 import dataclasses
 import importlib.util
+import itertools
 import json
 import random
 import sys
@@ -18,6 +19,7 @@ from pathlib import Path
 
 import pytest
 from helpers import (
+    FIXTURES,
     cached_records,
     make_response,
     rand_name,
@@ -54,7 +56,7 @@ from ecsloc.wire import (
 from ecsloc.zone import DEFAULT_TTL, GeoZone, LocationPrefixMap
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
-COUNTERS = ("hits", "misses", "stores", "expiries", "evictions", "bad_echoes", "upstream_errors")
+COUNTERS = ("hits", "misses", "stores", "expiries", "evictions", "bad_echoes", "nxdomains", "upstream_errors")
 POLICIES = {"strip": Strip, "rewrite": lambda: RewriteClientSubnet(24), "forward": Forward}
 
 
@@ -117,14 +119,19 @@ def assert_cache_shape(resolver):
     assert resolver._size == size
 
 
-def _zone_twins(zone_doc, location):
-    """Twins of a strip, a rewrite and a forward resolver on *zone_doc*'s authoritative."""
+def _zone_twins(zone_doc, location, edit=None):
+    """Twins of a strip, a rewrite and a forward resolver on *zone_doc*'s authoritative, each reply passed
+    through *edit* when given."""
     zone = GeoZone.loads(json.dumps(zone_doc), "zone.json")
+
+    def link(legacy):
+        handle = Authoritative(zone, legacy_geo=legacy).handle
+        return InProcessLink(handle if edit is None else lambda payload, source: edit(handle(payload, source)))
 
     def build(clock):
         # the standard architecture's authoritative answers an option-less query by the resolver's /24
         return [
-            Resolver(policy(), location, InProcessLink(Authoritative(zone, legacy_geo=legacy).handle), zone.regions, clock=clock)
+            Resolver(policy(), location, link(legacy), zone.regions, clock=clock)
             for policy, legacy in zip(POLICIES.values(), (True, False, False))
         ]
 
@@ -378,6 +385,68 @@ def test_rejected_payloads_raise_alike(zone_twins):
             assert issubclass(outcome[0], (WireError, ScenarioError))
     assert 50 < rejected < 400
     zone_twins.assert_counters_equal()
+
+
+def _mutated_reply(reply):
+    """*reply* with one edit drawn from a generator seeded by its octets: 1-3 bit flips, a bit flip in the
+    flags, a cut, an octet replaced, a count field rewritten, 1-4 octets inserted or deleted, or none."""
+    rng = random.Random(reply)
+    data = bytearray(reply)
+    kind = rng.randrange(8)
+    if kind == 0:
+        for _ in range(rng.randint(1, 3)):
+            data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+    elif kind == 1:
+        data[rng.choice((2, 3))] ^= 1 << rng.randrange(8)
+    elif kind == 2:
+        del data[rng.randrange(len(data)) :]
+    elif kind == 3:
+        data[rng.randrange(len(data))] = rng.randrange(256)
+    elif kind == 4:
+        at = rng.choice((4, 6, 8, 10))
+        data[at : at + 2] = rng.choice((0, 1, 2, 3, 0xFFFF)).to_bytes(2, "big")
+    elif kind == 5:
+        at = rng.randrange(len(data) + 1)
+        data[at:at] = rng.randbytes(rng.randint(1, 4))
+    elif kind == 6:
+        at = rng.randrange(len(data))
+        del data[at : at + rng.randint(1, 4)]
+    return bytes(data)
+
+
+@pytest.mark.parametrize("zone_doc", [json.loads((FIXTURES / "zone.json").read_text()), ZONE_DOC], ids=["fixture", "mixed-family"])
+def test_mutated_upstream_replies_match_the_reference(zone_doc):
+    twins = _zone_twins(zone_doc, "HK" if "HK" in zone_doc["regions"] else "AA", _mutated_reply)
+    qnames = [*zone_doc["records"], "none." + zone_doc["origin"]]
+    rng = random.Random(3701)
+    outcomes = []
+    for _ in range(3000):
+        query = _random_query(rng, qnames)
+        outcomes.append(twins.ask(rng.randrange(3), reference_message(query), f"198.18.{rng.randrange(4)}.{rng.randrange(256)}"))
+        twins.advance(1000)  # past every TTL in the zone: a hit needs an edited TTL
+    twins.assert_counters_equal()
+    errors = {outcome[1] for outcome in outcomes if not isinstance(outcome, bytes)}
+    assert 1000 < len(outcomes) - twins.replies < 2600
+    for text in ("a query must carry no answers", "need 12 octets at offset 0, have 1", "trailing octets", "not supported"):
+        assert any(text in error for error in errors), text
+    totals = dict(zip(COUNTERS, map(sum, zip(*twins.counters(0)))))
+    assert totals["misses"] > 2500 and totals["nxdomains"] and totals["upstream_errors"] and totals["bad_echoes"], totals
+
+
+def test_a_miss_decodes_no_response(monkeypatch):
+    decoded = []
+
+    def decode(data):
+        decoded.append(data)
+        return decode_message(data)
+
+    monkeypatch.setattr(resolver_module, "decode_message", decode)
+    resolvers = _zone_twins(ZONE_DOC, "AA").sides[0]
+    for resolver, payloads in itertools.product(resolvers, HAND_MADE.values()):
+        for payload in payloads:
+            resolver.handle(payload, "198.18.0.77")
+    assert sum(resolver.misses for resolver in resolvers) > 10
+    assert decoded and not any(data[2] & 0x80 for data in decoded)  # the QR bit
 
 
 def test_one_cache_lookup_per_query_through_the_traced_names():

@@ -37,6 +37,7 @@ from ecsloc.transport import InProcessLink
 from ecsloc.wire import (
     EcsOption,
     address_text,
+    answer_segments,
     decode_message,
     encode_message,
     make_query,
@@ -497,10 +498,10 @@ def test_cache_hit_cost_does_not_grow_with_entries():
     assert best[500] <= 3 * best[1], f"500 entries {best[500]:.6f}s vs 1 entry {best[1]:.6f}s"
 
 
-def _store_seconds(resolver, ecs, records, calls):
+def _store_seconds(resolver, ecs, segments, calls):
     start = time.perf_counter()
     for _ in range(calls):
-        resolver._store("q.t", 1, 24, ecs, records, 300)
+        resolver._store("q.t", 1, 24, ecs, segments, 300)
     return time.perf_counter() - start
 
 
@@ -508,19 +509,19 @@ def test_cache_store_cost_does_not_grow_with_entries():
     # timing ratio, not absolute time: best of interleaved repeats, so a
     # host slowdown hits both sides alike; each timed store overwrites one
     # client network of a bucket of distinct /24s
-    records = (record_for_address("q.t", "10.0.0.1", 300),)
+    segments = answer_segments("q.t", [bytes((10, 0, 0, 1))])
     resolvers = {}
     for count in (40, 4000):
         resolver = Resolver(Forward(), "HK", _ScriptedUpstream(), LocationPrefixMap.default(["HK"]))
         for i in range(count):
             ecs = EcsOption.for_prefix(f"10.{i >> 8}.{i & 255}.0", 24)
-            resolver._store("q.t", 1, 24, ecs, records, 300)
+            resolver._store("q.t", 1, 24, ecs, segments, 300)
         assert len(resolver._cache[("q.t", 1)][24]) == count
         resolvers[count] = (resolver, ecs)
     best = {40: float("inf"), 4000: float("inf")}
     for _ in range(7):
         for count, (resolver, ecs) in resolvers.items():
-            best[count] = min(best[count], _store_seconds(resolver, ecs, records, 200))
+            best[count] = min(best[count], _store_seconds(resolver, ecs, segments, 200))
     assert best[4000] <= 3 * best[40], f"4000 entries {best[4000]:.6f}s vs 40 entries {best[40]:.6f}s"
 
 
@@ -537,7 +538,7 @@ def test_cache_memory_is_bounded(monkeypatch):
     ecs = EcsOption.for_prefix("10.0.0.0", 24)
     for i in range(50_000):
         qname = f"n{i}.t"
-        resolver._store(qname, 1, 24, ecs, (record_for_address(qname, "10.0.0.1", 300),), 300)
+        resolver._store(qname, 1, 24, ecs, answer_segments(qname, [bytes((10, 0, 0, 1))]), 300)
     assert _live_entries(resolver) == len(resolver._cache) == 1000
     # equal TTLs on a still clock: the oldest stores were evicted
     assert set(resolver._cache) == {(f"n{i}.t", 1) for i in range(49_000, 50_000)}
@@ -617,7 +618,7 @@ def test_counters_on_a_scripted_sequence(monkeypatch):
     assert resolver.hits + resolver.misses == 11
     assert (resolver.hits, resolver.misses, resolver.stores) == (4, 7, 5)
     assert (resolver.expiries, resolver.evictions) == (2, 2)
-    assert (resolver.bad_echoes, resolver.upstream_errors) == (1, 1)
+    assert (resolver.bad_echoes, resolver.upstream_errors, resolver.nxdomains) == (1, 0, 1)
 
 
 def test_miss_and_hit_send_the_same_answer_names():

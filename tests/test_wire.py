@@ -2,7 +2,10 @@
 reference encoders in helpers, not from the code under test."""
 
 import dataclasses
+import functools
+import importlib
 import ipaddress
+import pkgutil
 import random
 import re
 import struct
@@ -27,6 +30,7 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ecsloc
 from ecsloc import resolver, wire
 from ecsloc.wire import (
     QTYPE_A,
@@ -50,6 +54,7 @@ from ecsloc.wire import (
     pack_address,
     truncate_to_prefix,
 )
+from ecsloc.transport import InProcessLink
 from ecsloc.wire import _encode_ecs_rdata
 from ecsloc.zone import GeoZone
 
@@ -691,11 +696,30 @@ class TestDecodeInterop:
 DECODER_MEMOS = (wire._plain_name, wire._question, wire._decode_opt, wire._decode_body)
 # on the way out: encoded names and OPT records, and the resolver's rewritten options
 OUTBOUND_MEMOS = (wire._encode_name, wire._encode_opt, resolver._rewrite_option)
+# the resolver's reads of its upstream replies
+REPLY_MEMOS = (resolver._upstream_answer,)
+MEMOS = (wire._canonical_text, *DECODER_MEMOS, *OUTBOUND_MEMOS, *REPLY_MEMOS)
 
 
 def _clear_memos():
-    for memo in (wire._canonical_text, *DECODER_MEMOS, *OUTBOUND_MEMOS):
+    for memo in MEMOS:
         memo.cache_clear()
+
+
+def test_every_package_memo_is_bounded_and_listed():
+    """Each module-level lru_cache in the package holds _MEMO_SIZE entries and is one of MEMOS.
+
+    The one exemption is `cli.build_parser`: a `functools.cache` of a
+    function without arguments holds its one parser.
+    """
+    found = {}
+    for info in pkgutil.iter_modules(ecsloc.__path__, "ecsloc."):
+        for name, value in vars(importlib.import_module(info.name)).items():
+            if isinstance(value, functools._lru_cache_wrapper):
+                found[f"{info.name}.{name}"] = value
+    assert found.pop("ecsloc.cli.build_parser").cache_parameters()["maxsize"] is None
+    assert {name: memo.cache_parameters()["maxsize"] for name, memo in found.items()} == dict.fromkeys(found, wire._MEMO_SIZE)
+    assert set(found.values()) == set(MEMOS)
 
 
 def _outcome(data, decode=decode_message):
@@ -707,9 +731,9 @@ def _outcome(data, decode=decode_message):
     return msg, encode_message(msg)
 
 
-def _rewriting_resolver():
-    """A resolver whose policy rewrites the option to the client's /24; it needs no upstream for that."""
-    return resolver.Resolver(resolver.RewriteClientSubnet(24), "UK", None, GeoZone.load(FIXTURES / "zone.json").regions)
+def _rewriting_resolver(upstream=None):
+    """A resolver whose policy rewrites the option to the client's /24; only a miss asks its *upstream*."""
+    return resolver.Resolver(resolver.RewriteClientSubnet(24), "UK", upstream, GeoZone.load(FIXTURES / "zone.json").regions)
 
 
 def _with_id(data, msg_id):
@@ -881,8 +905,11 @@ class TestDecoderMemos:
         for n in range(wire._MEMO_SIZE + 500):
             ecs = rewrite.effective_ecs(None, f"10.{n >> 8}.{n & 255}.7")
             assert ecs == EcsOption.for_prefix(f"10.{n >> 8}.{n & 255}.0", 24)
-            assert decode_message(encode_message(make_query(f"Host{n}.example", ecs=ecs))).edns.ecs == ecs
-        for memo in (*DECODER_MEMOS, *OUTBOUND_MEMOS):
+            query = make_query(f"Host{n}.example", ecs=ecs)
+            assert decode_message(encode_message(query)).edns.ecs == ecs
+            reply = encode_message(make_response(query, ecs=ecs))
+            assert resolver._upstream_answer(reply[2:], query.question.qname)[1] == ecs
+        for memo in (*DECODER_MEMOS, *OUTBOUND_MEMOS, *REPLY_MEMOS):
             info = memo.cache_info()
             assert info.maxsize == 4096
             assert info.currsize == info.maxsize
@@ -925,6 +952,15 @@ class TestDecoderMemos:
             assert (type(info.value), str(info.value)) == (error, message)
         assert (memo.cache_info().currsize, memo.cache_info().misses) == (0, misses)
         assert wire._decode_body.cache_info().currsize == 0
+        # the same octets as an upstream reply, read on a miss by the resolver's reply memo
+        front = _rewriting_resolver(InProcessLink(lambda payload, source: data))
+        query = encode_message(make_query("example.com"))
+        for _ in range(2):
+            with pytest.raises(WireError) as info:
+                front.handle(query, "198.18.0.7")
+            assert (type(info.value), str(info.value)) == (error, message)
+        info = resolver._upstream_answer.cache_info()
+        assert (info.currsize, info.misses) == (0, 2 if len(data) > 1 else 0)
 
     def test_bad_rewrite_source_is_not_stored(self):
         _clear_memos()
