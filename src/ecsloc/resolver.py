@@ -12,9 +12,10 @@ ecs_user_defined  the device's stub fills the option with the prefix mapped
 
 `Resolver` caches each answer in the table of its client-subnet scope, on
 an injected virtual clock.  `Resolver.handle` and `Authoritative.handle`
-work in octets: each decodes the query and its option, and packs every
-reply, echo and OPT record included, by one `wire.pack_reply` call, so
-no response message is built.  `Resolver.resolve` is the typed wrapper.
+work in octets: each reads the query's ID octets and the rest of it by
+`_decode_query`, and packs every reply, echo and OPT record included, by
+one `wire.pack_reply` call under those octets, so no message is built per
+query.  `Resolver.resolve` is the typed wrapper.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .wire import (
     DnsMessage,
     EcsOption,
     InvalidName,
+    _decode_body,
     answer_segments,
     canonical_name,
     decode_message,
@@ -142,12 +144,17 @@ class CacheEntry(Value, fields="scope_prefix_len segments stored_at ttl"):
     cut out around each TTL field, stored at virtual time *stored_at* for *ttl* whole seconds."""
 
 
-def _decode_query(payload: bytes, receiver: str) -> tuple[DnsMessage, EcsOption | None]:
-    """The query *payload* decoded, and its option or None; a response raises ScenarioError naming *receiver*."""
-    query = decode_message(payload)
+def _decode_query(payload: bytes, receiver: str) -> tuple[bytes, DnsMessage, EcsOption | None]:
+    """The query *payload*'s ID octets, its message with ID 0 from the memo `wire._decode_body`, and its option
+    or None; a response raises ScenarioError naming *receiver*."""
+    if len(payload) < 2:  # no ID: read as is, to raise Truncated
+        decode_message(payload)
+    if type(payload) is not bytes:  # a bytes-like payload, read as decode_message reads it
+        payload = bytes(payload)
+    query = _decode_body(payload[2:])
     if query.is_response:
         raise ScenarioError(f"{receiver} got a response instead of a query")
-    return query, query.edns.ecs if query.edns else None
+    return payload[:2], query, query.edns.ecs if query.edns else None
 
 
 def stub_query(
@@ -175,7 +182,7 @@ class Authoritative:
 
     def handle(self, payload: bytes, source: str) -> bytes:
         """The wire reply to the query *payload* from *source*, packed by `wire.pack_reply`."""
-        query, ecs = _decode_query(payload, "authoritative")
+        msg_id, query, ecs = _decode_query(payload, "authoritative")
         qname, qtype, _ = query.question
         lookup_ecs = ecs
         if ecs is None and self.legacy_geo and source:
@@ -183,10 +190,10 @@ class Authoritative:
         try:
             result = self.zone.lookup(qname, lookup_ecs)
         except NameNotFound:
-            return pack_reply(query, ecs, 0, rcode=RCODE_NXDOMAIN)
+            return pack_reply(msg_id, query, ecs, 0, rcode=RCODE_NXDOMAIN)
         octets = 4 if qtype == QTYPE_A else 16
         segments = answer_segments(qname, [rdata for rdata in result.addresses if len(rdata) == octets])
-        return pack_reply(query, ecs, result.scope, segments, result.ttl)
+        return pack_reply(msg_id, query, ecs, result.scope, segments, result.ttl)
 
 
 def _cache_key(ecs: EcsOption | None, scope: int, address: int) -> tuple:
@@ -248,23 +255,24 @@ class Resolver:
         since the store, but at least 1 once one has begun.
         """
         with self._lock:
-            query, incoming = _decode_query(payload, "resolver")
+            msg_id, query, incoming = _decode_query(payload, "resolver")
             qname, qtype, _ = query.question
             effective = self.effective_ecs(incoming, source)
 
             entry = self.cache_lookup(qname, qtype, effective)
             if entry is None:
                 self.misses += 1
-                reply = bytes(self.upstream.exchange(pack_query(query.id, query.question, effective), self.address))
+                upstream_query = pack_query(int.from_bytes(msg_id, "big"), query.question, effective)
+                reply = bytes(self.upstream.exchange(upstream_query, self.address))
                 # a reply too short to hold an ID is scanned as it is, which raises Truncated
                 rcode, echo, ttl, segments = _upstream_answer(reply[2:], qname) if len(reply) > 1 else scan_reply(reply)
                 if rcode:
                     self.nxdomains += rcode == RCODE_NXDOMAIN  # an answer, not an error
                     self.upstream_errors += rcode != RCODE_NXDOMAIN
-                    return pack_reply(query, effective, 0, rcode=rcode)
+                    return pack_reply(msg_id, query, effective, 0, rcode=rcode)
                 if echo is not None and effective is not None and echo.with_scope(0) != effective:
                     self.bad_echoes += 1  # RFC 7871 section 7.3
-                    return pack_reply(query, effective, 0, rcode=RCODE_SERVFAIL)
+                    return pack_reply(msg_id, query, effective, 0, rcode=RCODE_SERVFAIL)
                 scope = echo.scope_prefix_len if echo is not None else 0
                 entry = self._store(qname, qtype, scope, effective, segments, ttl)
             else:
@@ -273,7 +281,7 @@ class Resolver:
             now = self.clock.now
             if now != stored_at:
                 ttl = max(1, ttl - ceil(now - stored_at))
-            return pack_reply(query, effective, scope, segments, ttl)
+            return pack_reply(msg_id, query, effective, scope, segments, ttl)
 
     def resolve(self, query: DnsMessage, source: str) -> DnsMessage:
         """`handle` for a query given as a message: its reply decoded."""

@@ -25,12 +25,14 @@ checks nothing again, and writes every answer section, a message's or a
 packed reply's, by `answer_segments`.  What a reply carries of its query's
 option is `pack_reply`'s rule.
 
-Besides the name rule's memo, the codec has six, each keyed as its
-function's docstring says: the encoder's `_encode_name` and `_encode_opt`,
-and the decoder's `_decode_body`, on a whole message, and `_plain_name`,
-`_question` and `_decode_opt`, on its parts.  With many regions whole
-messages rarely repeat while their parts do.  `scan_reply` has no memo of
-its own: its one caller, the resolver, keeps one.
+Besides the name rule's memo, the codec has seven, each keyed as its
+function's docstring says: the encoder's `_encode_name`, `_encode_opt` and
+`_reply_head`, and the decoder's `_decode_body`, on a whole message, and
+`_plain_name`, `_question` and `_decode_opt`, on its parts.  With many
+regions whole messages rarely repeat while their parts do.  A reply is
+keyed on the parts its query decoded to, so a repeated one is found by
+identity.  `scan_reply` has no memo of its own: its one caller, the
+resolver, keeps one.
 """
 
 from __future__ import annotations
@@ -321,11 +323,12 @@ def _encode_ecs_rdata(ecs: EcsOption) -> bytes:
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _encode_opt(udp_payload_size: int, ecs: EcsOption | None) -> bytes:
-    """The whole OPT record, root name, tail with the payload size as class and options: the memo keyed on both."""
+def _encode_opt(udp_payload_size: int, ecs: EcsOption | None, scope: int | None = None) -> bytes:
+    """The whole OPT record, root name, tail with the payload size as class and options, *ecs* at *scope* when
+    it is given: the memo keyed on all three."""
     rdata = b""
     if ecs is not None:
-        option = _encode_ecs_rdata(ecs)
+        option = _encode_ecs_rdata(ecs if scope is None else ecs.with_scope(scope))
         rdata = _PAIR.pack(ECS_OPTION_CODE, len(option)) + option
     return b"\x00" + _RR_TAIL.pack(TYPE_OPT, udp_payload_size, 0, len(rdata)) + rdata
 
@@ -351,10 +354,14 @@ def pack_message(msg_id: int, flags: int, question: Question, ancount: int, answ
     is None or the (payload size, client-subnet option or None) of the OPT
     record.
     """
-    qname, qtype, qclass = question
-    head = _HEADER.pack(msg_id, flags, 1, ancount, 0, opt is not None)
     tail = b"" if opt is None else _encode_opt(*opt)
-    return b"".join((head, _encode_name(qname), _PAIR.pack(qtype, qclass), answers, tail))
+    return b"".join((_head(msg_id, flags, question, ancount, opt is not None), answers, tail))
+
+
+def _head(msg_id: int, flags: int, question: Question, ancount: int, arcount: int) -> bytes:
+    """The header and question section of a message."""
+    qname, qtype, qclass = question
+    return _HEADER.pack(msg_id, flags, 1, ancount, 0, arcount) + _encode_name(qname) + _PAIR.pack(qtype, qclass)
 
 
 def pack_query(msg_id: int, question: Question, ecs: EcsOption | None) -> bytes:
@@ -363,21 +370,33 @@ def pack_query(msg_id: int, question: Question, ecs: EcsOption | None) -> bytes:
 
 
 def pack_reply(
-    query: DnsMessage, ecs: EcsOption | None, scope: int, segments: tuple = (b"",), ttl: int = 0, rcode: int = 0
+    msg_id: bytes, query: DnsMessage, ecs: EcsOption | None, scope: int, segments: tuple = (b"",), ttl: int = 0,
+    rcode: int = 0,
 ) -> bytes:
-    """Wire octets of the reply to *query*: its ID and question, *rcode*, and `answers_at_ttl(segments, ttl)`.
+    """Wire octets of the reply to *query*: the ID octets *msg_id*, its question, *rcode*, and
+    `answers_at_ttl(segments, ttl)`.
 
     This is the one reply rule.  *ecs* is the client-subnet option the
     query was answered for, or None.  The reply has an OPT record when the
     query has one or *ecs* is given: of the query's payload size, or the
     default when only the reply has EDNS.  It carries *ecs* at scope
-    *scope* (RFC 7871 section 7.2, RFC 6891 section 7).
+    *scope* (RFC 7871 section 7.2, RFC 6891 section 7).  The octets after
+    the ID up to the answers come from the memo `_reply_head`, and the OPT
+    record from `_encode_opt` keyed on (payload size, *ecs*, *scope*), so a
+    repeated reply builds neither again.
     """
-    flags = 0x8080 | query.recursion_desired << 8 | rcode  # QR and RA set, RD copied
-    echo = None if ecs is None else ecs.with_scope(scope)
     edns = query.edns
-    opt = None if edns is None and echo is None else (edns.udp_payload_size if edns else DEFAULT_UDP_PAYLOAD, echo)
-    return pack_message(query.id, flags, query.question, len(segments) - 1, answers_at_ttl(segments, ttl), opt)
+    opt = edns is not None or ecs is not None
+    head = _reply_head(query.question, query.recursion_desired, rcode, len(segments) - 1, opt)
+    tail = _encode_opt(edns.udp_payload_size if edns else DEFAULT_UDP_PAYLOAD, ecs, scope) if opt else b""
+    return b"".join((msg_id, head, answers_at_ttl(segments, ttl), tail))
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _reply_head(question: Question, recursion_desired: bool, rcode: int, ancount: int, opt: bool) -> bytes:
+    """A reply's octets after its ID up to its answers, QR and RA set and RD copied: the memo keyed on its
+    question, RD bit, rcode, answer count and whether it has an OPT record."""
+    return _head(0, 0x8080 | recursion_desired << 8 | rcode, question, ancount, opt)[2:]
 
 
 def answer_segments(name: str, addresses) -> tuple[bytes, ...]:

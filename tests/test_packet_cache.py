@@ -26,11 +26,14 @@ from helpers import (
     record_for_address,
     reference_handle,
     reference_message,
+    reference_respond,
 )
+from test_wire import MEMOS
 
 import ecsloc
 import ecsloc.transport  # noqa: F401  (layer_targets reads ecsloc.transport)
 from ecsloc import resolver as resolver_module
+from ecsloc import wire
 from ecsloc.resolver import (
     Authoritative,
     Forward,
@@ -48,6 +51,7 @@ from ecsloc.wire import (
     EcsOption,
     EdnsOpt,
     Question,
+    Truncated,
     WireError,
     decode_message,
     encode_message,
@@ -436,17 +440,87 @@ def test_mutated_upstream_replies_match_the_reference(zone_doc):
 def test_a_miss_decodes_no_response(monkeypatch):
     decoded = []
 
-    def decode(data):
-        decoded.append(data)
-        return decode_message(data)
+    def decode(body):
+        decoded.append(body)
+        return wire._decode_body(body)
 
-    monkeypatch.setattr(resolver_module, "decode_message", decode)
+    monkeypatch.setattr(resolver_module, "_decode_body", decode)
     resolvers = _zone_twins(ZONE_DOC, "AA").sides[0]
     for resolver, payloads in itertools.product(resolvers, HAND_MADE.values()):
         for payload in payloads:
             resolver.handle(payload, "198.18.0.77")
     assert sum(resolver.misses for resolver in resolvers) > 10
-    assert decoded and not any(data[2] & 0x80 for data in decoded)  # the QR bit
+    assert decoded and not any(body[0] & 0x80 for body in decoded)  # the QR bit, first after the ID
+
+
+AA = EcsOption.for_prefix("198.18.0.0", 24)
+REPLY_IDS = (0x0000, 0x0001, 0x00FF, 0xFF00, 0xFFFF)
+
+
+def _echo_elsewhere(reply):
+    """*reply* with the echo of a reply for v4.t moved to 203.0.113.0/24, a network the query did not send."""
+    response = decode_message(reply)
+    if response.question.qname != "v4.t" or response.edns is None or response.edns.ecs is None:
+        return reply
+    elsewhere = EdnsOpt(response.edns.udp_payload_size, EcsOption.for_prefix("203.0.113.0", 24, 24))
+    return encode_message(response.replace(edns=elsewhere))
+
+
+@pytest.mark.parametrize("msg_id", REPLY_IDS, ids=lambda msg_id: f"{msg_id:#06x}")
+def test_every_reply_carries_its_query_id(msg_id):
+    twins = _zone_twins(ZONE_DOC, "AA", _echo_elsewhere)
+    for index in range(3):
+        for qname in ("q.t", "q.t", "none.t", "v4.t"):  # a miss, a hit, an NXDOMAIN and a bad echo
+            reply = twins.ask(index, _query(qname, msg_id=msg_id, edns=EdnsOpt(1232, AA)), "198.18.0.77")
+            assert reply[:2] == msg_id.to_bytes(2, "big")
+    twins.assert_counters_equal()
+    # (hits, misses, nxdomains, bad_echoes) per policy: strip sends no option, so nothing is echoed to it
+    assert [(r.hits, r.misses, r.nxdomains, r.bad_echoes) for r in twins.sides[0]] == [(1, 3, 1, 0), (1, 3, 1, 1), (1, 3, 1, 1)]
+    zone = GeoZone.loads(json.dumps(ZONE_DOC), "zone.json")
+    for legacy_geo, qname, edns in itertools.product((True, False), ("q.t", "none.t"), (None, EdnsOpt(1232, AA))):
+        payload = _query(qname, msg_id=msg_id, edns=edns)
+        reply = Authoritative(zone, legacy_geo=legacy_geo).handle(payload, "198.18.0.77")
+        assert reply == reference_message(reference_respond(zone, legacy_geo, decode_message(payload), "198.18.0.77"))
+        assert reply[:2] == msg_id.to_bytes(2, "big")
+
+
+@pytest.mark.parametrize("payload", [b"", b"\x07"], ids=["empty", "one-octet"])
+def test_a_payload_without_an_id_is_truncated(payload):
+    zone = GeoZone.loads(json.dumps(ZONE_DOC), "zone.json")
+    twins = _zone_twins(ZONE_DOC, "AA")
+    for index in range(3):
+        assert twins.ask(index, payload, "198.18.0.77") == (Truncated, f"need 12 octets at offset 0, have {len(payload)}")
+    with pytest.raises(Truncated, match=f"^need 12 octets at offset 0, have {len(payload)}$"):
+        Authoritative(zone).handle(payload, "198.18.0.77")
+
+
+def test_a_bytes_like_payload_is_read_as_bytes():
+    twins = _zone_twins(ZONE_DOC, "AA")
+    payload = _query(edns=EdnsOpt(1232, AA))
+    for index in range(3):  # a miss and two hits at one instant: one reply, each equal to the reference's
+        assert len({twins.ask(index, data, "198.18.0.77") for data in (payload, bytearray(payload), memoryview(payload))}) == 1
+    twins.assert_counters_equal()
+
+
+@pytest.mark.parametrize("index", range(3), ids=POLICIES)
+def test_a_repeated_hit_misses_no_memo(index, monkeypatch):
+    """After one hit, the same query again builds no option and misses no memo: each part of its reply is found."""
+    resolver = _zone_twins(ZONE_DOC, "AA").sides[0][index]
+    payload = _query(edns=EdnsOpt(1232, AA))
+    resolver.handle(payload, "198.18.0.77")
+    hit = resolver.handle(payload, "198.18.0.77")
+    misses = [memo.cache_info().misses for memo in MEMOS]
+    scopes = []
+    original = EcsOption.with_scope
+
+    def with_scope(ecs, scope):
+        scopes.append(scope)
+        return original(ecs, scope)
+
+    monkeypatch.setattr(EcsOption, "with_scope", with_scope)
+    assert {resolver.handle(payload, "198.18.0.77") for _ in range(1000)} == {hit}
+    assert [memo.cache_info().misses for memo in MEMOS] == misses
+    assert (resolver.hits, scopes) == (1001, [])
 
 
 def test_one_cache_lookup_per_query_through_the_traced_names():

@@ -449,7 +449,8 @@ class TestRoundtrip:
             parts = (segments, ttl) if answers or rng.random() < 0.5 else ()  # no records: the default too
             answers = tuple(rr.replace(name=question.qname, ttl=ttl) for rr in answers)
             reply = make_response(query, answers, rcode=rcode, ecs=echo)
-            assert wire.pack_reply(query, ecs, scope, *parts, rcode=rcode) == reference_message(reply)
+            msg_id = query.id.to_bytes(2, "big")
+            assert wire.pack_reply(msg_id, query.replace(id=0), ecs, scope, *parts, rcode=rcode) == reference_message(reply)
             ecs = rng.choice((None, rand_ecs(rng)))
             packed = wire.pack_query(query.id, query.question, ecs)
             assert packed == reference_message(make_query(query.question.qname, query.question.qtype, msg_id=query.id, ecs=ecs))
@@ -694,8 +695,8 @@ class TestDecodeInterop:
 
 
 DECODER_MEMOS = (wire._plain_name, wire._question, wire._decode_opt, wire._decode_body)
-# on the way out: encoded names and OPT records, and the resolver's rewritten options
-OUTBOUND_MEMOS = (wire._encode_name, wire._encode_opt, resolver._rewrite_option)
+# on the way out: encoded names, OPT records and reply heads, and the resolver's rewritten options
+OUTBOUND_MEMOS = (wire._encode_name, wire._encode_opt, wire._reply_head, resolver._rewrite_option)
 # the resolver's reads of its upstream replies
 REPLY_MEMOS = (resolver._upstream_answer,)
 MEMOS = (wire._canonical_text, *DECODER_MEMOS, *OUTBOUND_MEMOS, *REPLY_MEMOS)
@@ -908,6 +909,7 @@ class TestDecoderMemos:
             query = make_query(f"Host{n}.example", ecs=ecs)
             assert decode_message(encode_message(query)).edns.ecs == ecs
             reply = encode_message(make_response(query, ecs=ecs))
+            assert wire.pack_reply(b"\x00\x00", query, ecs, 0) == reply
             assert resolver._upstream_answer(reply[2:], query.question.qname)[1] == ecs
         for memo in (*DECODER_MEMOS, *OUTBOUND_MEMOS, *REPLY_MEMOS):
             info = memo.cache_info()
