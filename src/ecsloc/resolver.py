@@ -16,6 +16,14 @@ work in octets: each reads the query's ID octets and the rest of it by
 `_decode_query`, and packs every reply, echo and OPT record included, by
 one `wire.pack_reply` call under those octets, so no message is built per
 query.  `Resolver.resolve` is the typed wrapper.
+
+A cache hit computes only the option, by the rule its policy chose at
+construction, a key per scope table tried, from the memo `_cache_key`, and
+the TTL sent; each other part of its reply is a memo's.  A miss also packs
+the upstream query, reads the reply through the memo `_upstream_answer`,
+and stores one entry.  The authoritative and the reply read both take an
+answer section from the memo behind `wire.answer_segments`, so a section
+seen before is not encoded again.
 """
 
 from __future__ import annotations
@@ -196,15 +204,30 @@ class Authoritative:
         return pack_reply(msg_id, query, ecs, result.scope, segments, result.ttl)
 
 
-def _cache_key(ecs: EcsOption | None, scope: int, address: int) -> tuple:
-    """Key in the *scope* table of the network *address* (the option's, as an integer).
+@lru_cache(maxsize=_MEMO_SIZE)
+def _cache_key(scope: int, *ecs) -> tuple:
+    """Key in the *scope* table of the network of the option whose fields are *ecs*, none for no option: the
+    memo keyed on them all, so a lookup compares only numbers and octets.
 
     Scope 0 answers every client, with or without an option (RFC 7871
     section 7.3.1), so its table has one key for every family.
     """
     if scope == 0:
         return (0, 0)
-    return (ecs.family, address & PREFIX_MASKS[ecs.family][scope])
+    family = ecs[0]
+    return (family, tuple.__new__(EcsOption, ecs).address_int() & PREFIX_MASKS[family][scope])
+
+
+def _option_rule(policy: Policy):
+    """The function of (incoming option, source address) that gives the option *policy* sends upstream."""
+    match policy:
+        case Forward():
+            return lambda incoming, source: incoming
+        case Strip():
+            return lambda incoming, source: None
+        case RewriteClientSubnet(prefix_len=plen):
+            return lambda incoming, source: _rewrite_option(source, plen)
+    raise ScenarioError(f"unknown policy {policy!r}")
 
 
 class Resolver:
@@ -230,9 +253,7 @@ class Resolver:
         *,
         clock: VirtualClock | None = None,
     ):
-        if not isinstance(policy, Policy):
-            raise ScenarioError(f"unknown policy {policy!r}")
-        self.policy = policy
+        self._policy, self._option = policy, _option_rule(policy)
         self.upstream = upstream
         self.clock = clock if clock is not None else VirtualClock()
         self.address = str(prefix_map.prefix_for(location).network_address + 1)
@@ -257,7 +278,7 @@ class Resolver:
         with self._lock:
             msg_id, query, incoming = _decode_query(payload, "resolver")
             qname, qtype, _ = query.question
-            effective = self.effective_ecs(incoming, source)
+            effective = self._option(incoming, source)
 
             entry = self.cache_lookup(qname, qtype, effective)
             if entry is None:
@@ -270,8 +291,10 @@ class Resolver:
                     self.nxdomains += rcode == RCODE_NXDOMAIN  # an answer, not an error
                     self.upstream_errors += rcode != RCODE_NXDOMAIN
                     return pack_reply(msg_id, query, effective, 0, rcode=rcode)
-                if echo is not None and effective is not None and echo.with_scope(0) != effective:
-                    self.bad_echoes += 1  # RFC 7871 section 7.3
+                # RFC 7871 section 7.3: the echo's family, source prefix and address are the query's (whose scope is 0)
+                if echo is not None and effective is not None and (
+                        echo.address != effective.address or echo[:2] != effective[:2]):
+                    self.bad_echoes += 1
                     return pack_reply(msg_id, query, effective, 0, rcode=RCODE_SERVFAIL)
                 scope = echo.scope_prefix_len if echo is not None else 0
                 entry = self._store(qname, qtype, scope, effective, segments, ttl)
@@ -287,14 +310,14 @@ class Resolver:
         """`handle` for a query given as a message: its reply decoded."""
         return decode_message(self.handle(encode_message(query), source))
 
+    @property
+    def policy(self) -> Policy:
+        """The policy given at construction, which chose the option rule; it cannot be set."""
+        return self._policy
+
     def effective_ecs(self, incoming: EcsOption | None, source: str) -> EcsOption | None:
-        match self.policy:
-            case Forward():
-                return incoming
-            case Strip():
-                return None
-            case RewriteClientSubnet(prefix_len=plen):
-                return _rewrite_option(source, plen)
+        """The option sent upstream for a query from *source* that carries *incoming*."""
+        return self._option(incoming, source)
 
     def cache_lookup(self, qname: str, qtype: int, ecs: EcsOption | None) -> CacheEntry | None:
         """Most specific unexpired entry matching under scope semantics, if any.
@@ -302,17 +325,20 @@ class Resolver:
         A scope-0 entry matches any (and absent) option; an entry with
         positive scope needs an option of its family, at least that
         specific, whose address truncated to the scope equals the stored
-        network.  Expired entries are dropped first.
+        network.  Expired entries are dropped first, when the heap's head
+        says one is due.
         """
-        self._expire(self.clock.now)
+        heap = self._heap
+        if heap and heap[0][0] <= self.clock.now:
+            self._expire(self.clock.now)
         bucket = self._cache.get((qname, qtype))
         if bucket is None:
             return None
-        address = ecs.address_int() if ecs is not None else 0
+        fields = ecs or ()
         for scope, table in bucket.items():
             if scope and (ecs is None or ecs.source_prefix_len < scope):
                 continue
-            entry = table.get(_cache_key(ecs, scope, address))
+            entry = table.get(_cache_key(scope, *fields))
             if entry is not None:
                 return entry
         return None
@@ -320,11 +346,13 @@ class Resolver:
     def _store(self, qname, qtype, scope, ecs, segments, ttl):
         """The entry of answer *segments* for *ttl*, cached unless no later query could match it."""
         now = self.clock.now
-        entry = CacheEntry(scope, segments, now, ttl)
+        entry = tuple.__new__(CacheEntry, (scope, segments, now, ttl))  # not through namedtuple's Python __new__
         if ecs is None and scope:
             return entry  # a scoped answer to an option-less query
-        key = _cache_key(ecs, scope, ecs.address_int() if scope else 0)
-        self._expire(now)
+        key = _cache_key(scope, *(ecs or ()))
+        heap = self._heap
+        if heap and heap[0][0] <= now:
+            self._expire(now)
         name = (qname, qtype)
         bucket = self._cache.setdefault(name, {})
         table = bucket.get(scope)
@@ -335,7 +363,6 @@ class Resolver:
         if key not in table:
             self._size += 1
         table[key] = entry
-        heap = self._heap
         heapq.heappush(heap, (now + ttl, next(self._order), name, key, entry))
         self.stores += 1
         if self._size > CACHE_MAX_ENTRIES:

@@ -265,12 +265,13 @@ def collapse_pools(names, pool_threshold: int = DEFAULT_POOL_THRESHOLD) -> froze
     """
     if pool_threshold < 1:
         raise ValueError("pool_threshold must be positive")
-    names = {str(n).rstrip(".").lower() for n in names}
+    names = {str(n).rstrip(".").lower() for n in set(names)}
     groups: dict[tuple, dict[str, int]] = {}
     for name in names:
         labels = name.split(".")
         for i, label in enumerate(labels):
-            m = _POOL_LABEL_RE.match(label)
+            # `\d` in a str pattern matches exactly the characters `str.isdecimal` accepts
+            m = label[-1:].isdecimal() and _POOL_LABEL_RE.match(label)
             if not m:
                 continue
             key = (i, m.group(1), tuple(labels[:i]), tuple(labels[i + 1 :]))

@@ -25,14 +25,14 @@ checks nothing again, and writes every answer section, a message's or a
 packed reply's, by `answer_segments`.  What a reply carries of its query's
 option is `pack_reply`'s rule.
 
-Besides the name rule's memo, the codec has seven, each keyed as its
-function's docstring says: the encoder's `_encode_name`, `_encode_opt` and
-`_reply_head`, and the decoder's `_decode_body`, on a whole message, and
-`_plain_name`, `_question` and `_decode_opt`, on its parts.  With many
-regions whole messages rarely repeat while their parts do.  A reply is
-keyed on the parts its query decoded to, so a repeated one is found by
-identity.  `scan_reply` has no memo of its own: its one caller, the
-resolver, keeps one.
+Besides the name rule's memo, the codec has eight, each keyed as its
+function's docstring says: the encoder's `_encode_name`, `_encode_opt`,
+`_reply_head` and `_answer_section`, and the decoder's `_decode_body`, on
+a whole message, and `_plain_name`, `_question` and `_decode_opt`, on its
+parts.  With many regions whole messages rarely repeat while their parts
+do.  A reply is keyed on the parts its query decoded to, so a repeated one
+is found by identity.  `scan_reply` has no memo of its own: its one
+caller, the resolver, keeps one.
 """
 
 from __future__ import annotations
@@ -59,6 +59,8 @@ MAX_TTL = 0xFFFFFFFF  # a record's TTL field is 32 bits
 # Entries in each codec memo, an lru_cache keyed as its function's docstring says.  A memo
 # stores only results, so a rejected input raises the same error class and text every time.
 _MEMO_SIZE = 4096
+# Records in the longest answer section that `answer_segments` memoizes
+_SECTION_RECORDS = 16
 
 # Address length in octets per ECS family code.
 _FAMILY_OCTETS = {1: 4, 2: 16}
@@ -323,12 +325,17 @@ def _encode_ecs_rdata(ecs: EcsOption) -> bytes:
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _encode_opt(udp_payload_size: int, ecs: EcsOption | None, scope: int | None = None) -> bytes:
-    """The whole OPT record, root name, tail with the payload size as class and options, *ecs* at *scope* when
-    it is given: the memo keyed on all three."""
+def _encode_opt(udp_payload_size: int, scope: int | None, *ecs) -> bytes:
+    """The whole OPT record, root name, tail with the payload size as class and options: the memo keyed on its
+    arguments, so a lookup compares only numbers and octets.
+
+    *ecs* is empty, or the four fields of a client-subnet option, carried
+    at *scope* when it is given.
+    """
     rdata = b""
-    if ecs is not None:
-        option = _encode_ecs_rdata(ecs if scope is None else ecs.with_scope(scope))
+    if ecs:
+        option = tuple.__new__(EcsOption, ecs)
+        option = _encode_ecs_rdata(option if scope is None else option.with_scope(scope))
         rdata = _PAIR.pack(ECS_OPTION_CODE, len(option)) + option
     return b"\x00" + _RR_TAIL.pack(TYPE_OPT, udp_payload_size, 0, len(rdata)) + rdata
 
@@ -354,7 +361,7 @@ def pack_message(msg_id: int, flags: int, question: Question, ancount: int, answ
     is None or the (payload size, client-subnet option or None) of the OPT
     record.
     """
-    tail = b"" if opt is None else _encode_opt(*opt)
+    tail = b"" if opt is None else _encode_opt(opt[0], None, *(opt[1] or ()))
     return b"".join((_head(msg_id, flags, question, ancount, opt is not None), answers, tail))
 
 
@@ -382,13 +389,13 @@ def pack_reply(
     default when only the reply has EDNS.  It carries *ecs* at scope
     *scope* (RFC 7871 section 7.2, RFC 6891 section 7).  The octets after
     the ID up to the answers come from the memo `_reply_head`, and the OPT
-    record from `_encode_opt` keyed on (payload size, *ecs*, *scope*), so a
-    repeated reply builds neither again.
+    record from `_encode_opt` keyed on the payload size, *scope* and *ecs*'s
+    fields, so a repeated reply builds neither again.
     """
     edns = query.edns
     opt = edns is not None or ecs is not None
     head = _reply_head(query.question, query.recursion_desired, rcode, len(segments) - 1, opt)
-    tail = _encode_opt(edns.udp_payload_size if edns else DEFAULT_UDP_PAYLOAD, ecs, scope) if opt else b""
+    tail = _encode_opt(edns.udp_payload_size if edns else DEFAULT_UDP_PAYLOAD, scope, *(ecs or ())) if opt else b""
     return b"".join((msg_id, head, answers_at_ttl(segments, ttl), tail))
 
 
@@ -404,8 +411,17 @@ def answer_segments(name: str, addresses) -> tuple[bytes, ...]:
 
     Every record is under *name*: an A record for 4 octets, an AAAA record
     for 16.  `answers_at_ttl(segments, ttl)` joins the segments into the
-    section with every TTL *ttl*.
+    section with every TTL *ttl*.  A section of at most `_SECTION_RECORDS`
+    records comes from the memo `_answer_section`, keyed on *name* and the
+    tuple of *addresses*; a longer one is encoded each time, so no memo
+    entry holds more than that many records.
     """
+    addresses = tuple(addresses)
+    return (_section if len(addresses) > _SECTION_RECORDS else _answer_section)(name, addresses)
+
+
+def _section(name: str, addresses: tuple) -> tuple[bytes, ...]:
+    """`answer_segments` of the tuple *addresses*, encoded afresh; `_answer_section` is its memo keyed on both."""
     owner = _encode_name(name)
     segments = []
     cut = b""
@@ -415,6 +431,9 @@ def answer_segments(name: str, addresses) -> tuple[bytes, ...]:
         cut = tail[8:] + rdata
     segments.append(cut)
     return tuple(segments)
+
+
+_answer_section = lru_cache(maxsize=_MEMO_SIZE)(_section)
 
 
 def answers_at_ttl(segments: tuple[bytes, ...], ttl: int) -> bytes:

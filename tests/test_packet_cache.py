@@ -44,6 +44,7 @@ from ecsloc.resolver import (
     VirtualClock,
 )
 from ecsloc.transport import InProcessLink
+from ecsloc.value import Value
 from ecsloc.wire import (
     QTYPE_A,
     QTYPE_AAAA,
@@ -521,6 +522,66 @@ def test_a_repeated_hit_misses_no_memo(index, monkeypatch):
     assert {resolver.handle(payload, "198.18.0.77") for _ in range(1000)} == {hit}
     assert [memo.cache_info().misses for memo in MEMOS] == misses
     assert (resolver.hits, scopes) == (1001, [])
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_a_rewrite_hit_compares_no_value_in_python(policy, monkeypatch):
+    """1000 hits on the fixture zone call `Value.__eq__` 0 times: every memo key on the way compares in C."""
+    zone = GeoZone.load(FIXTURES / "zone.json")
+    link = InProcessLink(Authoritative(zone, legacy_geo=True).handle)
+    resolver = Resolver(POLICIES[policy](), "UK", link, zone.regions)
+    payload = _query("api.example.iot", edns=EdnsOpt(1232, EcsOption.for_prefix("198.18.0.0", 24)))
+    hit = resolver.handle(payload, "198.18.0.77")
+    calls = []
+    original = Value.__eq__
+
+    def counting(self, other):
+        calls.append(type(self))
+        return original(self, other)
+
+    monkeypatch.setattr(Value, "__eq__", counting)
+    assert {resolver.handle(payload, "198.18.0.77") for _ in range(1000)} == {hit}
+    assert (resolver.hits, calls) == (1000, [])
+
+
+# One answer for every network of four IPv4 and four IPv6 regions, and a name with IPv4 answers only
+V4_REGIONS, V6_REGIONS = ("AA", "BB", "CC", "DD"), ("EE", "FF", "GG", "HH")
+SHARED_ANSWER_DOC = {
+    "origin": "t",
+    "regions": {**{code: f"198.18.{n}.0/24" for n, code in enumerate(V4_REGIONS)},
+                **{code: f"2001:db8:{n}::/48" for n, code in enumerate(V6_REGIONS)}},
+    "records": {
+        "q.t": {"ttl": 10, "answers": [{"region": code, "addresses": ["10.0.0.1"]} for code in V4_REGIONS]
+                + [{"region": code, "addresses": ["2001:db8::1"]} for code in V6_REGIONS]},
+        "v4.t": {"ttl": 10, "answers": [{"region": code, "addresses": ["10.0.0.4"]} for code in V4_REGIONS]},
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "qname, qtype, client, prefix_len",
+    [("q.t", QTYPE_A, "198.18.{}.77", 24), ("q.t", QTYPE_AAAA, "2001:db8:{}::77", 48),
+     ("v4.t", QTYPE_AAAA, "198.18.{}.77", 24),
+     ("v4.t", QTYPE_A, "192.0.{}.77", 24)],  # outside every region: the default set at scope 0
+    ids=["a", "aaaa", "empty", "scope-0-default"],
+)
+def test_repeated_misses_encode_an_answer_section_once(qname, qtype, client, prefix_len):
+    """Misses for one name and one answer, each from another client network after the last entry expired,
+    equal the reference's, and after the first the answer-section memo misses no more: each later miss finds
+    the section there at least twice, once by the authoritative of each twin."""
+    twins = _zone_twins(SHARED_ANSWER_DOC, "AA")
+    for index in range(3):
+        for n in range(4):
+            address = client.format(n)
+            payload = _query(qname, qtype, edns=EdnsOpt(1232, EcsOption.for_prefix(address, prefix_len)))
+            twins.ask(index, payload, address)
+            if n == 0:
+                first = wire._answer_section.cache_info()
+            twins.advance(DEFAULT_TTL)  # past every entry's TTL: an empty answer is kept that long
+        info = wire._answer_section.cache_info()
+        assert (info.misses, info.hits - first.hits >= 3 * 2) == (first.misses, True)
+    assert [(resolver.misses, resolver.hits) for resolver in twins.sides[0]] == [(4, 0)] * 3
+    twins.assert_counters_equal()
 
 
 def test_one_cache_lookup_per_query_through_the_traced_names():

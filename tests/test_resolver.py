@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 import time
+import tracemalloc
 
 import pytest
 from helpers import (
@@ -18,6 +19,7 @@ from helpers import (
 )
 
 from ecsloc import resolver as resolver_module
+from ecsloc import wire
 from ecsloc.resolver import (
     Authoritative,
     DeviceConfig,
@@ -41,6 +43,7 @@ from ecsloc.wire import (
     decode_message,
     encode_message,
     make_query,
+    pack_reply,
 )
 from ecsloc.zone import GeoZone, LocationPrefixMap, UnknownRegion
 
@@ -98,6 +101,13 @@ class TestResolvePolicies:
     def test_unknown_policy_rejected_at_construction(self):
         with pytest.raises(ScenarioError, match="^unknown policy 'sideways'$"):
             Resolver("sideways", "HK", None, LocationPrefixMap({"HK": "198.19.0.0/16"}))
+
+    def test_the_policy_cannot_be_set_apart_from_its_option_rule(self, zone):
+        sent = EcsOption.for_prefix("198.18.1.0", 24)
+        resolver = make_resolver(zone, Strip(), "HK")
+        with pytest.raises(AttributeError):
+            resolver.policy = Forward()
+        assert (resolver.policy, resolver.effective_ecs(sent, "198.18.0.77")) == (Strip(), None)
 
     def test_forward_delivers_user_region(self, zone):
         resolver = make_resolver(zone, Forward(), "HK")
@@ -559,6 +569,39 @@ def test_cache_memory_is_bounded(monkeypatch):
     assert list(resolver._cache) == [("last.t", 1)]
     assert _live_entries(resolver) == 1
     assert resolver.expiries == 1000
+
+
+def test_a_long_answer_section_is_not_memoized():
+    """448-record answers, each its own, for 1000 client /24s: the answer-section memo takes none of them.
+
+    Memory is traced over the last 100 queries, each a miss stored in the
+    cache.  A query keeps its cache entry, whose 449 segments take about 31
+    KiB, and the reply memo's key, the 14 KiB reply: about 52 KiB in all on
+    CPython 3.11.  Kept in the answer-section memo too, a section reads 67
+    KiB, above the bound of 60 KiB a query.
+    """
+    def upstream(payload, source):
+        msg_id, query, ecs = resolver_module._decode_query(payload, "upstream")
+        addresses = [bytes((11 + i // 256, *ecs.address[1:], i % 256)) for i in range(448)]
+        return pack_reply(msg_id, query, ecs, 24, answer_segments(query.question.qname, addresses), 300)
+
+    resolver = Resolver(Forward(), "HK", InProcessLink(upstream), LocationPrefixMap.default(["HK"]))
+    queries = [encode_message(make_query("bulk.pool.example", ecs=EcsOption.for_prefix(f"10.{n >> 8}.{n & 255}.0", 24)))
+               for n in range(1000)]
+    memo = wire._answer_section.cache_info()
+    for payload in queries[:900]:
+        resolver.handle(payload, "198.18.0.77")
+    tracemalloc.start()
+    try:
+        for payload in queries[900:]:
+            resolver.handle(payload, "198.18.0.77")
+        traced = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert (resolver.misses, resolver.stores, resolver.hits) == (1000, 1000, 0)
+    assert len(resolver.cache_lookup("bulk.pool.example", 1, EcsOption.for_prefix("10.3.231.0", 24)).segments) == 449
+    assert wire._answer_section.cache_info() == memo
+    assert traced < 100 * 60 * 1024, f"{traced / 100 / 1024:.1f} KiB a query"
 
 
 def test_overwritten_entry_outlives_its_stale_heap_record():

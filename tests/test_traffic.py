@@ -660,6 +660,11 @@ class TestCollapsePools:
     def test_below_threshold_passes_through(self):
         assert set(collapse_pools({"s1.x", "s2.x"}, 3)) == {"s1.x", "s2.x"}
 
+    def test_a_unicode_decimal_digit_numbers_a_label(self):
+        # `\d` matches what `str.isdecimal` accepts: ARABIC-INDIC DIGIT THREE but not SUPERSCRIPT TWO
+        assert set(collapse_pools(["s1.x", "s2.x", "s\u0663.x", "s2.x."], 3)) == {"s[1-3].x"}
+        assert set(collapse_pools({"s1.x", "s2.x", "s\u00b2.x"}, 3)) == {"s1.x", "s2.x", "s\u00b2.x"}
+
     def test_idempotent(self):
         names = {f"s{i}.pool.example" for i in range(1, 6)} | {"api.example"}
         once = collapse_pools(names, 3)

@@ -695,10 +695,10 @@ class TestDecodeInterop:
 
 
 DECODER_MEMOS = (wire._plain_name, wire._question, wire._decode_opt, wire._decode_body)
-# on the way out: encoded names, OPT records and reply heads, and the resolver's rewritten options
-OUTBOUND_MEMOS = (wire._encode_name, wire._encode_opt, wire._reply_head, resolver._rewrite_option)
-# the resolver's reads of its upstream replies
-REPLY_MEMOS = (resolver._upstream_answer,)
+# on the way out: encoded names, OPT records, reply heads and answer sections, and the resolver's rewritten options
+OUTBOUND_MEMOS = (wire._encode_name, wire._encode_opt, wire._reply_head, wire._answer_section, resolver._rewrite_option)
+# the resolver's reads of its upstream replies, and its cache keys
+REPLY_MEMOS = (resolver._upstream_answer, resolver._cache_key)
 MEMOS = (wire._canonical_text, *DECODER_MEMOS, *OUTBOUND_MEMOS, *REPLY_MEMOS)
 
 
@@ -911,6 +911,9 @@ class TestDecoderMemos:
             reply = encode_message(make_response(query, ecs=ecs))
             assert wire.pack_reply(b"\x00\x00", query, ecs, 0) == reply
             assert resolver._upstream_answer(reply[2:], query.question.qname)[1] == ecs
+            qname = query.question.qname
+            entry = rewrite._store(qname, QTYPE_A, 24, ecs, wire.answer_segments(qname, ()), 60)
+            assert rewrite.cache_lookup(qname, QTYPE_A, ecs) is entry
         for memo in (*DECODER_MEMOS, *OUTBOUND_MEMOS, *REPLY_MEMOS):
             info = memo.cache_info()
             assert info.maxsize == 4096
