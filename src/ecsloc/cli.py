@@ -254,7 +254,7 @@ def main(argv=None) -> int:
     try:
         payload, report["metrics"] = args.func(args, read)
         if args.out:
-            Path(args.out).write_text(payload)
+            Path(args.out).write_bytes(payload.encode())
             report["outputs"].append(str(args.out))
         else:
             sys.stdout.write(payload)

@@ -47,6 +47,7 @@ from .wire import (
     DnsMessage,
     EcsOption,
     InvalidName,
+    _decode,
     _decode_body,
     answer_segments,
     canonical_name,
@@ -56,7 +57,6 @@ from .wire import (
     pack_address,
     pack_query,
     pack_reply,
-    scan_reply,
 )
 from .zone import DEFAULT_TTL, GeoZone, LocationPrefixMap, NameNotFound
 
@@ -79,9 +79,9 @@ def _upstream_answer(body: bytes, qname: str) -> tuple:
     The TTL is the answers' lowest, as RFC 2181 section 5.2 treats records
     whose TTLs differ, or DEFAULT_TTL when there is no answer.
     """
-    flags, answers, edns = scan_reply(b"\x00\x00" + body)
+    rcode, _, answers, edns = _decode(b"\x00\x00" + body)[4:]
     ttl = min((rr.ttl for rr in answers), default=DEFAULT_TTL)
-    return flags & 0x0F, edns.ecs if edns else None, ttl, answer_segments(qname, [rr.rdata for rr in answers])
+    return rcode, edns.ecs if edns else None, ttl, answer_segments(qname, [rr.rdata for rr in answers])
 
 
 class ScenarioError(Error):
@@ -285,8 +285,9 @@ class Resolver:
                 self.misses += 1
                 upstream_query = pack_query(int.from_bytes(msg_id, "big"), query.question, effective)
                 reply = bytes(self.upstream.exchange(upstream_query, self.address))
-                # a reply too short to hold an ID is scanned as it is, which raises Truncated
-                rcode, echo, ttl, segments = _upstream_answer(reply[2:], qname) if len(reply) > 1 else scan_reply(reply)
+                if len(reply) < 2:  # no ID: read as is, to raise Truncated
+                    decode_message(reply)
+                rcode, echo, ttl, segments = _upstream_answer(reply[2:], qname)
                 if rcode:
                     self.nxdomains += rcode == RCODE_NXDOMAIN  # an answer, not an error
                     self.upstream_errors += rcode != RCODE_NXDOMAIN

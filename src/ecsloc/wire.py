@@ -11,19 +11,11 @@ decode reads the ID.
 
 Each field is checked once, where a message comes into being.  `Question`,
 `ResourceRecord`, `EcsOption`, `EdnsOpt` and `DnsMessage` each check their
-fields in their one constructor.  A decode is a scan and a build: `_scan`,
-the one walker of message octets, checks what no constructor sees (the
-header's opcode and counts, label framing and compression pointers, the
-answer class, and the OPT record's placement, name, version and option
-framing) and builds the question, the records and the OPT record through
-their constructors; `decode_message` builds the `DnsMessage` from its
-fields, and `scan_reply` builds a response into no message.  A
-constructor's refusal, a `ValueError` or the name rule's `InvalidName`, is
-raised as `Malformed` with its text by one handler, `_read`, around both;
-other wire errors pass through.  The encoder trusts a constructed message,
-checks nothing again, and writes every answer section, a message's or a
-packed reply's, by `answer_segments`.  What a reply carries of its query's
-option is `pack_reply`'s rule.
+fields in their one constructor, and `_scan` checks what no constructor
+sees.  The encoder trusts a constructed message, checks nothing again, and
+writes every answer section, a message's or a packed reply's, by
+`answer_segments`.  What a reply carries of its query's option is
+`pack_reply`'s rule.
 
 Besides the name rule's memo, the codec has eight, each keyed as its
 function's docstring says: the encoder's `_encode_name`, `_encode_opt`,
@@ -31,8 +23,7 @@ function's docstring says: the encoder's `_encode_name`, `_encode_opt`,
 a whole message, and `_plain_name`, `_question` and `_decode_opt`, on its
 parts.  With many regions whole messages rarely repeat while their parts
 do.  A reply is keyed on the parts its query decoded to, so a repeated one
-is found by identity.  `scan_reply` has no memo of its own: its one
-caller, the resolver, keeps one.
+is found by identity.
 """
 
 from __future__ import annotations
@@ -351,18 +342,8 @@ def encode_message(msg: DnsMessage) -> bytes:
     if recursion_available:
         flags |= 0x0080
     section = b"".join([answers_at_ttl(answer_segments(name, (rdata,)), ttl) for name, _, ttl, rdata in answers])
-    return pack_message(msg_id, flags, question, len(answers), section, edns)
-
-
-def pack_message(msg_id: int, flags: int, question: Question, ancount: int, answers: bytes, opt) -> bytes:
-    """Wire octets of a message given by its parts, trusted as checked.
-
-    *answers* is an encoded answer section of *ancount* records, and *opt*
-    is None or the (payload size, client-subnet option or None) of the OPT
-    record.
-    """
-    tail = b"" if opt is None else _encode_opt(opt[0], None, *(opt[1] or ()))
-    return b"".join((_head(msg_id, flags, question, ancount, opt is not None), answers, tail))
+    tail = b"" if edns is None else _encode_opt(edns.udp_payload_size, None, *(edns.ecs or ()))
+    return b"".join((_head(msg_id, flags, question, len(answers), edns is not None), section, tail))
 
 
 def _head(msg_id: int, flags: int, question: Question, ancount: int, arcount: int) -> bytes:
@@ -373,7 +354,8 @@ def _head(msg_id: int, flags: int, question: Question, ancount: int, arcount: in
 
 def pack_query(msg_id: int, question: Question, ecs: EcsOption | None) -> bytes:
     """Wire octets of `make_query(qname, qtype, msg_id=msg_id, ecs=ecs)` for *question*'s name and type."""
-    return pack_message(msg_id, 0x0100, question, 0, b"", None if ecs is None else (DEFAULT_UDP_PAYLOAD, ecs))
+    tail = b"" if ecs is None else _encode_opt(DEFAULT_UDP_PAYLOAD, None, *ecs)
+    return _head(msg_id, 0x0100, question, 0, ecs is not None) + tail
 
 
 def pack_reply(
@@ -597,41 +579,32 @@ def _decode_body(body: bytes) -> DnsMessage:
     return _decode(b"\x00\x00" + body)
 
 
-def scan_reply(data: bytes) -> tuple:
-    """(flags, answers, edns) of the reply *data*, refused exactly as `decode_message` refuses it.
-
-    A response, QR set, is built into no message.  A query is built, as
-    only its constructor holds a query's rules: no answers and scope 0.
-    """
-    return _read(data, _reply_fields)
-
-
-def _reply_fields(msg_id, flags, question, answers, edns) -> tuple:
-    if not flags & 0x8000:
-        _message(msg_id, flags, question, answers, edns)
-    return flags, answers, edns
-
-
 def _decode(data: bytes) -> DnsMessage:
-    """Decode *data* in full, with no lookup in the message memo."""
-    return _read(data, _message)
+    """Decode *data* in full, with no lookup in the message memo: the one build of a decoded message.
 
-
-def _message(msg_id, flags, question, answers, edns) -> DnsMessage:
-    qr, rd, ra = bool(flags & 0x8000), bool(flags & 0x0100), bool(flags & 0x0080)
-    return DnsMessage(msg_id, qr, rd, ra, flags & 0x0F, question, answers, edns)
-
-
-def _read(data: bytes, build):
-    """*build* applied to the fields `_scan` reads of *data*: the one refusal handler around both."""
+    `_scan` reads the fields.  A query is built through `DnsMessage`'s
+    constructor, the one holder of a query's rules: no answers and scope 0.
+    A response is built without it: no query rule applies, its ID and rcode
+    come from 16- and 4-bit header fields, and its answers are a tuple
+    already.  A constructor's refusal, a `ValueError` or the name rule's
+    `InvalidName`, is raised as `Malformed` with its text; other wire errors
+    pass through.
+    """
     try:
-        return build(*_scan(data))
+        fields = _scan(data)
+        return tuple.__new__(DnsMessage, fields) if fields[1] else DnsMessage(*fields)
     except (ValueError, InvalidName) as exc:  # a constructor's refusal of a decoded field
         raise Malformed(str(exc)) from None
 
 
 def _scan(data: bytes) -> tuple:
-    """(id, flags, question, answers, edns) of the message *data*: the one walker of message octets."""
+    """The `DnsMessage` fields of the message *data*, in order: the one walker of message octets.
+
+    It checks what no constructor sees: the header's opcode and counts,
+    label framing and compression pointers, the answer class, and the OPT
+    record's placement, name, version and option framing.  It builds the
+    question, the records and the OPT record through their constructors.
+    """
     end = len(data)
     if end < _HEADER.size:
         raise _truncated(_HEADER.size, 0, end)
@@ -667,4 +640,5 @@ def _scan(data: bytes) -> tuple:
 
     if pos != end:
         raise Malformed(f"{end - pos} trailing octets")
-    return msg_id, flags, question, tuple(answers), edns
+    qr, rd, ra = bool(flags & 0x8000), bool(flags & 0x0100), bool(flags & 0x0080)
+    return msg_id, qr, rd, ra, flags & 0x0F, question, tuple(answers), edns

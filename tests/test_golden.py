@@ -22,7 +22,10 @@ or only the named cases, leaving every other file as it is, with
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from helpers import FIXTURES
@@ -190,6 +193,20 @@ def test_cli_run_report_matches_golden(name, tmp_path):
     recorded["command"] += ["--out", "{tmp}/payload"]
     recorded["outputs"] = ["{tmp}/payload"]
     assert report_line(err.getvalue()).replace(str(tmp_path), "{tmp}") == json.dumps(recorded)
+
+
+def test_out_file_does_not_depend_on_the_locale(tmp_path):
+    # a write in the locale's default encoding raises EncodingWarning under these flags, which exits 70
+    out = tmp_path / "payload"
+    args = [arg.format(fixtures=FIXTURES, golden=GOLDEN) for arg in CASES["analyze_uds_yi"]]
+    result = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-m", "ecsloc.cli",
+         *args, "--out", str(out)],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+    )
+    assert result.returncode == 0, result.stderr
+    assert out.read_bytes() == (GOLDEN / "analyze_uds_yi.out").read_bytes()
 
 
 def test_reordered_log_reads_like_documented_layout():

@@ -339,6 +339,8 @@ class TestUpstreamEchoChecked:
         pytest.param(EcsOption.for_prefix("2001:db8::", 56, 56), id="other-family"),
         pytest.param(EcsOption.for_prefix("203.0.113.0", 24, 24), id="other-address"),
         pytest.param(EcsOption.for_prefix("198.18.0.0", 16, 16), id="other-source-length"),
+        # the sent option's three address octets, under another source length
+        pytest.param(EcsOption.for_prefix("198.18.0.0", 23, 23), id="other-source-length-same-octets"),
     ])
     def test_mismatched_echo_is_servfail_and_not_cached(self, echo):
         echoes = [echo]
@@ -617,6 +619,24 @@ def test_overwritten_entry_outlives_its_stale_heap_record():
     entry = resolver.cache_lookup("q.t", 1, EcsOption.for_prefix("10.0.0.0", 28))
     assert entry is not None and (entry.stored_at, entry.ttl) == (0, 100)
     assert (resolver.stores, resolver.expiries, len(resolver._heap)) == (2, 0, 1)
+
+
+def test_store_expires_what_fell_due_during_the_upstream_exchange():
+    # the lookup before a miss expired all that was due then; the exchange moves the shared clock on
+    clock = VirtualClock()
+
+    def upstream(payload, source):
+        query = decode_message(payload)
+        if query.question.qname == "slow.t":
+            clock.advance(400)
+        return encode_message(make_response(query, (record_for_address(query.question.qname, "10.0.0.1", 300),)))
+
+    prefix_map = LocationPrefixMap({"HK": "198.19.0.0/16"})
+    resolver = Resolver(Forward(), "HK", InProcessLink(upstream), prefix_map, clock=clock)
+    resolver.resolve(make_query("fast.t"), "198.18.0.77")
+    resolver.resolve(make_query("slow.t"), "198.18.0.77")
+    assert (resolver.stores, resolver.expiries) == (2, 1)
+    assert list(resolver._cache) == [("slow.t", 1)]
 
 
 def test_counters_on_a_scripted_sequence(monkeypatch):

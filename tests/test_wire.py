@@ -33,6 +33,7 @@ from hypothesis import strategies as st
 import ecsloc
 from ecsloc import resolver, wire
 from ecsloc.wire import (
+    MAX_TTL,
     QTYPE_A,
     QTYPE_AAAA,
     DnsMessage,
@@ -307,6 +308,14 @@ class TestValidation:
             ResourceRecord("example.com", QTYPE_A, 300, b"\x01\x02")
         with pytest.raises(ValueError):
             ResourceRecord("example.com", QTYPE_AAAA, 300, b"\x01" * 4)
+
+    @pytest.mark.parametrize("ttl", [-1, MAX_TTL + 1])
+    def test_ttl_range_checked(self, ttl):
+        with pytest.raises(ValueError, match=f"^ttl {ttl} out of range$"):
+            ResourceRecord("example.com", QTYPE_A, ttl, b"\x01" * 4)
+
+    def test_max_ttl_builds(self):
+        assert ResourceRecord("example.com", QTYPE_A, MAX_TTL, b"\x01" * 4).ttl == MAX_TTL
 
     def test_query_cannot_carry_answers(self):
         rr = record_for_address("example.com", "10.0.0.1", 300)
