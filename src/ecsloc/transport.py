@@ -1,9 +1,16 @@
 """Message transports: an in-process channel for deterministic tests and
-an optional UDP pair exposing the same exchange interface."""
+an optional UDP pair exposing the same exchange interface.
+
+A UDP exchange is one send and one receive system call: the client's
+socket stays in blocking mode and the kernel enforces its timeout
+(SO_RCVTIMEO)."""
 
 from __future__ import annotations
 
+import math
 import socket
+import struct
+import sys
 import threading
 import time
 
@@ -25,15 +32,21 @@ class UdpClient:
     so the kernel drops datagrams from any other source, and a refused port
     raises ConnectionRefusedError.  A reply whose message ID (its first two
     octets) differs from the query's is discarded, and the wait goes on for
-    what is left of *timeout*.  The source port stays fixed for the client's
-    life: fine for a test harness, not for a resolver's upstream socket
-    (RFC 5452 section 9.2).  Exchanges run one at a time: share no client
-    between threads.  close() it, or use it in a with statement.
+    what is left of *timeout*.  *timeout* must be a finite number of
+    seconds above 0, or the client refuses it with ValueError when built.
+    The socket blocks and the kernel enforces the timeout (SO_RCVTIMEO), so
+    a signal handler that interrupts the wait restarts the whole timeout
+    (PEP 475).  The source port stays fixed for the client's life: fine
+    for a test harness, not for a resolver's upstream socket (RFC 5452
+    section 9.2).  Exchanges run one at a time: share no client between
+    threads.  close() it, or use it in a with statement.
     """
 
     def __init__(self, host: str, port: int, timeout: float = 2.0):
         if not 0 <= port <= 65535:
             raise ValueError(f"port {port} out of range")
+        if not isinstance(timeout, (int, float)) or not 0 < timeout < math.inf:
+            raise ValueError(f"timeout {timeout!r} is not a finite number of seconds above 0")
         self.remote = (host, port)
         self.timeout = timeout
         self._sock = None
@@ -42,25 +55,28 @@ class UdpClient:
         start = time.monotonic()
         sock = self._sock if self._sock is not None else self._connect()
         sock.send(payload)
-        reply = sock.recv(65535)
-        if reply[:2] == payload[:2]:
-            return reply
-        # RFC 5452 section 3: a reply to another query is not this query's answer
         try:
-            while reply[:2] != payload[:2]:
-                remaining = start + self.timeout - time.monotonic()
-                if remaining <= 0:
-                    raise TimeoutError("timed out")
-                sock.settimeout(remaining)
-                reply = sock.recv(65535)
-        finally:
-            sock.settimeout(self.timeout)
-        return reply
+            reply = sock.recv(65535)
+            if reply[:2] == payload[:2]:
+                return reply
+            # RFC 5452 section 3: a reply to another query is not this query's answer
+            try:
+                while reply[:2] != payload[:2]:
+                    remaining = start + self.timeout - time.monotonic()
+                    if remaining <= 0:
+                        raise TimeoutError("timed out")
+                    _set_receive_timeout(sock, remaining)
+                    reply = sock.recv(65535)
+            finally:
+                _set_receive_timeout(sock, self.timeout)
+            return reply
+        except BlockingIOError:  # the kernel's timeout ran out (EAGAIN)
+            raise TimeoutError("timed out") from None
 
     def _connect(self) -> socket.socket:
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         try:
-            sock.settimeout(self.timeout)
+            _set_receive_timeout(sock, self.timeout)
             sock.connect(self.remote)
         except BaseException:
             sock.close()
@@ -80,11 +96,21 @@ class UdpClient:
         self.close()
 
 
+def _set_receive_timeout(sock: socket.socket, seconds: float) -> None:
+    """Set the kernel's receive timeout of *sock*, rounded up to its unit: 0 would wait forever."""
+    if sys.platform == "win32":  # a DWORD of milliseconds
+        value = struct.pack("@L", max(1, math.ceil(seconds * 1e3)))
+    else:  # a struct timeval
+        value = struct.pack("@ll", *divmod(max(1, math.ceil(seconds * 1e6)), 1_000_000))
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, value)
+
+
 class UdpServer:
     """Threaded UDP front end for a handler(payload, source) -> payload.
 
     The serving thread blocks in recvfrom; stop() wakes it with one empty
-    datagram to the server's own address.  It counts packets `received`,
+    datagram to the server's own address.  A server whose bind fails closes
+    its socket before the error propagates.  It counts packets `received`,
     `answered` and `dropped`: a packet is dropped when its handler raised
     or its reply could not be sent.  Only the serving thread writes the
     counts.  The handler must provide its own serialization if it mutates
@@ -95,7 +121,11 @@ class UdpServer:
         self.handler = handler
         self.received = self.answered = self.dropped = 0
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self._sock.bind((host, port))
+        try:
+            self._sock.bind((host, port))
+        except BaseException:
+            self._sock.close()
+            raise
         self._thread = None
         self._running = False
 

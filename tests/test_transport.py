@@ -1,6 +1,8 @@
 """In-process and UDP transports expose the same exchange surface."""
 
+import math
 import socket
+import struct
 import threading
 import time
 import types
@@ -56,6 +58,13 @@ def answer(peer, replies, sources=None):
 def joined(thread) -> bool:
     thread.join(timeout=2.0)
     return not thread.is_alive()
+
+
+def kernel_timeout(sock) -> float:
+    """The receive timeout (SO_RCVTIMEO) the kernel holds for *sock*, in seconds."""
+    size = struct.calcsize("@ll")
+    seconds, microseconds = struct.unpack("@ll", sock.getsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, size))
+    return seconds + microseconds / 1e6
 
 
 def test_in_process_link_calls_handler():
@@ -191,8 +200,44 @@ def test_client_wrong_id_after_the_deadline_times_out(peer, monkeypatch):
     with UdpClient(*peer.getsockname()) as client:
         with pytest.raises(TimeoutError, match="^timed out$"):
             client.exchange(QUERY)
-        assert client._sock.gettimeout() == 2.0
+        assert kernel_timeout(client._sock) == 2.0
     assert joined(thread)
+
+
+def test_client_socket_blocks_under_the_kernel_timeout(peer):
+    thread = answer(peer, lambda query: (query,))
+    with UdpClient(*peer.getsockname(), timeout=1.5) as client:
+        assert client.exchange(QUERY) == QUERY
+        assert client._sock.gettimeout() is None
+        assert kernel_timeout(client._sock) == 1.5
+    assert joined(thread)
+
+
+def test_client_restores_the_full_timeout_after_a_wrong_id(peer, monkeypatch):
+    clock = iter([0.0, 1.0])  # at the send, then when the wrong-ID reply is read: 1 s of 2 s left
+    monkeypatch.setattr(transport, "time", types.SimpleNamespace(monotonic=lambda: next(clock)))
+    armed = []
+    set_receive_timeout = transport._set_receive_timeout
+
+    def recorded(sock, seconds):
+        armed.append(seconds)
+        set_receive_timeout(sock, seconds)
+
+    monkeypatch.setattr(transport, "_set_receive_timeout", recorded)
+    thread = answer(peer, lambda query: (other_id(query), query))
+    with UdpClient(*peer.getsockname()) as client:
+        assert client.exchange(QUERY) == QUERY
+        assert kernel_timeout(client._sock) == 2.0
+    assert armed == [2.0, 1.0, 2.0]  # at connect, for what is left, then in full again
+    assert joined(thread)
+
+
+def test_client_times_out_on_a_silent_peer(peer):
+    with UdpClient(*peer.getsockname(), timeout=0.2) as client:
+        started = time.monotonic()
+        with pytest.raises(TimeoutError, match="^timed out$"):
+            client.exchange(QUERY)
+        assert 0.1 < time.monotonic() - started < 0.7
 
 
 class _RefusingSocket(socket.socket):
@@ -211,6 +256,7 @@ def test_client_closes_its_socket_when_connect_fails(monkeypatch):
 
     monkeypatch.setattr(transport, "socket", types.SimpleNamespace(
         socket=recorded, AF_INET=socket.AF_INET, SOCK_DGRAM=socket.SOCK_DGRAM,
+        SOL_SOCKET=socket.SOL_SOCKET, SO_RCVTIMEO=socket.SO_RCVTIMEO,
     ))
     with UdpClient("127.0.0.1", 53) as client:
         with pytest.raises(OSError, match="^connect refused by the test$"):
@@ -223,6 +269,29 @@ def test_client_closes_its_socket_when_connect_fails(monkeypatch):
 def test_client_refuses_a_port_out_of_range(port):
     with pytest.raises(ValueError, match=f"^port {port} out of range$"):
         UdpClient("127.0.0.1", port)
+
+
+@pytest.mark.parametrize("timeout", [0, -1, math.nan, math.inf, None])
+def test_client_refuses_a_timeout_that_is_not_finite_and_positive(timeout):
+    with pytest.raises(ValueError, match=f"^timeout {timeout!r} is not a finite number of seconds above 0$"):
+        UdpClient("127.0.0.1", 53, timeout=timeout)
+
+
+def test_server_closes_its_socket_when_bind_fails(monkeypatch):
+    made = []
+
+    def recorded(*args):
+        made.append(socket.socket(*args))
+        return made[-1]
+
+    monkeypatch.setattr(transport, "socket", types.SimpleNamespace(
+        socket=recorded, AF_INET=socket.AF_INET, SOCK_DGRAM=socket.SOCK_DGRAM,
+    ))
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as taken:
+        taken.bind(("127.0.0.1", 0))
+        with pytest.raises(OSError):  # the address is in use
+            UdpServer(lambda payload, source: payload, port=taken.getsockname()[1])
+    assert len(made) == 1 and made[0].fileno() == -1
 
 
 def test_client_refused_port_raises_at_once():
