@@ -43,12 +43,13 @@ from .value import Value
 from .wire import (
     PREFIX_MASKS,
     QTYPE_A,
+    _MEMO_OCTETS,
     _MEMO_SIZE,
     DnsMessage,
     EcsOption,
     InvalidName,
     _decode,
-    _decode_body,
+    _decode_after_id,
     answer_segments,
     canonical_name,
     decode_message,
@@ -71,13 +72,19 @@ CACHE_MAX_ENTRIES = 10_000
 _rewrite_option = lru_cache(maxsize=_MEMO_SIZE)(EcsOption.for_prefix)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+@lru_cache(maxsize=4 * _MEMO_SIZE)
 def _upstream_answer(body: bytes, qname: str) -> tuple:
     """(rcode, echoed option or None, TTL, answer segments) of an upstream reply: the memo keyed on its
     octets after the ID and on the question's name, which every answer is stored under.
 
     The TTL is the answers' lowest, as RFC 2181 section 5.2 treats records
     whose TTLs differ, or DEFAULT_TTL when there is no answer.
+
+    The memo holds 4 * `_MEMO_SIZE` replies of at most `_MEMO_OCTETS`
+    octets after the ID; `Resolver.handle` reads a longer one through
+    `__wrapped__`.  Client-subnet answers multiply the distinct replies (RFC
+    7871 section 11): 512 regions give about 8 100 at once, twice a codec
+    memo's cap, which a cyclic stream would miss on nearly every read.
     """
     rcode, _, answers, edns = _decode(b"\x00\x00" + body)[4:]
     ttl = min((rr.ttl for rr in answers), default=DEFAULT_TTL)
@@ -153,13 +160,13 @@ class CacheEntry(Value, fields="scope_prefix_len segments stored_at ttl"):
 
 
 def _decode_query(payload: bytes, receiver: str) -> tuple[bytes, DnsMessage, EcsOption | None]:
-    """The query *payload*'s ID octets, its message with ID 0 from the memo `wire._decode_body`, and its option
+    """The query *payload*'s ID octets, its message with ID 0 read as `decode_message` reads it, and its option
     or None; a response raises ScenarioError naming *receiver*."""
     if len(payload) < 2:  # no ID: read as is, to raise Truncated
         decode_message(payload)
     if type(payload) is not bytes:  # a bytes-like payload, read as decode_message reads it
         payload = bytes(payload)
-    query = _decode_body(payload[2:])
+    query = _decode_after_id(payload[2:])
     if query.is_response:
         raise ScenarioError(f"{receiver} got a response instead of a query")
     return payload[:2], query, query.edns.ecs if query.edns else None
@@ -287,7 +294,9 @@ class Resolver:
                 reply = bytes(self.upstream.exchange(upstream_query, self.address))
                 if len(reply) < 2:  # no ID: read as is, to raise Truncated
                     decode_message(reply)
-                rcode, echo, ttl, segments = _upstream_answer(reply[2:], qname)
+                body = reply[2:]
+                read = _upstream_answer if len(body) <= _MEMO_OCTETS else _upstream_answer.__wrapped__
+                rcode, echo, ttl, segments = read(body, qname)
                 if rcode:
                     self.nxdomains += rcode == RCODE_NXDOMAIN  # an answer, not an error
                     self.upstream_errors += rcode != RCODE_NXDOMAIN

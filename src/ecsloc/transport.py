@@ -33,7 +33,8 @@ class UdpClient:
     raises ConnectionRefusedError.  A reply whose message ID (its first two
     octets) differs from the query's is discarded, and the wait goes on for
     what is left of *timeout*.  *timeout* must be a finite number of
-    seconds above 0, or the client refuses it with ValueError when built.
+    seconds above 0 that the kernel's receive timeout holds, or the client
+    refuses it with ValueError when built.
     The socket blocks and the kernel enforces the timeout (SO_RCVTIMEO), so
     a signal handler that interrupts the wait restarts the whole timeout
     (PEP 475).  The source port stays fixed for the client's life: fine
@@ -47,6 +48,10 @@ class UdpClient:
             raise ValueError(f"port {port} out of range")
         if not isinstance(timeout, (int, float)) or not 0 < timeout < math.inf:
             raise ValueError(f"timeout {timeout!r} is not a finite number of seconds above 0")
+        try:
+            _receive_timeout(timeout)
+        except (OverflowError, struct.error):
+            raise ValueError(f"timeout {timeout!r} is more seconds than the kernel's receive timeout holds") from None
         self.remote = (host, port)
         self.timeout = timeout
         self._sock = None
@@ -97,12 +102,16 @@ class UdpClient:
 
 
 def _set_receive_timeout(sock: socket.socket, seconds: float) -> None:
-    """Set the kernel's receive timeout of *sock*, rounded up to its unit: 0 would wait forever."""
+    """Set the kernel's receive timeout of *sock* to *seconds*."""
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, _receive_timeout(seconds))
+
+
+def _receive_timeout(seconds: float) -> bytes:
+    """The SO_RCVTIMEO value of *seconds*, rounded up to its unit, as 0 would wait forever; too many
+    seconds for it raise OverflowError or struct.error."""
     if sys.platform == "win32":  # a DWORD of milliseconds
-        value = struct.pack("@L", max(1, math.ceil(seconds * 1e3)))
-    else:  # a struct timeval
-        value = struct.pack("@ll", *divmod(max(1, math.ceil(seconds * 1e6)), 1_000_000))
-    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, value)
+        return struct.pack("@L", max(1, math.ceil(seconds * 1e3)))
+    return struct.pack("@ll", *divmod(max(1, math.ceil(seconds * 1e6)), 1_000_000))  # a struct timeval
 
 
 class UdpServer:

@@ -20,10 +20,11 @@ writes every answer section, a message's or a packed reply's, by
 Besides the name rule's memo, the codec has eight, each keyed as its
 function's docstring says: the encoder's `_encode_name`, `_encode_opt`,
 `_reply_head` and `_answer_section`, and the decoder's `_decode_body`, on
-a whole message, and `_plain_name`, `_question` and `_decode_opt`, on its
-parts.  With many regions whole messages rarely repeat while their parts
-do.  A reply is keyed on the parts its query decoded to, so a repeated one
-is found by identity.
+a whole message of at most `_MEMO_OCTETS` octets after its ID, and
+`_plain_name`, `_question` and `_decode_opt`, on its parts.  With many
+regions whole messages rarely repeat while their parts do.  A reply is
+keyed on the parts its query decoded to, so a repeated one is found by
+identity.
 """
 
 from __future__ import annotations
@@ -49,7 +50,11 @@ MAX_TTL = 0xFFFFFFFF  # a record's TTL field is 32 bits
 
 # Entries in each codec memo, an lru_cache keyed as its function's docstring says.  A memo
 # stores only results, so a rejected input raises the same error class and text every time.
+# The one larger memo is the resolver's upstream-reply memo, `resolver._upstream_answer`.
 _MEMO_SIZE = 4096
+# Octets after the ID in the longest message a message memo keys on: every query fits, and
+# no entry holds one of the 65 535-octet messages UDP can carry.  A longer one is decoded afresh.
+_MEMO_OCTETS = 512
 # Records in the longest answer section that `answer_segments` memoizes
 _SECTION_RECORDS = 16
 
@@ -563,14 +568,20 @@ def _decode_opt(name: str, payload: int, ttl: int, rdata: bytes) -> EdnsOpt:
 def decode_message(data: bytes) -> DnsMessage:
     """Parse wire bytes into a DnsMessage; inverse of encode_message on its image.
 
-    The decode is looked up in the memo `_decode_body` and returned with
-    this message's ID patched in.
+    The decode is read by `_decode_after_id`, from the memo `_decode_body`
+    when short, and returned with this message's ID patched in.
     """
     data = bytes(data)
     if len(data) < 2:  # no ID to patch: read as is, to raise Truncated
         return _decode(data)
-    msg = _decode_body(data[2:])
+    msg = _decode_after_id(data[2:])
     return tuple.__new__(DnsMessage, ((data[0] << 8) | data[1], *msg[1:]))
+
+
+def _decode_after_id(body: bytes) -> DnsMessage:
+    """The message with ID 0 and *body* after it: from the memo `_decode_body` for a *body* of at most
+    `_MEMO_OCTETS` octets, decoded afresh by `_decode` for a longer one."""
+    return _decode_body(body) if len(body) <= _MEMO_OCTETS else _decode(b"\x00\x00" + body)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)

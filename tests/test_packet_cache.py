@@ -443,9 +443,9 @@ def test_a_miss_decodes_no_response(monkeypatch):
 
     def decode(body):
         decoded.append(body)
-        return wire._decode_body(body)
+        return wire._decode_after_id(body)
 
-    monkeypatch.setattr(resolver_module, "_decode_body", decode)
+    monkeypatch.setattr(resolver_module, "_decode_after_id", decode)
     resolvers = _zone_twins(ZONE_DOC, "AA").sides[0]
     for resolver, payloads in itertools.product(resolvers, HAND_MADE.values()):
         for payload in payloads:

@@ -14,6 +14,7 @@ from helpers import (
     make_response,
     network_at,
     record_for_address,
+    reference_handle,
     reference_respond,
     region_codes,
 )
@@ -574,13 +575,14 @@ def test_cache_memory_is_bounded(monkeypatch):
 
 
 def test_a_long_answer_section_is_not_memoized():
-    """448-record answers, each its own, for 1000 client /24s: the answer-section memo takes none of them.
+    """448-record answers, each its own, for 1000 client /24s: neither the answer-section memo nor the reply
+    memo takes any of them.
 
     Memory is traced over the last 100 queries, each a miss stored in the
     cache.  A query keeps its cache entry, whose 449 segments take about 31
-    KiB, and the reply memo's key, the 14 KiB reply: about 52 KiB in all on
-    CPython 3.11.  Kept in the answer-section memo too, a section reads 67
-    KiB, above the bound of 60 KiB a query.
+    KiB: about 33 KiB in all on CPython 3.11.  Kept in the reply memo too,
+    with the 14 KiB reply as its key, a query reads 47 KiB, and kept in the
+    answer-section memo 52 KiB, each above the bound of 40 KiB a query.
     """
     def upstream(payload, source):
         msg_id, query, ecs = resolver_module._decode_query(payload, "upstream")
@@ -590,7 +592,7 @@ def test_a_long_answer_section_is_not_memoized():
     resolver = Resolver(Forward(), "HK", InProcessLink(upstream), LocationPrefixMap.default(["HK"]))
     queries = [encode_message(make_query("bulk.pool.example", ecs=EcsOption.for_prefix(f"10.{n >> 8}.{n & 255}.0", 24)))
                for n in range(1000)]
-    memo = wire._answer_section.cache_info()
+    memo, replies = wire._answer_section.cache_info(), resolver_module._upstream_answer.cache_info()
     for payload in queries[:900]:
         resolver.handle(payload, "198.18.0.77")
     tracemalloc.start()
@@ -602,8 +604,63 @@ def test_a_long_answer_section_is_not_memoized():
         tracemalloc.stop()
     assert (resolver.misses, resolver.stores, resolver.hits) == (1000, 1000, 0)
     assert len(resolver.cache_lookup("bulk.pool.example", 1, EcsOption.for_prefix("10.3.231.0", 24)).segments) == 449
-    assert wire._answer_section.cache_info() == memo
-    assert traced < 100 * 60 * 1024, f"{traced / 100 / 1024:.1f} KiB a query"
+    assert (wire._answer_section.cache_info(), resolver_module._upstream_answer.cache_info()) == (memo, replies)
+    assert traced < 100 * 40 * 1024, f"{traced / 100 / 1024:.1f} KiB a query"
+
+
+def _scoped_upstream(payload, source):
+    """An upstream answering each query with one A record of its option's network, echoed at scope 24."""
+    msg_id, query, ecs = resolver_module._decode_query(payload, "upstream")
+    address = bytes((11, *ecs.address[1:], 1))
+    return pack_reply(msg_id, query, ecs, 24, answer_segments(query.question.qname, [address]), 60)
+
+
+def test_the_reply_memo_holds_more_replies_than_a_codec_memo():
+    """6000 distinct upstream replies, more than a codec memo's 4096, asked for twice in one order: once
+    every answer has expired, the reply memo serves the second pass, each reply the reference's.  A memo
+    of 4096 would serve none of them, as each is evicted before it comes round again."""
+    def resolver(clock):
+        return Resolver(Forward(), "HK", InProcessLink(_scoped_upstream), LocationPrefixMap.default(["HK"]), clock=clock)
+
+    clock = VirtualClock()
+    front = resolver(clock)
+    queries = [encode_message(make_query("wide.example", msg_id=n & 0xFFFF,
+                                         ecs=EcsOption.for_prefix(f"10.{n >> 8}.{n & 255}.0", 24)))
+               for n in range(6000)]
+    resolver_module._upstream_answer.cache_clear()
+    for payload in queries:
+        front.handle(payload, "198.18.0.77")
+    clock.advance(61)  # past every answer's TTL, so the second pass misses the cache as the first did
+    twin = resolver(VirtualClock(61))
+    before = resolver_module._upstream_answer.cache_info()
+    for payload in queries:
+        assert front.handle(payload, "198.18.0.77") == reference_handle(twin, payload, "198.18.0.77")
+    info = resolver_module._upstream_answer.cache_info()
+    assert info.hits - before.hits >= 0.99 * len(queries)
+    assert (info.misses, info.currsize) == (len(queries), len(queries))
+    assert (front.misses, front.expiries, twin.misses) == (2 * len(queries), len(queries), len(queries))
+
+
+def test_a_query_memo_keeps_no_long_message():
+    """40 distinct responses of 33 000 octets each, sent as queries: the message memo keeps none of them, so
+    traced memory stays below 1 MiB in all.  Each one kept would hold about 155 KiB."""
+    query = make_query("bulk.pool.example")
+    segments = answer_segments("bulk.pool.example", [bytes((11, 0, i >> 8, i & 255)) for i in range(1000)])
+    responses = [pack_reply(b"\x00\x07", query, None, 0, segments, ttl) for ttl in range(40)]
+    assert len(responses[0]) > 33_000
+    resolver = Resolver(Forward(), "HK", InProcessLink(_scoped_upstream), LocationPrefixMap.default(["HK"]))
+    memo = wire._decode_body.cache_info()
+    tracemalloc.start()
+    try:
+        for payload in responses:
+            with pytest.raises(ScenarioError, match="^resolver got a response instead of a query$"):
+                resolver.handle(payload, "198.18.0.77")
+        traced = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert all(len(decode_message(payload).answers) == 1000 for payload in responses)  # nor as messages
+    assert wire._decode_body.cache_info().currsize == memo.currsize
+    assert traced < 1024 * 1024, f"{traced / len(responses) / 1024:.1f} KiB a response"
 
 
 def test_overwritten_entry_outlives_its_stale_heap_record():

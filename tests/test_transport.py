@@ -1,8 +1,10 @@
 """In-process and UDP transports expose the same exchange surface."""
 
 import math
+import re
 import socket
 import struct
+import sys
 import threading
 import time
 import types
@@ -274,6 +276,29 @@ def test_client_refuses_a_port_out_of_range(port):
 @pytest.mark.parametrize("timeout", [0, -1, math.nan, math.inf, None])
 def test_client_refuses_a_timeout_that_is_not_finite_and_positive(timeout):
     with pytest.raises(ValueError, match=f"^timeout {timeout!r} is not a finite number of seconds above 0$"):
+        UdpClient("127.0.0.1", 53, timeout=timeout)
+
+
+# A struct timeval's seconds are a C long: on 64-bit Linux the largest float below 2 ** 63 is the largest
+# timeout it holds, as its microseconds round up to no more than 2 ** 63 - 1024 seconds
+TIMEVAL_LINUX64 = pytest.mark.skipif(
+    not sys.platform.startswith("linux") or struct.calcsize("@l") != 8, reason="a timeval of 64-bit seconds"
+)
+
+
+@TIMEVAL_LINUX64
+def test_client_takes_the_largest_timeout_the_kernel_holds(peer):
+    thread = answer(peer, lambda query: (query,))
+    with UdpClient(*peer.getsockname(), timeout=math.nextafter(2.0**63, 0)) as client:
+        assert client.exchange(QUERY) == QUERY
+    assert joined(thread)
+
+
+@TIMEVAL_LINUX64
+@pytest.mark.parametrize("timeout", [2.0**63, 2**63 - 1, 1e30, 1e303, sys.float_info.max])
+def test_client_refuses_a_timeout_the_kernel_cannot_hold(timeout):
+    message = f"timeout {timeout!r} is more seconds than the kernel's receive timeout holds"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         UdpClient("127.0.0.1", 53, timeout=timeout)
 
 

@@ -719,8 +719,9 @@ def _clear_memos():
 def test_every_package_memo_is_bounded_and_listed():
     """Each module-level lru_cache in the package holds _MEMO_SIZE entries and is one of MEMOS.
 
-    The one exemption is `cli.build_parser`: a `functools.cache` of a
-    function without arguments holds its one parser.
+    Two are exempt.  `cli.build_parser` is a `functools.cache` of a function
+    without arguments, which holds its one parser.  The reply memo
+    `resolver._upstream_answer` holds 4 * _MEMO_SIZE, as its docstring says.
     """
     found = {}
     for info in pkgutil.iter_modules(ecsloc.__path__, "ecsloc."):
@@ -728,7 +729,8 @@ def test_every_package_memo_is_bounded_and_listed():
             if isinstance(value, functools._lru_cache_wrapper):
                 found[f"{info.name}.{name}"] = value
     assert found.pop("ecsloc.cli.build_parser").cache_parameters()["maxsize"] is None
-    assert {name: memo.cache_parameters()["maxsize"] for name, memo in found.items()} == dict.fromkeys(found, wire._MEMO_SIZE)
+    caps = dict.fromkeys(found, wire._MEMO_SIZE) | {"ecsloc.resolver._upstream_answer": 4 * wire._MEMO_SIZE}
+    assert {name: memo.cache_parameters()["maxsize"] for name, memo in found.items()} == caps
     assert set(found.values()) == set(MEMOS)
 
 
@@ -919,13 +921,18 @@ class TestDecoderMemos:
             assert decode_message(encode_message(query)).edns.ecs == ecs
             reply = encode_message(make_response(query, ecs=ecs))
             assert wire.pack_reply(b"\x00\x00", query, ecs, 0) == reply
-            assert resolver._upstream_answer(reply[2:], query.question.qname)[1] == ecs
             qname = query.question.qname
             entry = rewrite._store(qname, QTYPE_A, 24, ecs, wire.answer_segments(qname, ()), 60)
             assert rewrite.cache_lookup(qname, QTYPE_A, ecs) is entry
+        # the reply memo, four times as large, filled past its own cap by replies apart in their TTL
+        query = make_query("host.example", ecs=ecs)
+        segments = wire.answer_segments("host.example", [bytes((11, 0, 0, 1))])
+        for ttl in range(4 * wire._MEMO_SIZE + 500):
+            reply = wire.pack_reply(b"\x00\x00", query, ecs, 24, segments, ttl)
+            assert resolver._upstream_answer(reply[2:], "host.example")[2] == ttl
         for memo in (*DECODER_MEMOS, *OUTBOUND_MEMOS, *REPLY_MEMOS):
             info = memo.cache_info()
-            assert info.maxsize == 4096
+            assert info.maxsize == (16384 if memo is resolver._upstream_answer else 4096)
             assert info.currsize == info.maxsize
 
     @pytest.mark.parametrize(
