@@ -72,19 +72,18 @@ CACHE_MAX_ENTRIES = 10_000
 _rewrite_option = lru_cache(maxsize=_MEMO_SIZE)(EcsOption.for_prefix)
 
 
-@lru_cache(maxsize=4 * _MEMO_SIZE)
+@lru_cache(maxsize=_MEMO_SIZE)
 def _upstream_answer(body: bytes, qname: str) -> tuple:
     """(rcode, echoed option or None, TTL, answer segments) of an upstream reply: the memo keyed on its
     octets after the ID and on the question's name, which every answer is stored under.
 
     The TTL is the answers' lowest, as RFC 2181 section 5.2 treats records
-    whose TTLs differ, or DEFAULT_TTL when there is no answer.
-
-    The memo holds 4 * `_MEMO_SIZE` replies of at most `_MEMO_OCTETS`
-    octets after the ID; `Resolver.handle` reads a longer one through
-    `__wrapped__`.  Client-subnet answers multiply the distinct replies (RFC
-    7871 section 11): 512 regions give about 8 100 at once, twice a codec
-    memo's cap, which a cyclic stream would miss on nearly every read.
+    whose TTLs differ, or DEFAULT_TTL when there is no answer.  The memo
+    holds a reply of at most `_MEMO_OCTETS` octets after the ID only when
+    its answer section, rebuilt under *qname* and bounded as
+    `answer_segments` bounds it, fits in as many: answer names that point
+    back to a long question name would otherwise store a copy of it each.
+    `Resolver.handle` reads any other reply through `__wrapped__`.
     """
     rcode, _, answers, edns = _decode(b"\x00\x00" + body)[4:]
     ttl = min((rr.ttl for rr in answers), default=DEFAULT_TTL)
@@ -295,8 +294,9 @@ class Resolver:
                 if len(reply) < 2:  # no ID: read as is, to raise Truncated
                     decode_message(reply)
                 body = reply[2:]
-                read = _upstream_answer if len(body) <= _MEMO_OCTETS else _upstream_answer.__wrapped__
-                rcode, echo, ttl, segments = read(body, qname)
+                # from the memo when the reply, and its ANCOUNT answers by `answer_segments`' bound, fit in it
+                fits = max(len(body), int.from_bytes(body[4:6], "big") * (len(qname) + 28)) <= _MEMO_OCTETS
+                rcode, echo, ttl, segments = (_upstream_answer if fits else _upstream_answer.__wrapped__)(body, qname)
                 if rcode:
                     self.nxdomains += rcode == RCODE_NXDOMAIN  # an answer, not an error
                     self.upstream_errors += rcode != RCODE_NXDOMAIN

@@ -20,11 +20,13 @@ writes every answer section, a message's or a packed reply's, by
 Besides the name rule's memo, the codec has eight, each keyed as its
 function's docstring says: the encoder's `_encode_name`, `_encode_opt`,
 `_reply_head` and `_answer_section`, and the decoder's `_decode_body`, on
-a whole message of at most `_MEMO_OCTETS` octets after its ID, and
-`_plain_name`, `_question` and `_decode_opt`, on its parts.  With many
-regions whole messages rarely repeat while their parts do.  A reply is
-keyed on the parts its query decoded to, so a repeated one is found by
-identity.
+a whole message after its ID, and `_plain_name`, `_question` and
+`_decode_opt`, on its parts.  With many regions whole messages rarely
+repeat while their parts do.  A reply is keyed on the parts its query
+decoded to, so a repeated one is found by identity.  No memo keys or
+stores more than about `_MEMO_OCTETS` wire octets: a longer message, OPT
+record or answer section is read or encoded afresh, as is an upstream
+reply whose answer section would be (`resolver._upstream_answer`).
 """
 
 from __future__ import annotations
@@ -48,15 +50,17 @@ MAX_LABEL_OCTETS = 63
 MAX_NAME_OCTETS = 253
 MAX_TTL = 0xFFFFFFFF  # a record's TTL field is 32 bits
 
-# Entries in each codec memo, an lru_cache keyed as its function's docstring says.  A memo
+# Entries in each package memo, an lru_cache keyed as its function's docstring says.  A memo
 # stores only results, so a rejected input raises the same error class and text every time.
-# The one larger memo is the resolver's upstream-reply memo, `resolver._upstream_answer`.
-_MEMO_SIZE = 4096
-# Octets after the ID in the longest message a message memo keys on: every query fits, and
-# no entry holds one of the 65 535-octet messages UDP can carry.  A longer one is decoded afresh.
+# Client-subnet answers multiply the distinct queries, replies and sections (RFC 7871 section
+# 11): the 512-region benchmark workload keeps up to about 8 100 of each in play, and a memo smaller
+# than that, read in a repeating order, evicts each entry before it comes round again.
+_MEMO_SIZE = 16384
+# Wire octets in the longest message, OPT record or answer section a memo keys on or stores:
+# every query fits, and no entry holds one of the 65 535-octet messages UDP can carry.  So an
+# entry of the message or section memo traces under 3 KiB, objects and links included, and
+# either memo at its cap under 48 MiB.
 _MEMO_OCTETS = 512
-# Records in the longest answer section that `answer_segments` memoizes
-_SECTION_RECORDS = 16
 
 # Address length in octets per ECS family code.
 _FAMILY_OCTETS = {1: 4, 2: 16}
@@ -398,13 +402,14 @@ def answer_segments(name: str, addresses) -> tuple[bytes, ...]:
 
     Every record is under *name*: an A record for 4 octets, an AAAA record
     for 16.  `answers_at_ttl(segments, ttl)` joins the segments into the
-    section with every TTL *ttl*.  A section of at most `_SECTION_RECORDS`
-    records comes from the memo `_answer_section`, keyed on *name* and the
-    tuple of *addresses*; a longer one is encoded each time, so no memo
-    entry holds more than that many records.
+    section with every TTL *ttl*.  A section of at most `_MEMO_OCTETS`
+    octets by the bound of 28 a record beside its name (the name's two
+    framing octets, the 10-octet tail and at most 16 of rdata) comes from
+    the memo `_answer_section`, keyed on *name* and the tuple of
+    *addresses*; a longer one is encoded each time.
     """
     addresses = tuple(addresses)
-    return (_section if len(addresses) > _SECTION_RECORDS else _answer_section)(name, addresses)
+    return (_section if len(addresses) * (len(name) + 28) > _MEMO_OCTETS else _answer_section)(name, addresses)
 
 
 def _section(name: str, addresses: tuple) -> tuple[bytes, ...]:
@@ -647,7 +652,7 @@ def _scan(data: bytes) -> tuple:
         if rtype == TYPE_OPT:
             if edns is not None:
                 raise Malformed("more than one OPT record")
-            edns = _decode_opt(name, rclass, ttl, rdata)
+            edns = (_decode_opt if len(rdata) <= _MEMO_OCTETS else _decode_opt.__wrapped__)(name, rclass, ttl, rdata)
 
     if pos != end:
         raise Malformed(f"{end - pos} trailing octets")

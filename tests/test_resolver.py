@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import struct
 import time
 import tracemalloc
 
@@ -18,6 +19,7 @@ from helpers import (
     reference_respond,
     region_codes,
 )
+from test_wire import MEMOS
 
 from ecsloc import resolver as resolver_module
 from ecsloc import wire
@@ -38,7 +40,9 @@ from ecsloc.resolver import (
 )
 from ecsloc.transport import InProcessLink
 from ecsloc.wire import (
+    QTYPE_AAAA,
     EcsOption,
+    EdnsOpt,
     address_text,
     answer_segments,
     decode_message,
@@ -608,6 +612,30 @@ def test_a_long_answer_section_is_not_memoized():
     assert traced < 100 * 40 * 1024, f"{traced / 100 / 1024:.1f} KiB a query"
 
 
+@pytest.mark.parametrize("count, kept", [(2, 1), (3, 0)], ids=["at-the-section-bound", "past-it"])
+def test_the_reply_memo_keeps_no_reply_whose_answers_pass_the_section_bound(count, kept):
+    """An upstream reply of *count* AAAA records whose names point back to a 228-octet question name, 328
+    octets after its ID at most: the reply memo keeps it only when its answer section, each record under the
+    name, is within `answer_segments`' bound of 512 octets (2 records, 512; 3, 768)."""
+    name = "h" * 57 + "." + ".".join(["a" * 56] * 3)
+
+    def upstream(payload, source):
+        msg_id, query, _ = resolver_module._decode_query(payload, "upstream")
+        answers = (b"\xc0\x0c" + struct.pack("!HHIH", QTYPE_AAAA, 1, 60, 16) + bytes((i,)) * 16 for i in range(count))
+        head = struct.pack("!HHHHH", 0x8180, 1, count, 0, 0) + wire._encode_name(name) + struct.pack("!HH", QTYPE_AAAA, 1)
+        return msg_id + head + b"".join(answers)
+
+    def resolver(link):
+        return Resolver(Forward(), "HK", link, LocationPrefixMap.default(["HK"]))
+
+    payload = encode_message(make_query(name, qtype=QTYPE_AAAA))
+    replies = resolver_module._upstream_answer.cache_info().currsize
+    reply = resolver(InProcessLink(upstream)).handle(payload, "198.18.0.77")
+    assert len(decode_message(reply).answers) == count
+    assert reply == reference_handle(resolver(InProcessLink(upstream)), payload, "198.18.0.77")
+    assert resolver_module._upstream_answer.cache_info().currsize == replies + kept
+
+
 def _scoped_upstream(payload, source):
     """An upstream answering each query with one A record of its option's network, echoed at scope 24."""
     msg_id, query, ecs = resolver_module._decode_query(payload, "upstream")
@@ -615,52 +643,92 @@ def _scoped_upstream(payload, source):
     return pack_reply(msg_id, query, ecs, 24, answer_segments(query.question.qname, [address]), 60)
 
 
-def test_the_reply_memo_holds_more_replies_than_a_codec_memo():
-    """6000 distinct upstream replies, more than a codec memo's 4096, asked for twice in one order: once
-    every answer has expired, the reply memo serves the second pass, each reply the reference's.  A memo
-    of 4096 would serve none of them, as each is evicted before it comes round again."""
+def test_the_memos_serve_a_second_pass_over_6000_networks():
+    """6000 client networks, each its own query, reply, answer section and cache key, asked for twice in one
+    order: once every answer has expired, the memos serve the second pass, and each reply is the reference's.
+    A memo of fewer entries would serve none of them, as each is evicted before it comes round again."""
     def resolver(clock):
         return Resolver(Forward(), "HK", InProcessLink(_scoped_upstream), LocationPrefixMap.default(["HK"]), clock=clock)
 
+    memos = (wire._decode_body, wire._answer_section, resolver_module._cache_key, resolver_module._upstream_answer)
     clock = VirtualClock()
     front = resolver(clock)
     queries = [encode_message(make_query("wide.example", msg_id=n & 0xFFFF,
                                          ecs=EcsOption.for_prefix(f"10.{n >> 8}.{n & 255}.0", 24)))
                for n in range(6000)]
-    resolver_module._upstream_answer.cache_clear()
+    for memo in MEMOS:
+        memo.cache_clear()
     for payload in queries:
         front.handle(payload, "198.18.0.77")
     clock.advance(61)  # past every answer's TTL, so the second pass misses the cache as the first did
     twin = resolver(VirtualClock(61))
-    before = resolver_module._upstream_answer.cache_info()
-    for payload in queries:
-        assert front.handle(payload, "198.18.0.77") == reference_handle(twin, payload, "198.18.0.77")
+    before = [memo.cache_info() for memo in memos]
+    replies = [front.handle(payload, "198.18.0.77") for payload in queries]
+    for memo, was in zip(memos, before):
+        info = memo.cache_info()
+        hits, misses = info.hits - was.hits, info.misses - was.misses
+        # each memo is read at least once a query, and 99% of its reads are hits
+        assert len(queries) <= hits + misses <= hits / 0.99, f"{memo.__name__}: {hits} hits, {misses} misses"
     info = resolver_module._upstream_answer.cache_info()
-    assert info.hits - before.hits >= 0.99 * len(queries)
     assert (info.misses, info.currsize) == (len(queries), len(queries))
+    assert replies == [reference_handle(twin, payload, "198.18.0.77") for payload in queries]
     assert (front.misses, front.expiries, twin.misses) == (2 * len(queries), len(queries), len(queries))
 
 
-def test_a_query_memo_keeps_no_long_message():
-    """40 distinct responses of 33 000 octets each, sent as queries: the message memo keeps none of them, so
-    traced memory stays below 1 MiB in all.  Each one kept would hold about 155 KiB."""
-    query = make_query("bulk.pool.example")
-    segments = answer_segments("bulk.pool.example", [bytes((11, 0, i >> 8, i & 255)) for i in range(1000)])
-    responses = [pack_reply(b"\x00\x07", query, None, 0, segments, ttl) for ttl in range(40)]
-    assert len(responses[0]) > 33_000
-    resolver = Resolver(Forward(), "HK", InProcessLink(_scoped_upstream), LocationPrefixMap.default(["HK"]))
-    memo = wire._decode_body.cache_info()
-    tracemalloc.start()
-    try:
-        for payload in responses:
+def _long_option_query(n):
+    """A query for api.example.iot whose OPT record holds one unknown option of 60 000 octets, its data from *n*."""
+    head = encode_message(make_query("api.example.iot", msg_id=7))
+    rdata = struct.pack("!HH", 65001, 59996) + n.to_bytes(4, "big") + bytes(59992)
+    return head[:10] + b"\x00\x01" + head[12:] + b"\x00" + struct.pack("!HHIH", 41, 1232, 0, len(rdata)) + rdata
+
+
+@pytest.mark.parametrize("case", ["long-responses-to-a-resolver", "long-options-to-an-authoritative"])
+def test_a_query_memo_keeps_no_long_message(zone, case):
+    """Long messages, each distinct, sent as queries: neither the message memo nor the OPT record memo keeps
+    any of them, so traced memory stays below 1 MiB in all.
+
+    40 responses of 33 000 octets each, sent to a resolver, would each
+    hold about 155 KiB in the message memo.  200 queries, each with its own
+    60 000-octet unknown EDNS option, sent to an authoritative, would each
+    hold about 60 KiB in the OPT record memo.
+    """
+    if case == "long-responses-to-a-resolver":
+        query = make_query("bulk.pool.example")
+        segments = answer_segments("bulk.pool.example", [bytes((11, 0, i >> 8, i & 255)) for i in range(1000)])
+        payloads = [pack_reply(b"\x00\x07", query, None, 0, segments, ttl) for ttl in range(40)]
+        assert len(payloads[0]) > 33_000
+        resolver = Resolver(Forward(), "HK", InProcessLink(_scoped_upstream), LocationPrefixMap.default(["HK"]))
+
+        def send(payload):
             with pytest.raises(ScenarioError, match="^resolver got a response instead of a query$"):
                 resolver.handle(payload, "198.18.0.77")
+
+        def read(msg):
+            return len(msg.answers) == 1000
+    else:
+        payloads = [_long_option_query(n) for n in range(200)]
+        authoritative = Authoritative(zone)
+        # an unknown option is ignored: each reply is the one to the same query with no option
+        plain = encode_message(make_query("api.example.iot", msg_id=7).replace(edns=EdnsOpt()))
+        expected = authoritative.handle(plain, "198.18.0.77")
+
+        def send(payload):
+            assert authoritative.handle(payload, "198.18.0.77") == expected
+
+        def read(msg):
+            return msg.edns == EdnsOpt()
+    messages, options = wire._decode_body.cache_info(), wire._decode_opt.cache_info()
+    tracemalloc.start()
+    try:
+        for payload in payloads:
+            send(payload)
         traced = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert all(len(decode_message(payload).answers) == 1000 for payload in responses)  # nor as messages
-    assert wire._decode_body.cache_info().currsize == memo.currsize
-    assert traced < 1024 * 1024, f"{traced / len(responses) / 1024:.1f} KiB a response"
+    assert all(read(decode_message(payload)) for payload in payloads)  # nor as messages
+    assert wire._decode_body.cache_info().currsize == messages.currsize
+    assert wire._decode_opt.cache_info().currsize == options.currsize
+    assert traced < 1024 * 1024, f"{traced / len(payloads) / 1024:.1f} KiB a message"
 
 
 def test_overwritten_entry_outlives_its_stale_heap_record():

@@ -11,6 +11,7 @@ import re
 import struct
 import sys
 import threading
+import tracemalloc
 
 import pytest
 from helpers import (
@@ -293,7 +294,7 @@ class TestValidation:
         for n in range(memo.cache_info().maxsize + 500):
             assert canonical_name(f"Host{n}.Example.") == f"host{n}.example"
         info = memo.cache_info()
-        assert info.maxsize == 4096
+        assert info.maxsize == wire._MEMO_SIZE == 16384
         assert info.currsize <= info.maxsize
 
     def test_qname_case_normalized(self):
@@ -719,9 +720,8 @@ def _clear_memos():
 def test_every_package_memo_is_bounded_and_listed():
     """Each module-level lru_cache in the package holds _MEMO_SIZE entries and is one of MEMOS.
 
-    Two are exempt.  `cli.build_parser` is a `functools.cache` of a function
-    without arguments, which holds its one parser.  The reply memo
-    `resolver._upstream_answer` holds 4 * _MEMO_SIZE, as its docstring says.
+    One is exempt: `cli.build_parser` is a `functools.cache` of a function
+    without arguments, which holds its one parser.
     """
     found = {}
     for info in pkgutil.iter_modules(ecsloc.__path__, "ecsloc."):
@@ -729,8 +729,7 @@ def test_every_package_memo_is_bounded_and_listed():
             if isinstance(value, functools._lru_cache_wrapper):
                 found[f"{info.name}.{name}"] = value
     assert found.pop("ecsloc.cli.build_parser").cache_parameters()["maxsize"] is None
-    caps = dict.fromkeys(found, wire._MEMO_SIZE) | {"ecsloc.resolver._upstream_answer": 4 * wire._MEMO_SIZE}
-    assert {name: memo.cache_parameters()["maxsize"] for name, memo in found.items()} == caps
+    assert {memo.cache_parameters()["maxsize"] for memo in found.values()} == {wire._MEMO_SIZE}
     assert set(found.values()) == set(MEMOS)
 
 
@@ -834,6 +833,26 @@ def test_decode_outcomes_are_recorded():
     assert 500 < len(rejected) < len(expected) - 500
 
 
+def _query_of_512_octets(n, past=0):
+    """Decode a query of 512 octets after its ID, *past* more, filled by an unknown EDNS option of data *n*:
+    its OPT record memo entry counts with its message memo entry."""
+    data = n.to_bytes(4, "big") + bytes(466 + past)
+    decode_message(_header(flags=0, ar=1) + QUESTION + _opt(rdata=struct.pack("!HH", 65001, len(data)) + data))
+
+
+def _section_of_17_records(n, past=0):
+    """Cut the answer section of 17 AAAA records, *past* more, of addresses *n* under a one-octet name: the
+    most records at the octet bound."""
+    wire.answer_segments("a", [n.to_bytes(4, "big") + bytes((i,)) * 12 for i in range(17 + past)])
+
+
+def _section_under_a_228_octet_name(n, past=0):
+    """Cut the answer section of 2 AAAA records, *past* more, under a 228-octet name *n*: the longest name at
+    the octet bound."""
+    name = f"h{n:056d}." + ".".join(["a" * 56] * 3)
+    wire.answer_segments(name, [n.to_bytes(4, "big") + bytes((i,)) * 12 for i in range(2 + past)])
+
+
 class TestDecoderMemos:
 
     def test_cold_and_warm_decodes_agree(self):
@@ -912,28 +931,54 @@ class TestDecoderMemos:
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
     def test_memos_are_bounded(self):
+        """Each memo, filled past its cap with its cheapest distinct inputs, holds exactly _MEMO_SIZE."""
         _clear_memos()
         rewrite = _rewriting_resolver()
-        for n in range(wire._MEMO_SIZE + 500):
-            ecs = rewrite.effective_ecs(None, f"10.{n >> 8}.{n & 255}.7")
-            assert ecs == EcsOption.for_prefix(f"10.{n >> 8}.{n & 255}.0", 24)
-            query = make_query(f"Host{n}.example", ecs=ecs)
-            assert decode_message(encode_message(query)).edns.ecs == ecs
-            reply = encode_message(make_response(query, ecs=ecs))
-            assert wire.pack_reply(b"\x00\x00", query, ecs, 0) == reply
-            qname = query.question.qname
-            entry = rewrite._store(qname, QTYPE_A, 24, ecs, wire.answer_segments(qname, ()), 60)
-            assert rewrite.cache_lookup(qname, QTYPE_A, ecs) is entry
-        # the reply memo, four times as large, filled past its own cap by replies apart in their TTL
+        ecs = EcsOption.for_prefix("11.0.0.0", 24)
+        rewrite._store("host.example", QTYPE_A, 24, ecs, (b"",), 60)  # one table, so each lookup reads one key
         query = make_query("host.example", ecs=ecs)
         segments = wire.answer_segments("host.example", [bytes((11, 0, 0, 1))])
-        for ttl in range(4 * wire._MEMO_SIZE + 500):
-            reply = wire.pack_reply(b"\x00\x00", query, ecs, 24, segments, ttl)
-            assert resolver._upstream_answer(reply[2:], "host.example")[2] == ttl
+        for n in range(wire._MEMO_SIZE + 500):
+            # the rewritten option and the cache key of client network n
+            assert rewrite.cache_lookup("host.example", QTYPE_A, rewrite.effective_ecs(None, f"10.{n >> 8}.{n & 255}.7")) is None
+            # the wire name, question, reply head and empty answer section of name n
+            question = Question(f"h{n}.example")
+            assert wire._question(wire._encode_name(question.qname) + b"\x00\x01\x00\x01") == question
+            wire._reply_head(question, True, 0, 0, False)
+            assert wire.answer_segments(question.qname, ()) == (b"",)
+            # the OPT record of payload size n, and the reply and message of TTL n
+            assert wire._encode_opt(n, None)[3:5] == n.to_bytes(2, "big")
+            assert wire._decode_opt("", n, 0, b"") == EdnsOpt(n)
+            reply = wire.pack_reply(b"\x00\x00", query, ecs, 24, segments, n)
+            assert resolver._upstream_answer(reply[2:], "host.example")[2] == n
+            assert decode_message(reply).answers[0].ttl == n
         for memo in (*DECODER_MEMOS, *OUTBOUND_MEMOS, *REPLY_MEMOS):
             info = memo.cache_info()
-            assert info.maxsize == (16384 if memo is resolver._upstream_answer else 4096)
+            assert info.maxsize == wire._MEMO_SIZE
             assert info.currsize == info.maxsize
+
+    @pytest.mark.parametrize(
+        "memo, fill",
+        [(wire._decode_body, _query_of_512_octets), (wire._answer_section, _section_of_17_records),
+         (wire._answer_section, _section_under_a_228_octet_name)],
+        ids=["512-octet-queries", "17-records-under-a-1-octet-name", "2-records-under-a-228-octet-name"],
+    )
+    def test_a_memo_at_its_cap_stays_under_its_memory_bound(self, memo, fill):
+        """2000 entries at the octet bound, each with its own octets, traced: an entry's bytes times _MEMO_SIZE
+        stay under the 48 MiB of wire.py's memo comment, and an input one octet or record past the bound is not
+        memoized."""
+        _clear_memos()
+        tracemalloc.start()
+        try:
+            for n in range(2000):
+                fill(n)
+            traced = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert memo.cache_info().currsize == 2000
+        assert traced / 2000 * wire._MEMO_SIZE < 48 * 1024 * 1024, f"{traced / 2000:.0f} bytes an entry"
+        fill(2000, past=1)
+        assert memo.cache_info().currsize == 2000
 
     @pytest.mark.parametrize(
         "data, memo, misses, error, message",
