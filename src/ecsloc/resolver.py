@@ -23,7 +23,12 @@ the TTL sent; each other part of its reply is a memo's.  A miss also packs
 the upstream query, reads the reply through the memo `_upstream_answer`,
 and stores one entry.  The authoritative and the reply read both take an
 answer section from the memo behind `wire.answer_segments`, so a section
-seen before is not encoded again.
+seen before is not encoded again.  In front of that, each `Authoritative`
+keeps a packet cache, keyed on a query's octets after its ID and, with
+legacy geo, on its source, of the reply's octets after its ID: a repeated
+upstream query is answered with them under its own ID.  It holds
+`_MEMO_SIZE` entries of at most `_MEMO_OCTETS` octets each side, under
+48 MiB per authoritative at the cap.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import heapq
 import ipaddress
 import itertools
 import threading
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import ceil, isfinite
 from pathlib import Path
 
@@ -58,6 +63,7 @@ from .wire import (
     pack_address,
     pack_query,
     pack_reply,
+    section_fits,
 )
 from .zone import DEFAULT_TTL, GeoZone, LocationPrefixMap, NameNotFound
 
@@ -188,26 +194,68 @@ class Authoritative:
     answered by the querying source's /24, an option taken from the rewrite
     policy's memo; this models classic resolver-location answering.  The
     flag is explicit per scenario, never ambient.
+
+    A reply after its ID is a function of the query's octets after its ID
+    and, with legacy_geo, of the source, so each instance keeps a packet
+    cache: an `lru_cache` of `_MEMO_SIZE` entries keyed on those octets of
+    a `bytes` query and on the source (on "" without legacy_geo, so every
+    source shares an entry), holding the reply's octets after its ID.  As
+    the package memos do, it keys no query and holds no reply of more than
+    `_MEMO_OCTETS` octets after the ID (a long reply is held as None and
+    packed each time), and stores nothing for a query that raises.  A
+    stored reply does not follow a later change to the zone's records.
     """
 
     def __init__(self, zone: GeoZone, *, legacy_geo: bool = False):
-        self.zone = zone
-        self.legacy_geo = legacy_geo
+        self._zone, self._legacy_geo = zone, legacy_geo
+        # bound to the zone and the flag, not to self, so no reference cycle holds the instance
+        self._replies = lru_cache(maxsize=_MEMO_SIZE)(partial(_reply_body, zone, legacy_geo))
+
+    @property
+    def zone(self) -> GeoZone:
+        """The zone given at construction, which the packet cache answers from; it cannot be set."""
+        return self._zone
+
+    @property
+    def legacy_geo(self) -> bool:
+        """The flag given at construction, which the packet cache is keyed by; it cannot be set."""
+        return self._legacy_geo
 
     def handle(self, payload: bytes, source: str) -> bytes:
-        """The wire reply to the query *payload* from *source*, packed by `wire.pack_reply`."""
-        msg_id, query, ecs = _decode_query(payload, "authoritative")
-        qname, qtype, _ = query.question
-        lookup_ecs = ecs
-        if ecs is None and self.legacy_geo and source:
-            lookup_ecs = _rewrite_option(source, 24)
-        try:
-            result = self.zone.lookup(qname, lookup_ecs)
-        except NameNotFound:
-            return pack_reply(msg_id, query, ecs, 0, rcode=RCODE_NXDOMAIN)
-        octets = 4 if qtype == QTYPE_A else 16
-        segments = answer_segments(qname, [rdata for rdata in result.addresses if len(rdata) == octets])
-        return pack_reply(msg_id, query, ecs, result.scope, segments, result.ttl)
+        """The wire reply to the query *payload* from *source*: the packet cache's when it holds it, else
+        packed by `wire.pack_reply`."""
+        if type(payload) is bytes and 2 <= len(payload) <= _MEMO_OCTETS + 2:
+            body = self._replies(payload[2:], source if self._legacy_geo else "")
+            if body is not None:
+                return payload[:2] + body
+        return _reply(self._zone, self._legacy_geo, payload, source)
+
+    def cache_info(self):
+        """The packet cache's hits, misses, maximum size and current size, as `lru_cache` counts them."""
+        return self._replies.cache_info()
+
+
+def _reply(zone: GeoZone, legacy_geo: bool, payload: bytes, source: str) -> bytes:
+    """The wire reply of an `Authoritative` on *zone* with *legacy_geo* to the query *payload* from *source*."""
+    msg_id, query, ecs = _decode_query(payload, "authoritative")
+    qname, qtype, _ = query.question
+    lookup_ecs = ecs
+    if ecs is None and legacy_geo and source:
+        lookup_ecs = _rewrite_option(source, 24)
+    try:
+        result = zone.lookup(qname, lookup_ecs)
+    except NameNotFound:
+        return pack_reply(msg_id, query, ecs, 0, rcode=RCODE_NXDOMAIN)
+    octets = 4 if qtype == QTYPE_A else 16
+    segments = answer_segments(qname, [rdata for rdata in result.addresses if len(rdata) == octets])
+    return pack_reply(msg_id, query, ecs, result.scope, segments, result.ttl)
+
+
+def _reply_body(zone: GeoZone, legacy_geo: bool, body: bytes, source: str) -> bytes | None:
+    """`_reply`'s octets after the ID for the query whose octets after the ID are *body*, or None when they
+    pass `_MEMO_OCTETS`: what an `Authoritative`'s packet cache holds, keyed on *body* and *source*."""
+    reply = _reply(zone, legacy_geo, b"\x00\x00" + body, source)[2:]
+    return reply if len(reply) <= _MEMO_OCTETS else None
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -294,8 +342,8 @@ class Resolver:
                 if len(reply) < 2:  # no ID: read as is, to raise Truncated
                     decode_message(reply)
                 body = reply[2:]
-                # from the memo when the reply, and its ANCOUNT answers by `answer_segments`' bound, fit in it
-                fits = max(len(body), int.from_bytes(body[4:6], "big") * (len(qname) + 28)) <= _MEMO_OCTETS
+                # from the memo when the reply, and its ANCOUNT answers under the question's name, fit in it
+                fits = len(body) <= _MEMO_OCTETS and section_fits(qname, int.from_bytes(body[4:6], "big"))
                 rcode, echo, ttl, segments = (_upstream_answer if fits else _upstream_answer.__wrapped__)(body, qname)
                 if rcode:
                     self.nxdomains += rcode == RCODE_NXDOMAIN  # an answer, not an error

@@ -402,14 +402,18 @@ def answer_segments(name: str, addresses) -> tuple[bytes, ...]:
 
     Every record is under *name*: an A record for 4 octets, an AAAA record
     for 16.  `answers_at_ttl(segments, ttl)` joins the segments into the
-    section with every TTL *ttl*.  A section of at most `_MEMO_OCTETS`
-    octets by the bound of 28 a record beside its name (the name's two
-    framing octets, the 10-octet tail and at most 16 of rdata) comes from
-    the memo `_answer_section`, keyed on *name* and the tuple of
+    section with every TTL *ttl*.  A section that `section_fits` comes
+    from the memo `_answer_section`, keyed on *name* and the tuple of
     *addresses*; a longer one is encoded each time.
     """
     addresses = tuple(addresses)
-    return (_section if len(addresses) * (len(name) + 28) > _MEMO_OCTETS else _answer_section)(name, addresses)
+    return (_answer_section if section_fits(name, len(addresses)) else _section)(name, addresses)
+
+
+def section_fits(name: str, count: int) -> bool:
+    """Whether an answer section of *count* records under *name* is within `_MEMO_OCTETS` octets, by the bound of
+    28 a record beside its name: the name's two framing octets, the 10-octet tail and at most 16 of rdata."""
+    return count * (len(name) + 28) <= _MEMO_OCTETS
 
 
 def _section(name: str, addresses: tuple) -> tuple[bytes, ...]:
